@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-fast test race bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-smoke chaos crash fuzz-smoke check
+.PHONY: all build vet fmt lint lint-fast test race fdperf bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-smoke chaos crash fuzz-smoke check
 
 all: check
 
@@ -36,6 +36,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# cmd/fdperf is a module of its own, so the root ./... patterns skip it:
+# vet and short-test it directly, so a break in the internal APIs it
+# imports shows up here rather than in the benchmark driver.
+fdperf:
+	cd cmd/fdperf && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full benchmark pass: the partition kernels and the discovery paths,
 # folded into BENCH_pr3.json against the pre-PR baselines recorded in
@@ -123,6 +129,6 @@ fuzz-smoke:
 
 # The default verify path: build, vet, formatting and the invariant
 # analyzers, then the full suite under the race detector (which includes
-# the chaos matrix), the kill-and-resume gate, then the fuzz and
-# benchmark smoke passes.
-check: build vet fmt lint race crash fuzz-smoke bench-smoke
+# the chaos matrix), the fdperf module, the kill-and-resume gate, then
+# the fuzz and benchmark smoke passes.
+check: build vet fmt lint race fdperf crash fuzz-smoke bench-smoke

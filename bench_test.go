@@ -20,15 +20,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/fdep"
 	"repro/internal/hyfd"
 	"repro/internal/normalize"
 	"repro/internal/profile"
 	"repro/internal/ranking"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 	"repro/internal/sampling"
 	"repro/internal/tane"
 )
+
+// discover returns DHyFD's left-reduced cover of r, failing b on error.
+func discover(b *testing.B, r *relation.Relation) []dhyfd.FD {
+	b.Helper()
+	fds, _, err := core.Run(context.Background(), r, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fds
+}
 
 func benchParams() bench.Params {
 	return bench.Params{Scale: 0.05, TimeLimit: 30 * time.Second, Quick: true}
@@ -184,12 +196,12 @@ func BenchmarkAblationInduction(b *testing.B) {
 	r := bm.Generate(108, 13)
 	b.Run("classic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.Classic)
+			_, _, _ = fdep.Run(context.Background(), r, fdep.Classic, fdep.Config{})
 		}
 	})
 	b.Run("synergized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.Sorted)
+			_, _, _ = fdep.Run(context.Background(), r, fdep.Sorted, fdep.Config{})
 		}
 	})
 }
@@ -201,12 +213,12 @@ func BenchmarkAblationNonFDOrder(b *testing.B) {
 	r := bm.Generate(132, 13)
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.Sorted)
+			_, _, _ = fdep.Run(context.Background(), r, fdep.Sorted, fdep.Config{})
 		}
 	})
 	b.Run("nonredundant", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.NonRedundant)
+			_, _, _ = fdep.Run(context.Background(), r, fdep.NonRedundant, fdep.Config{})
 		}
 	})
 }
@@ -218,12 +230,12 @@ func BenchmarkAblationDDM(b *testing.B) {
 	r := bm.Generate(4000, 18)
 	b.Run("ddm-on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.DiscoverWithConfig(r, core.Config{Ratio: 3})
+			_, _, _ = core.Run(context.Background(), r, core.Config{Ratio: 3})
 		}
 	})
 	b.Run("ddm-off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.DiscoverWithConfig(r, core.Config{Ratio: 1e18})
+			_, _, _ = core.Run(context.Background(), r, core.Config{Ratio: 1e18})
 		}
 	})
 }
@@ -235,12 +247,12 @@ func BenchmarkAblationOneShotSampling(b *testing.B) {
 	r := bm.Generate(3000, 20)
 	b.Run("dhyfd-one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.Discover(r)
+			_, _, _ = core.Run(context.Background(), r, core.Config{})
 		}
 	})
 	b.Run("hyfd-progressive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hyfd.Discover(r)
+			_, _, _ = hyfd.Run(context.Background(), r, hyfd.Config{})
 		}
 	})
 }
@@ -250,7 +262,7 @@ func BenchmarkAblationOneShotSampling(b *testing.B) {
 func BenchmarkCanonicalCoverLarge(b *testing.B) {
 	bm, _ := dataset.ByName("hepatitis")
 	r := bm.Generate(155, 18)
-	lr := core.Discover(r)
+	lr := discover(b, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cover.Canonical(r.NumCols(), lr)
@@ -260,10 +272,12 @@ func BenchmarkCanonicalCoverLarge(b *testing.B) {
 func BenchmarkRankCanonicalCover(b *testing.B) {
 	bm, _ := dataset.ByName("ncvoter")
 	r := bm.GenerateDefault()
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), discover(b, r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranking.Rank(r, can)
+		if _, _, err := ranking.RankCtx(context.Background(), r, can, ranking.Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -272,7 +286,9 @@ func BenchmarkNegativeCover1000Rows(b *testing.B) {
 	r := bm.Generate(1000, 19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sampling.NegativeCover(r)
+		if _, err := sampling.NegativeCoverSharded(context.Background(), engine.NewPool(1), r, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -281,7 +297,7 @@ func BenchmarkTANELattice(b *testing.B) {
 	r := bm.Generate(2000, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tane.DiscoverCtx(context.Background(), r); err != nil {
+		if _, _, err := tane.Run(context.Background(), r, tane.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,14 +308,16 @@ func BenchmarkProfileReport(b *testing.B) {
 	r := bm.GenerateDefault()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profile.Profile(r, profile.Options{})
+		if _, err := profile.ProfileCtx(context.Background(), r, profile.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkCandidateKeys(b *testing.B) {
 	bm, _ := dataset.ByName("bridges")
 	r := bm.GenerateDefault()
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), discover(b, r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		normalize.CandidateKeys(r.NumCols(), can, 128)
@@ -309,14 +327,14 @@ func BenchmarkCandidateKeys(b *testing.B) {
 func BenchmarkArmstrongRoundTrip(b *testing.B) {
 	bm, _ := dataset.ByName("iris")
 	r := bm.GenerateDefault()
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), discover(b, r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arm, err := armstrong.Relation(r.NumCols(), can, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.Discover(arm)
+		discover(b, arm)
 	}
 }
 
@@ -346,7 +364,7 @@ func BenchmarkParallelValidation(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.DiscoverWithConfig(r, core.Config{Workers: workers})
+				_, _, _ = core.Run(context.Background(), r, core.Config{Options: runstate.Options{Workers: workers}})
 			}
 		})
 	}

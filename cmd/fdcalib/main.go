@@ -4,8 +4,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -22,7 +24,11 @@ func main() {
 		}
 		r := b.GenerateDefault()
 		start := time.Now()
-		fds := core.Discover(r)
+		fds, _, err := core.Run(context.Background(), r, core.Config{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fdcalib:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("%-12s %8d %5d %10d %10d %10v\n",
 			b.Name, r.NumRows(), r.NumCols(), b.PaperFDs, len(fds), time.Since(start).Round(time.Millisecond))
 	}

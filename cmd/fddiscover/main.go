@@ -33,8 +33,8 @@
 // is flushed when the run is interrupted or times out. Re-running the same
 // command with -resume added continues from the snapshot and prints a
 // cover byte-identical to an uninterrupted run; a SIGKILLed run loses at
-// most one interval of work. -retries N re-runs transiently failed
-// validation batches up to N times with jittered exponential backoff.
+// most one interval of work. -retries N re-runs transiently failed pool
+// work items up to N times with jittered exponential backoff.
 //
 // Exit codes: 0 success (including degraded-with-warning), 1 runtime
 // failure or interrupted/partial run, 2 usage error (including -resume
@@ -74,7 +74,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot the run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed validation batches up to N times (dhyfd, hyfd, tane)")
+	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partition and pair-scan shards) up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fddiscover [flags] file.csv\n")
 		flag.PrintDefaults()

@@ -52,7 +52,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot the discovery run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue discovery from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed validation batches up to N times (dhyfd, hyfd, tane)")
+	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partition and pair-scan shards) up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fdrank [flags] file.csv\n")
 		flag.PrintDefaults()

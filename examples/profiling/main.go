@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 
 	"repro/internal/dataset"
@@ -16,6 +18,10 @@ func main() {
 	// Profile the paper's Table I snippet; swap in any CSV via
 	// dhyfd.ReadCSVFile with Options{KeepDicts: true}.
 	rel := dataset.NCVoterSnippet(relation.NullEqNull)
-	rep := profile.Profile(rel, profile.Options{TopValues: 2})
+	rep, err := profile.ProfileCtx(context.Background(), rel, profile.Options{TopValues: 2})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "profiling:", err)
+		os.Exit(1)
+	}
 	rep.Write(os.Stdout, rel.Names)
 }

@@ -237,9 +237,9 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *discoverConfig) { c.algorithm = a }
 }
 
-// WithWorkers sets the validation worker-pool width for the algorithms
-// with a parallel hot path (DHyFD, HyFD, TANE). Values below 2 keep the
-// serial behaviour; other algorithms ignore it.
+// WithWorkers sets the worker-pool width of the run's parallel hot paths:
+// validation, lattice joins, sharded partition builds and pair scans.
+// Values below 2 keep the serial behaviour.
 func WithWorkers(n int) Option {
 	return func(c *discoverConfig) { c.workers = n }
 }
@@ -340,8 +340,8 @@ func withoutPostVerify() Option {
 
 // PLICache is a caller-owned, size-bounded LRU cache of stripped
 // partitions that a whole discover→rank pipeline shares: pass it to
-// Discover via WithCache and to RankWith / TotalRedundancyWith via
-// RankConfig, and the partitions discovery builds are reused by ranking
+// Discover and to Rank / TotalRedundancy / RankForColumn via WithCache,
+// and the partitions discovery builds are reused by ranking
 // (and by later runs over the same relation) instead of being rebuilt.
 // A PLICache is safe for concurrent use; it serves partitions of one
 // relation shape — the first run pins the row count.
@@ -498,10 +498,10 @@ func WithResume(dir string) Option {
 	}
 }
 
-// WithRetries lets the parallel drivers (DHyFD, HyFD, TANE) re-run a
-// failed validation batch up to n times when the failure is classified
-// transient, sleeping a capped, fully-jittered exponential backoff between
-// attempts. Fatal failures (and organic panics) still surface immediately
+// WithRetries lets every algorithm re-run a failed pool work item — a
+// validation batch, a partition or pair-scan shard, a lattice join — up to
+// n times when the failure is classified transient, sleeping a capped,
+// fully-jittered exponential backoff between attempts. Fatal failures (and organic panics) still surface immediately
 // as *PanicError. Attempts and retries are reported in Stats under
 // "attempts" / "retries". n of 0 disables retrying (the default);
 // negative n is an error.
@@ -653,46 +653,29 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		fds []FD
 		rs  *engine.RunStats
 	)
+	shared := runstate.Options{
+		Workers: cfg.workers, ShardSize: cfg.shardSize,
+		Budget: budget, Cache: cache,
+		TopK: collector, MaxViolations: maxViol,
+		Checkpoint: cp, Resume: snap, Retries: cfg.retries,
+	}
 	switch cfg.algorithm {
 	case DHyFD:
-		fds, rs, err = core.DiscoverRun(ctx, r, core.Config{
-			Ratio: cfg.ratio, Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Budget: budget, Cache: cache,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap, Retries: cfg.retries,
-		})
+		fds, rs, err = core.Run(ctx, r, core.Config{Options: shared, Ratio: cfg.ratio})
 	case HyFD:
-		fds, rs, err = hyfd.DiscoverRun(ctx, r, hyfd.Config{
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Budget: budget, Cache: cache,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap, Retries: cfg.retries,
-		})
+		fds, rs, err = hyfd.Run(ctx, r, hyfd.Config{Options: shared})
 	case TANE:
-		fds, rs, err = tane.Run(ctx, r, tane.Config{
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Budget: budget, Cache: cache,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap, Retries: cfg.retries,
-		})
+		fds, rs, err = tane.Run(ctx, r, shared)
 	case FDEP:
-		fds, rs, err = fdep.Run(ctx, r, fdep.Classic, fdep.Config{Workers: cfg.workers, ShardSize: cfg.shardSize})
+		fds, rs, err = fdep.Run(ctx, r, fdep.Classic, shared)
 	case FDEP1:
-		fds, rs, err = fdep.Run(ctx, r, fdep.NonRedundant, fdep.Config{Workers: cfg.workers, ShardSize: cfg.shardSize})
+		fds, rs, err = fdep.Run(ctx, r, fdep.NonRedundant, shared)
 	case FDEP2:
-		fds, rs, err = fdep.Run(ctx, r, fdep.Sorted, fdep.Config{Workers: cfg.workers, ShardSize: cfg.shardSize})
+		fds, rs, err = fdep.Run(ctx, r, fdep.Sorted, shared)
 	case FastFDs:
-		fds, rs, err = fastfds.Run(ctx, r, fastfds.Config{
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Checkpoint: cp, Resume: snap,
-		})
+		fds, rs, err = fastfds.Run(ctx, r, shared)
 	case DFD:
-		fds, rs, err = dfd.Run(ctx, r, dfd.Config{
-			Budget: budget, Cache: cache,
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap,
-		})
+		fds, rs, err = dfd.Run(ctx, r, shared)
 	default:
 		return nil, fmt.Errorf("dhyfd: unknown algorithm %v", cfg.algorithm)
 	}

@@ -28,6 +28,7 @@ import (
 	"repro/internal/hyfd"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 	"repro/internal/tane"
 )
 
@@ -112,21 +113,17 @@ func algorithmFunc(name string, cache *partition.Cache) runFunc {
 		return fdepFunc(fdep.Sorted)
 	case "HyFD":
 		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			cfg := hyfd.DefaultConfig()
-			cfg.Cache = cache
-			fds, rs, err := hyfd.DiscoverRun(ctx, r, cfg)
+			fds, rs, err := hyfd.Run(ctx, r, hyfd.Config{Options: runstate.Options{Cache: cache}})
 			return len(fds), rs, err
 		}
 	case "DHyFD":
 		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			cfg := core.DefaultConfig()
-			cfg.Cache = cache
-			fds, rs, err := core.DiscoverRun(ctx, r, cfg)
+			fds, rs, err := core.Run(ctx, r, core.Config{Options: runstate.Options{Cache: cache}})
 			return len(fds), rs, err
 		}
 	case "FastFDs":
 		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			fds, rs, err := fastfds.DiscoverRun(ctx, r)
+			fds, rs, err := fastfds.Run(ctx, r, fastfds.Config{})
 			return len(fds), rs, err
 		}
 	case "DFD":
@@ -140,7 +137,7 @@ func algorithmFunc(name string, cache *partition.Cache) runFunc {
 
 func fdepFunc(v fdep.Variant) runFunc {
 	return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-		fds, rs, err := fdep.DiscoverRun(ctx, r, v)
+		fds, rs, err := fdep.Run(ctx, r, v, fdep.Config{})
 		return len(fds), rs, err
 	}
 }
@@ -194,7 +191,7 @@ func RunCached(ctx context.Context, name string, r *relation.Relation, limit tim
 // CoverOf runs DHyFD and returns the left-reduced cover — the input of the
 // cover and ranking experiments. Cancellation yields the partial cover.
 func CoverOf(ctx context.Context, r *relation.Relation) []dep.FD {
-	fds, _, _ := core.DiscoverRun(ctx, r, core.DefaultConfig())
+	fds, _, _ := core.Run(ctx, r, core.Config{})
 	return fds
 }
 

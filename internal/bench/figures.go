@@ -45,11 +45,12 @@ func Fig6(ctx context.Context, w io.Writer, p Params) []Fig6Point {
 		fmt.Fprintf(tw, "%s (%dx%d)\tratio\ttime (s)\trefinements\n", name, r.NumRows(), r.NumCols())
 		for _, ratio := range Fig6Ratios {
 			start := time.Now()
-			fds, stats := core.DiscoverWithConfig(r, core.Config{Ratio: ratio})
+			fds, rs, _ := core.Run(ctx, r, core.Config{Ratio: ratio})
 			elapsed := time.Since(start)
+			refreshes := int(rs.Counters["ddm_refreshes"])
 			pt := Fig6Point{Dataset: name, Ratio: ratio, Elapsed: elapsed,
-				Refinements: stats.Refinements, FDs: len(fds)}
-			fmt.Fprintf(tw, "\t%.1f\t%.3f\t%d\n", ratio, elapsed.Seconds(), stats.Refinements)
+				Refinements: refreshes, FDs: len(fds)}
+			fmt.Fprintf(tw, "\t%.1f\t%.3f\t%d\n", ratio, elapsed.Seconds(), refreshes)
 			out = append(out, pt)
 		}
 		tw.Flush()
@@ -111,16 +112,15 @@ func fig7Point(ctx context.Context, tw io.Writer, name string, r *relation.Relat
 	}
 	pt.HyFDAllocMB = alloc(func() {
 		start := time.Now()
-		hyfd.Discover(r)
+		_, _, _ = hyfd.Run(ctx, r, hyfd.Config{})
 		pt.HyFDTime = time.Since(start)
 	})
-	var stats core.Stats
 	pt.DHyFDAllocMB = alloc(func() {
 		start := time.Now()
-		_, stats = core.DiscoverWithConfig(r, core.DefaultConfig())
+		_, rs, _ := core.Run(ctx, r, core.Config{})
 		pt.DHyFDTime = time.Since(start)
+		pt.DynPartRows = int(rs.Counters["peak_dyn_rows"])
 	})
-	pt.DynPartRows = stats.PeakDynPartRows
 	if pt.Dataset == "weather" {
 		fmt.Fprintf(tw, "\t%d\t%.0f\t%.0f\t%.3f\t%.3f\t%d\n",
 			pt.Rows, pt.HyFDAllocMB, pt.DHyFDAllocMB,

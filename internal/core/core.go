@@ -40,99 +40,45 @@ import (
 	"repro/internal/relation"
 	"repro/internal/runstate"
 	"repro/internal/sampling"
-	"repro/internal/topk"
 	"repro/internal/validate"
 )
 
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
-
-// Config tunes DHyFD.
+// Config tunes DHyFD. The zero value is the paper's tuning. The shared
+// run options apply as follows: Workers parallelizes level validation and
+// DDM refreshes (induction stays sequential); Budget exhaustion stops DDM
+// refreshes, falling back to single-attribute partitions, which keeps the
+// cover complete; Cache feeds refreshes from the longest cached prefix of
+// a node's path and publishes the refreshed partitions; TopK scores by the
+// validator's ‖π_LHS‖ and skips nodes whose smallest single-attribute
+// partition cannot beat the threshold; MaxViolations > 0 disables pair
+// sampling, since exact violating pairs must not refute approximately
+// valid FDs; a Resume rebuilds the DDM cold, which is slower but leaves
+// the cover unchanged.
 type Config struct {
+	runstate.Options
 	// Ratio is the efficiency–inefficiency threshold above which the DDM
-	// refreshes its partitions (Algorithm 6, line 26). The paper tunes it
-	// to 3.0 (Figure 6). Set it very large to disable refreshes entirely,
-	// which degenerates DHyFD into a validate-from-singletons hybrid.
+	// refreshes its partitions (Algorithm 6, line 26). 0 selects the
+	// paper's 3.0 (Figure 6). Set it very large to disable refreshes
+	// entirely, which degenerates DHyFD into a validate-from-singletons
+	// hybrid.
 	Ratio float64
-	// Workers sets the engine.Pool width used to validate a level's
-	// candidates and to refresh the DDM's partitions — an extension
-	// beyond the paper's single-threaded implementation. Validation of
-	// distinct FD-nodes is independent (the DDM is read-only during a
-	// level), so levels parallelize cleanly; induction remains
-	// sequential. Values below 2 keep the paper's serial behaviour.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// partition bootstrap: columns longer than one shard group and merge
-	// on the worker pool instead of serially. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// Budget optionally bounds partition memory. On exhaustion DHyFD
-	// stops refreshing the DDM (falling back to single-attribute
-	// partitions, which keeps the cover complete and sound) and flags
-	// the run report Degraded. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally shares stripped partitions across the run (and
-	// across runs over the same relation): the DDM publishes its
-	// refreshed partitions and starts refreshes from the smallest-error
-	// cached subset when a node has no consistent slot. Nil disables
-	// caching.
-	Cache *partition.Cache
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// validation: validated FDs are offered to the collector scored by
-	// ‖π_LHS‖ (the validator's LastSize) and candidate nodes whose best
-	// reachable score — the smallest single-attribute partition size over
-	// their LHS, an upper bound on ‖π_LHS‖ and on every specialization —
-	// cannot beat the admission threshold are skipped. The run returns
-	// the collector's FDs in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes validation to the g3-style bound: lhs → A
-	// counts as valid while at most MaxViolations rows must be deleted
-	// for it to hold exactly. Positive values disable pair sampling
-	// (exact violating pairs must not refute approximately valid FDs);
-	// the search tree specializes from validation outcomes instead,
-	// which monotonicity makes sound. 0 keeps exact discovery.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the FD-tree, non-FD set and
-	// level cursor at every validation-level boundary so a killed run can
-	// resume. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's level frontier:
-	// the tree and non-FD set are restored and validation restarts at the
-	// cursor. The DDM is rebuilt cold — restored node ids fall back to
-	// single-attribute partitions, which is slower but changes nothing
-	// about the cover. The caller has already fingerprint-matched it.
-	Resume *runstate.Snapshot
-	// Retries bounds supervised re-runs of transiently failed pool items
-	// (capped exponential backoff with full jitter). 0 disables retries.
-	Retries int
 }
-
-// DefaultConfig returns the paper's tuned configuration.
-func DefaultConfig() Config { return Config{Ratio: 3.0} }
 
 func (c *Config) fillDefaults() {
 	if c.Ratio == 0 {
 		c.Ratio = 3.0
 	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
 }
 
-// Stats reports the DHyFD-specific measures of a run; the algorithm-
-// agnostic view (phase timings, hot-path counters, cancellation state)
-// is the engine.RunStats that DiscoverRun returns.
-type Stats struct {
-	InitialNonFDs    int // distinct agree sets from the one-shot sampling
-	Comparisons      int // tuple pairs compared by the one-shot sampling
-	NonFDs           int // total distinct agree sets (sampling + validation)
-	Validations      int // (node, RHS attr) validations
-	Invalidated      int // validations that failed
-	Levels           int // validation levels processed
-	Refinements      int // DDM refreshes (controlled-level advances)
-	PeakDynPartRows  int // max Σ‖π‖ held by the DDM at once (memory proxy)
-	PeakDynPartCount int // max number of dynamic partitions held at once
-	FDs              int // FDs in the output cover
+// stats holds the DHyFD-specific measures of a run; finish folds them into
+// the run report's counters.
+type stats struct {
+	initialNonFDs int // distinct agree sets from the one-shot sampling
+	comparisons   int // tuple pairs compared by the one-shot sampling
+	levels        int // validation levels processed
+	refinements   int // DDM refreshes (controlled-level advances)
+	peakDynRows   int // max Σ‖π‖ held by the DDM at once (memory proxy)
+	peakDynCount  int // max number of dynamic partitions held at once
 }
 
 // ddm is the dynamic data manager: pre-computed single-attribute stripped
@@ -271,92 +217,30 @@ func (m *ddm) rows() int {
 	return total
 }
 
-// Discover returns the left-reduced cover of the FDs holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	fds, _ := DiscoverWithConfig(r, DefaultConfig())
-	return fds
-}
-
-// DiscoverWithConfig runs DHyFD with explicit tuning and returns run
-// statistics alongside the cover.
-func DiscoverWithConfig(r *relation.Relation, cfg Config) ([]dep.FD, Stats) {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, stats, _ := DiscoverCtx(context.Background(), r, cfg)
-	return fds, stats
-}
-
-// DiscoverCtx is DiscoverWithConfig with cooperative cancellation, checked
-// between validation batches.
-func DiscoverCtx(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, Stats, error) {
-	fds, stats, _, err := discover(ctx, r, cfg)
-	return fds, stats, err
-}
-
-// DiscoverRun runs DHyFD and emits the algorithm-agnostic run report. On
-// cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, *engine.RunStats, error) {
-	fds, _, rs, err := discover(ctx, r, cfg)
-	return fds, rs, err
-}
-
-func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retStats Stats, retRS *engine.RunStats, retErr error) {
+// Run returns the left-reduced cover of the FDs holding on r together with
+// the algorithm-agnostic run report, honouring ctx between validation
+// batches. On cancellation the partial report (with Cancelled set) is
+// returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
 	cfg.fillDefaults()
-	var stats Stats
-	rs := engine.NewRunStats("dhyfd", cfg.Workers)
-	topkFlushed := false
-	flushTopK := func() {
-		if cfg.TopK == nil || topkFlushed {
-			return
-		}
-		topkFlushed = true
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("dhyfd", rec)
-			flushTopK()
-			rs.Finish(perr)
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				// Heap entries were each individually validated: a sound
-				// partial top-k even after a panic.
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retStats, retRS, retErr = partial, stats, rs, perr
-		}
-	}()
+	h := runstate.Start("dhyfd", cfg.Options)
+	defer h.Recover(&fds, &rs, &err)
+	rs = h.Stats
+	pool := h.Pool
 	n := r.NumCols()
 	if n == 0 {
-		rs.Finish(nil)
-		return nil, stats, rs, nil
+		return h.End(nil, nil)
 	}
-	pool := engine.NewPoolRetry(cfg.Workers, engine.RetryPolicy{Max: cfg.Retries})
-
 	if err := ctx.Err(); err != nil {
-		rs.Finish(err)
-		return nil, stats, rs, err
+		return h.End(nil, err)
 	}
-	cache0 := cfg.Cache.Stats()
-	defer func() {
-		delta := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += delta.Hits
-		rs.CacheMisses += delta.Misses
-		rs.CacheEvictions += delta.Evictions
-	}()
+	var st stats
 	stop := rs.Phase("sample")
 	m, built, err := newDDM(ctx, pool, r, &cfg)
 	rs.PartitionsBuilt += int64(built)
 	if err != nil {
 		stop()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		return nil, stats, rs, err
+		return h.End(nil, err)
 	}
 	if cfg.Budget.Exhausted() {
 		rs.Degrade(cfg.Budget.Reason() + "; DDM refreshes disabled")
@@ -374,25 +258,26 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 		// Continue a checkpointed run: the restored tree and non-FD set are
 		// the search state proper; sampling and root validation already
 		// happened, so the run re-enters the level loop at the cursor. The
-		// validator's exported counters and the Stats fields are assigned
-		// from the snapshot — finish() reads them, so the resumed report is
-		// cumulative.
+		// validator's exported counters and the driver's measures are
+		// assigned from the snapshot — finish() reads them, so the resumed
+		// report is cumulative.
 		tree = cfg.Resume.Tree.Restore()
 		nonFDs = cfg.Resume.NonFDs.Restore()
 		if nonFDs == nil {
 			nonFDs = sampling.NewNonFDSet(n)
 		}
-		cfg.Resume.Stats.Apply(rs)
 		v.Validations = int(lf.Validations)
 		v.Invalidated = int(lf.Invalidated)
 		v.RowsScanned = int(lf.RowsScannedV)
 		v.ClustersRefined = int(lf.ClustersRefined)
-		stats.InitialNonFDs = int(lf.InitialNonFDs)
-		stats.Comparisons = int(lf.Comparisons)
-		stats.Levels = int(lf.Level) - 1
-		stats.Refinements = int(lf.Refinements)
-		stats.PeakDynPartRows = int(lf.PeakDynRows)
-		stats.PeakDynPartCount = int(lf.PeakDynCount)
+		st = stats{
+			initialNonFDs: int(lf.InitialNonFDs),
+			comparisons:   int(lf.Comparisons),
+			levels:        int(lf.Level) - 1,
+			refinements:   int(lf.Refinements),
+			peakDynRows:   int(lf.PeakDynRows),
+			peakDynCount:  int(lf.PeakDynCount),
+		}
 		rs.RowsScanned = lf.RowsScanned
 		rs.PartitionsBuilt = lf.PartitionsBuilt
 		numFDs = int(lf.NumFDs)
@@ -416,17 +301,14 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 				_, comps, err := sampling.ClusterNeighborSampleSharded(ctx, pool, r, m.singles[c], 1, nonFDs, cfg.ShardSize)
 				if err != nil {
 					stop()
-					pool.FoldRetryStats(rs)
-					pool.FoldShardStats(rs)
-					rs.Finish(err)
-					return nil, stats, rs, err
+					return h.End(nil, err)
 				}
-				stats.Comparisons += comps
+				st.comparisons += comps
 			}
-			rs.RowsScanned += 2 * int64(stats.Comparisons)
+			rs.RowsScanned += 2 * int64(st.comparisons)
 		}
 		rootValid := v.EmptyLHS(full, rootWitness)
-		stats.InitialNonFDs = nonFDs.Len()
+		st.initialNonFDs = nonFDs.Len()
 		stop()
 		stop = rs.Phase("induct")
 		inductAll(tree, full, nonFDs.Sets())
@@ -455,73 +337,47 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 
 	// tick snapshots the boundary before validation level vl: levels below
 	// it are fully validated and inducted into the tree, so a resumed run
-	// re-enters the loop exactly at vl. Capturing clones the whole FD-tree,
-	// so off-interval boundaries are skipped unless forced (terminal,
-	// loop-top cancellation).
+	// re-enters the loop exactly at vl.
 	tick := func(vl int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.LevelFrontier{
-			Version:         1,
-			Level:           int64(vl),
-			NumFDs:          int64(numFDs),
-			Validations:     int64(v.Validations),
-			Invalidated:     int64(v.Invalidated),
-			RowsScannedV:    int64(v.RowsScanned),
-			ClustersRefined: int64(v.ClustersRefined),
-			InitialNonFDs:   int64(stats.InitialNonFDs),
-			Comparisons:     int64(stats.Comparisons),
-			Refinements:     int64(stats.Refinements),
-			PeakDynRows:     int64(stats.PeakDynPartRows),
-			PeakDynCount:    int64(stats.PeakDynPartCount),
-			RowsScanned:     rs.RowsScanned,
-			PartitionsBuilt: rs.PartitionsBuilt,
-		}
-		st := runstate.StatsSnapOf(rs)
-		cd := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + cd.Hits
-		st.CacheMisses = rs.CacheMisses + cd.Misses
-		st.CacheEvicts = rs.CacheEvictions + cd.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			Tree:     runstate.TreeSnapOf(tree),
-			NonFDs:   runstate.NonFDSnapOf(nonFDs, n),
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, Level: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			return &runstate.Snapshot{
+				Tree:   runstate.TreeSnapOf(tree),
+				NonFDs: runstate.NonFDSnapOf(nonFDs, n),
+				Frontier: runstate.FrontierSnap{Level: &runstate.LevelFrontier{
+					Version:         1,
+					Level:           int64(vl),
+					NumFDs:          int64(numFDs),
+					Validations:     int64(v.Validations),
+					Invalidated:     int64(v.Invalidated),
+					RowsScannedV:    int64(v.RowsScanned),
+					ClustersRefined: int64(v.ClustersRefined),
+					InitialNonFDs:   int64(st.initialNonFDs),
+					Comparisons:     int64(st.comparisons),
+					Refinements:     int64(st.refinements),
+					PeakDynRows:     int64(st.peakDynRows),
+					PeakDynCount:    int64(st.peakDynCount),
+					RowsScanned:     rs.RowsScanned,
+					PartitionsBuilt: rs.PartitionsBuilt,
+				}},
+			}
 		})
 	}
 
-	finish := func(err error) ([]dep.FD, Stats, *engine.RunStats, error) {
-		stats.Validations = v.Validations
-		stats.Invalidated = v.Invalidated
-		stats.NonFDs = nonFDs.Len()
+	// finish folds the validator's and the driver's measures into the
+	// report and closes the run.
+	finish := func(fds []dep.FD, err error) ([]dep.FD, *engine.RunStats, error) {
 		rs.CandidatesValidated = int64(v.Validations)
 		rs.Invalidated = int64(v.Invalidated)
 		rs.RowsScanned += int64(v.RowsScanned)
 		rs.PartitionsRefined += int64(v.ClustersRefined)
-		rs.NonFDs = int64(stats.NonFDs)
-		rs.Levels = int64(stats.Levels)
-		rs.Count("initial_non_fds", int64(stats.InitialNonFDs))
-		rs.Count("sampling_comparisons", int64(stats.Comparisons))
-		rs.Count("ddm_refreshes", int64(stats.Refinements))
-		rs.Count("peak_dyn_partitions", int64(stats.PeakDynPartCount))
-		rs.Count("peak_dyn_rows", int64(stats.PeakDynPartRows))
-		flushTopK()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			// The heap's FDs were each individually validated and minimal
-			// on the data, so this stands as a sound (partial, under err)
-			// top-k in ranking order.
-			fds := cfg.TopK.FDs()
-			stats.FDs = len(fds)
-			rs.FDs = int64(stats.FDs)
-			return fds, stats, rs, err
-		}
-		return nil, stats, rs, err
+		rs.NonFDs = int64(nonFDs.Len())
+		rs.Levels = int64(st.levels)
+		rs.Count("initial_non_fds", int64(st.initialNonFDs))
+		rs.Count("sampling_comparisons", int64(st.comparisons))
+		rs.Count("ddm_refreshes", int64(st.refinements))
+		rs.Count("peak_dyn_partitions", int64(st.peakDynCount))
+		rs.Count("peak_dyn_rows", int64(st.peakDynRows))
+		return h.End(fds, err)
 	}
 
 	for vl := startLevel; vl <= tree.MaxLevel(); vl++ {
@@ -529,11 +385,11 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			// Level vl is untouched, so this is still a boundary: park
 			// it for the final Flush and Ctrl-C loses nothing.
 			tick(vl, true)
-			return finish(err)
+			return finish(nil, err)
 		}
 		tick(vl, false)
 		candidates := tree.NodesAtLevel(vl)
-		stats.Levels++
+		st.levels++
 
 		total := 0
 		for _, node := range candidates {
@@ -543,7 +399,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 		invalids, err := validateLevel(ctx, pool, r, m, candidates, v, nonFDs, &cfg)
 		stop()
 		if err != nil {
-			return finish(err)
+			return finish(nil, err)
 		}
 		stop = rs.Phase("induct")
 		inductAll(tree, full, nonFDs.Sets()[processed:])
@@ -589,36 +445,33 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 				err := m.update(ctx, pool, reusables)
 				stop()
 				if err != nil {
-					return finish(err)
+					return finish(nil, err)
 				}
-				stats.Refinements++
+				st.refinements++
 				rs.PartitionsBuilt += int64(len(reusables))
-				if rows := m.rows(); rows > stats.PeakDynPartRows {
-					stats.PeakDynPartRows = rows
+				if rows := m.rows(); rows > st.peakDynRows {
+					st.peakDynRows = rows
 				}
-				if len(m.slots) > stats.PeakDynPartCount {
-					stats.PeakDynPartCount = len(m.slots)
+				if len(m.slots) > st.peakDynCount {
+					st.peakDynCount = len(m.slots)
 				}
 			}
 		}
 	}
 
 	if err := ctx.Err(); err != nil {
-		return finish(err)
+		return finish(nil, err)
 	}
 	// Terminal boundary: the cursor is past every tree level, so resuming a
 	// post-completion snapshot replays no validation and re-emits the same
 	// cover.
 	tick(tree.MaxLevel()+1, true)
 	if cfg.TopK != nil {
-		return finish(nil) // the collector's FDs, in ranking order
+		return finish(nil, nil) // the collector's FDs, in ranking order
 	}
-	fds := dep.SplitRHS(tree.FDs())
+	fds = dep.SplitRHS(tree.FDs())
 	dep.Sort(fds)
-	stats.FDs = len(fds)
-	_, _, _, _ = finish(nil)
-	rs.FDs = int64(stats.FDs)
-	return fds, stats, rs, nil
+	return finish(fds, nil)
 }
 
 // resumeLevel extracts a snapshot's level frontier, nil when the run

@@ -1,14 +1,33 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/engine"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
+
+// discover runs DHyFD with the paper's tuning and returns its cover.
+func discover(r *relation.Relation) []dep.FD {
+	fds, _ := discoverWith(r, Config{})
+	return fds
+}
+
+// discoverWith runs DHyFD under cfg. The tests pass no cancellable context, so a
+// run error is a bug and panics.
+func discoverWith(r *relation.Relation, cfg Config) ([]dep.FD, *engine.RunStats) {
+	fds, rs, err := Run(context.Background(), r, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return fds, rs
+}
 
 func TestDiscoverTiny(t *testing.T) {
 	r := relation.FromCodes(nil, [][]int32{
@@ -16,7 +35,7 @@ func TestDiscoverTiny(t *testing.T) {
 		{5, 5, 6, 6},
 		{0, 1, 0, 1},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -25,11 +44,11 @@ func TestDiscoverTiny(t *testing.T) {
 }
 
 func TestDiscoverDegenerate(t *testing.T) {
-	if got := Discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
+	if got := discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
 		t.Errorf("no columns: %v", got)
 	}
 	one := relation.FromCodes(nil, [][]int32{{0}, {3}}, nil, relation.NullEqNull)
-	got := Discover(one)
+	got := discover(one)
 	if len(got) != 2 {
 		t.Errorf("single row: %v", got)
 	}
@@ -47,7 +66,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		cols := 2 + rng.Intn(6)
 		card := 1 + rng.Intn(4)
 		r := dataset.Random(rng, rows, cols, card)
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -61,7 +80,7 @@ func TestAgainstBruteMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 20; trial++ {
 		r := dataset.RandomMixed(rng, 20+rng.Intn(100), 3+rng.Intn(5))
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -78,7 +97,7 @@ func TestRatioDoesNotChangeResults(t *testing.T) {
 		r := dataset.RandomMixed(rng, 40+rng.Intn(100), 4+rng.Intn(4))
 		want := brute.MinimalFDs(r)
 		for _, ratio := range []float64{0.01, 0.5, 3.0, 1e12} {
-			got, _ := DiscoverWithConfig(r, Config{Ratio: ratio})
+			got, _ := discoverWith(r, Config{Ratio: ratio})
 			if !dep.Equal(got, want) {
 				a, b := dep.Diff(got, want, r.Names)
 				t.Fatalf("trial %d ratio %g: only dhyfd %v, only brute %v", trial, ratio, a, b)
@@ -106,16 +125,16 @@ func TestDDMRefinementTriggers(t *testing.T) {
 			{Kind: dataset.Derived, Deps: []int{0, 1}, Card: 100},
 		},
 	})
-	_, aggressive := DiscoverWithConfig(r, Config{Ratio: 0.001})
-	_, disabled := DiscoverWithConfig(r, Config{Ratio: 1e12})
-	if disabled.Refinements != 0 {
-		t.Errorf("disabled ratio still refined %d times", disabled.Refinements)
+	_, aggressive := discoverWith(r, Config{Ratio: 0.001})
+	_, disabled := discoverWith(r, Config{Ratio: 1e12})
+	if n := disabled.Counters["ddm_refreshes"]; n != 0 {
+		t.Errorf("disabled ratio still refined %d times", n)
 	}
-	if aggressive.Refinements == 0 {
-		t.Errorf("aggressive ratio never refined; stats: %+v", aggressive)
+	if aggressive.Counters["ddm_refreshes"] == 0 {
+		t.Errorf("aggressive ratio never refined; counters: %v", aggressive.Counters)
 	}
-	if aggressive.PeakDynPartCount == 0 || aggressive.PeakDynPartRows == 0 {
-		t.Errorf("peak memory proxies empty: %+v", aggressive)
+	if aggressive.Counters["peak_dyn_partitions"] == 0 || aggressive.Counters["peak_dyn_rows"] == 0 {
+		t.Errorf("peak memory proxies empty: %v", aggressive.Counters)
 	}
 }
 
@@ -129,18 +148,19 @@ func TestStatsPopulated(t *testing.T) {
 			{Kind: dataset.Derived, Deps: []int{0, 1}, Card: 40},
 		},
 	})
-	fds, stats := DiscoverWithConfig(r, DefaultConfig())
-	if stats.FDs != len(fds) || stats.FDs == 0 {
-		t.Errorf("stats.FDs = %d, len = %d", stats.FDs, len(fds))
+	fds, rs := discoverWith(r, Config{})
+	if rs.FDs != int64(len(fds)) || rs.FDs == 0 {
+		t.Errorf("rs.FDs = %d, len = %d", rs.FDs, len(fds))
 	}
-	if stats.InitialNonFDs == 0 || stats.Comparisons == 0 {
-		t.Errorf("sampling stats empty: %+v", stats)
+	initial := rs.Counters["initial_non_fds"]
+	if initial == 0 || rs.Counters["sampling_comparisons"] == 0 {
+		t.Errorf("sampling counters empty: %v", rs.Counters)
 	}
-	if stats.Validations == 0 || stats.Levels == 0 {
-		t.Errorf("validation stats empty: %+v", stats)
+	if rs.CandidatesValidated == 0 || rs.Levels == 0 {
+		t.Errorf("validation stats empty: %+v", rs)
 	}
-	if stats.NonFDs < stats.InitialNonFDs {
-		t.Errorf("total non-FDs below initial: %+v", stats)
+	if rs.NonFDs < initial {
+		t.Errorf("total non-FDs %d below initial %d", rs.NonFDs, initial)
 	}
 }
 
@@ -155,7 +175,7 @@ func TestAllNullRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Discover(r)
+	got := discover(r)
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
@@ -182,8 +202,8 @@ func TestNullSemanticsChangeFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEq := Discover(eq)   // a is constant: ∅→a holds; a→b fails (x vs y)
-	gotNeq := Discover(neq) // a is a key: a→b holds minimally
+	gotEq := discover(eq)   // a is constant: ∅→a holds; a→b fails (x vs y)
+	gotNeq := discover(neq) // a is a key: a→b holds minimally
 	if !dep.Equal(gotEq, brute.MinimalFDs(eq)) {
 		t.Error("null=null cover wrong")
 	}
@@ -202,9 +222,9 @@ func TestParallelValidationMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 6; trial++ {
 		r := dataset.RandomMixed(rng, 150+rng.Intn(150), 5+rng.Intn(4))
-		serial, _ := DiscoverWithConfig(r, Config{Ratio: 3})
+		serial, _ := discoverWith(r, Config{Ratio: 3})
 		for _, workers := range []int{2, 4, 8} {
-			par, _ := DiscoverWithConfig(r, Config{Ratio: 3, Workers: workers})
+			par, _ := discoverWith(r, Config{Ratio: 3, Options: runstate.Options{Workers: workers}})
 			if !dep.Equal(serial, par) {
 				a, b := dep.Diff(serial, par, r.Names)
 				t.Fatalf("trial %d workers %d: serial vs parallel: %v / %v", trial, workers, a, b)
@@ -217,12 +237,12 @@ func TestParallelValidationMatchesSerial(t *testing.T) {
 func TestParallelStatsConsistent(t *testing.T) {
 	b, _ := dataset.ByName("ncvoter")
 	r := b.Generate(500, 12)
-	_, serial := DiscoverWithConfig(r, Config{Ratio: 3})
-	_, par := DiscoverWithConfig(r, Config{Ratio: 3, Workers: 4})
+	_, serial := discoverWith(r, Config{Ratio: 3})
+	_, par := discoverWith(r, Config{Ratio: 3, Options: runstate.Options{Workers: 4}})
 	if par.FDs != serial.FDs {
 		t.Errorf("FD counts differ: %d vs %d", par.FDs, serial.FDs)
 	}
-	if par.Validations == 0 || par.Invalidated == 0 {
+	if par.CandidatesValidated == 0 || par.Invalidated == 0 {
 		t.Errorf("parallel counters empty: %+v", par)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/brute"
@@ -28,15 +29,15 @@ func FuzzDiscoverMatchesBrute(f *testing.F) {
 		if r == nil {
 			return
 		}
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
 			t.Fatalf("dhyfd vs brute on %dx%d: only dhyfd %v, only brute %v",
 				r.NumRows(), r.NumCols(), a, b)
 		}
-		second := fdep.Discover(r, fdep.Sorted)
-		if !dep.Equal(second, want) {
+		second, _, err := fdep.Run(context.Background(), r, fdep.Sorted, fdep.Config{})
+		if err != nil || !dep.Equal(second, want) {
 			t.Fatalf("fdep2 vs brute diverge")
 		}
 	})

@@ -27,111 +27,33 @@ import (
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/runstate"
-	"repro/internal/topk"
 )
 
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
+// Config tunes DFD; the algorithm has no knobs beyond the shared run
+// options. Workers above one shard each walk materialization row-wise
+// across the pool (byte-identical results, so the walk's decisions match
+// the serial run exactly); at one the published serial kernels run.
+// ShardSize also sizes the sharded single-attribute prewarm that seeds an
+// attached Cache, which then keeps visited lattice nodes alive so a query
+// refines from X's longest cached prefix instead of restarting from
+// singles. Budget exhaustion abandons the walks of the remaining RHS
+// attributes: each attribute is decided completely or not at all, so the
+// FDs returned are sound. TopK skips a whole RHS walk when no LHS over
+// R∖{A} can beat the threshold — pruning inside a walk would be unsound,
+// since descending toward minimality increases the score. Checkpoints are
+// taken after each fully decided RHS attribute. A Resume reseeds the rng,
+// so walk order may differ, but each attribute's minimal FDs are
+// data-determined and sorted, so the final cover is byte-identical.
+type Config = runstate.Options
 
-// Discover returns the left-reduced cover (singleton RHSs) of the FDs
-// holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r)
-	return fds
-}
-
-// DiscoverCtx is Discover with cooperative cancellation.
-func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r)
-	return fds, err
-}
-
-// Config tunes DFD.
-type Config struct {
-	// Budget optionally caps the partitions DFD materializes during its
-	// lattice walks. On exhaustion the walks for the remaining RHS
-	// attributes are abandoned: the run returns the minimal FDs of the
-	// attributes fully walked so far (sound, since each was individually
-	// verified) flagged Degraded. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally keeps the partitions of visited lattice nodes
-	// alive across walk steps: an error query for X first looks up π_X,
-	// then refines from X's longest cached attribute prefix instead of
-	// restarting from single-attribute partitions. Nil disables caching.
-	Cache *partition.Cache
-	// Workers is the pool width for DFD's partition materializations:
-	// above one, the walk's refinement/intersection kernels shard each
-	// parent partition row-wise across the pool (byte-identical results,
-	// so the walk's decisions match the serial run exactly). Values
-	// below 2 keep the published serial behaviour.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// prewarm that seeds an attached Cache before the walks, and of the
-	// sharded materializations under Workers > 1. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// the walks: minimal FDs are offered to the collector scored by
-	// ‖π_LHS‖ and a whole RHS walk is skipped when no LHS over R∖{A} can
-	// beat the admission threshold (the bound is the largest single-
-	// attribute partition size — the best any non-empty LHS can score).
-	// Pruning inside a walk would be unsound: descending toward
-	// minimality increases the score. The run returns the collector's
-	// FDs in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes X → A validity to the g3-style bound: valid
-	// when at most MaxViolations rows must be deleted for the FD to hold
-	// exactly. 0 keeps the exact e(X) = e(XA) test.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the walk cursor after each fully
-	// decided RHS attribute so a killed run can resume. A walk decides one
-	// attribute completely or not at all, which makes the attribute
-	// boundary the natural durable unit. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's DFD frontier:
-	// the decided attributes' FDs are restored and walks restart at the
-	// cursor. The rng is reseeded — walk order may differ, but each
-	// attribute's minimal FDs are data-determined and sorted, so the final
-	// cover is byte-identical. The caller has already fingerprint-matched
-	// the snapshot.
-	Resume *runstate.Snapshot
-}
-
-// DiscoverRun is DiscoverCtx emitting the algorithm-agnostic run report.
-// On cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, Config{})
-}
-
-// Run is DiscoverRun with tuning, including a partition budget.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	rs := engine.NewRunStats("dfd", 1)
-	flushTopK := func() {
-		if cfg.TopK == nil {
-			return
-		}
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("dfd", rec)
-			flushTopK()
-			rs.Finish(perr)
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				// The heap's FDs were each individually verified: a sound
-				// partial top-k even after a panic.
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retRS, retErr = partial, rs, perr
-		}
-	}()
+// Run returns the left-reduced cover (singleton RHSs) of the FDs holding on
+// r together with the algorithm-agnostic run report, honouring ctx at
+// walk boundaries. On cancellation the partial report (with Cancelled set)
+// is returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
+	h := runstate.Start("dfd", cfg)
+	defer h.Recover(&fds, &rs, &err)
+	rs = h.Stats
 	n := r.NumCols()
 	var out []dep.FD
 	d := &dfd{
@@ -148,18 +70,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		d.g3c = partition.NewG3Counter(0)
 	}
 	if cfg.Workers > 1 {
-		d.pool = engine.NewPool(cfg.Workers)
+		d.pool = h.Pool
 		d.pctx = context.WithoutCancel(ctx)
 		d.shardSize = cfg.ShardSize
-		rs.Workers = cfg.Workers
 	}
-	cache0 := cfg.Cache.Stats()
-	defer func() {
-		delta := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += delta.Hits
-		rs.CacheMisses += delta.Misses
-		rs.CacheEvictions += delta.Evictions
-	}()
 	// Additive bases seeded from a resumed checkpoint: DFD derives its
 	// validation/build counters from its memo sizes, which start empty in
 	// the new process.
@@ -167,7 +81,6 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	startAttr := 0
 	if cfg.Resume != nil && cfg.Resume.Frontier.DFD != nil {
 		f := cfg.Resume.Frontier.DFD
-		cfg.Resume.Stats.Apply(rs)
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
 		valBase, builtBase = f.Validations, f.PartitionsBuilt
@@ -175,63 +88,38 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	}
 	// tick snapshots the walk cursor: attributes below next are fully
 	// decided, their minimal FDs are in out, and everything else is
-	// rebuilt. Capturing clones the emitted cover, so off-interval
-	// boundaries are skipped unless forced (terminal, cancellation).
+	// rebuilt.
 	tick := func(next int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.DFDFrontier{
-			Version:         1,
-			NextAttr:        int64(next),
-			Validations:     valBase + int64(len(d.errs)),
-			PartitionsBuilt: builtBase + int64(len(d.errs)),
-		}
-		for _, fd := range out {
-			f.Out = append(f.Out, fd.Clone())
-		}
-		st := runstate.StatsSnapOf(rs)
-		cd := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + cd.Hits
-		st.CacheMisses = rs.CacheMisses + cd.Misses
-		st.CacheEvicts = rs.CacheEvictions + cd.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, DFD: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.DFDFrontier{
+				Version:         1,
+				NextAttr:        int64(next),
+				Validations:     valBase + int64(len(d.errs)),
+				PartitionsBuilt: builtBase + int64(len(d.errs)),
+			}
+			for _, fd := range out {
+				f.Out = append(f.Out, fd.Clone())
+			}
+			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{DFD: f}}
 		})
 	}
 	var prewarmBuilt int64
-	fail := func(err error) ([]dep.FD, *engine.RunStats, error) {
+	// finish derives the memo-size counters and closes the run.
+	finish := func(fds []dep.FD, err error) ([]dep.FD, *engine.RunStats, error) {
 		rs.CandidatesValidated = valBase + int64(len(d.errs))
 		rs.PartitionsBuilt = builtBase + prewarmBuilt + int64(len(d.errs))
-		if d.pool != nil {
-			d.pool.FoldShardStats(rs)
-		}
-		flushTopK()
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			partial := cfg.TopK.FDs()
-			rs.FDs = int64(len(partial))
-			return partial, rs, err
-		}
-		return nil, rs, err
+		return h.End(fds, err)
 	}
 	if cfg.Cache != nil {
 		// Prewarm the cache with every single-attribute partition through
-		// the sharded builder — on the run's pool when one is attached —
-		// so walks always find a prefix start instead of rebuilding
-		// singles mid-walk. The cache owns the bytes (and charges its own
-		// budget); no transient materialization charge.
-		prewarmPool := d.pool
-		if prewarmPool == nil {
-			prewarmPool = engine.NewPool(1)
-		}
-		_, built, err := partition.Singles(ctx, prewarmPool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, nil)
+		// the sharded builder on the run's pool, so walks always find a
+		// prefix start instead of rebuilding singles mid-walk. The cache
+		// owns the bytes (and charges its own budget); no transient
+		// materialization charge.
+		_, built, err := partition.Singles(ctx, h.Pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, nil)
 		prewarmBuilt = int64(built)
 		if err != nil {
-			return fail(err)
+			return finish(nil, err)
 		}
 	}
 	var singleBound []int
@@ -250,7 +138,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// Attribute a is untouched, so this is still a boundary:
 			// park it for the final Flush and Ctrl-C loses nothing.
 			tick(a, true)
-			return fail(err)
+			return finish(nil, err)
 		}
 		tick(a, false)
 		// A walk boundary is the one point where no materialization is in
@@ -284,7 +172,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// The abandoned walk emitted nothing for a; the boundary is
 			// unchanged.
 			tick(a, true)
-			return fail(err)
+			return finish(nil, err)
 		}
 		rhs := bitset.New(n)
 		rhs.Add(a)
@@ -299,20 +187,8 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	// Terminal boundary: resuming a post-completion snapshot replays no
 	// walks and re-emits the same cover.
 	tick(n, true)
-	if cfg.TopK != nil {
-		out = cfg.TopK.FDs() // already in ranking order
-	} else {
-		dep.Sort(out)
-	}
-	rs.FDs = int64(len(out))
-	rs.CandidatesValidated = valBase + int64(len(d.errs))
-	rs.PartitionsBuilt = builtBase + prewarmBuilt + int64(len(d.errs))
-	if d.pool != nil {
-		d.pool.FoldShardStats(rs)
-	}
-	flushTopK()
-	rs.Finish(nil)
-	return out, rs, nil
+	dep.Sort(out) // End swaps in the top-k collector's ranking order
+	return finish(out, nil)
 }
 
 type dfd struct {

@@ -78,18 +78,6 @@ func NewPanicError(site string, value any) *PanicError {
 	return &PanicError{Site: site, Class: class, Value: value, Stack: debug.Stack()}
 }
 
-// Recover converts an in-flight panic into a *PanicError assigned to
-// *errp, for use as a one-line driver epilogue:
-//
-//	defer engine.Recover("tane", &err)
-//
-// With no panic in flight it leaves *errp alone.
-func Recover(site string, errp *error) {
-	if rec := recover(); rec != nil {
-		*errp = NewPanicError(site, rec)
-	}
-}
-
 // RetryPolicy bounds the supervised re-execution of transiently failed
 // work items. The zero value disables retries, which keeps Pool.Run's
 // hot path identical to the pre-retry engine.

@@ -27,75 +27,36 @@ import (
 	"repro/internal/sampling"
 )
 
-// Config tunes FastFDs' durability and its negative-cover pass; the
-// cover enumeration itself has no knobs.
-type Config struct {
-	// Workers > 1 builds the negative cover through the sharded pair
-	// scan on a worker pool. The merged agree-set order matches the
-	// serial scan, so the derived difference sets are identical.
-	Workers int
-	// ShardSize is the row-block size of the sharded scan; <= 0 keeps
-	// the default.
-	ShardSize int
-	// Checkpoint, when non-nil, snapshots the difference sets and the
-	// per-RHS cover cursor after the negative cover and after each fully
-	// enumerated attribute, so a killed run resumes without redoing the
-	// O(r²) pair scan. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's FastFDs
-	// frontier. The caller has already fingerprint-matched it.
-	Resume *runstate.Snapshot
-}
+// Config tunes FastFDs; the cover enumeration itself has no knobs. Of the
+// shared run options, Workers and ShardSize shard the negative cover's
+// pair scan (the merged agree-set order matches the serial scan, so the
+// derived difference sets are identical), and Checkpoint snapshots the
+// difference sets and the per-RHS cover cursor after the negative cover
+// and after each fully enumerated attribute, so a killed run resumes
+// without redoing the O(r²) pair scan. FastFDs holds no partitions: Cache,
+// Budget, TopK and MaxViolations are ignored.
+type Config = runstate.Options
 
-// Discover returns the left-reduced cover (singleton RHSs) of the FDs
-// holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r)
-	return fds
-}
-
-// DiscoverCtx is Discover with cooperative cancellation.
-func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r)
-	return fds, err
-}
-
-// DiscoverRun is DiscoverCtx emitting the algorithm-agnostic run report.
-// On cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, Config{})
-}
-
-// Run is DiscoverRun with durability options.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	rs := engine.NewRunStats("fastfds", workers)
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("fastfds", rec)
-			rs.Finish(perr)
-			retFDs, retRS, retErr = nil, rs, perr
-		}
-	}()
+// Run returns the left-reduced cover (singleton RHSs) of the FDs holding on
+// r together with the algorithm-agnostic run report, honouring ctx in the
+// pair scan and the cover enumeration. On cancellation the partial report
+// (with Cancelled set) is returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
+	cfg.Cache, cfg.TopK = nil, nil // no partitions, no lattice to prune
+	h := runstate.Start("fastfds", cfg)
+	defer h.Recover(&fds, &rs, &err)
+	rs = h.Stats
 	n := r.NumCols()
 	if n == 0 {
-		rs.Finish(nil)
-		return nil, rs, nil
+		return h.End(nil, nil)
 	}
 
 	var diffSets []bitset.Set
 	var out []dep.FD
-	var err error
 	startAttr := 0
 	if f := resumeFrontier(cfg.Resume); f != nil {
 		// Continue a checkpointed run: the persisted difference sets make
 		// redoing the O(r²) pair scan unnecessary.
-		cfg.Resume.Stats.Apply(rs)
 		diffSets = f.Diff
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
@@ -103,19 +64,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		rs.NonFDs = f.NonFDs
 	} else {
 		stop := rs.Phase("negative-cover")
-		var neg *sampling.NonFDSet
-		if workers > 1 {
-			pool := engine.NewPool(workers)
-			neg, err = sampling.NegativeCoverSharded(ctx, pool, r, cfg.ShardSize)
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-		} else {
-			neg, err = sampling.NegativeCoverCtx(ctx, r)
-		}
+		neg, err := sampling.NegativeCoverSharded(ctx, h.Pool, r, cfg.ShardSize)
 		stop()
 		if err != nil {
-			rs.Finish(err)
-			return nil, rs, err
+			return h.End(nil, err)
 		}
 		nrows := int64(r.NumRows())
 		rs.RowsScanned += nrows * (nrows - 1)
@@ -131,30 +83,21 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 
 	// tick snapshots the cover cursor: attributes below next are fully
 	// enumerated, and the difference sets stand in for the pair scan.
-	// Capturing clones the difference sets, so off-interval boundaries
-	// are skipped unless forced (terminal, cancellation).
 	tick := func(next int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.FastFDsFrontier{
-			Version:     1,
-			NextAttr:    int64(next),
-			RowsScanned: rs.RowsScanned,
-			NonFDs:      rs.NonFDs,
-		}
-		for _, d := range diffSets {
-			f.Diff = append(f.Diff, d.Clone())
-		}
-		for _, fd := range out {
-			f.Out = append(f.Out, fd.Clone())
-		}
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats: runstate.StatsSnapOf(rs),
-			// FastFDs holds no PLI cache; the manifest is empty but still
-			// versioned so the decoder accepts it.
-			Manifest: runstate.ManifestSnap{Version: 1},
-			Frontier: runstate.FrontierSnap{Version: 1, FastFDs: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.FastFDsFrontier{
+				Version:     1,
+				NextAttr:    int64(next),
+				RowsScanned: rs.RowsScanned,
+				NonFDs:      rs.NonFDs,
+			}
+			for _, d := range diffSets {
+				f.Diff = append(f.Diff, d.Clone())
+			}
+			for _, fd := range out {
+				f.Out = append(f.Out, fd.Clone())
+			}
+			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{FastFDs: f}}
 		})
 	}
 
@@ -182,16 +125,13 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	}
 	stop()
 	if err != nil {
-		rs.Finish(err)
-		return nil, rs, err
+		return h.End(nil, err)
 	}
 	// Terminal boundary: resuming a post-completion snapshot enumerates no
 	// covers and re-emits the same cover.
 	tick(n, true)
 	dep.Sort(out)
-	rs.FDs = int64(len(out))
-	rs.Finish(nil)
-	return out, rs, nil
+	return h.End(out, nil)
 }
 
 // resumeFrontier extracts a snapshot's FastFDs frontier, nil when the run

@@ -12,13 +12,23 @@ import (
 	"repro/internal/relation"
 )
 
+// discover runs FastFDs with the zero Config and returns its cover. The tests
+// pass no cancellable context, so a run error is a bug and panics.
+func discover(r *relation.Relation) []dep.FD {
+	fds, _, err := Run(context.Background(), r, Config{})
+	if err != nil {
+		panic(err)
+	}
+	return fds
+}
+
 func TestDiscoverTiny(t *testing.T) {
 	r := relation.FromCodes(nil, [][]int32{
 		{0, 0, 1, 1},
 		{5, 5, 6, 6},
 		{0, 1, 0, 1},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -27,11 +37,11 @@ func TestDiscoverTiny(t *testing.T) {
 }
 
 func TestDiscoverDegenerate(t *testing.T) {
-	if got := Discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
+	if got := discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
 		t.Errorf("no columns: %v", got)
 	}
 	one := relation.FromCodes(nil, [][]int32{{0}, {3}}, nil, relation.NullEqNull)
-	got := Discover(one)
+	got := discover(one)
 	if len(got) != 2 {
 		t.Errorf("single row: %v", got)
 	}
@@ -48,7 +58,7 @@ func TestDifferOnlyOnA(t *testing.T) {
 		{0, 0},
 		{1, 2},
 	}, nil, relation.NullEqNull)
-	for _, f := range Discover(r) {
+	for _, f := range discover(r) {
 		if f.RHS.Contains(1) {
 			t.Errorf("col1 must not be determined: %v", f)
 		}
@@ -59,7 +69,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		r := dataset.Random(rng, 4+rng.Intn(36), 2+rng.Intn(6), 1+rng.Intn(4))
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -72,7 +82,7 @@ func TestAgainstBruteMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 15; trial++ {
 		r := dataset.RandomMixed(rng, 20+rng.Intn(80), 3+rng.Intn(5))
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -86,7 +96,7 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(73))
 	r := dataset.Random(rng, 60, 6, 3)
-	if _, err := DiscoverCtx(ctx, r); err == nil {
+	if _, _, err := Run(ctx, r, Config{}); err == nil {
 		t.Error("cancelled context must error")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fdtree"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 	"repro/internal/sampling"
 )
 
@@ -55,86 +56,40 @@ func (v Variant) String() string {
 	}
 }
 
-// Discover returns the left-reduced cover (singleton RHSs) of the FDs that
-// hold on r, using the given variant.
-func Discover(r *relation.Relation, variant Variant) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r, variant)
-	return fds
-}
+// Config tunes FDEP's negative-cover pass; induction itself is inherently
+// sequential and has no knobs. Of the shared run options, Workers and
+// ShardSize shard the pair scan (the merged agree-set order is identical
+// to the serial scan, so every variant's induction sees the same input)
+// and Retries supervises its shards. The single induction pass has no
+// resumable frontier and holds no partitions: Checkpoint, Resume, Cache,
+// Budget, TopK and MaxViolations are ignored.
+type Config = runstate.Options
 
-// DiscoverCtx is Discover with cooperative cancellation: both the
-// quadratic negative-cover pass and the induction loop honour ctx.
-func DiscoverCtx(ctx context.Context, r *relation.Relation, variant Variant) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r, variant)
-	return fds, err
-}
-
-// Config tunes FDEP's negative-cover pass; induction itself is
-// inherently sequential and has no knobs.
-type Config struct {
-	// Workers > 1 builds the negative cover through the sharded pair
-	// scan on a worker pool. The merged agree-set order is identical to
-	// the serial scan, so every variant's induction sees the same input.
-	Workers int
-	// ShardSize is the row-block size of the sharded scan; <= 0 keeps
-	// the default.
-	ShardSize int
-}
-
-// DiscoverRun is DiscoverCtx emitting the algorithm-agnostic run report.
-// On cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation, variant Variant) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, variant, Config{})
-}
-
-// Run is DiscoverRun with the negative-cover pass tuned by cfg.
-func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	rs := engine.NewRunStats(strings.ToLower(variant.String()), workers)
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError(rs.Algorithm, rec)
-			rs.Finish(perr)
-			retFDs, retRS, retErr = nil, rs, perr
-		}
-	}()
+// Run returns the left-reduced cover (singleton RHSs) of the FDs that hold
+// on r, using the given variant, together with the algorithm-agnostic run
+// report. Both the quadratic negative-cover pass and the induction loop
+// honour ctx; on cancellation the partial report (with Cancelled set) is
+// returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
+	h := runstate.Start(strings.ToLower(variant.String()), runstate.Options{
+		Workers: cfg.Workers, ShardSize: cfg.ShardSize, Retries: cfg.Retries,
+	})
+	defer h.Recover(&fds, &rs, &err)
+	rs = h.Stats
 	n := r.NumCols()
 	nrows := int64(r.NumRows())
 	stop := rs.Phase("negative-cover")
-	var (
-		neg *sampling.NonFDSet
-		err error
-	)
-	if workers > 1 {
-		pool := engine.NewPool(workers)
-		neg, err = sampling.NegativeCoverSharded(ctx, pool, r, cfg.ShardSize)
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-	} else {
-		neg, err = sampling.NegativeCoverCtx(ctx, r)
-	}
+	neg, err := sampling.NegativeCoverSharded(ctx, h.Pool, r, cfg.ShardSize)
 	stop()
 	if err != nil {
-		rs.Finish(err)
-		return nil, rs, err
+		return h.End(nil, err)
 	}
 	rs.RowsScanned += nrows * (nrows - 1) // every tuple pair reads two rows
 	rs.NonFDs = int64(neg.Len())
 
-	fail := func(err error) ([]dep.FD, *engine.RunStats, error) {
-		rs.Finish(err)
-		return nil, rs, err
-	}
 	done := func(fds []dep.FD) ([]dep.FD, *engine.RunStats, error) {
 		dep.Sort(fds)
-		rs.FDs = int64(len(fds))
-		rs.Finish(nil)
-		return fds, rs, nil
+		return h.End(fds, nil)
 	}
 
 	stop = rs.Phase("induct")
@@ -146,7 +101,7 @@ func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config)
 		for i, x := range neg.Sets() {
 			if i%64 == 0 {
 				if err := ctx.Err(); err != nil {
-					return fail(err)
+					return h.End(nil, err)
 				}
 			}
 			for a := 0; a < n; a++ {
@@ -161,7 +116,7 @@ func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config)
 	case Sorted:
 		neg.SortDescending()
 	default:
-		return fail(fmt.Errorf("fdep: unknown variant %v", variant))
+		return h.End(nil, fmt.Errorf("fdep: unknown variant %v", variant))
 	}
 
 	tree := fdtree.NewWithFullRHS(n)
@@ -169,7 +124,7 @@ func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config)
 	for i, x := range neg.Sets() {
 		if i%64 == 0 {
 			if err := ctx.Err(); err != nil {
-				return fail(err)
+				return h.End(nil, err)
 			}
 		}
 		y := full.Difference(x)

@@ -1,6 +1,7 @@
 package fdep
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"repro/internal/dep"
 	"repro/internal/relation"
 )
+
+// discover runs the variant with the zero Config and returns its cover. The tests
+// pass no cancellable context, so a run error is a bug and panics.
+func discover(r *relation.Relation, variant Variant) []dep.FD {
+	fds, _, err := Run(context.Background(), r, variant, Config{})
+	if err != nil {
+		panic(err)
+	}
+	return fds
+}
 
 func TestVariantString(t *testing.T) {
 	if Classic.String() != "FDEP" || NonRedundant.String() != "FDEP1" || Sorted.String() != "FDEP2" {
@@ -24,7 +35,7 @@ func TestDiscoverTinyAllVariants(t *testing.T) {
 	}, nil, relation.NullEqNull)
 	want := brute.MinimalFDs(r)
 	for _, v := range []Variant{Classic, NonRedundant, Sorted} {
-		got := Discover(r, v)
+		got := discover(r, v)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
 			t.Errorf("%v: only fdep %v, only brute %v", v, a, b)
@@ -40,7 +51,7 @@ func TestDiscoverDuplicateRows(t *testing.T) {
 	}, nil, relation.NullEqNull)
 	want := brute.MinimalFDs(r)
 	for _, v := range []Variant{Classic, NonRedundant, Sorted} {
-		if got := Discover(r, v); !dep.Equal(got, want) {
+		if got := discover(r, v); !dep.Equal(got, want) {
 			t.Errorf("%v mismatch on duplicate rows", v)
 		}
 	}
@@ -49,7 +60,7 @@ func TestDiscoverDuplicateRows(t *testing.T) {
 func TestDiscoverSingleRowAllFDsHold(t *testing.T) {
 	r := relation.FromCodes(nil, [][]int32{{0}, {1}}, nil, relation.NullEqNull)
 	for _, v := range []Variant{Classic, NonRedundant, Sorted} {
-		got := Discover(r, v)
+		got := discover(r, v)
 		if len(got) != 2 {
 			t.Errorf("%v: got %v, want two ∅→A FDs", v, got)
 		}
@@ -65,7 +76,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		r := dataset.Random(rng, rows, cols, card)
 		want := brute.MinimalFDs(r)
 		for _, v := range []Variant{Classic, NonRedundant, Sorted} {
-			got := Discover(r, v)
+			got := discover(r, v)
 			if !dep.Equal(got, want) {
 				a, b := dep.Diff(got, want, r.Names)
 				t.Fatalf("trial %d %v (%dx%d): only fdep %v, only brute %v",
@@ -79,9 +90,9 @@ func TestVariantsAgreeOnMixedData(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 10; trial++ {
 		r := dataset.RandomMixed(rng, 10+rng.Intn(60), 2+rng.Intn(6))
-		base := Discover(r, Sorted)
+		base := discover(r, Sorted)
 		for _, v := range []Variant{Classic, NonRedundant} {
-			got := Discover(r, v)
+			got := discover(r, v)
 			if !dep.Equal(got, base) {
 				a, b := dep.Diff(got, base, r.Names)
 				t.Fatalf("trial %d: %v vs FDEP2 diverge: %v / %v", trial, v, a, b)

@@ -29,70 +29,24 @@ import (
 	"repro/internal/relation"
 	"repro/internal/runstate"
 	"repro/internal/sampling"
-	"repro/internal/topk"
 	"repro/internal/validate"
 )
 
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
-
-// Config tunes the phase-switching heuristics and the validation pool.
+// Config tunes the phase-switching heuristics; the zero value is the
+// configuration used in the experiments. Of the shared run options,
+// Workers parallelizes the validation phase only (sampling and induction
+// are sequential either way); HyFD holds nothing but the single-attribute
+// partitions, so Budget exhaustion cannot change its behaviour and only
+// flags the run Degraded; MaxViolations > 0 disables sampling, since exact
+// violating pairs must not refute approximately valid FDs.
 type Config struct {
+	runstate.Options
 	// InvalidSwitchRatio: after a validation level, switch to sampling when
 	// invalidated/validated exceeds this fraction. Default 0.01.
 	InvalidSwitchRatio float64
 	// SamplingEfficiency: a sampling phase keeps growing runs while the best
 	// run yields at least this many new non-FDs per comparison. Default 0.01.
 	SamplingEfficiency float64
-	// Workers sets the engine.Pool width for the validation phase.
-	// Values below 2 keep the published serial behaviour; sampling and
-	// induction are sequential either way.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// partition bootstrap: columns longer than one shard group and merge
-	// on the worker pool instead of serially. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// Budget optionally bounds partition memory. HyFD holds only the
-	// single-attribute partitions, so exhaustion cannot change its
-	// behaviour — the run is flagged Degraded to tell the caller the
-	// budget could not be honoured. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally shares stripped partitions across runs over the
-	// same relation; HyFD reads and publishes only the single-attribute
-	// partitions. Nil disables caching.
-	Cache *partition.Cache
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// the validation phase: validated FDs are offered to the collector
-	// scored by ‖π_LHS‖ and candidate nodes whose best reachable score —
-	// the smallest single-attribute partition size over their LHS —
-	// cannot beat the admission threshold are skipped. The run returns
-	// the collector's FDs in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes validation to the g3-style bound: lhs → A
-	// counts as valid while at most MaxViolations rows must be deleted
-	// for it to hold exactly. Positive values disable sampling (exact
-	// violating pairs must not refute approximately valid FDs); the
-	// search tree specializes from validation outcomes instead. 0 keeps
-	// exact discovery.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the FD-tree, non-FD set, level
-	// cursor and per-column sampler runs at every validation-level
-	// boundary so a killed run can resume. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's level
-	// frontier: tree, non-FD set and sampler runs are restored and
-	// validation restarts at the cursor. The caller has already
-	// fingerprint-matched it.
-	Resume *runstate.Snapshot
-	// Retries bounds supervised re-runs of transiently failed pool items
-	// (capped exponential backoff with full jitter). 0 disables retries.
-	Retries int
-}
-
-// DefaultConfig returns the configuration used in the experiments.
-func DefaultConfig() Config {
-	return Config{InvalidSwitchRatio: 0.01, SamplingEfficiency: 0.01}
 }
 
 func (c *Config) fillDefaults() {
@@ -102,20 +56,14 @@ func (c *Config) fillDefaults() {
 	if c.SamplingEfficiency <= 0 {
 		c.SamplingEfficiency = 0.01
 	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
 }
 
-// Stats reports what the run did; the scalability experiments chart them.
-type Stats struct {
-	SamplingRounds int // sorted-neighborhood runs executed
-	Comparisons    int // tuple pairs compared while sampling
-	NonFDs         int // distinct agree sets collected
-	Validations    int // (node, RHS attr) validations
-	Invalidated    int // validations that failed
-	Levels         int // validation levels processed
-	FDs            int // FDs in the output cover
+// stats holds the HyFD-specific measures of a run; finish folds them into
+// the run report's counters.
+type stats struct {
+	samplingRounds int // sorted-neighborhood runs executed
+	comparisons    int // tuple pairs compared while sampling
+	levels         int // validation levels processed
 }
 
 // run is one sorted-neighborhood sampling run state for a column.
@@ -188,7 +136,7 @@ func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran 
 
 // phase runs sampling until the best run drops below the efficiency
 // threshold (always executing at least one run).
-func (s *sampler) phase(dst *sampling.NonFDSet, stats *Stats) error {
+func (s *sampler) phase(dst *sampling.NonFDSet, st *stats) error {
 	first := true
 	for {
 		bestEff := 0.0
@@ -200,16 +148,15 @@ func (s *sampler) phase(dst *sampling.NonFDSet, stats *Stats) error {
 		if !first && bestEff < s.cfg.SamplingEfficiency {
 			return nil
 		}
-		newN, comps, ran, err := s.step(dst)
+		_, comps, ran, err := s.step(dst)
 		if err != nil {
 			return err
 		}
 		if !ran {
 			return nil
 		}
-		_ = newN
-		stats.SamplingRounds++
-		stats.Comparisons += comps
+		st.samplingRounds++
+		st.comparisons += comps
 		first = false
 	}
 }
@@ -223,92 +170,30 @@ func (s *sampler) alive() bool {
 	return false
 }
 
-// Discover returns the left-reduced cover of the FDs holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	fds, _ := DiscoverWithConfig(r, DefaultConfig())
-	return fds
-}
-
-// DiscoverWithConfig runs HyFD with explicit tuning and returns run
-// statistics alongside the cover.
-func DiscoverWithConfig(r *relation.Relation, cfg Config) ([]dep.FD, Stats) {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, stats, _ := DiscoverCtx(context.Background(), r, cfg)
-	return fds, stats
-}
-
-// DiscoverCtx is DiscoverWithConfig with cooperative cancellation, checked
-// between validation batches and sampling runs.
-func DiscoverCtx(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, Stats, error) {
-	fds, stats, _, err := discover(ctx, r, cfg)
-	return fds, stats, err
-}
-
-// DiscoverRun runs HyFD and emits the algorithm-agnostic run report. On
-// cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, *engine.RunStats, error) {
-	fds, _, rs, err := discover(ctx, r, cfg)
-	return fds, rs, err
-}
-
-func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retStats Stats, retRS *engine.RunStats, retErr error) {
+// Run returns the left-reduced cover of the FDs holding on r together with
+// the algorithm-agnostic run report, honouring ctx between validation
+// batches and sampling runs. On cancellation the partial report (with
+// Cancelled set) is returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
 	cfg.fillDefaults()
-	var stats Stats
-	rs := engine.NewRunStats("hyfd", cfg.Workers)
-	topkFlushed := false
-	flushTopK := func() {
-		if cfg.TopK == nil || topkFlushed {
-			return
-		}
-		topkFlushed = true
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("hyfd", rec)
-			flushTopK()
-			rs.Finish(perr)
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				// Heap entries were each individually validated: a sound
-				// partial top-k even after a panic.
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retStats, retRS, retErr = partial, stats, rs, perr
-		}
-	}()
+	h := runstate.Start("hyfd", cfg.Options)
+	defer h.Recover(&fds, &rs, &err)
+	rs = h.Stats
+	pool := h.Pool
 	n := r.NumCols()
 	if n == 0 {
-		rs.Finish(nil)
-		return nil, stats, rs, nil
+		return h.End(nil, nil)
 	}
-	pool := engine.NewPoolRetry(cfg.Workers, engine.RetryPolicy{Max: cfg.Retries})
-
 	if err := ctx.Err(); err != nil {
-		rs.Finish(err)
-		return nil, stats, rs, err
+		return h.End(nil, err)
 	}
-	cache0 := cfg.Cache.Stats()
-	defer func() {
-		delta := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += delta.Hits
-		rs.CacheMisses += delta.Misses
-		rs.CacheEvictions += delta.Evictions
-	}()
+	var st stats
 	stop := rs.Phase("sample")
 	plis, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, cfg.Budget)
 	rs.PartitionsBuilt += int64(built)
 	if err != nil {
 		stop()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		return nil, stats, rs, err
+		return h.End(nil, err)
 	}
 	if cfg.Budget.Exhausted() {
 		rs.Degrade(cfg.Budget.Reason())
@@ -332,14 +217,15 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 		if nonFDs == nil {
 			nonFDs = sampling.NewNonFDSet(n)
 		}
-		cfg.Resume.Stats.Apply(rs)
 		v.Validations = int(lf.Validations)
 		v.Invalidated = int(lf.Invalidated)
 		v.RowsScanned = int(lf.RowsScannedV)
 		v.ClustersRefined = int(lf.ClustersRefined)
-		stats.SamplingRounds = int(lf.SamplingRounds)
-		stats.Comparisons = int(lf.Comparisons)
-		stats.Levels = int(lf.Level) - 1
+		st = stats{
+			samplingRounds: int(lf.SamplingRounds),
+			comparisons:    int(lf.Comparisons),
+			levels:         int(lf.Level) - 1,
+		}
 		rs.RowsScanned = lf.RowsScanned
 		rs.PartitionsBuilt = lf.PartitionsBuilt
 		startLevel = int(lf.Level)
@@ -371,18 +257,14 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			// Initial sampling: one distance-1 run per column, sharded
 			// across the run's pool.
 			for c := 0; c < n; c++ {
-				newN, comps, err := sampling.ClusterNeighborSampleSharded(ctx, pool, r, plis[c], 1, nonFDs, cfg.ShardSize)
+				_, comps, err := sampling.ClusterNeighborSampleSharded(ctx, pool, r, plis[c], 1, nonFDs, cfg.ShardSize)
 				if err != nil {
 					stop()
-					pool.FoldRetryStats(rs)
-					pool.FoldShardStats(rs)
-					rs.Finish(err)
-					return nil, stats, rs, err
+					return h.End(nil, err)
 				}
-				_ = newN
 				smp.runs[c].distance = 2
-				stats.SamplingRounds++
-				stats.Comparisons += comps
+				st.samplingRounds++
+				st.comparisons += comps
 			}
 		}
 		stop()
@@ -411,73 +293,48 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 	// tick snapshots the boundary before validation level vl: levels below
 	// it are fully validated and inducted, and the sampler's per-column
 	// runs carry the phase-switching state, so a resumed run re-enters the
-	// loop exactly at vl. Capturing clones the whole FD-tree, so
-	// off-interval boundaries are skipped unless forced (terminal,
-	// loop-top cancellation).
+	// loop exactly at vl.
 	tick := func(vl int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.LevelFrontier{
-			Version:         1,
-			Level:           int64(vl),
-			Validations:     int64(v.Validations),
-			Invalidated:     int64(v.Invalidated),
-			RowsScannedV:    int64(v.RowsScanned),
-			ClustersRefined: int64(v.ClustersRefined),
-			Comparisons:     int64(stats.Comparisons),
-			SamplingRounds:  int64(stats.SamplingRounds),
-			RowsScanned:     rs.RowsScanned,
-			PartitionsBuilt: rs.PartitionsBuilt,
-		}
-		for i := range smp.runs {
-			f.Sampler = append(f.Sampler, runstate.SamplerRec{
-				Distance:   int64(smp.runs[i].distance),
-				Efficiency: smp.runs[i].efficiency,
-				Exhausted:  smp.runs[i].exhausted,
-			})
-		}
-		st := runstate.StatsSnapOf(rs)
-		cd := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + cd.Hits
-		st.CacheMisses = rs.CacheMisses + cd.Misses
-		st.CacheEvicts = rs.CacheEvictions + cd.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			Tree:     runstate.TreeSnapOf(tree),
-			NonFDs:   runstate.NonFDSnapOf(nonFDs, n),
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, Level: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.LevelFrontier{
+				Version:         1,
+				Level:           int64(vl),
+				Validations:     int64(v.Validations),
+				Invalidated:     int64(v.Invalidated),
+				RowsScannedV:    int64(v.RowsScanned),
+				ClustersRefined: int64(v.ClustersRefined),
+				Comparisons:     int64(st.comparisons),
+				SamplingRounds:  int64(st.samplingRounds),
+				RowsScanned:     rs.RowsScanned,
+				PartitionsBuilt: rs.PartitionsBuilt,
+			}
+			for i := range smp.runs {
+				f.Sampler = append(f.Sampler, runstate.SamplerRec{
+					Distance:   int64(smp.runs[i].distance),
+					Efficiency: smp.runs[i].efficiency,
+					Exhausted:  smp.runs[i].exhausted,
+				})
+			}
+			return &runstate.Snapshot{
+				Tree:     runstate.TreeSnapOf(tree),
+				NonFDs:   runstate.NonFDSnapOf(nonFDs, n),
+				Frontier: runstate.FrontierSnap{Level: f},
+			}
 		})
 	}
 
-	finish := func(err error) ([]dep.FD, Stats, *engine.RunStats, error) {
-		stats.Validations = v.Validations
-		stats.Invalidated = v.Invalidated
-		stats.NonFDs = nonFDs.Len()
+	// finish folds the validator's and the sampler's measures into the
+	// report and closes the run.
+	finish := func(fds []dep.FD, err error) ([]dep.FD, *engine.RunStats, error) {
 		rs.CandidatesValidated = int64(v.Validations)
 		rs.Invalidated = int64(v.Invalidated)
-		rs.RowsScanned += int64(v.RowsScanned) + 2*int64(stats.Comparisons)
+		rs.RowsScanned += int64(v.RowsScanned) + 2*int64(st.comparisons)
 		rs.PartitionsRefined += int64(v.ClustersRefined)
-		rs.NonFDs = int64(stats.NonFDs)
-		rs.Levels = int64(stats.Levels)
-		rs.Count("sampling_rounds", int64(stats.SamplingRounds))
-		rs.Count("sampling_comparisons", int64(stats.Comparisons))
-		flushTopK()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			// The heap's FDs were each individually validated and minimal
-			// on the data, so this stands as a sound (partial, under err)
-			// top-k in ranking order.
-			fds := cfg.TopK.FDs()
-			stats.FDs = len(fds)
-			rs.FDs = int64(stats.FDs)
-			return fds, stats, rs, err
-		}
-		return nil, stats, rs, err
+		rs.NonFDs = int64(nonFDs.Len())
+		rs.Levels = int64(st.levels)
+		rs.Count("sampling_rounds", int64(st.samplingRounds))
+		rs.Count("sampling_comparisons", int64(st.comparisons))
+		return h.End(fds, err)
 	}
 
 	for vl := startLevel; vl <= tree.MaxLevel(); vl++ {
@@ -485,16 +342,16 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			// Level vl is untouched, so this is still a boundary: park
 			// it for the final Flush and Ctrl-C loses nothing.
 			tick(vl, true)
-			return finish(err)
+			return finish(nil, err)
 		}
 		tick(vl, false)
 		candidates := tree.NodesAtLevel(vl)
-		stats.Levels++
+		st.levels++
 		stop = rs.Phase("validate")
 		validations, invalidated, invalids, err := validateLevel(ctx, pool, r, plis, candidates, v, nonFDs, &cfg)
 		stop()
 		if err != nil {
-			return finish(err)
+			return finish(nil, err)
 		}
 
 		stop = rs.Phase("induct")
@@ -515,9 +372,9 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			float64(invalidated) > cfg.InvalidSwitchRatio*float64(validations) &&
 			smp.alive() {
 			stop = rs.Phase("sample")
-			if err := smp.phase(nonFDs, &stats); err != nil {
+			if err := smp.phase(nonFDs, &st); err != nil {
 				stop()
-				return finish(err)
+				return finish(nil, err)
 			}
 			stop()
 			stop = rs.Phase("induct")
@@ -528,21 +385,18 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 	}
 
 	if err := ctx.Err(); err != nil {
-		return finish(err)
+		return finish(nil, err)
 	}
 	// Terminal boundary: the cursor is past every tree level, so resuming a
 	// post-completion snapshot replays no validation and re-emits the same
 	// cover.
 	tick(tree.MaxLevel()+1, true)
 	if cfg.TopK != nil {
-		return finish(nil) // the collector's FDs, in ranking order
+		return finish(nil, nil) // the collector's FDs, in ranking order
 	}
-	fds := dep.SplitRHS(tree.FDs())
+	fds = dep.SplitRHS(tree.FDs())
 	dep.Sort(fds)
-	stats.FDs = len(fds)
-	_, _, _, _ = finish(nil)
-	rs.FDs = int64(stats.FDs)
-	return fds, stats, rs, nil
+	return finish(fds, nil)
 }
 
 // resumeLevel extracts a snapshot's level frontier, nil when the run

@@ -1,14 +1,32 @@
 package hyfd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/engine"
 	"repro/internal/relation"
 )
+
+// discover runs HyFD with the experiments' tuning and returns its cover.
+func discover(r *relation.Relation) []dep.FD {
+	fds, _ := discoverWith(r, Config{})
+	return fds
+}
+
+// discoverWith runs HyFD under cfg. The tests pass no cancellable context, so a
+// run error is a bug and panics.
+func discoverWith(r *relation.Relation, cfg Config) ([]dep.FD, *engine.RunStats) {
+	fds, rs, err := Run(context.Background(), r, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return fds, rs
+}
 
 func TestDiscoverTiny(t *testing.T) {
 	r := relation.FromCodes(nil, [][]int32{
@@ -16,7 +34,7 @@ func TestDiscoverTiny(t *testing.T) {
 		{5, 5, 6, 6},
 		{0, 1, 0, 1},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -30,7 +48,7 @@ func TestDiscoverConstantAndKey(t *testing.T) {
 		{0, 1, 2, 3}, // key
 		{1, 1, 2, 2},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -39,11 +57,11 @@ func TestDiscoverConstantAndKey(t *testing.T) {
 }
 
 func TestDiscoverEmptyAndDegenerate(t *testing.T) {
-	if got := Discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
+	if got := discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
 		t.Errorf("no columns: %v", got)
 	}
 	one := relation.FromCodes(nil, [][]int32{{0}}, nil, relation.NullEqNull)
-	got := Discover(one)
+	got := discover(one)
 	if len(got) != 1 || got[0].LHS.Count() != 0 {
 		t.Errorf("single row: %v", got)
 	}
@@ -56,7 +74,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		cols := 2 + rng.Intn(6)
 		card := 1 + rng.Intn(4)
 		r := dataset.Random(rng, rows, cols, card)
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -70,7 +88,7 @@ func TestAgainstBruteMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 15; trial++ {
 		r := dataset.RandomMixed(rng, 20+rng.Intn(80), 3+rng.Intn(5))
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -91,18 +109,18 @@ func TestStatsPopulated(t *testing.T) {
 			{Kind: dataset.Derived, Deps: []int{0, 1}, Card: 40},
 		},
 	})
-	fds, stats := DiscoverWithConfig(r, DefaultConfig())
-	if stats.FDs != len(fds) {
-		t.Errorf("stats.FDs = %d, len = %d", stats.FDs, len(fds))
+	fds, rs := discoverWith(r, Config{})
+	if rs.FDs != int64(len(fds)) {
+		t.Errorf("rs.FDs = %d, len = %d", rs.FDs, len(fds))
 	}
-	if stats.SamplingRounds == 0 || stats.Comparisons == 0 {
-		t.Errorf("sampling stats empty: %+v", stats)
+	if rs.Counters["sampling_rounds"] == 0 || rs.Counters["sampling_comparisons"] == 0 {
+		t.Errorf("sampling counters empty: %v", rs.Counters)
 	}
-	if stats.Validations == 0 || stats.Levels == 0 {
-		t.Errorf("validation stats empty: %+v", stats)
+	if rs.CandidatesValidated == 0 || rs.Levels == 0 {
+		t.Errorf("validation stats empty: %+v", rs)
 	}
-	if stats.Invalidated > stats.Validations {
-		t.Errorf("invalidated %d > validations %d", stats.Invalidated, stats.Validations)
+	if rs.Invalidated > rs.CandidatesValidated {
+		t.Errorf("invalidated %d > validations %d", rs.Invalidated, rs.CandidatesValidated)
 	}
 }
 
@@ -120,7 +138,7 @@ func TestConfigDefaults(t *testing.T) {
 		{InvalidSwitchRatio: 1e9, SamplingEfficiency: 1e9}, // never sample again
 		{InvalidSwitchRatio: 1e-9, SamplingEfficiency: 1e-9},
 	} {
-		got, _ := DiscoverWithConfig(r, cfg)
+		got, _ := discoverWith(r, cfg)
 		if !dep.Equal(got, want) {
 			t.Errorf("config %+v changes results", cfg)
 		}

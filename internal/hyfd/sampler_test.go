@@ -16,7 +16,9 @@ func samplerFor(t *testing.T, cols [][]int32) (*sampler, *relation.Relation) {
 	for c := range plis {
 		plis[c] = partition.Single(r.Cols[c], r.Cards[c])
 	}
-	return newSampler(context.Background(), nil, r, plis, DefaultConfig()), r
+	cfg := Config{}
+	cfg.fillDefaults()
+	return newSampler(context.Background(), nil, r, plis, cfg), r
 }
 
 func TestSamplerMarksUniqueColumnsExhausted(t *testing.T) {
@@ -91,13 +93,13 @@ func TestSamplerPhaseRespectsThreshold(t *testing.T) {
 		make([]int32, 64), // one constant column: a 64-row cluster
 		{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1},
 	})
-	var stats Stats
+	var st stats
 	dst := sampling.NewNonFDSet(2)
 	s.cfg.SamplingEfficiency = 1e9 // nothing is efficient enough
-	if err := s.phase(dst, &stats); err != nil {
+	if err := s.phase(dst, &st); err != nil {
 		t.Fatal(err)
 	}
-	if stats.SamplingRounds != 1 {
-		t.Errorf("phase must execute exactly one run under an impossible threshold, got %d", stats.SamplingRounds)
+	if st.samplingRounds != 1 {
+		t.Errorf("phase must execute exactly one run under an impossible threshold, got %d", st.samplingRounds)
 	}
 }

@@ -191,3 +191,44 @@ func TestChaosDelayInjection(t *testing.T) {
 		t.Error("delay changed the cover")
 	}
 }
+
+// TestChaosPanicKeepsPoolCounters: a panic recovered on the driver's own
+// goroutine must close the run report with the same folds as an ordinary
+// failure. The pools ran supervised partition builds before the panic, so
+// the report must carry their attempt counters (DHyFD, HyFD) or shard
+// counters (DFD, whose sampling-free walk panics at a top-k bound check).
+func TestChaosPanicKeepsPoolCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	r := dataset.Random(rng, 200, 6, 4)
+	cases := []struct {
+		algo dhyfd.Algorithm
+		site faults.Site
+		opts []dhyfd.Option
+	}{
+		{dhyfd.DHyFD, faults.SamplingRun, nil},
+		{dhyfd.HyFD, faults.SamplingRun, nil},
+		{dhyfd.DFD, faults.TopKPrune, []dhyfd.Option{dhyfd.WithTopK(3)}},
+	}
+	for _, c := range cases {
+		t.Run(c.algo.String(), func(t *testing.T) {
+			defer faults.Reset()
+			faults.Arm(c.site, faults.Plan{Kind: faults.KindPanic, N: 1})
+			opts := append([]dhyfd.Option{
+				dhyfd.WithAlgorithm(c.algo), dhyfd.WithWorkers(2), dhyfd.WithRetries(1),
+				dhyfd.WithShardSize(16), dhyfd.WithPartitionCache(1 << 20),
+			}, c.opts...)
+			res, err := dhyfd.Discover(context.Background(), r, opts...)
+			var perr *dhyfd.PanicError
+			if !errors.As(err, &perr) || perr.Site != string(c.site) {
+				t.Fatalf("want a *PanicError at %s, got %v", c.site, err)
+			}
+			if c.algo == dhyfd.DFD {
+				if res.Stats.ShardsBuilt == 0 {
+					t.Errorf("panic report lost the shard counters: %+v", res.Stats)
+				}
+			} else if res.Stats.Counters["attempts"] == 0 {
+				t.Errorf("panic report lost the retry counters: %v", res.Stats.Counters)
+			}
+		})
+	}
+}

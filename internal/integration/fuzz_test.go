@@ -45,7 +45,7 @@ func FuzzDiscoverSmall(f *testing.F) {
 				t.Fatalf("unsound FD %v on %d×%d relation", fd.Format(rel.Names), rows, cols)
 			}
 		}
-		want, _, err := tane.DiscoverRun(context.Background(), rel, 0)
+		want, _, err := tane.Run(context.Background(), rel, tane.Config{})
 		if err != nil {
 			t.Fatalf("tane failed: %v", err)
 		}

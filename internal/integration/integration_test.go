@@ -4,6 +4,7 @@
 package integration
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dep"
 	"repro/internal/dfd"
+	"repro/internal/engine"
 	"repro/internal/fastfds"
 	"repro/internal/fdep"
 	"repro/internal/hyfd"
@@ -21,19 +23,37 @@ import (
 	"repro/internal/tane"
 )
 
+// coverOf unwraps a driver's Run. The tests pass no cancellable context,
+// so a run error is a bug and panics.
+func coverOf(fds []dep.FD, _ *engine.RunStats, err error) []dep.FD {
+	if err != nil {
+		panic(err)
+	}
+	return fds
+}
+
+// must unwraps a ranking kernel's result, panicking on error like coverOf.
+func must[T any](v T, _ ranking.Stats, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // discoverAll runs all six algorithms and fails the test if any pair
 // disagrees. Returns the agreed left-reduced cover.
 func discoverAll(t *testing.T, name string, r *relation.Relation) []dep.FD {
 	t.Helper()
-	base := core.Discover(r)
+	ctx := context.Background()
+	base := coverOf(core.Run(ctx, r, core.Config{}))
 	checks := map[string][]dep.FD{
-		"hyfd":    hyfd.Discover(r),
-		"tane":    tane.Discover(r),
-		"fdep":    fdep.Discover(r, fdep.Classic),
-		"fdep1":   fdep.Discover(r, fdep.NonRedundant),
-		"fdep2":   fdep.Discover(r, fdep.Sorted),
-		"fastfds": fastfds.Discover(r),
-		"dfd":     dfd.Discover(r),
+		"hyfd":    coverOf(hyfd.Run(ctx, r, hyfd.Config{})),
+		"tane":    coverOf(tane.Run(ctx, r, tane.Config{})),
+		"fdep":    coverOf(fdep.Run(ctx, r, fdep.Classic, fdep.Config{})),
+		"fdep1":   coverOf(fdep.Run(ctx, r, fdep.NonRedundant, fdep.Config{})),
+		"fdep2":   coverOf(fdep.Run(ctx, r, fdep.Sorted, fdep.Config{})),
+		"fastfds": coverOf(fastfds.Run(ctx, r, fastfds.Config{})),
+		"dfd":     coverOf(dfd.Run(ctx, r, dfd.Config{})),
 	}
 	for algo, fds := range checks {
 		if !dep.Equal(base, fds) {
@@ -107,7 +127,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 		r := b.GenerateDefault()
 		n := r.NumCols()
 
-		lr := core.Discover(r)
+		ctx := context.Background()
+		lr := coverOf(core.Run(ctx, r, core.Config{}))
 		can := cover.Canonical(n, lr)
 
 		if !cover.Equivalent(n, lr, can) {
@@ -120,7 +141,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			t.Errorf("%s: canonical bigger than left-reduced", name)
 		}
 
-		ranked := ranking.Rank(r, can)
+		ranked := must(ranking.RankCtx(ctx, r, can, ranking.Config{}))
 		if len(ranked) != len(can) {
 			t.Fatalf("%s: ranked %d of %d", name, len(ranked), len(can))
 		}
@@ -134,12 +155,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 			}
 		}
 
-		tot := ranking.Totals(r, can)
+		tot := must(ranking.TotalsCtx(ctx, r, can, ranking.Config{}))
 		if tot.RedWithNulls > tot.Values || tot.Red > tot.RedWithNulls {
 			t.Errorf("%s: implausible totals %+v", name, tot)
 		}
 		// Totals are cover-invariant.
-		if tot2 := ranking.Totals(r, lr); tot2 != tot {
+		if tot2 := must(ranking.TotalsCtx(ctx, r, lr, ranking.Config{})); tot2 != tot {
 			t.Errorf("%s: totals differ between covers: %+v vs %+v", name, tot, tot2)
 		}
 	}
@@ -154,8 +175,8 @@ func TestFragmentMonotonicity(t *testing.T) {
 	b, _ := dataset.ByName("ncvoter")
 	full := b.Generate(400, 10)
 	frag := full.Head(150)
-	fullCover := core.Discover(full)
-	fragCover := core.Discover(frag)
+	fullCover := coverOf(core.Run(context.Background(), full, core.Config{}))
+	fragCover := coverOf(core.Run(context.Background(), frag, core.Config{}))
 	nf := full.NumCols()
 	e := cover.NewEngine(nf, fragCover)
 	for _, f := range fullCover {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/fastfds"
 	"repro/internal/fdep"
 	"repro/internal/hyfd"
+	"repro/internal/runstate"
 	"repro/internal/tane"
 )
 
@@ -42,7 +43,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 
 		var want []dep.FD
 		for _, w := range widths {
-			got, _, err := core.DiscoverRun(ctx, r, core.Config{Workers: w})
+			got, _, err := core.Run(ctx, r, core.Config{Options: runstate.Options{Workers: w}})
 			if err != nil {
 				t.Fatalf("%s dhyfd workers=%d: %v", fx.name, w, err)
 			}
@@ -53,7 +54,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 			}
 		}
 		for _, w := range widths {
-			got, _, err := hyfd.DiscoverRun(ctx, r, hyfd.Config{Workers: w})
+			got, _, err := hyfd.Run(ctx, r, hyfd.Config{Options: runstate.Options{Workers: w}})
 			if err != nil {
 				t.Fatalf("%s hyfd workers=%d: %v", fx.name, w, err)
 			}
@@ -62,7 +63,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 			}
 		}
 		for _, w := range widths {
-			got, _, err := tane.DiscoverRun(ctx, r, w)
+			got, _, err := tane.Run(ctx, r, tane.Config{Workers: w})
 			if err != nil {
 				t.Fatalf("%s tane workers=%d: %v", fx.name, w, err)
 			}
@@ -81,14 +82,14 @@ func TestRunStatsPopulated(t *testing.T) {
 	ctx := context.Background()
 
 	runs := map[string]func() ([]dep.FD, *engine.RunStats, error){
-		"dhyfd":   func() ([]dep.FD, *engine.RunStats, error) { return core.DiscoverRun(ctx, r, core.DefaultConfig()) },
-		"hyfd":    func() ([]dep.FD, *engine.RunStats, error) { return hyfd.DiscoverRun(ctx, r, hyfd.DefaultConfig()) },
-		"tane":    func() ([]dep.FD, *engine.RunStats, error) { return tane.DiscoverRun(ctx, r, 1) },
-		"fdep":    func() ([]dep.FD, *engine.RunStats, error) { return fdep.DiscoverRun(ctx, r, fdep.Classic) },
-		"fdep1":   func() ([]dep.FD, *engine.RunStats, error) { return fdep.DiscoverRun(ctx, r, fdep.NonRedundant) },
-		"fdep2":   func() ([]dep.FD, *engine.RunStats, error) { return fdep.DiscoverRun(ctx, r, fdep.Sorted) },
-		"fastfds": func() ([]dep.FD, *engine.RunStats, error) { return fastfds.DiscoverRun(ctx, r) },
-		"dfd":     func() ([]dep.FD, *engine.RunStats, error) { return dfd.DiscoverRun(ctx, r) },
+		"dhyfd":   func() ([]dep.FD, *engine.RunStats, error) { return core.Run(ctx, r, core.Config{}) },
+		"hyfd":    func() ([]dep.FD, *engine.RunStats, error) { return hyfd.Run(ctx, r, hyfd.Config{}) },
+		"tane":    func() ([]dep.FD, *engine.RunStats, error) { return tane.Run(ctx, r, tane.Config{}) },
+		"fdep":    func() ([]dep.FD, *engine.RunStats, error) { return fdep.Run(ctx, r, fdep.Classic, fdep.Config{}) },
+		"fdep1":   func() ([]dep.FD, *engine.RunStats, error) { return fdep.Run(ctx, r, fdep.NonRedundant, fdep.Config{}) },
+		"fdep2":   func() ([]dep.FD, *engine.RunStats, error) { return fdep.Run(ctx, r, fdep.Sorted, fdep.Config{}) },
+		"fastfds": func() ([]dep.FD, *engine.RunStats, error) { return fastfds.Run(ctx, r, fastfds.Config{}) },
+		"dfd":     func() ([]dep.FD, *engine.RunStats, error) { return dfd.Run(ctx, r, dfd.Config{}) },
 	}
 	for name, run := range runs {
 		fds, rs, err := run()
@@ -134,22 +135,22 @@ func TestMidRunCancellationIsPrompt(t *testing.T) {
 	r := b.Generate(1500, 20)
 
 	full := time.Now()
-	if _, _, err := core.DiscoverRun(context.Background(), r, core.Config{Workers: 2}); err != nil {
+	if _, _, err := core.Run(context.Background(), r, core.Config{Options: runstate.Options{Workers: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	fullElapsed := time.Since(full)
 
 	runs := map[string]func(ctx context.Context) (*engine.RunStats, error){
 		"dhyfd": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := core.DiscoverRun(ctx, r, core.Config{Workers: 2})
+			_, rs, err := core.Run(ctx, r, core.Config{Options: runstate.Options{Workers: 2}})
 			return rs, err
 		},
 		"hyfd": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := hyfd.DiscoverRun(ctx, r, hyfd.Config{Workers: 2})
+			_, rs, err := hyfd.Run(ctx, r, hyfd.Config{Options: runstate.Options{Workers: 2}})
 			return rs, err
 		},
 		"tane": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := tane.DiscoverRun(ctx, r, 2)
+			_, rs, err := tane.Run(ctx, r, tane.Config{Workers: 2})
 			return rs, err
 		},
 	}

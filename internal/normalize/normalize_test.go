@@ -1,6 +1,7 @@
 package normalize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,18 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/relation"
 )
+
+// discover returns DHyFD's left-reduced cover of r. The tests pass no
+// cancellable context, so a run error is a bug and panics.
+func discover(r *relation.Relation) []dep.FD {
+	fds, _, err := core.Run(context.Background(), r, core.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return fds
+}
 
 func fd(n int, lhs []int, rhs ...int) dep.FD {
 	return dep.FD{LHS: bitset.FromAttrs(n, lhs...), RHS: bitset.FromAttrs(n, rhs...)}
@@ -181,7 +193,7 @@ func TestOnDiscoveredCover(t *testing.T) {
 	b, _ := dataset.ByName("ncvoter")
 	r := b.Generate(300, 10)
 	n := r.NumCols()
-	can := cover.Canonical(n, core.Discover(r))
+	can := cover.Canonical(n, discover(r))
 
 	keys := CandidateKeys(n, can, 32)
 	if len(keys) == 0 {

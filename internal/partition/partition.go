@@ -146,10 +146,6 @@ func Single(col []int32, card int) *Partition {
 	return p
 }
 
-// FromRelationColumn builds π_A for column a of the given encoded column
-// and cardinality. It is a convenience wrapper around Single.
-func FromRelationColumn(col []int32, card int) *Partition { return Single(col, card) }
-
 // Refiner refines partitions one cluster at a time (Algorithm 5 of the
 // paper). It keeps the sets-array and touched-id list between calls so that
 // refining many clusters allocates nothing after warm-up.

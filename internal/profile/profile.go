@@ -20,6 +20,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/ranking"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
 
 // ValueCount is one entry of a column's most-frequent-values list.
@@ -91,16 +92,9 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Profile computes the full report for a relation.
-func Profile(r *relation.Relation, opts Options) *Report {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; ProfileCtx is the primary API until=PR20
-	rep, _ := ProfileCtx(context.Background(), r, opts)
-	return rep
-}
-
-// ProfileCtx is Profile with cooperative cancellation: discovery — the
-// dominant cost — aborts promptly once ctx is done, returning the partial
-// report alongside ctx's error.
+// ProfileCtx computes the full report for a relation with cooperative
+// cancellation: discovery — the dominant cost — aborts promptly once ctx
+// is done, returning the partial report alongside ctx's error.
 func ProfileCtx(ctx context.Context, r *relation.Relation, opts Options) (*Report, error) {
 	opts.fillDefaults()
 	start := time.Now()
@@ -112,7 +106,7 @@ func ProfileCtx(ctx context.Context, r *relation.Relation, opts Options) (*Repor
 	// Discovery, cover, ranking.
 	dstart := time.Now()
 	cache := partition.NewCache(opts.CacheBytes, nil)
-	lr, rs, err := core.DiscoverRun(ctx, r, core.Config{Workers: opts.Workers, Cache: cache})
+	lr, rs, err := core.Run(ctx, r, core.Config{Options: runstate.Options{Workers: opts.Workers, Cache: cache}})
 	rep.DiscoveryTime = time.Since(dstart)
 	rep.Run = rs
 	if err != nil {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,9 +10,19 @@ import (
 	"repro/internal/relation"
 )
 
+// profileOf runs ProfileCtx, failing t on error.
+func profileOf(t *testing.T, r *relation.Relation, opts Options) *Report {
+	t.Helper()
+	rep, err := ProfileCtx(context.Background(), r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestProfileNCVoterSnippet(t *testing.T) {
 	r := dataset.NCVoterSnippet(relation.NullEqNull)
-	rep := Profile(r, Options{})
+	rep := profileOf(t, r, Options{})
 
 	if rep.Rows != 14 || rep.Cols != 9 {
 		t.Fatalf("dims %dx%d", rep.Rows, rep.Cols)
@@ -55,7 +66,7 @@ func TestProfileNCVoterSnippet(t *testing.T) {
 
 func TestProfileWriteIsReadable(t *testing.T) {
 	r := dataset.NCVoterSnippet(relation.NullEqNull)
-	rep := Profile(r, Options{})
+	rep := profileOf(t, r, Options{})
 	var buf bytes.Buffer
 	rep.Write(&buf, r.Names)
 	out := buf.String()
@@ -69,8 +80,8 @@ func TestProfileWriteIsReadable(t *testing.T) {
 func TestProfileParallelMatchesSerial(t *testing.T) {
 	b, _ := dataset.ByName("ncvoter")
 	r := b.Generate(400, 12)
-	serial := Profile(r, Options{})
-	par := Profile(r, Options{Workers: 4})
+	serial := profileOf(t, r, Options{})
+	par := profileOf(t, r, Options{Workers: 4})
 	if serial.CanonicalFDs != par.CanonicalFDs || serial.LeftReducedFDs != par.LeftReducedFDs {
 		t.Errorf("parallel profile diverges: %d/%d vs %d/%d",
 			serial.LeftReducedFDs, serial.CanonicalFDs, par.LeftReducedFDs, par.CanonicalFDs)
@@ -84,7 +95,7 @@ func TestProfileKeysAreDataKeys(t *testing.T) {
 	// Every reported key must actually be unique in the data.
 	b, _ := dataset.ByName("bridges")
 	r := b.GenerateDefault()
-	rep := Profile(r, Options{MaxKeys: 16})
+	rep := profileOf(t, r, Options{MaxKeys: 16})
 	for _, k := range rep.Keys {
 		seen := map[string]bool{}
 		key := make([]byte, 0, 32)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
@@ -40,7 +39,7 @@ func coverOf(b *testing.B, name string, rows, cols int) *coverFixture {
 		b.Fatal(err)
 	}
 	r := bm.Generate(rows, cols)
-	f := &coverFixture{r: r, can: cover.Canonical(r.NumCols(), core.Discover(r))}
+	f := &coverFixture{r: r, can: cover.Canonical(r.NumCols(), discover(r))}
 	fixtures[key] = f
 	return f
 }
@@ -63,7 +62,7 @@ func BenchmarkRankCover(b *testing.B) {
 		f := coverOf(b, s.name, s.rows, s.cols)
 		b.Run(fmt.Sprintf("%s-%dx%d-%dfds", s.name, s.rows, s.cols, len(f.can)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Rank(f.r, f.can)
+				must(RankCtx(context.Background(), f.r, f.can, Config{}))
 			}
 		})
 	}
@@ -76,7 +75,7 @@ func BenchmarkTotalsCover(b *testing.B) {
 		f := coverOf(b, s.name, s.rows, s.cols)
 		b.Run(fmt.Sprintf("%s-%dx%d-%dfds", s.name, s.rows, s.cols, len(f.can)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Totals(f.r, f.can)
+				must(TotalsCtx(context.Background(), f.r, f.can, Config{}))
 			}
 		})
 	}

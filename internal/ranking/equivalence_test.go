@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
@@ -240,7 +239,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 	for name, r := range equivRelations(t) {
 		r := r
 		t.Run(name, func(t *testing.T) {
-			can := cover.Canonical(r.NumCols(), core.Discover(r))
+			can := cover.Canonical(r.NumCols(), discover(r))
 			if len(can) == 0 {
 				t.Skip("empty cover")
 			}

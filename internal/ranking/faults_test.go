@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -21,7 +20,7 @@ func TestRankingRunFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := b.Generate(120, 10)
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), discover(r))
 	if len(can) < 3 {
 		t.Fatalf("cover too small: %d", len(can))
 	}
@@ -69,7 +68,7 @@ func TestRankingCtxCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := b.Generate(120, 10)
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), discover(r))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := RankCtx(ctx, r, can, Config{}); !errors.Is(err, context.Canceled) {

@@ -451,18 +451,6 @@ func RankCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Config
 	return out, stats, err
 }
 
-// Rank computes counts for every FD and returns them sorted by descending
-// WithNulls count, serially with a private partition cache. A panic
-// inside the kernels is re-raised, matching direct-call semantics.
-func Rank(r *relation.Relation, fds []dep.FD) []Ranked {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; RankCtx is the primary API until=PR20
-	out, _, err := RankCtx(context.Background(), r, fds, Config{})
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // DatasetTotals holds the Table IV row for one data set.
 type DatasetTotals struct {
 	// Values is #values, the number of data occurrences (rows × columns).
@@ -560,16 +548,6 @@ func TotalsCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Conf
 	return t, stats, err
 }
 
-// Totals is TotalsCtx serially with a private partition cache.
-func Totals(r *relation.Relation, fds []dep.FD) DatasetTotals {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; TotalsCtx is the primary API until=PR20
-	t, _, err := TotalsCtx(context.Background(), r, fds, Config{})
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // HistogramThresholds are the x-values of Figure 10 as fractions of the
 // maximum per-FD redundancy: 0, 2.5 %, 5 %, …, 100 %.
 var HistogramThresholds = []float64{0, 0.025, 0.05, 0.10, 0.15, 0.20, 0.40, 0.60, 0.80, 1.0}
@@ -644,14 +622,4 @@ func ForColumnCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, col i
 		return bitset.CompareLex(out[i].LHS, out[j].LHS) < 0
 	})
 	return out, stats, err
-}
-
-// ForColumn is ForColumnCtx serially with a private partition cache.
-func ForColumn(r *relation.Relation, fds []dep.FD, col int) []ColumnView {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; ForColumnCtx is the primary API until=PR20
-	out, _, err := ForColumnCtx(context.Background(), r, fds, col, Config{})
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

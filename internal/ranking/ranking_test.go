@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,6 +26,24 @@ const (
 	state
 	zipCode
 )
+
+// discover returns DHyFD's left-reduced cover of r.
+func discover(r *relation.Relation) []dep.FD {
+	fds, _, err := core.Run(context.Background(), r, core.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return fds
+}
+
+// must unwraps a kernel's result. The tests pass no cancellable context,
+// so an error is a bug and panics.
+func must[T any](v T, _ Stats, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func fdOf(n int, lhs []int, rhs ...int) dep.FD {
 	return dep.FD{LHS: bitset.FromAttrs(n, lhs...), RHS: bitset.FromAttrs(n, rhs...)}
@@ -77,7 +96,7 @@ func TestRankOrdersDescending(t *testing.T) {
 		fdOf(n, nil, state),
 		fdOf(n, []int{lastName, zipCode}, city),
 	}
-	ranked := Rank(r, fds)
+	ranked := must(RankCtx(context.Background(), r, fds, Config{}))
 	if len(ranked) != 3 {
 		t.Fatalf("len = %d", len(ranked))
 	}
@@ -144,7 +163,7 @@ func TestTotalsDedupAcrossFDs(t *testing.T) {
 	}, nil, relation.NullEqNull)
 	n := r.NumCols()
 	fds := []dep.FD{fdOf(n, []int{0}, 2), fdOf(n, []int{1}, 2)}
-	tot := Totals(r, fds)
+	tot := must(TotalsCtx(context.Background(), r, fds, Config{}))
 	if tot.Values != 9 {
 		t.Errorf("values = %d", tot.Values)
 	}
@@ -162,9 +181,9 @@ func TestTotalsOnDiscoveredCover(t *testing.T) {
 	// whole column redundant.
 	rng := rand.New(rand.NewSource(62))
 	r := dataset.Random(rng, 30, 4, 2)
-	fds := core.Discover(r)
+	fds := discover(r)
 	can := cover.Canonical(r.NumCols(), fds)
-	tot := Totals(r, can)
+	tot := must(TotalsCtx(context.Background(), r, can, Config{}))
 	if tot.Values != 120 {
 		t.Fatalf("values = %d", tot.Values)
 	}
@@ -190,8 +209,8 @@ func TestTotalsCoverInvariance(t *testing.T) {
 		r := dataset.Random(rng, 10+rng.Intn(30), 2+rng.Intn(4), 1+rng.Intn(3))
 		lr := brute.MinimalFDs(r)
 		can := cover.Canonical(r.NumCols(), lr)
-		t1 := Totals(r, lr)
-		t2 := Totals(r, can)
+		t1 := must(TotalsCtx(context.Background(), r, lr, Config{}))
+		t2 := must(TotalsCtx(context.Background(), r, can, Config{}))
 		if t1 != t2 {
 			t.Fatalf("trial %d: totals differ: %+v vs %+v", trial, t1, t2)
 		}
@@ -244,7 +263,7 @@ func TestForColumn(t *testing.T) {
 		fdOf(n, []int{voterID}, city, state),
 		fdOf(n, []int{gender}, state), // not about city: filtered out
 	}
-	views := ForColumn(r, fds, city)
+	views := must(ForColumnCtx(context.Background(), r, fds, city, Config{}))
 	if len(views) != 2 {
 		t.Fatalf("views = %d", len(views))
 	}

@@ -130,18 +130,12 @@ func (s *NonFDSet) NonRedundant() {
 	s.seen = nil // no further Adds expected
 }
 
-// NegativeCover computes the agree sets of all tuple pairs — the full
-// negative cover FDEP inducts from. Quadratic in rows; row-based
-// algorithms accept that by design.
-func NegativeCover(r *relation.Relation) *NonFDSet {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; NegativeCoverCtx is the primary API until=PR20
-	s, _ := NegativeCoverCtx(context.Background(), r)
-	return s
-}
-
-// NegativeCoverCtx is NegativeCover with cooperative cancellation, checked
-// once per outer row.
-func NegativeCoverCtx(ctx context.Context, r *relation.Relation) (*NonFDSet, error) {
+// negativeCover computes the agree sets of all tuple pairs — the full
+// negative cover FDEP inducts from — serially, checking ctx once per
+// outer row. Quadratic in rows; row-based algorithms accept that by
+// design. NegativeCoverSharded is the entry point; it degenerates to this
+// pass on one shard or one worker.
+func negativeCover(ctx context.Context, r *relation.Relation) (*NonFDSet, error) {
 	n := r.NumRows()
 	s := NewNonFDSet(r.NumCols())
 	buf := bitset.New(r.NumCols())

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -67,7 +68,10 @@ func TestNegativeCover(t *testing.T) {
 		{"1", "y", "red"},
 		{"2", "y", "red"},
 	})
-	s := NegativeCover(r)
+	s, err := negativeCover(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}

@@ -79,10 +79,12 @@ func ClusterNeighborSampleSharded(ctx context.Context, pool *engine.Pool, r *rel
 	return newNonFDs, comparisons, nil
 }
 
-// NegativeCoverSharded is NegativeCoverCtx on the pool: the quadratic
-// all-pairs scan shards by contiguous outer-row ranges, each collecting
-// its agree sets locally, then merges in range order — so the resulting
-// set and its insertion order are identical to the serial scan. Fires
+// NegativeCoverSharded computes the agree sets of all tuple pairs — the
+// full negative cover FDEP and FastFDs derive their covers from — on the
+// pool, honouring ctx. The quadratic all-pairs scan shards by contiguous
+// outer-row ranges, each collecting its agree sets locally, then merges
+// in range order — so the resulting set and its insertion order are
+// identical to the serial scan. Fires
 // one sampling.shardmerge hit per shard folded; single-shard (or
 // single-worker) inputs degenerate to the serial pass.
 func NegativeCoverSharded(ctx context.Context, pool *engine.Pool, r *relation.Relation, shardSize int) (*NonFDSet, error) {
@@ -92,7 +94,7 @@ func NegativeCoverSharded(ctx context.Context, pool *engine.Pool, r *relation.Re
 	}
 	nshards := (n + shardSize - 1) / shardSize
 	if nshards <= 1 || pool == nil || pool.Workers() == 1 {
-		return NegativeCoverCtx(ctx, r)
+		return negativeCover(ctx, r)
 	}
 
 	locals := make([]*NonFDSet, nshards)

@@ -90,11 +90,14 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 }
 
 // TestNegativeCoverShardedMatches pins the sharded all-pairs scan: set
-// contents and insertion order equal NegativeCover at every shard size.
+// contents and insertion order equal the serial scan at every shard size.
 func TestNegativeCoverShardedMatches(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(9)), 120, 4, 3)
-	want := NegativeCover(r)
+	want, err := negativeCover(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shardSize := range []int{1, 7, 50, r.NumRows()} {
 		for _, workers := range []int{1, 3} {
 			pool := engine.NewPool(workers)

@@ -27,11 +27,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/runstate"
-	"repro/internal/topk"
 )
-
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
 
 type candidate struct {
 	set   bitset.Set
@@ -42,131 +38,32 @@ type candidate struct {
 	dead  bool // pruned, but cplus stays queryable for the key-pruning rule
 }
 
-// Discover returns the left-reduced cover (singleton RHSs, minimal LHSs)
-// of the FDs that hold on r.
-func Discover(r *relation.Relation) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r)
-	return fds
-}
+// Config tunes TANE; the algorithm has no knobs beyond the shared run
+// options. Workers fans each level's PLI intersections out over the pool.
+// Budget exhaustion lets the current level finish validating and abandons
+// deeper levels, since whole lattice levels of resident partitions are
+// TANE's characteristic cost; the FDs certified so far are each valid, so
+// the partial cover is sound. Cache serves singles and level partitions
+// before they are built. TopK additionally kills candidates in the PRUNE
+// phase whose largest co-atom partition cannot beat the threshold.
+// MaxViolations > 0 keeps only the C+ removals monotonicity justifies (the
+// R∖X rule needs exact-FD transitivity), trading extra validations for
+// soundness.
+type Config = runstate.Options
 
-// DiscoverCtx is Discover with cooperative cancellation: lattice levels
-// are abandoned promptly once ctx is done, returning ctx's error. TANE's
-// levels can hold gigabytes of partitions, so cancellation matters for
-// time-limited benchmark drivers.
-func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r, 1)
-	return fds, err
-}
-
-// Config tunes TANE.
-type Config struct {
-	// Workers is the pool width for the per-level PLI intersections.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// partition bootstrap: columns longer than one shard group and merge
-	// on the worker pool instead of serially. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// Budget optionally bounds partition memory — TANE's characteristic
-	// cost is whole lattice levels of partitions resident at once. On
-	// exhaustion the current level finishes validating and deeper levels
-	// are abandoned: the run returns the FDs certified so far (each
-	// individually valid, so the partial cover is sound) flagged
-	// Degraded. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally shares stripped partitions across the run (and
-	// across runs over the same relation): singles and level partitions
-	// are looked up before being built and published after. Nil disables
-	// caching.
-	Cache *partition.Cache
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// the traversal: valid FDs are offered to the collector scored by
-	// ‖π_LHS‖, and the PRUNE phase additionally kills candidates whose
-	// subtree cannot beat the collector's admission threshold (the bound
-	// is the largest co-atom partition size, an upper bound on any
-	// specializing FD's score). The run then returns the collector's FDs
-	// in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes the validity test from e(X) == e(XA) to the
-	// g3-style bound: X → A counts as valid when at most MaxViolations
-	// rows must be deleted for it to hold exactly. 0 keeps exact
-	// discovery. Approximate runs keep only C+ removals justified by
-	// monotonicity (the R∖X removal rule relies on exact-FD transitivity
-	// and is skipped), trading extra validations for soundness.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the lattice frontier at every
-	// level boundary so a killed run can resume. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's TANE frontier
-	// instead of level 1. The caller has already fingerprint-matched it.
-	Resume *runstate.Snapshot
-	// Retries bounds supervised re-runs of transiently failed pool items
-	// (capped exponential backoff with full jitter). 0 disables retries.
-	Retries int
-}
-
-// DiscoverRun runs TANE with the given worker-pool width for its PLI
-// intersections and emits the algorithm-agnostic run report. On
-// cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation, workers int) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, Config{Workers: workers})
-}
-
-// Run is DiscoverRun with full tuning, including a partition budget.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	rs := engine.NewRunStats("tane", workers)
-	pool := engine.NewPoolRetry(workers, engine.RetryPolicy{Max: cfg.Retries})
-	if cfg.Resume != nil {
-		// Seed the report with the checkpointed run's accumulated phases,
-		// elapsed time and cache-traffic bases; the additive flushes below
-		// then report the logical run's cumulative cost.
-		cfg.Resume.Stats.Apply(rs)
-	}
-	cache0 := cfg.Cache.Stats()
-	flushCacheStats := func() {
-		d := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += d.Hits
-		rs.CacheMisses += d.Misses
-		rs.CacheEvictions += d.Evictions
-	}
-	flushTopK := func() {
-		if cfg.TopK == nil {
-			return
-		}
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("tane", rec)
-			flushTopK()
-			flushCacheStats()
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-			rs.Finish(perr)
-			// Under top-k the heap holds individually validated FDs: a
-			// sound partial result even after a panic.
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retRS, retErr = partial, rs, perr
-		}
-	}()
+// Run returns the left-reduced cover (singleton RHSs, minimal LHSs) of the
+// FDs that hold on r together with the algorithm-agnostic run report.
+// Lattice levels are abandoned promptly once ctx is done: the partial
+// report (with Cancelled set) is returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
+	h := runstate.Start("tane", cfg)
+	defer h.Recover(&fds, &rs, &err)
+	rs = h.Stats
+	pool := h.Pool
 	n := r.NumCols()
 	var out []dep.FD
 	if n == 0 {
-		rs.Finish(nil)
-		return out, rs, nil
+		return h.End(nil, nil)
 	}
 	nrows := r.NumRows()
 
@@ -233,20 +130,13 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		prevErr = make(map[string]int, len(f.Prev))
 		prevPart = make(map[string]*partition.Partition, len(f.Prev))
 		prevRecs = f.Prev
-		failRestore := func(err error) ([]dep.FD, *engine.RunStats, error) {
-			stop()
-			flushCacheStats()
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-			rs.Finish(err)
-			return nil, rs, err
-		}
 		for _, rec := range f.Prev {
 			k := rec.Set.Key()
 			prevErr[k] = int(rec.Err)
 			p, err := partitionForSet(rec.Set)
 			if err != nil {
-				return failRestore(err)
+				stop()
+				return h.End(nil, err)
 			}
 			prevPart[k] = p
 		}
@@ -254,7 +144,8 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		for _, rec := range f.Cands {
 			p, err := partitionForSet(rec.Set)
 			if err != nil {
-				return failRestore(err)
+				stop()
+				return h.End(nil, err)
 			}
 			level = append(level, &candidate{
 				set:   rec.Set,
@@ -277,11 +168,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		rs.PartitionsBuilt += int64(built)
 		if err != nil {
 			stop()
-			flushCacheStats()
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-			rs.Finish(err)
-			return nil, rs, err
+			return h.End(nil, err)
 		}
 		level = make([]*candidate, 0, n)
 		for a := 0; a < n; a++ {
@@ -299,65 +186,34 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 
 	// tick snapshots the level boundary: FDs emitted so far, the live
 	// candidates, the previous level's error table, and the counters. A
-	// resumed run re-enters the main loop exactly here. Capturing clones
-	// the candidate sets, so off-interval boundaries are skipped unless
-	// forced (terminal, loop-top cancellation).
+	// resumed run re-enters the main loop exactly here.
 	tick := func(force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.TaneFrontier{
-			Version:             1,
-			Levels:              rs.Levels,
-			RowsScanned:         rs.RowsScanned,
-			PartitionsBuilt:     rs.PartitionsBuilt,
-			PartitionsRefined:   rs.PartitionsRefined,
-			CandidatesValidated: rs.CandidatesValidated,
-			Invalidated:         rs.Invalidated,
-		}
-		for _, fd := range out {
-			f.Out = append(f.Out, fd.Clone())
-		}
-		for _, c := range level {
-			f.Cands = append(f.Cands, runstate.TaneCandRec{
-				Set:   c.set.Clone(),
-				CPlus: c.cplus.Clone(),
-				Err:   int64(c.err),
-				Dead:  c.dead,
-			})
-		}
-		for _, rec := range prevRecs {
-			f.Prev = append(f.Prev, runstate.TanePrevRec{Set: rec.Set.Clone(), Err: rec.Err})
-		}
-		st := runstate.StatsSnapOf(rs)
-		d := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + d.Hits
-		st.CacheMisses = rs.CacheMisses + d.Misses
-		st.CacheEvicts = rs.CacheEvictions + d.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, Tane: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.TaneFrontier{
+				Version:             1,
+				Levels:              rs.Levels,
+				RowsScanned:         rs.RowsScanned,
+				PartitionsBuilt:     rs.PartitionsBuilt,
+				PartitionsRefined:   rs.PartitionsRefined,
+				CandidatesValidated: rs.CandidatesValidated,
+				Invalidated:         rs.Invalidated,
+			}
+			for _, fd := range out {
+				f.Out = append(f.Out, fd.Clone())
+			}
+			for _, c := range level {
+				f.Cands = append(f.Cands, runstate.TaneCandRec{
+					Set:   c.set.Clone(),
+					CPlus: c.cplus.Clone(),
+					Err:   int64(c.err),
+					Dead:  c.dead,
+				})
+			}
+			for _, rec := range prevRecs {
+				f.Prev = append(f.Prev, runstate.TanePrevRec{Set: rec.Set.Clone(), Err: rec.Err})
+			}
+			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{Tane: f}}
 		})
-	}
-
-	fail := func(err error) ([]dep.FD, *engine.RunStats, error) {
-		if cfg.TopK != nil {
-			// The heap's FDs were each individually validated: return them
-			// as a sound partial top-k alongside the error.
-			out = cfg.TopK.FDs()
-		}
-		rs.FDs = int64(len(out))
-		flushTopK()
-		flushCacheStats()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			return out, rs, err
-		}
-		return nil, rs, err
 	}
 
 	for len(level) > 0 {
@@ -365,7 +221,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// The level is untouched, so this is still a boundary: park
 			// it for the final Flush and Ctrl-C loses nothing.
 			tick(true)
-			return fail(err)
+			return h.End(nil, err)
 		}
 		tick(false)
 		rs.Levels++
@@ -491,7 +347,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		next, err := nextLevel(ctx, pool, level, curCPlus, n, rs, &cfg)
 		stop()
 		if err != nil {
-			return fail(err)
+			return h.End(nil, err)
 		}
 		level = next
 		dropped := prevPart
@@ -502,25 +358,15 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return fail(err)
+		return h.End(nil, err)
 	}
 	// Terminal boundary: an empty frontier, so resuming a snapshot taken
 	// after completion (or after a budget degrade) replays no work and
 	// re-emits the same cover.
 	level = nil
 	tick(true)
-	if cfg.TopK != nil {
-		out = cfg.TopK.FDs() // already in ranking order
-	} else {
-		dep.Sort(out)
-	}
-	rs.FDs = int64(len(out))
-	flushTopK()
-	flushCacheStats()
-	pool.FoldRetryStats(rs)
-	pool.FoldShardStats(rs)
-	rs.Finish(nil)
-	return out, rs, nil
+	dep.Sort(out) // End swaps in the top-k collector's ranking order
+	return h.End(out, nil)
 }
 
 // keyFDMinimal decides whether the key FD X → A (X a superkey, A outside

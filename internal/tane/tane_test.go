@@ -11,6 +11,16 @@ import (
 	"repro/internal/relation"
 )
 
+// discover runs TANE with the zero Config and returns its cover. The tests
+// pass no cancellable context, so a run error is a bug and panics.
+func discover(r *relation.Relation) []dep.FD {
+	fds, _, err := Run(context.Background(), r, Config{})
+	if err != nil {
+		panic(err)
+	}
+	return fds
+}
+
 func TestDiscoverTiny(t *testing.T) {
 	// a -> b (codes equal per a), c independent.
 	r := relation.FromCodes(nil, [][]int32{
@@ -18,7 +28,7 @@ func TestDiscoverTiny(t *testing.T) {
 		{5, 5, 6, 6},
 		{0, 1, 0, 1},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -31,7 +41,7 @@ func TestDiscoverConstantColumn(t *testing.T) {
 		{0, 0, 0},
 		{0, 1, 2},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	// ∅→col0 must be found; col1 is a key so col1→col0 is non-minimal.
 	foundEmpty := false
 	for _, f := range got {
@@ -58,7 +68,7 @@ func TestDiscoverKeyFDs(t *testing.T) {
 		{0, 0, 1, 1},
 		{0, 1, 1, 0},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -70,7 +80,7 @@ func TestDiscoverEmptyAndSingleRow(t *testing.T) {
 	// A single-row relation satisfies every FD; minimal cover is ∅→A for
 	// all A.
 	r := relation.FromCodes(nil, [][]int32{{0}, {0}}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discover(r)
 	if len(got) != 2 {
 		t.Fatalf("single row cover = %v", got)
 	}
@@ -88,7 +98,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		cols := 2 + rng.Intn(5)
 		card := 1 + rng.Intn(4)
 		r := dataset.Random(rng, rows, cols, card)
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -102,7 +112,7 @@ func TestAgainstBruteMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 15; trial++ {
 		r := dataset.RandomMixed(rng, 10+rng.Intn(40), 2+rng.Intn(5))
-		got := Discover(r)
+		got := discover(r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -134,7 +144,7 @@ func TestDiscoverCtxCancelled(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(1))
 	r := dataset.Random(rng, 50, 6, 3)
-	if _, err := DiscoverCtx(ctx, r); err == nil {
+	if _, _, err := Run(ctx, r, Config{}); err == nil {
 		t.Error("cancelled context must surface an error")
 	}
 }
@@ -146,7 +156,7 @@ func TestDiscoverWideLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := b.Generate(400, 12)
-	got := Discover(r)
+	got := discover(r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, bb := dep.Diff(got, want, r.Names)
