@@ -207,6 +207,18 @@ func (s Set) UnionIntersection(a, b Set) {
 	}
 }
 
+// IntersectsDifference reports whether s shares an attribute with a ∖ b,
+// without materializing the difference. All three sets must share the
+// schema width.
+func (s Set) IntersectsDifference(a, b Set) bool {
+	for i := range s {
+		if s[i]&a[i]&^b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Union returns a new set containing the attributes of s and o.
 func (s Set) Union(o Set) Set {
 	c := s.Clone()

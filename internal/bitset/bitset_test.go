@@ -290,6 +290,9 @@ func TestQuickAlgebraLaws(t *testing.T) {
 		if !a.Difference(b).Union(a.Intersect(b)).Equal(a) {
 			return false
 		}
+		if a.IntersectsDifference(b, c) != a.Intersects(b.Difference(c)) {
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -311,7 +311,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		st.initialNonFDs = nonFDs.Len()
 		stop()
 		stop = rs.Phase("induct")
-		inductAll(tree, full, nonFDs.Sets())
+		tree.InductAll(nonFDs.Sets())
 		if approx {
 			if invalid := full.Difference(rootValid); !invalid.IsEmpty() {
 				tree.Induct(bitset.New(n), invalid)
@@ -402,7 +402,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			return finish(nil, err)
 		}
 		stop = rs.Phase("induct")
-		inductAll(tree, full, nonFDs.Sets()[processed:])
+		tree.InductAll(nonFDs.Sets()[processed:])
 		// Approximate runs specialize from the validation outcomes instead
 		// of witness pairs: lhs → a failing the g3 bound fails for every
 		// generalization too (monotonicity), which is exactly Induct's
@@ -614,14 +614,4 @@ func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation,
 		}
 	}
 	return invalids, err
-}
-
-// inductAll sorts agree sets descending by LHS size and inducts each
-// (Algorithm 6, lines 7–8 and 19–20).
-func inductAll(tree *fdtree.Tree, full bitset.Set, sets []bitset.Set) {
-	sorted := append([]bitset.Set(nil), sets...)
-	sampling.SortSetsDescending(sorted)
-	for _, x := range sorted {
-		tree.Induct(x, full.Difference(x))
-	}
 }

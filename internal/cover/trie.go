@@ -50,6 +50,9 @@ func (t *trieImplier) reaches(x bitset.Set, target int) bool {
 
 // collect walks every path contained in closure, unioning FD-node RHSs
 // into closure. Reports whether closure grew and whether target was hit.
+// It skips a child whose RHS attributes all lie in closure already: that
+// subtree could neither grow the closure nor reach target, which is
+// outside the closure until hit.
 func (t *trieImplier) collect(n *fdtree.Node, closure bitset.Set, target int) (grew, hit bool) {
 	if n.RHS != nil && !n.RHS.IsSubsetOf(closure) {
 		closure.UnionWith(n.RHS)
@@ -59,7 +62,7 @@ func (t *trieImplier) collect(n *fdtree.Node, closure bitset.Set, target int) (g
 		}
 	}
 	for _, c := range n.Children() {
-		if c.SubtreeFDs() == 0 || !closure.Contains(c.Attr) {
+		if !closure.Contains(c.Attr) || c.RHSBelowWithin(closure) {
 			continue
 		}
 		g, h := t.collect(c, closure, target)

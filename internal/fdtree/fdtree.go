@@ -17,6 +17,7 @@ package fdtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,6 +51,10 @@ type Node struct {
 	parent   *Node
 	children []*Node // sorted ascending by Attr
 	subtree  int     // number of (FD-node, RHS-attribute) pairs at or below
+	// below is a superset of the RHS attributes of the FD-nodes at or
+	// below this node: inserts grow it on their way to the root, and the
+	// walks that clear RHS bits recompute it for the nodes they visit.
+	below bitset.Set
 }
 
 // Parent returns the node's parent, nil for the root.
@@ -75,6 +80,14 @@ func (n *Node) RHSCount() int {
 
 // SubtreeFDs returns the number of FDs at or below this node.
 func (n *Node) SubtreeFDs() int { return n.subtree }
+
+// RHSBelowWithin reports whether s holds every RHS attribute of the
+// FD-nodes at or below n, so a walk that only ever adds those attributes
+// to s learns nothing from n's subtree. It may answer false when the
+// attributes all lie in s, never true when one does not.
+func (n *Node) RHSBelowWithin(s bitset.Set) bool {
+	return n.subtree == 0 || n.below.IsSubsetOf(s)
+}
 
 // HasLiveChildren reports whether any child subtree still contains FDs.
 // A validated node with live children is "reusable" in the paper's sense:
@@ -134,13 +147,6 @@ func (n *Node) insertChild(c *Node) {
 	n.children[i] = c
 }
 
-func (n *Node) maxChildAttr() int {
-	if len(n.children) == 0 {
-		return -1
-	}
-	return n.children[len(n.children)-1].Attr
-}
-
 // Tree is an extended FD-tree over a schema of numAttrs attributes.
 type Tree struct {
 	root     *Node
@@ -160,10 +166,9 @@ type Tree struct {
 
 	// Induction scratch. The tree is single-writer (induction is serial
 	// in every algorithm), so these are reused across calls: attrsBuf by
-	// CoveredRHS/RemoveSpecializations, xAttrs by Induct's outer walk —
-	// which is live while the former run — and the sets by AddMinimalFD
-	// and specialize.
-	attrsBuf, xAttrs                     []int
+	// CoveredRHS/RemoveSpecializations and the sets by AddMinimalFD and
+	// specialize.
+	attrsBuf                             []int
 	covBuf, candBuf                      bitset.Set
 	outsideBuf, lhsBuf, restBuf, pathBuf bitset.Set
 }
@@ -178,10 +183,11 @@ func (t *Tree) scratchSet(buf *bitset.Set) bitset.Set {
 
 // New returns an extended FD-tree containing no FDs.
 func New(numAttrs int) *Tree {
+	words := bitset.WordsFor(numAttrs)
 	return &Tree{
-		root:     &Node{Attr: -1, ID: -1},
+		root:     &Node{Attr: -1, ID: -1, below: make(bitset.Set, words)},
 		numAttrs: numAttrs,
-		words:    bitset.WordsFor(numAttrs),
+		words:    words,
 		full:     bitset.Full(numAttrs),
 	}
 }
@@ -191,7 +197,7 @@ func New(numAttrs int) *Tree {
 func NewWithFullRHS(numAttrs int) *Tree {
 	t := New(numAttrs)
 	t.root.RHS = bitset.Full(numAttrs)
-	t.bump(t.root, numAttrs)
+	t.bump(t.root, numAttrs, t.root.RHS)
 	return t
 }
 
@@ -207,13 +213,36 @@ func (t *Tree) CountFDs() int { return t.root.subtree }
 
 func (t *Tree) newRHS() bitset.Set { return make(bitset.Set, t.words) }
 
-// bump adjusts the subtree counters from n up to the root by delta.
-func (t *Tree) bump(n *Node, delta int) {
+// bump adjusts the subtree counters from n up to the root by delta and
+// ORs rhs into every summary on the way; removals pass a nil rhs. The OR
+// never stops early at a summary that already holds rhs: a recompute may
+// have dropped a dead child's stale summary from its parent's, so an
+// ancestor can lack a bit a descendant's summary still holds.
+func (t *Tree) bump(n *Node, delta int, rhs bitset.Set) {
 	if delta == 0 {
 		return
 	}
 	for cur := n; cur != nil; cur = cur.parent {
 		cur.subtree += delta
+		cur.below.UnionWith(rhs)
+	}
+}
+
+// resummarize recomputes n's summary from its own RHS and the summaries
+// of its live children. Dead children hold no FDs, so their possibly
+// stale summaries are left out.
+func resummarize(n *Node) {
+	n.below.Clear()
+	if n.subtree == 0 {
+		return
+	}
+	if n.RHS != nil {
+		n.below.UnionWith(n.RHS)
+	}
+	for _, c := range n.children {
+		if c.subtree > 0 {
+			n.below.UnionWith(c.below)
+		}
 	}
 }
 
@@ -226,7 +255,7 @@ func (t *Tree) AddFD(lhs, rhs bitset.Set) *Node {
 	}
 	before := node.RHS.Count()
 	node.RHS.UnionWith(rhs)
-	t.bump(node, node.RHS.Count()-before)
+	t.bump(node, node.RHS.Count()-before, node.RHS)
 	t.noteFDDepth(lhs.Count())
 	return node
 }
@@ -247,7 +276,7 @@ func (t *Tree) addPath(lhs bitset.Set) *Node {
 		depth++
 		next := cur.child(a)
 		if next == nil {
-			next = &Node{Attr: a, parent: cur}
+			next = &Node{Attr: a, parent: cur, below: t.newRHS()}
 			if depth > t.ControlledLevel && cur.ID >= t.numAttrs {
 				// Inherit a dynamic id: the parent's partition attributes are
 				// a subset of the parent path and hence of the child path.
@@ -269,7 +298,7 @@ func (t *Tree) RemoveRHS(n *Node, a int) {
 		return
 	}
 	n.RHS.Remove(a)
-	t.bump(n, -1)
+	t.bump(n, -1, nil)
 }
 
 // AddRHS sets one RHS attribute at the given node, maintaining the subtree
@@ -285,7 +314,7 @@ func (t *Tree) AddRHS(n *Node, a int) {
 		return
 	}
 	n.RHS.Add(a)
-	t.bump(n, 1)
+	t.bump(n, 1, n.RHS)
 	t.noteFDDepth(n.Depth())
 }
 
@@ -319,7 +348,7 @@ func (t *Tree) AddMinimalFD(lhs, rhs bitset.Set) int {
 	before := node.RHS.Count()
 	node.RHS.UnionWith(cand)
 	added := node.RHS.Count() - before
-	t.bump(node, added)
+	t.bump(node, added, node.RHS)
 	t.noteFDDepth(lhs.Count())
 	return added
 }
@@ -336,36 +365,35 @@ func (t *Tree) CoveredRHS(lhs, cand bitset.Set) bitset.Set {
 // the tree's attribute scratch.
 func (t *Tree) coveredRHSInto(lhs, cand, acc bitset.Set) {
 	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
-	t.coveredRec(t.root, t.attrsBuf, 0, cand, acc)
+	t.coveredRec(t.root, t.attrsBuf, cand, acc)
 }
 
-func (t *Tree) coveredRec(cur *Node, lhsAttrs []int, i int, cand, acc bitset.Set) bool {
+// coveredRec visits the children of cur whose attribute is among the
+// remaining lhs attributes, merging the two sorted lists in one pass. The
+// walk is read-only, so ranging over cur.children is safe here.
+func (t *Tree) coveredRec(cur *Node, lhsAttrs []int, cand, acc bitset.Set) bool {
 	if cur.RHS != nil {
 		acc.UnionIntersection(cur.RHS, cand)
 		if cand.IsSubsetOf(acc) {
 			return true // everything covered; stop early
 		}
 	}
-	for j := i; j < len(lhsAttrs); j++ {
-		a := lhsAttrs[j]
-		if a > cur.maxChildAttr() {
+	j := 0
+	for _, c := range cur.children {
+		for j < len(lhsAttrs) && lhsAttrs[j] < c.Attr {
+			j++
+		}
+		if j == len(lhsAttrs) {
 			return false
 		}
-		if c := cur.child(a); c != nil && c.subtree > 0 {
-			if t.coveredRec(c, lhsAttrs, j+1, cand, acc) {
-				return true
-			}
+		if lhsAttrs[j] != c.Attr || c.subtree == 0 || !c.below.IntersectsDifference(cand, acc) {
+			continue // off the lhs, or nothing below is still uncovered
+		}
+		if t.coveredRec(c, lhsAttrs[j+1:], cand, acc) {
+			return true
 		}
 	}
 	return false
-}
-
-// ContainsGeneralization reports whether the tree holds an FD Z → a with
-// Z ⊆ lhs.
-func (t *Tree) ContainsGeneralization(lhs bitset.Set, a int) bool {
-	cand := t.newRHS()
-	cand.Add(a)
-	return t.CoveredRHS(lhs, cand).Contains(a)
 }
 
 // RemoveSpecializations deletes every FD W → B with lhs ⊆ W and B ∈ rhs
@@ -373,43 +401,45 @@ func (t *Tree) ContainsGeneralization(lhs bitset.Set, a int) bool {
 // FD afterwards, so clearing an equal node first is harmless).
 func (t *Tree) RemoveSpecializations(lhs, rhs bitset.Set) {
 	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
-	t.removeSpecRec(t.root, t.attrsBuf, 0, rhs)
+	t.removeSpecRec(t.root, t.attrsBuf, rhs)
 }
 
-func (t *Tree) removeSpecRec(cur *Node, remaining []int, i int, rhs bitset.Set) {
-	if i >= len(remaining) {
+// removeSpecRec and clearSubtree only enter children whose summary
+// intersects rhs: no other subtree holds an FD they would clear.
+func (t *Tree) removeSpecRec(cur *Node, remaining []int, rhs bitset.Set) {
+	if len(remaining) == 0 {
 		// Every lhs attribute matched: clear rhs bits in this whole subtree.
 		t.clearSubtree(cur, rhs)
 		return
 	}
-	m := remaining[i]
+	m := remaining[0]
 	for _, c := range cur.children {
 		if c.Attr > m {
 			break // m can no longer occur below later children
 		}
-		if c.subtree == 0 {
+		if c.subtree == 0 || !c.below.Intersects(rhs) {
 			continue
 		}
 		if c.Attr == m {
-			t.removeSpecRec(c, remaining, i+1, rhs)
+			t.removeSpecRec(c, remaining[1:], rhs)
 		} else {
-			t.removeSpecRec(c, remaining, i, rhs)
+			t.removeSpecRec(c, remaining, rhs)
 		}
 	}
 }
 
 func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set) {
-	if cur.subtree == 0 {
-		return
-	}
 	if cur.RHS != nil && cur.RHS.Intersects(rhs) {
 		before := cur.RHS.Count()
 		cur.RHS.DifferenceWith(rhs)
-		t.bump(cur, cur.RHS.Count()-before)
+		t.bump(cur, cur.RHS.Count()-before, nil)
 	}
 	for _, c := range cur.children {
-		t.clearSubtree(c, rhs)
+		if c.subtree > 0 && c.below.Intersects(rhs) {
+			t.clearSubtree(c, rhs)
+		}
 	}
+	resummarize(cur)
 }
 
 // Induct applies the non-FD x ↛ y with synergized induction (Algorithm 2):
@@ -418,32 +448,52 @@ func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set) {
 // are inserted. It returns the number of FDs removed.
 func (t *Tree) Induct(x, y bitset.Set) int {
 	removedTotal := 0
-	t.xAttrs = x.AppendAttrs(t.xAttrs[:0])
 	path := t.scratchSet(&t.pathBuf)
 	path.Clear()
-	t.inductRec(t.root, t.xAttrs, 0, x, y, path, &removedTotal)
+	t.inductRec(t.root, 0, x, y, path, &removedTotal)
 	return removedTotal
 }
 
-func (t *Tree) inductRec(cur *Node, xAttrs []int, i int, x, y, path bitset.Set, removedTotal *int) {
+// inductRec walks the nodes below cur whose paths extend path with x
+// attributes from next on. It skips a child whose summary misses y, since
+// no FD below it loses an attribute, and recomputes each visited node's
+// summary once that node's subtree is done.
+func (t *Tree) inductRec(cur *Node, next int, x, y, path bitset.Set, removedTotal *int) {
 	if cur.RHS != nil && cur.RHS.Intersects(y) {
 		removed := cur.RHS.Intersect(y)
 		n := removed.Count()
 		cur.RHS.DifferenceWith(y)
-		t.bump(cur, -n)
+		t.bump(cur, -n, nil)
 		*removedTotal += n
 		t.specialize(path, x, removed)
 	}
-	for j := i; j < len(xAttrs); j++ {
-		a := xAttrs[j]
-		if a > cur.maxChildAttr() {
-			return
+	// One child lookup per x attribute, not a merge or range over
+	// cur.children: specialize inserts new siblings into cur.children
+	// while this loop runs, which would make such a pass visit a child
+	// twice or skip one.
+	for a := x.Next(next); a >= 0; a = x.Next(a + 1) {
+		if len(cur.children) == 0 || a > cur.children[len(cur.children)-1].Attr {
+			break
 		}
-		if c := cur.child(a); c != nil {
+		if c := cur.child(a); c != nil && c.subtree > 0 && c.below.Intersects(y) {
 			path.Add(a)
-			t.inductRec(c, xAttrs, j+1, x, y, path, removedTotal)
+			t.inductRec(c, a+1, x, y, path, removedTotal)
 			path.Remove(a)
 		}
+	}
+	resummarize(cur)
+}
+
+// InductAll applies every agree set x in sets as the non-FD x ↛ R ∖ x,
+// in descending size with ties lexicographic: the order FDEP2 and DHyFD
+// apply non-FDs in, since larger LHSs first eliminate redundant
+// inductions (Section IV-H; Algorithm 6, lines 7–8 and 19–20). sets
+// itself is left in its order.
+func (t *Tree) InductAll(sets []bitset.Set) {
+	sorted := slices.Clone(sets)
+	slices.SortFunc(sorted, bitset.CompareSizeLex)
+	for _, x := range sorted {
+		t.Induct(x, t.full.Difference(x))
 	}
 }
 
@@ -574,22 +624,6 @@ func PropagateID(n *Node) {
 		c.ID, c.Epoch = n.ID, n.Epoch
 		PropagateID(c)
 	}
-}
-
-// NodeCount returns the number of live nodes (root excluded).
-func (t *Tree) NodeCount() int {
-	n := 0
-	var walk func(node *Node)
-	walk = func(node *Node) {
-		for _, c := range node.children {
-			if c.subtree > 0 || c.IsFDNode() {
-				n++
-				walk(c)
-			}
-		}
-	}
-	walk(t.root)
-	return n
 }
 
 // String renders the tree for debugging.

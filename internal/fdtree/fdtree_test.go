@@ -1,7 +1,9 @@
 package fdtree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -120,7 +122,7 @@ func TestAddMinimalFDFiltersGeneralizations(t *testing.T) {
 	if added != 1 {
 		t.Errorf("added = %d, want 1", added)
 	}
-	if tr.ContainsGeneralization(set(4, A, C), B) != true {
+	if !tr.CoveredRHS(set(4, A, C), set(4, B)).Contains(B) {
 		t.Error("A→B should cover B")
 	}
 	node := tr.Root().child(A).child(C)
@@ -305,6 +307,17 @@ func TestClassicVsSynergizedEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: trees diverge.\nnon-FD LHSs: %v\nonly extended: %v\nonly classic: %v",
 				trial, nonFDs, onlyA, onlyB)
 		}
+		// InductAll reorders a copy, never the caller's slice, and the
+		// order of inductions does not change the result.
+		order := slices.Clone(nonFDs)
+		all := NewWithFullRHS(n)
+		all.InductAll(nonFDs)
+		if !slices.EqualFunc(nonFDs, order, bitset.Set.Equal) {
+			t.Fatalf("trial %d: InductAll reordered its argument", trial)
+		}
+		if allFDs := dep.SplitRHS(all.FDs()); !dep.Equal(allFDs, clsFDs) {
+			t.Fatalf("trial %d: InductAll diverges from the classic tree", trial)
+		}
 	}
 }
 
@@ -427,4 +440,253 @@ func bruteForceMinimalUncontradicted(n int, nonFDs []bitset.Set) map[string]bool
 		}
 	}
 	return res
+}
+
+// TestSummaryInvariant drives random induction streams on schemas of one,
+// two and three words per set and checks after every step that each
+// node's summary holds the RHS attributes of every FD-node at or below it
+// and that the counters match the extracted FDs. Between inductions it
+// removes and restores RHS attributes the way cover.RemoveRedundant does,
+// including cycles that kill a whole subtree, let a clearing walk drop it
+// from its parent's summary, and then repopulate it: an insert whose
+// upward OR stopped at the dead subtree's stale summary would leave the
+// ancestors' summaries too small. At the end the tree must equal the
+// classic tree fed the same stream, and CoveredRHS and
+// RemoveSpecializations must match a brute-force scan over FDs().
+func TestSummaryInvariant(t *testing.T) {
+	for _, n := range []int{7, 70, 130} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			pool := spreadAttrs(n, 9)
+			full := bitset.Full(n)
+			for trial := 0; trial < 12; trial++ {
+				ext := NewWithFullRHS(n)
+				cls := NewClassicWithFullRHS(n)
+				for step := 0; step < 20; step++ {
+					x := poolNonFD(rng, n, pool)
+					y := full.Difference(x)
+					ext.Induct(x, y)
+					for a := y.Next(0); a >= 0; a = y.Next(a + 1) {
+						cls.SpecializeClassic(x, a)
+					}
+					checkSummaries(t, ext)
+					switch rng.Intn(3) {
+					case 0:
+						tentativeRemoval(t, rng, ext)
+					case 1:
+						killAndRepopulate(t, rng, ext)
+					}
+				}
+				extFDs := dep.SplitRHS(ext.FDs())
+				if clsFDs := dep.SplitRHS(cls.FDs()); !dep.Equal(extFDs, clsFDs) {
+					onlyExt, onlyCls := dep.Diff(extFDs, clsFDs, nil)
+					t.Fatalf("trial %d: trees diverge\nonly extended: %v\nonly classic: %v", trial, onlyExt, onlyCls)
+				}
+				for q := 0; q < 20; q++ {
+					lhs, cand := randomSubset(rng, n, pool), randomSubset(rng, n, pool)
+					if got, want := ext.CoveredRHS(lhs, cand), bruteCovered(extFDs, lhs, cand); !got.Equal(want) {
+						t.Fatalf("trial %d: CoveredRHS(%v, %v) = %v, brute force %v", trial, lhs, cand, got, want)
+					}
+				}
+				removeAndReadd(t, rng, ext, pool)
+			}
+		})
+	}
+}
+
+// spreadAttrs returns k attributes spread evenly over [0, n), so a schema
+// of several words has pool attributes in every word.
+func spreadAttrs(n, k int) []int {
+	if k > n {
+		k = n
+	}
+	out := make([]int, k)
+	for i := range out {
+		out[i] = i * (n - 1) / (k - 1)
+	}
+	return out
+}
+
+// poolNonFD returns an agree set missing a random part of pool. Inductions
+// then specialize on pool attributes only, which keeps trees over wide
+// schemas small while their RHS sets span every word.
+func poolNonFD(rng *rand.Rand, n int, pool []int) bitset.Set {
+	x := bitset.Full(n)
+	for _, a := range pool {
+		if rng.Intn(3) == 0 {
+			x.Remove(a)
+		}
+	}
+	if x.Count() == n {
+		x.Remove(pool[rng.Intn(len(pool))])
+	}
+	return x
+}
+
+func randomSubset(rng *rand.Rand, n int, pool []int) bitset.Set {
+	s := bitset.New(n)
+	for _, a := range pool {
+		if rng.Intn(2) == 0 {
+			s.Add(a)
+		}
+	}
+	s.Add(rng.Intn(n))
+	return s
+}
+
+// checkSummaries asserts the summary invariant at every node and that
+// CountFDs agrees with the extracted FDs.
+func checkSummaries(t *testing.T, tr *Tree) {
+	t.Helper()
+	var walk func(n *Node) bitset.Set
+	walk = func(n *Node) bitset.Set {
+		union := tr.newRHS()
+		if n.RHS != nil {
+			union.UnionWith(n.RHS)
+		}
+		for _, c := range n.children {
+			union.UnionWith(walk(c))
+		}
+		if !union.IsSubsetOf(n.below) {
+			t.Fatalf("node %v (path %v): summary %v misses RHS attributes %v below it",
+				n.Attr, n.Path(tr.numAttrs), n.below, union.Difference(n.below))
+		}
+		return union
+	}
+	walk(tr.root)
+	if got, want := tr.CountFDs(), len(dep.SplitRHS(tr.FDs())); got != want {
+		t.Fatalf("CountFDs = %d, FDs() holds %d", got, want)
+	}
+}
+
+type rhsPair struct {
+	node *Node
+	attr int
+}
+
+// pairsBelow lists the (FD-node, RHS attribute) pairs at or below n.
+func pairsBelow(n *Node) []rhsPair {
+	var out []rhsPair
+	if n.RHS != nil {
+		for a := n.RHS.Next(0); a >= 0; a = n.RHS.Next(a + 1) {
+			out = append(out, rhsPair{n, a})
+		}
+	}
+	for _, c := range n.children {
+		out = append(out, pairsBelow(c)...)
+	}
+	return out
+}
+
+// liveNodes lists the non-root nodes whose subtrees still hold FDs.
+func liveNodes(tr *Tree) []*Node {
+	var out []*Node
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for _, c := range n.children {
+			if c.subtree > 0 {
+				out = append(out, c)
+				walk(c)
+			}
+		}
+	}
+	walk(tr.root)
+	return out
+}
+
+// tentativeRemoval drops one RHS attribute and puts it back, the step
+// cover.RemoveRedundant takes for each FD it tests.
+func tentativeRemoval(t *testing.T, rng *rand.Rand, tr *Tree) {
+	t.Helper()
+	pairs := pairsBelow(tr.root)
+	if len(pairs) == 0 {
+		return
+	}
+	p := pairs[rng.Intn(len(pairs))]
+	tr.RemoveRHS(p.node, p.attr)
+	checkSummaries(t, tr)
+	tr.AddRHS(p.node, p.attr)
+	checkSummaries(t, tr)
+}
+
+// killAndRepopulate removes every RHS attribute below a random live node
+// d, runs an induction that removes no FD but recomputes the summaries of
+// d's ancestors (so they drop d's stale summary), and restores the
+// attributes one at a time. By minimality no FD Z → b with Z inside d's
+// parent path exists when b was an RHS attribute below d, so the
+// induction is a no-op on the FD set.
+func killAndRepopulate(t *testing.T, rng *rand.Rand, tr *Tree) {
+	t.Helper()
+	live := liveNodes(tr)
+	if len(live) == 0 {
+		return
+	}
+	d := live[rng.Intn(len(live))]
+	before := dep.SplitRHS(tr.FDs())
+	pairs := pairsBelow(d)
+	for _, p := range pairs {
+		tr.RemoveRHS(p.node, p.attr)
+	}
+	if d.subtree != 0 {
+		t.Fatalf("subtree of %v still holds %d FDs", d.Path(tr.numAttrs), d.subtree)
+	}
+	checkSummaries(t, tr)
+	b := bitset.New(tr.numAttrs)
+	b.Add(pairs[rng.Intn(len(pairs))].attr)
+	if removed := tr.Induct(d.parent.Path(tr.numAttrs), b); removed != 0 {
+		t.Fatalf("no-op induction removed %d FDs", removed)
+	}
+	checkSummaries(t, tr)
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	for _, p := range pairs {
+		tr.AddRHS(p.node, p.attr)
+		checkSummaries(t, tr)
+	}
+	if after := dep.SplitRHS(tr.FDs()); !dep.Equal(before, after) {
+		t.Fatalf("kill and repopulate changed the FDs:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// bruteCovered is CoveredRHS by a scan over every FD.
+func bruteCovered(fds []dep.FD, lhs, cand bitset.Set) bitset.Set {
+	acc := make(bitset.Set, len(cand))
+	for _, f := range fds {
+		if f.LHS.IsSubsetOf(lhs) {
+			acc.UnionIntersection(f.RHS, cand)
+		}
+	}
+	return acc
+}
+
+// removeAndReadd checks RemoveSpecializations against a brute-force scan,
+// then puts the removed FDs back with AddFD, repopulating the subtrees the
+// removals killed, and requires the original FDs again.
+func removeAndReadd(t *testing.T, rng *rand.Rand, tr *Tree, pool []int) {
+	t.Helper()
+	original := dep.SplitRHS(tr.FDs())
+	var removed []dep.FD
+	for q := 0; q < 5; q++ {
+		lhs, rhs := randomSubset(rng, tr.numAttrs, pool), randomSubset(rng, tr.numAttrs, pool)
+		var want []dep.FD
+		for _, f := range dep.SplitRHS(tr.FDs()) {
+			if lhs.IsSubsetOf(f.LHS) && f.RHS.IsSubsetOf(rhs) {
+				removed = append(removed, f)
+			} else {
+				want = append(want, f)
+			}
+		}
+		tr.RemoveSpecializations(lhs, rhs)
+		checkSummaries(t, tr)
+		if got := dep.SplitRHS(tr.FDs()); !dep.Equal(got, want) {
+			onlyGot, onlyWant := dep.Diff(got, want, nil)
+			t.Fatalf("RemoveSpecializations(%v, %v): only tree %v, only brute force %v", lhs, rhs, onlyGot, onlyWant)
+		}
+	}
+	for _, f := range removed {
+		tr.AddFD(f.LHS, f.RHS)
+		checkSummaries(t, tr)
+	}
+	if got := dep.SplitRHS(tr.FDs()); !dep.Equal(got, original) {
+		t.Fatalf("re-adding the removed FDs did not restore the tree")
+	}
 }

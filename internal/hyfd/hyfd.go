@@ -269,7 +269,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		}
 		stop()
 		stop = rs.Phase("induct")
-		inductAll(tree, full, nonFDs.Sets())
+		tree.InductAll(nonFDs.Sets())
 		if approx {
 			if invalid := full.Difference(rootValid); !invalid.IsEmpty() {
 				tree.Induct(bitset.New(n), invalid)
@@ -355,7 +355,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		}
 
 		stop = rs.Phase("induct")
-		inductAll(tree, full, nonFDs.Sets()[processed:])
+		tree.InductAll(nonFDs.Sets()[processed:])
 		// Approximate runs specialize from the validation outcomes instead
 		// of witness pairs: lhs → a failing the g3 bound fails for every
 		// generalization too (monotonicity), which is exactly Induct's
@@ -378,7 +378,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			}
 			stop()
 			stop = rs.Phase("induct")
-			inductAll(tree, full, nonFDs.Sets()[processed:])
+			tree.InductAll(nonFDs.Sets()[processed:])
 			stop()
 			processed = nonFDs.Len()
 		}
@@ -523,15 +523,6 @@ func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation,
 		}
 	}
 	return validations, invalidated, invalids, err
-}
-
-// inductAll sorts the given agree sets descending and inducts each.
-func inductAll(tree *fdtree.Tree, full bitset.Set, sets []bitset.Set) {
-	sorted := append([]bitset.Set(nil), sets...)
-	sampling.SortSetsDescending(sorted)
-	for _, x := range sorted {
-		tree.Induct(x, full.Difference(x))
-	}
 }
 
 // cheapestAttr picks the LHS attribute with the smallest partition size

@@ -82,14 +82,6 @@ func (s *NonFDSet) SortDescending() {
 	})
 }
 
-// SortSetsDescending orders a slice of agree sets by descending size, ties
-// lexicographic — the induction order of FDEP2 and DHyFD.
-func SortSetsDescending(sets []bitset.Set) {
-	sort.Slice(sets, func(i, j int) bool {
-		return bitset.CompareSizeLex(sets[i], sets[j]) < 0
-	})
-}
-
 // NonRedundant reduces the collection to a non-redundant cover of non-FDs,
 // the preprocessing FDEP1 performs. An agree set X implies the non-FDs
 // X ↛ A for every A ∉ X, so X is redundant exactly when, for every A ∉ X,

@@ -172,7 +172,7 @@ func TestNonRedundantMatchesFullScan(t *testing.T) {
 	}
 	// Definitional full scan over all pairs.
 	ref := append([]bitset.Set(nil), s.Sets()...)
-	SortSetsDescending(ref)
+	slices.SortFunc(ref, bitset.CompareSizeLex)
 	var want []string
 	for i, x := range ref {
 		covered := bitset.New(n)
