@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-fast test race fdperf bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-smoke chaos crash fuzz-smoke check
+.PHONY: all build vet fmt lint lint-fast test race allocs fdperf bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-smoke chaos crash fuzz-smoke check
 
 all: check
 
@@ -36,6 +36,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation pins skip under the race detector, which makes
+# sync.Pool drop a random share of its puts, so they run once more
+# without it.
+allocs:
+	$(GO) test -run AllocsPerRun ./internal/partition/
 
 # cmd/fdperf is a module of its own, so the root ./... patterns skip it:
 # vet and short-test it directly, so a break in the internal APIs it
@@ -129,6 +135,6 @@ fuzz-smoke:
 
 # The default verify path: build, vet, formatting and the invariant
 # analyzers, then the full suite under the race detector (which includes
-# the chaos matrix), the fdperf module, the kill-and-resume gate, then
-# the fuzz and benchmark smoke passes.
-check: build vet fmt lint race fdperf crash fuzz-smoke bench-smoke
+# the chaos matrix), the allocation pins without it, the fdperf module,
+# the kill-and-resume gate, then the fuzz and benchmark smoke passes.
+check: build vet fmt lint race allocs fdperf crash fuzz-smoke bench-smoke

@@ -66,7 +66,13 @@ func TestBuildExcludedForIgnoreAndLegacy(t *testing.T) {
 			t.Errorf("GOOS=%s: //go:build ignore file should be excluded", goos)
 		}
 	}
-	legacy := parseFixtureFile(t, "legacy.go")
+	// A lone legacy constraint: gofmt would add the //go:build twin to a
+	// file on disk, so the source lives here.
+	fset := token.NewFileSet()
+	legacy, err := parser.ParseFile(fset, "legacy.go", "// +build linux darwin\n\npackage lib\n\nconst legacyTag = \"unixish\"\n", parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if buildExcludedFor(legacy, tagEnv("linux")) {
 		t.Error("legacy +build linux darwin file should be included on linux")
 	}

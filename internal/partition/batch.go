@@ -60,11 +60,11 @@ type RefineJob struct {
 	Cards []int
 }
 
-// RefineBatch refines every job on up to workers goroutines, one Refiner
-// per worker so refinement scratch is reused without locking, and returns
-// the refined partitions in job order. The DDM's partition refreshes run
-// through it. On cancellation the partial results are returned with ctx's
-// error; unprocessed entries are nil.
+// RefineBatch refines every job on up to workers goroutines and returns
+// the refined partitions in job order. Each item borrows pooled Refiner
+// scratch, so refinement reuses buckets without locking. The DDM's
+// partition refreshes run through it. On cancellation the partial
+// results are returned with ctx's error; unprocessed entries are nil.
 func RefineBatch(ctx context.Context, workers int, jobs []RefineJob) ([]*Partition, error) {
 	return RefineBatchPool(ctx, engine.NewPool(workers), jobs)
 }
@@ -72,28 +72,20 @@ func RefineBatch(ctx context.Context, workers int, jobs []RefineJob) ([]*Partiti
 // RefineBatchPool is RefineBatch running on a caller-owned pool, so a
 // driver's retry policy supervises the refreshes. Items restart cleanly:
 // each attempt re-reads jobs[i].Part and only publishes out[i] at the end.
+// An item returns its Refiner only once its refinements completed, so a
+// panicking item drops its half-filled scratch with it.
 func RefineBatchPool(ctx context.Context, pool *engine.Pool, jobs []RefineJob) ([]*Partition, error) {
-	maxCard := 1
-	for _, j := range jobs {
-		for _, c := range j.Cards {
-			if c > maxCard {
-				maxCard = c
-			}
-		}
-	}
-	refiners := make([]*Refiner, pool.Workers())
-	for w := range refiners {
-		refiners[w] = NewRefiner(maxCard)
-	}
 	out := make([]*Partition, len(jobs))
-	err := pool.Run(ctx, len(jobs), func(w, i int) {
+	err := pool.Run(ctx, len(jobs), func(_, i int) {
+		rf := getRefiner()
 		p := jobs[i].Part
 		for k, col := range jobs[i].Cols {
 			if len(p.Clusters) == 0 {
 				break
 			}
-			p = refiners[w].Refine(p, col, jobs[i].Cards[k])
+			p = rf.Refine(p, col, jobs[i].Cards[k])
 		}
+		refiners.Put(rf)
 		out[i] = p
 	})
 	return out, err

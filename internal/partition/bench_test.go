@@ -1,8 +1,12 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/engine"
 )
 
 func randomColumn(n, card int, seed int64) []int32 {
@@ -80,6 +84,43 @@ func TestIntersectorAllocsPerRun(t *testing.T) {
 	ix.Intersect(pa, probe) // warm scratch
 	if got := testing.AllocsPerRun(10, func() { ix.Intersect(pa, probe) }); got > 4 {
 		t.Errorf("Intersect allocs/run = %.0f, want <= 4", got)
+	}
+}
+
+// TestRefineAllocsPerRun pins the pooled refine scratch: after one warm
+// call, each one-shot refine entry point pays for its output and a few
+// headers, never for a card-sized bucket table or buckets grown from nil,
+// at low and high cardinality alike.
+func TestRefineAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	ctx := context.Background()
+	pool := engine.NewPool(1)
+	for _, card := range []int{50, 20_000} {
+		a := randomColumn(20_000, card, 1)
+		c := randomColumn(20_000, card, 2)
+		pa := Single(a, card)
+		x := bitset.FromAttrs(2, 0, 1)
+		cols, cards := [][]int32{a, c}, []int{card, card}
+		calls := []struct {
+			name string
+			call func()
+		}{
+			{"Refine", func() { Refine(pa, c, card) }},
+			{"ForAttrs", func() { ForAttrs(x, cols, cards) }},
+			{"RefineSharded", func() {
+				if _, err := RefineSharded(ctx, pool, pa, c, card, 0); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		}
+		for _, tc := range calls {
+			tc.call() // warm the pooled scratch
+			if got := testing.AllocsPerRun(10, tc.call); got > 16 {
+				t.Errorf("card %d: %s allocs/run = %.0f, want <= 16", card, tc.name, got)
+			}
+		}
 	}
 }
 

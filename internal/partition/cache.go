@@ -421,7 +421,7 @@ func ForAttrsCachedStats(c *Cache, x bitset.Set, cols [][]int32, cards []int) (*
 	if k == len(attrs) {
 		return p, false
 	}
-	rf := NewRefiner(maxCard(cards))
+	rf := getRefiner()
 	for _, a := range attrs[k:] {
 		prefix.Add(a)
 		if len(p.Clusters) > 0 {
@@ -429,5 +429,6 @@ func ForAttrsCachedStats(c *Cache, x bitset.Set, cols [][]int32, cards []int) (*
 		}
 		c.Put(prefix, p)
 	}
+	refiners.Put(rf)
 	return p, false
 }

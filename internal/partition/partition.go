@@ -11,8 +11,9 @@
 // algorithms need:
 //
 //   - Single: build π_A for one attribute from dictionary codes,
-//   - Refine / RefineCluster: dynamic refinement π_X ⇒ π_XA one cluster at
-//     a time (Algorithm 5), used by the DDM and by FD validation,
+//   - Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA one
+//     cluster at a time (Algorithm 5), used by the DDM and by FD
+//     validation,
 //   - Intersect: classic PLI intersection π_X ∩ π_Y ⇒ π_XY via probe
 //     tables, used by TANE's level-wise prefix-block joins.
 //
@@ -22,12 +23,15 @@
 // cluster count. Intersector carries the flat probe scratch of the
 // intersection kernel across calls, the same sets-array-plus-touched-list
 // trick Refiner uses, so TANE levels intersect without a map allocation
-// per call. Cache (cache.go) keeps refined partitions alive across
-// candidate evaluations under an LRU byte bound.
+// per call. The one-shot refine entry points borrow their Refiner from a
+// package pool, so its bucket table outlives the call. Cache (cache.go)
+// keeps refined partitions alive across candidate evaluations under an
+// LRU byte bound.
 package partition
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/faults"
@@ -147,11 +151,13 @@ func Single(col []int32, card int) *Partition {
 }
 
 // Refiner refines partitions one cluster at a time (Algorithm 5 of the
-// paper). It keeps the sets-array and touched-id list between calls so that
-// refining many clusters allocates nothing after warm-up.
+// paper). It keeps the sets-array, touched-id list and offsets scratch
+// between calls so that refining many clusters allocates nothing after
+// warm-up.
 type Refiner struct {
 	buckets [][]int32 // indexed by dictionary code
 	touched []int32   // codes used by the current cluster
+	offsets []int32   // scratch for Refine's output offsets, copied out exact-size
 }
 
 // NewRefiner returns a refiner able to handle columns with cardinality up
@@ -168,33 +174,13 @@ func (rf *Refiner) grow(card int) {
 	}
 }
 
-// RefineCluster splits one cluster by the codes of column col, appending the
-// resulting sub-clusters of size >= 2 to dst and returning it.
-func (rf *Refiner) RefineCluster(cluster []int32, col []int32, card int, dst [][]int32) [][]int32 {
-	rf.grow(card)
-	for _, row := range cluster {
-		v := col[row]
-		if len(rf.buckets[v]) == 0 {
-			rf.touched = append(rf.touched, v)
-		}
-		rf.buckets[v] = append(rf.buckets[v], row)
-	}
-	for _, v := range rf.touched {
-		if len(rf.buckets[v]) >= 2 {
-			dst = append(dst, append([]int32(nil), rf.buckets[v]...))
-		}
-		rf.buckets[v] = rf.buckets[v][:0]
-	}
-	rf.touched = rf.touched[:0]
-	return dst
-}
-
-// RefineClusterInto is RefineCluster with caller-owned backing storage:
-// surviving sub-cluster rows are appended to arena and dst receives views
-// into it, so a warm caller pays zero allocations per cluster. If arena
-// grows mid-call, views appended earlier keep pointing into the previous
-// backing — their contents are complete and never mutated, so they stay
-// valid. Returns the (possibly grown) arena and dst.
+// RefineClusterInto splits one cluster by the codes of column col with
+// caller-owned backing storage: the rows of each sub-cluster of size >= 2
+// are appended to arena and dst receives views into it, so a warm caller
+// pays zero allocations per cluster. If arena grows mid-call, views
+// appended earlier keep pointing into the previous backing — their
+// contents are complete and never mutated, so they stay valid. Returns
+// the (possibly grown) arena and dst.
 //
 //fd:hotpath
 func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, arena []int32, dst [][]int32) ([]int32, [][]int32) {
@@ -227,9 +213,11 @@ func (rf *Refiner) Refine(p *Partition, col []int32, card int) *Partition {
 	rf.grow(card)
 	out := &Partition{NRows: p.NRows}
 	backing := make([]int32, 0, p.Size())
-	offsets := make([]int32, 1, len(p.Clusters)*2+1)
-	backing, offsets = rf.refineRange(p.Clusters, col, backing, offsets)
-	out.setCompact(backing, offsets)
+	rf.offsets = append(rf.offsets[:0], 0)
+	backing, rf.offsets = rf.refineRange(p.Clusters, col, backing, rf.offsets)
+	// The offsets scratch is reused next call; the partition keeps an
+	// exact-size copy, as Intersector's does.
+	out.setCompact(backing, append([]int32(nil), rf.offsets...))
 	return out
 }
 
@@ -265,9 +253,25 @@ func (rf *Refiner) refineRange(clusters [][]int32, col []int32, backing, ends []
 	return backing, ends
 }
 
-// Refine is a convenience one-shot wrapper that allocates its own Refiner.
+// refiners keeps Refiner scratch warm between one-shot refine calls, so
+// a call pays for its output only, not for a card-sized bucket table
+// and buckets grown from nil. A Refiner goes back only on a normal
+// return, never from a defer: a call that panicked mid-kernel leaves
+// its buckets half filled, and dropping the Refiner keeps them from the
+// next caller. Outputs copy rows and offsets out of the scratch, so no
+// partition aliases pooled storage.
+var refiners = sync.Pool{New: func() any { return new(Refiner) }}
+
+// getRefiner borrows a Refiner from the pool; its scratch is clean and
+// grows on demand.
+func getRefiner() *Refiner { return refiners.Get().(*Refiner) }
+
+// Refine is the one-shot form of Refiner.Refine, on pooled scratch.
 func Refine(p *Partition, col []int32, card int) *Partition {
-	return NewRefiner(card).Refine(p, col, card)
+	rf := getRefiner()
+	out := rf.Refine(p, col, card)
+	refiners.Put(rf)
+	return out
 }
 
 // ProbeTable is an inverted index of a partition: row → cluster id, with -1
@@ -490,13 +494,14 @@ func ForAttrs(x bitset.Set, cols [][]int32, cards []int) *Partition {
 	}
 	orderForRefine(attrs, cards, nrows)
 	p := Single(cols[attrs[0]], cards[attrs[0]])
-	rf := NewRefiner(maxCard(cards))
+	rf := getRefiner()
 	for _, a := range attrs[1:] {
 		if len(p.Clusters) == 0 {
 			break
 		}
 		p = rf.Refine(p, cols[a], cards[a])
 	}
+	refiners.Put(rf)
 	return p
 }
 
@@ -512,16 +517,6 @@ func fullPartition(nrows int) *Partition {
 	p := &Partition{NRows: nrows}
 	p.setCompact(all, []int32{0, int32(nrows)})
 	return p
-}
-
-func maxCard(cards []int) int {
-	m := 1
-	for _, c := range cards {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // SortClusters orders clusters by ascending first row, and rows within each

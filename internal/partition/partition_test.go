@@ -65,9 +65,10 @@ func TestRefineDropsNewSingletons(t *testing.T) {
 func TestRefinerReuseAcrossCalls(t *testing.T) {
 	rf := NewRefiner(2)
 	// Grow beyond initial capacity on second call.
+	var arena []int32
 	var dst [][]int32
-	dst = rf.RefineCluster([]int32{0, 1, 2}, []int32{0, 0, 1}, 2, dst)
-	dst = rf.RefineCluster([]int32{0, 1, 2}, []int32{5, 5, 1}, 6, dst)
+	arena, dst = rf.RefineClusterInto([]int32{0, 1, 2}, []int32{0, 0, 1}, 2, arena, dst)
+	_, dst = rf.RefineClusterInto([]int32{0, 1, 2}, []int32{5, 5, 1}, 6, arena, dst)
 	if len(dst) != 2 {
 		t.Fatalf("dst = %v", dst)
 	}

@@ -78,7 +78,7 @@ func stitchShard(back, ends []int32, base int32, backing, offsets []int32) {
 // RefineSharded computes π_XA from π_X exactly like Refiner.Refine, but
 // sharded: the parent's clusters split row-wise into ~shardSize-row
 // ranges (shardSize <= 0 selects DefaultShardSize) that refine
-// concurrently on the pool with per-worker Refiner scratch, then
+// concurrently on the pool, each on pooled Refiner scratch, then
 // scatter by prefix offset into one backing. The result is
 // byte-identical to the serial kernel. Each shard's stitch costs one
 // partition.refineshard fault-site hit; a single-shard (or
@@ -95,27 +95,23 @@ func RefineSharded(ctx context.Context, pool *engine.Pool, p *Partition, col []i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return NewRefiner(card).Refine(p, col, card), nil
+		return Refine(p, col, card), nil
 	}
 
 	// Phase 1: refine each cluster range into local backing/ends pairs.
 	// Re-running an item is safe: the kernel rebuilds the range's output
-	// from the immutable parent and leaves its worker scratch cleared.
-	rfs := make([]*Refiner, pool.Workers())
+	// from the immutable parent and leaves its scratch cleared. A shard
+	// returns its Refiner only after the kernel completed.
 	backs := make([][]int32, nshards)
 	endss := make([][]int32, nshards)
-	err := pool.Run(ctx, nshards, func(w, s int) {
-		rf := rfs[w]
-		if rf == nil {
-			rf = NewRefiner(card)
-			rfs[w] = rf
-		} else {
-			rf.grow(card)
-		}
+	err := pool.Run(ctx, nshards, func(_, s int) {
+		rf := getRefiner()
+		rf.grow(card)
 		lo, hi := cuts[s], cuts[s+1]
 		backing := make([]int32, 0, rangeRows(p.Clusters, lo, hi))
 		ends := make([]int32, 0, (hi-lo)*2)
 		backs[s], endss[s] = rf.refineRange(p.Clusters[lo:hi], col, backing, ends)
+		refiners.Put(rf)
 	})
 	if err != nil {
 		return nil, err
