@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-fast test race allocs fdperf bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-smoke chaos crash fuzz-smoke check
+.PHONY: all build vet fmt lint lint-fast test race allocs fdperf bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-smoke chaos crash fuzz-smoke check
 
 all: check
 
@@ -41,7 +41,7 @@ race:
 # sync.Pool drop a random share of its puts, so they run once more
 # without it.
 allocs:
-	$(GO) test -run AllocsPerRun ./internal/partition/
+	$(GO) test -run AllocsPerRun ./internal/partition/ ./internal/sampling/
 
 # cmd/fdperf is a module of its own, so the root ./... patterns skip it:
 # vet and short-test it directly, so a break in the internal APIs it
@@ -52,7 +52,7 @@ fdperf:
 # Full benchmark pass: the partition kernels and the discovery paths,
 # folded into BENCH_pr3.json against the pre-PR baselines recorded in
 # results/. Same flags as the baseline capture, for comparability.
-bench: bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9
+bench: bench-pr3 bench-pr4 bench-pr6 bench-pr7
 
 bench-pr3:
 	$(GO) test -run '^$$' -bench 'Single100k|Refine100k|Intersect100k|RefineVsIntersect' -benchmem ./internal/partition/ | tee results/bench_partition.txt
@@ -91,20 +91,6 @@ bench-pr6:
 bench-pr7:
 	$(GO) run ./cmd/benchpr7 -o BENCH_pr7.json
 
-# The sharded PLI bootstrap (shard-count scaling curve, byte-identity
-# checked per cell) and the out-of-core spill tier (a DFD working set
-# >10x the cache budget, covers compared across resident and spill legs,
-# peak RSS measured in child processes). Emits its JSON directly.
-bench-pr8:
-	$(GO) run ./cmd/benchpr8 -o BENCH_pr8.json
-
-# The sharded multi-attribute kernels (Refine/Intersect shard-count
-# curves, byte-identity checked per cell) and the off-heap column pager
-# (a 600k-row DFD run, covers compared across resident and paged legs,
-# peak RSS measured in child processes). Emits its JSON directly.
-bench-pr9:
-	$(GO) run ./cmd/benchpr9 -o BENCH_pr9.json
-
 # One iteration of the key benchmarks — catches bit-rot without the cost
 # of a full measurement run.
 bench-smoke:
@@ -112,8 +98,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
 	$(GO) run ./cmd/benchpr6 -smoke -o /dev/null
-	$(GO) run ./cmd/benchpr8 -smoke -o /dev/null
-	$(GO) run ./cmd/benchpr9 -smoke -o /dev/null
 
 # The fault-injection matrix — every site × every plan × every algorithm —
 # under the race detector.

@@ -22,7 +22,10 @@
 // cover and a warning on stderr. -pli-cache shares stripped partitions
 // across the run's subsystems through a size-bounded LRU cache; hit and
 // miss counts show up in the -stats report. -shard-size overrides the row
-// block size of the parallel PLI bootstrap, and -spill-dir spills cold
+// block size of the sharded kernels (PLI bootstrap, partition builds and
+// refinement, sampling, the all-pairs scan, post-run verification), which
+// shard only with -workers above 1, except the bootstrap, which shards
+// any column longer than one block. -spill-dir spills cold
 // cache entries to memory-mapped temp files instead of discarding them so
 // the resident footprint stays within the budget. -page-columns pages the
 // encoded columns themselves to memory-mapped temp files during ingest, so
@@ -66,7 +69,7 @@ func main() {
 	memBudget := flag.Int64("mem-budget", -1, "approximate partition-memory budget in bytes; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	maxParts := flag.Int("max-partitions", -1, "cap on partitions materialized; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes (0 = disabled)")
-	shardSize := flag.Int("shard-size", 0, "row-block size of the parallel PLI bootstrap (0 = the built-in default)")
+	shardSize := flag.Int("shard-size", 0, "row-block size of the sharded kernels: PLI bootstrap, partition builds and refinement, sampling, pair scan, verification; they shard only with -workers > 1, except the bootstrap, which shards any column longer than one block (0 = the built-in default)")
 	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
 	topK := flag.Int("topk", 0, "discover only the N most relevant FDs, pre-ranked by redundancy (0 = full cover)")

@@ -219,7 +219,7 @@ type discoverConfig struct {
 	maxParts   int64 // partitions; < 0 = unlimited
 	cacheBytes int64 // PLI cache capacity; <= 0 = disabled
 	cache      *PLICache
-	shardSize  int    // rows per shard in the PLI bootstrap; <= 0 = default
+	shardSize  int    // rows per shard of the sharded kernels; <= 0 = default
 	spillDir   string // spill-tier root; meaningful only when spill is set
 	spill      bool   // attach an out-of-core tier to the PLI cache
 	noVerify   bool
@@ -302,14 +302,18 @@ func WithPartitionCache(bytes int64) Option {
 	return func(c *discoverConfig) { c.cacheBytes = bytes }
 }
 
-// WithShardSize sets the row-block size of the sharded single-attribute
-// partition bootstrap used by the PLI-based algorithms (DHyFD, HyFD,
-// TANE, DFD): columns longer than one shard are grouped shard-by-shard on
-// the worker pool and merged into partitions byte-identical to the serial
-// build, so ingest-sized relations never serialize their PLI build on one
-// core. n <= 0 keeps the default (partition.DefaultShardSize rows). The
-// row-based algorithms (FDEP variants, FastFDs) build no partitions and
-// ignore it.
+// WithShardSize sets the row-block size of every sharded kernel: the
+// single-attribute partition bootstrap of the PLI-based algorithms
+// (DHyFD, HyFD, TANE, DFD), multi-attribute partition builds and
+// refinement, the hybrid algorithms' sampling passes, the all-pairs scan
+// of the row-based algorithms (FDEP variants, FastFDs), and post-run
+// verification. A sharded kernel splits its input into blocks of about n
+// rows that run concurrently on the worker pool and merges them into
+// results byte-identical to the serial kernel, so the cover never depends
+// on n. Sharding happens only on a run with more than one worker (see
+// WithWorkers); the one exception is the bootstrap, which shards any
+// column longer than one shard even on one worker. n <= 0 keeps the
+// default (partition.DefaultShardSize rows).
 func WithShardSize(n int) Option {
 	return func(c *discoverConfig) { c.shardSize = n }
 }

@@ -24,16 +24,8 @@ type Violation struct {
 // FD returns up to limit violations of f on r (0 = all). An empty result
 // means the FD holds.
 func FD(r *relation.Relation, f dep.FD, limit int) []Violation {
-	return fdViolations(r, f, limit, nil)
-}
-
-// fdViolations is FD with an optional PLI cache supplying (or receiving)
-// the LHS partition. The cache must have been filled from the same
-// relation r — VerifyCover guarantees that by dropping the cache when it
-// verifies a row sample.
-func fdViolations(r *relation.Relation, f dep.FD, limit int, cache *partition.Cache) []Violation {
 	var out []Violation
-	p := partition.ForAttrsCached(cache, f.LHS, r.Cols, r.Cards)
+	p := partition.ForAttrs(f.LHS, r.Cols, r.Cards)
 	for _, cluster := range p.Clusters {
 		// Within a cluster all rows agree on the LHS; group by each RHS
 		// attribute and report one witness per differing row.
@@ -92,13 +84,13 @@ type VerifyOptions struct {
 	// wrongly confirm one beyond what full verification would. 0 keeps
 	// exact verification.
 	MaxViolations int
-	// Workers shards each FD's violation scan across a worker pool: the
-	// LHS partition materializes through the sharded kernels and its
-	// clusters split into ~ShardSize-row ranges scanned concurrently,
+	// Workers is the width of the pool each FD's check runs on. Above
+	// one, the LHS partition materializes through the sharded kernels and
+	// its clusters split into ~ShardSize-row ranges scanned concurrently,
 	// with the per-shard verdicts (or capped g3 counts) reconciled into
 	// the pass/fail decision. Clusters violate independently, so the
-	// decision matches the serial scan at every shard size. <= 1 keeps
-	// the serial scan.
+	// decision matches the serial scan at every shard size. <= 1 scans
+	// serially.
 	Workers int
 	// ShardSize is the rows per verification shard; 0 selects
 	// partition.DefaultShardSize.
@@ -155,10 +147,7 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 		// must neither serve nor enter the cache here.
 		cache = nil
 	}
-	var pool *engine.Pool
-	if opts.Workers > 1 {
-		pool = engine.NewPool(opts.Workers)
-	}
+	pool := engine.NewPool(opts.Workers)
 	rep.Sound = make([]dep.FD, 0, len(fds))
 	for _, f := range fds {
 		if err := ctx.Err(); err != nil {
@@ -166,19 +155,14 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 		}
 		var sound bool
 		var err error
-		switch {
-		case opts.MaxViolations > 0 && pool != nil:
+		if opts.MaxViolations > 0 {
 			var total int
-			total, err = fdG3ViolationsSharded(ctx, target, f, opts.MaxViolations, cache, pool, opts.ShardSize)
+			total, err = fdG3Violations(ctx, target, f, opts.MaxViolations, cache, pool, opts.ShardSize)
 			sound = total <= opts.MaxViolations
-		case opts.MaxViolations > 0:
-			sound = fdG3Violations(target, f, opts.MaxViolations, cache) <= opts.MaxViolations
-		case pool != nil:
+		} else {
 			var violated bool
-			violated, err = fdViolatedSharded(ctx, target, f, cache, pool, opts.ShardSize)
+			violated, err = fdViolated(ctx, target, f, cache, pool, opts.ShardSize)
 			sound = !violated
-		default:
-			sound = len(fdViolations(target, f, 1, cache)) == 0
 		}
 		if err != nil {
 			return rep, err
@@ -192,14 +176,18 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 	return rep, nil
 }
 
-// fdViolatedSharded decides exact violation existence per-shard: the LHS
-// partition materializes through the sharded kernels, its clusters
+// fdViolated decides whether f has a violating witness pair on r. The
+// LHS partition comes from the cache or is built on the pool; on a
+// one-worker pool its clusters are scanned directly, on a wider one they
 // split into ranges scanned concurrently, and any shard's witness
-// refutes the FD — the same decision the serial one-witness scan makes.
-func fdViolatedSharded(ctx context.Context, r *relation.Relation, f dep.FD, cache *partition.Cache, pool *engine.Pool, shardSize int) (bool, error) {
-	p, _, err := partition.ForAttrsCachedSharded(ctx, pool, cache, f.LHS, r.Cols, r.Cards, shardSize)
+// refutes the FD — the same decision the serial scan makes.
+func fdViolated(ctx context.Context, r *relation.Relation, f dep.FD, cache *partition.Cache, pool *engine.Pool, shardSize int) (bool, error) {
+	p, _, err := partition.ForAttrsCached(ctx, pool, cache, f.LHS, r.Cols, r.Cards, shardSize)
 	if err != nil {
 		return false, err
+	}
+	if pool.Workers() == 1 {
+		return clustersViolate(r, f, p.Clusters), nil
 	}
 	cuts := partition.ShardClusters(p.Clusters, shardSize)
 	nshards := len(cuts) - 1
@@ -234,27 +222,47 @@ func clustersViolate(r *relation.Relation, f dep.FD, clusters [][]int32) bool {
 	return false
 }
 
-// fdG3ViolationsSharded counts g3 violations per-shard with per-shard
-// limit caps. Clusters violate independently, so the reconciled sum
-// decides "total > limit" exactly like the serial count: when a shard
-// early-exits it alone exceeds the limit (the true total can only be
-// larger), and when none does every per-shard count is exact.
-func fdG3ViolationsSharded(ctx context.Context, r *relation.Relation, f dep.FD, limit int, cache *partition.Cache, pool *engine.Pool, shardSize int) (int, error) {
-	p, _, err := partition.ForAttrsCachedSharded(ctx, pool, cache, f.LHS, r.Cols, r.Cards, shardSize)
+// fdG3Violations counts the g3 violations of f on r — the rows to delete
+// so f holds exactly — summed over f's RHS attributes (covers are
+// singleton-RHS in practice) and stopping early past limit. On a
+// one-worker pool one counter scans the LHS partition's clusters
+// directly. On a wider pool the clusters are cut into shard ranges once
+// per FD, each range counts with its limit cap on its worker's counter,
+// and the per-shard counts are reconciled. Clusters violate
+// independently, so the reconciled sum decides "total > limit" exactly
+// like the serial count: when a shard early-exits it alone exceeds the
+// limit (the true total can only be larger), and when none does every
+// per-shard count is exact.
+func fdG3Violations(ctx context.Context, r *relation.Relation, f dep.FD, limit int, cache *partition.Cache, pool *engine.Pool, shardSize int) (int, error) {
+	p, _, err := partition.ForAttrsCached(ctx, pool, cache, f.LHS, r.Cols, r.Cards, shardSize)
 	if err != nil {
 		return 0, err
 	}
 	total := 0
-	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
-		cuts := partition.ShardClusters(p.Clusters, shardSize)
-		nshards := len(cuts) - 1
-		if nshards <= 0 {
-			continue
+	if pool.Workers() == 1 {
+		g := partition.NewG3Counter(0)
+		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
+			total += g.Violations(p, r.Cols[a], r.Cards[a], limit)
+			if total > limit {
+				return total, nil
+			}
 		}
-		counts := make([]int, nshards)
+		return total, nil
+	}
+	cuts := partition.ShardClusters(p.Clusters, shardSize)
+	nshards := len(cuts) - 1
+	if nshards == 0 {
+		return 0, nil
+	}
+	counters := make([]*partition.G3Counter, pool.Workers())
+	for w := range counters {
+		counters[w] = partition.NewG3Counter(0)
+	}
+	counts := make([]int, nshards)
+	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 		col, card := r.Cols[a], r.Cards[a]
-		err := pool.Run(ctx, nshards, func(_, s int) {
-			counts[s] = partition.NewG3Counter(card).ViolationsClusters(p.Clusters[cuts[s]:cuts[s+1]], col, card, limit)
+		err := pool.Run(ctx, nshards, func(w, s int) {
+			counts[s] = counters[w].ViolationsClusters(p.Clusters[cuts[s]:cuts[s+1]], col, card, limit)
 		})
 		if err != nil {
 			return 0, err
@@ -267,21 +275,6 @@ func fdG3ViolationsSharded(ctx context.Context, r *relation.Relation, f dep.FD, 
 		}
 	}
 	return total, nil
-}
-
-// fdG3Violations counts the g3 violations of f on r — the rows to delete
-// so f holds exactly — summed over f's RHS attributes (covers are
-// singleton-RHS in practice) and stopping early past limit.
-func fdG3Violations(r *relation.Relation, f dep.FD, limit int, cache *partition.Cache) int {
-	p := partition.ForAttrsCached(cache, f.LHS, r.Cols, r.Cards)
-	total := 0
-	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
-		total += partition.G3Violations(p, r.Cols[a], r.Cards[a], limit)
-		if total > limit {
-			return total
-		}
-	}
-	return total
 }
 
 // Keys verifies that an attribute set is unique on r, returning a

@@ -141,7 +141,7 @@ func (m *ddm) partitionFor(node *fdtree.Node, lhs bitset.Set) (*partition.Partit
 // reusable nodes at the new controlled level. Each node's partition starts
 // from its consistent dynamic partition (or its own singleton) and is
 // refined by the missing path attributes — refinements run as one
-// partition.RefineBatchPool on the caller's worker pool, since the jobs
+// partition.RefineBatch on the caller's worker pool, since the jobs
 // are independent (and the pool's retry policy supervises them); the node
 // then receives the new slot id and propagates it to its descendants. On
 // cancellation the DDM is left untouched (the old epoch stays consistent)
@@ -184,7 +184,7 @@ func (m *ddm) update(ctx context.Context, pool *engine.Pool, reusables []*fdtree
 		}
 		jobs[k] = job
 	}
-	parts, err := partition.RefineBatchPool(ctx, pool, jobs)
+	parts, err := partition.RefineBatch(ctx, pool, jobs)
 	if err != nil {
 		return err
 	}
@@ -282,7 +282,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		rs.PartitionsBuilt = lf.PartitionsBuilt
 		numFDs = int(lf.NumFDs)
 		startLevel = int(lf.Level)
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		if err := h.WarmCache(ctx, r); err != nil {
+			stop()
+			return h.End(nil, err)
+		}
 		stop()
 	} else {
 		tree = fdtree.NewWithFullRHS(n)
@@ -298,7 +301,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			rootWitness = nil
 		} else {
 			for c := 0; c < n; c++ {
-				_, comps, err := sampling.ClusterNeighborSampleSharded(ctx, pool, r, m.singles[c], 1, nonFDs, cfg.ShardSize)
+				_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, m.singles[c], 1, nonFDs, cfg.ShardSize)
 				if err != nil {
 					stop()
 					return h.End(nil, err)

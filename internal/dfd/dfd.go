@@ -30,9 +30,9 @@ import (
 )
 
 // Config tunes DFD; the algorithm has no knobs beyond the shared run
-// options. Workers above one shard each walk materialization row-wise
-// across the pool (byte-identical results, so the walk's decisions match
-// the serial run exactly); at one the published serial kernels run.
+// options. Each walk materialization runs on the run's pool: above one
+// worker it shards row-wise (byte-identical results, so the walk's
+// decisions match the serial run exactly), at one the serial kernels run.
 // ShardSize also sizes the sharded single-attribute prewarm that seeds an
 // attached Cache, which then keeps visited lattice nodes alive so a query
 // refines from X's longest cached prefix instead of restarting from
@@ -57,22 +57,20 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 	n := r.NumCols()
 	var out []dep.FD
 	d := &dfd{
-		r:       r,
-		n:       n,
-		errs:    map[string]int{},
-		sizes:   map[string]int{},
-		rng:     rand.New(rand.NewSource(0x0dfd)),
-		budget:  cfg.Budget,
-		cache:   cfg.Cache,
-		maxViol: cfg.MaxViolations,
+		r:         r,
+		n:         n,
+		errs:      map[string]int{},
+		sizes:     map[string]int{},
+		rng:       rand.New(rand.NewSource(0x0dfd)),
+		budget:    cfg.Budget,
+		cache:     cfg.Cache,
+		maxViol:   cfg.MaxViolations,
+		pool:      h.Pool,
+		pctx:      context.WithoutCancel(ctx),
+		shardSize: cfg.ShardSize,
 	}
 	if cfg.MaxViolations > 0 {
 		d.g3c = partition.NewG3Counter(0)
-	}
-	if cfg.Workers > 1 {
-		d.pool = h.Pool
-		d.pctx = context.WithoutCancel(ctx)
-		d.shardSize = cfg.ShardSize
 	}
 	// Additive bases seeded from a resumed checkpoint: DFD derives its
 	// validation/build counters from its memo sizes, which start empty in
@@ -84,7 +82,9 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
 		valBase, builtBase = f.Validations, f.PartitionsBuilt
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		if err := h.WarmCache(ctx, r); err != nil {
+			return h.End(nil, err)
+		}
 	}
 	// tick snapshots the walk cursor: attributes below next are fully
 	// decided, their minimal FDs are in out, and everything else is
@@ -201,10 +201,10 @@ type dfd struct {
 	cache   *partition.Cache
 	maxViol int
 	g3c     *partition.G3Counter
-	// pool, when non-nil, shards materializations across its workers. It
-	// runs under a non-cancellable context — cancellation is observed at
-	// the walk boundaries exactly as in the serial run — so pool failures
-	// are genuine panics, re-raised into Run's recovery.
+	// pool is the run's pool every materialization runs on, sharded when
+	// it is wider than one worker. It runs under a non-cancellable
+	// context — cancellation is observed at the walk boundaries — so pool
+	// failures are genuine panics, re-raised into Run's recovery.
 	pool      *engine.Pool
 	pctx      context.Context
 	shardSize int
@@ -238,20 +238,14 @@ func (d *dfd) sizeOf(x bitset.Set) int {
 
 // materialize builds π_X, charges it against the budget (returning the
 // bytes immediately — only the measures are kept here) and records both
-// measures under k. With a pool attached the build shards across it,
-// byte-identical to the serial kernels; a pool failure re-raises into
-// Run's recovery (the pool context cannot be cancelled, so the failure
-// is a genuine worker panic).
+// measures under k. The build runs on the run's pool, sharded when it
+// is wider than one worker and byte-identical to the serial kernels
+// either way; a pool failure re-raises into Run's recovery (the pool
+// context cannot be cancelled, so the failure is a genuine worker panic).
 func (d *dfd) materialize(k string, x bitset.Set) *partition.Partition {
-	var p *partition.Partition
-	if d.pool != nil {
-		var err error
-		p, _, err = partition.ForAttrsCachedSharded(d.pctx, d.pool, d.cache, x, d.r.Cols, d.r.Cards, d.shardSize)
-		if err != nil {
-			panic(err)
-		}
-	} else {
-		p = partition.ForAttrsCached(d.cache, x, d.r.Cols, d.r.Cards)
+	p, _, err := partition.ForAttrsCached(d.pctx, d.pool, d.cache, x, d.r.Cols, d.r.Cards, d.shardSize)
+	if err != nil {
+		panic(err)
 	}
 	d.budget.Charge(p)
 	d.budget.Release(p)

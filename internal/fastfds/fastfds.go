@@ -64,7 +64,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		rs.NonFDs = f.NonFDs
 	} else {
 		stop := rs.Phase("negative-cover")
-		neg, err := sampling.NegativeCoverSharded(ctx, h.Pool, r, cfg.ShardSize)
+		neg, err := sampling.NegativeCover(ctx, h.Pool, r, cfg.ShardSize)
 		stop()
 		if err != nil {
 			return h.End(nil, err)

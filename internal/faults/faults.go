@@ -30,34 +30,40 @@ type Site string
 // The instrumented sites. Arm accepts any Site value, so tests may define
 // private sites of their own, but these are the ones the runtime hits.
 const (
-	// PartitionBuild fires in partition.Single, the stripped-partition
-	// constructor every algorithm's setup runs per column.
+	// PartitionBuild fires once per single-attribute partition built —
+	// in partition.Single, or once per column in the sharded builder
+	// behind partition.Singles and ForAttrsCached — the constructor every
+	// algorithm's setup runs per column.
 	PartitionBuild Site = "partition.build"
 	// PartitionShardMerge fires once per shard inside the scatter step of
-	// the sharded single-attribute builder (partition.BuildSingles), the
-	// merge that lays per-shard groups into the shared compact backing.
+	// the sharded single-attribute builder (partition.Singles, and
+	// ForAttrsCached's start partition on a wide pool), the merge that
+	// lays per-shard groups into the shared compact backing.
 	PartitionShardMerge Site = "partition.shardmerge"
-	// PartitionIntersect fires in partition.Intersect, TANE's per-level
-	// PLI product (usually on a pool worker).
+	// PartitionIntersect fires in partition.Intersector.Intersect, TANE's
+	// per-level PLI product, run through partition.IntersectBatch
+	// (usually on a pool worker).
 	PartitionIntersect Site = "partition.intersect"
 	// PartitionRefineShard fires once per shard inside the stitch step of
-	// the sharded multi-attribute kernels (partition.RefineSharded and
-	// partition.IntersectSharded), the scatter that lays per-shard
-	// sub-clusters into the shared compact backing.
+	// the sharded refinement, which partition.ForAttrsCached runs on a
+	// pool of more than one worker: the scatter that lays per-shard
+	// sub-clusters into the shared compact backing. One-worker runs never
+	// reach it.
 	PartitionRefineShard Site = "partition.refineshard"
 	// DDMRefresh fires at the start of a DHyFD dynamic-data-manager
 	// refresh (Algorithm 3).
 	DDMRefresh Site = "ddm.refresh"
 	// EngineWorker fires once per work item inside engine.Pool workers.
 	EngineWorker Site = "engine.worker"
-	// SamplingRun fires in sampling.ClusterNeighborSample, the
-	// sorted-neighborhood pass of the hybrid algorithms.
+	// SamplingRun fires once per sampling.ClusterNeighborSample call, the
+	// sorted-neighborhood pass of the hybrid algorithms, serial or
+	// sharded.
 	SamplingRun Site = "sampling.run"
 	// SamplingShardMerge fires once per shard during the cross-shard
-	// reconciliation of the sharded sampling passes
-	// (sampling.ClusterNeighborSampleSharded, sampling.NegativeCoverSharded),
-	// the sequential merge that folds per-shard agree sets into the shared
-	// non-FD set.
+	// reconciliation of the sampling passes
+	// (sampling.ClusterNeighborSample, sampling.NegativeCover) on a pool
+	// of more than one worker, the sequential merge that folds per-shard
+	// agree sets into the shared non-FD set.
 	SamplingShardMerge Site = "sampling.shardmerge"
 	// RankingRun fires once per LHS group inside the redundancy-ranking
 	// kernels (ranking.RankCtx / TotalsCtx), usually on a pool worker.

@@ -79,7 +79,7 @@ func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config)
 	n := r.NumCols()
 	nrows := int64(r.NumRows())
 	stop := rs.Phase("negative-cover")
-	neg, err := sampling.NegativeCoverSharded(ctx, h.Pool, r, cfg.ShardSize)
+	neg, err := sampling.NegativeCover(ctx, h.Pool, r, cfg.ShardSize)
 	stop()
 	if err != nil {
 		return h.End(nil, err)

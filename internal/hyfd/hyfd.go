@@ -120,7 +120,7 @@ func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran 
 		return 0, 0, false, nil
 	}
 	ru := &s.runs[best]
-	newN, comps, err := sampling.ClusterNeighborSampleSharded(s.ctx, s.pool, s.r, s.plis[ru.col], ru.distance, dst, s.cfg.ShardSize)
+	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.plis[ru.col], ru.distance, dst, s.cfg.ShardSize)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -237,7 +237,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 				smp.runs[i].exhausted = rec.Exhausted
 			}
 		}
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		if err := h.WarmCache(ctx, r); err != nil {
+			stop()
+			return h.End(nil, err)
+		}
 		stop()
 	} else {
 		nonFDs = sampling.NewNonFDSet(n)
@@ -257,7 +260,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			// Initial sampling: one distance-1 run per column, sharded
 			// across the run's pool.
 			for c := 0; c < n; c++ {
-				_, comps, err := sampling.ClusterNeighborSampleSharded(ctx, pool, r, plis[c], 1, nonFDs, cfg.ShardSize)
+				_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, plis[c], 1, nonFDs, cfg.ShardSize)
 				if err != nil {
 					stop()
 					return h.End(nil, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/sampling"
@@ -18,7 +19,7 @@ func samplerFor(t *testing.T, cols [][]int32) (*sampler, *relation.Relation) {
 	}
 	cfg := Config{}
 	cfg.fillDefaults()
-	return newSampler(context.Background(), nil, r, plis, cfg), r
+	return newSampler(context.Background(), engine.NewPool(1), r, plis, cfg), r
 }
 
 func TestSamplerMarksUniqueColumnsExhausted(t *testing.T) {

@@ -38,7 +38,7 @@ func TestCancellationSurfacesEverywhere(t *testing.T) {
 	if _, _, err := core.Run(ctx, r, core.Config{}); err == nil {
 		t.Error("dhyfd ignored cancellation")
 	}
-	if _, err := sampling.NegativeCoverSharded(ctx, engine.NewPool(1), r, 0); err == nil {
+	if _, err := sampling.NegativeCover(ctx, engine.NewPool(1), r, 0); err == nil {
 		t.Error("negative cover ignored cancellation")
 	}
 }

@@ -64,7 +64,9 @@ func TestMultiAttrShardCoverEquivalence(t *testing.T) {
 // TestPagedCoverEquivalence asserts the column pager is purely a storage
 // strategy: a relation ingested with paged columns yields a cover whose
 // formatted bytes hash identically to the resident ingest's, for every
-// algorithm, serial and sharded.
+// algorithm, serial and sharded, and every run stays undegraded and
+// reports all columns paged on the paged relation and none on the
+// resident one.
 func TestPagedCoverEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var sb strings.Builder
@@ -91,11 +93,23 @@ func TestPagedCoverEquivalence(t *testing.T) {
 		t.Fatal("relation not paged")
 	}
 
+	// coverSHA also checks that the run did not degrade and its pager
+	// count: every column on the paged relation, none on the resident one.
 	coverSHA := func(r *dhyfd.Relation, opts ...dhyfd.Option) [32]byte {
 		t.Helper()
 		res, err := dhyfd.Discover(ctx, r, opts...)
 		if err != nil {
 			t.Fatalf("discover on %v: %v", opts, err)
+		}
+		if res.Stats.Degraded {
+			t.Errorf("paged=%v: run degraded: %s", r.Paged(), res.Stats.DegradedReason)
+		}
+		wantPaged := int64(0)
+		if r.Paged() {
+			wantPaged = int64(r.NumCols())
+		}
+		if res.Stats.ColumnsPaged != wantPaged {
+			t.Errorf("paged=%v: ColumnsPaged = %d, want %d", r.Paged(), res.Stats.ColumnsPaged, wantPaged)
 		}
 		return sha256.Sum256([]byte(dhyfd.FormatFDs(res.FDs, r.Names)))
 	}

@@ -136,13 +136,16 @@ func TestChaosShardMerge(t *testing.T) {
 // TestSpillCoverMatchesResident forces the spill tier on with a cache far
 // too small to keep anything resident and asserts it is purely a storage
 // strategy: the cover matches the resident run's, spills and reloads
-// actually happen, and the run-private cache removes its temp files when
-// the run ends.
+// actually happen, neither run degrades, the resident cache bytes never
+// exceed the bound, the lattice walkers (TANE, DFD) spill more than the
+// bound — their working set really left memory — and the run-private
+// cache removes its temp files when the run ends.
 func TestSpillCoverMatchesResident(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	r := dataset.Random(rng, 300, 6, 4)
 	ctx := context.Background()
 	dir := t.TempDir()
+	const bound = 4096
 
 	for _, a := range pliAlgorithms {
 		t.Run(a.String(), func(t *testing.T) {
@@ -151,7 +154,7 @@ func TestSpillCoverMatchesResident(t *testing.T) {
 				t.Fatalf("resident run failed: %v", err)
 			}
 			opts := append(shardOpts(a, 0),
-				dhyfd.WithPartitionCache(4096), // a few entries at most: everything else spills
+				dhyfd.WithPartitionCache(bound), // a few entries at most: everything else spills
 				dhyfd.WithSpillDir(dir))
 			res, err := dhyfd.Discover(ctx, r, opts...)
 			if err != nil {
@@ -163,6 +166,17 @@ func TestSpillCoverMatchesResident(t *testing.T) {
 			}
 			if res.Stats.Counters["cache_spills"] == 0 {
 				t.Error("spill run reported no spills")
+			}
+			if resident.Stats.Degraded || res.Stats.Degraded {
+				t.Errorf("degraded: resident=%v spill=%v", resident.Stats.Degraded, res.Stats.Degraded)
+			}
+			if peak := res.Stats.Counters["cache_peak_bytes"]; peak > bound {
+				t.Errorf("cache_peak_bytes = %d, above the %d-byte bound", peak, bound)
+			}
+			if a == dhyfd.TANE || a == dhyfd.DFD {
+				if spilled := res.Stats.Counters["cache_spilled_bytes"]; spilled <= bound {
+					t.Errorf("cache_spilled_bytes = %d, want above the %d-byte bound", spilled, bound)
+				}
 			}
 		})
 	}

@@ -101,7 +101,7 @@ func bruteApproxCover(r *relation.Relation, maxViol int) []dep.FD {
 				continue
 			}
 			p := partition.ForAttrs(s, r.Cols, r.Cards)
-			valid[a][s.Key()] = partition.G3Violations(p, r.Cols[a], r.Cards[a], maxViol) <= maxViol
+			valid[a][s.Key()] = partition.NewG3Counter(0).Violations(p, r.Cols[a], r.Cards[a], maxViol) <= maxViol
 		}
 	}
 	var out []dep.FD
@@ -251,7 +251,7 @@ func TestTopKCancellationMidPrune(t *testing.T) {
 			for _, f := range res.FDs {
 				p := partition.ForAttrs(f.LHS, r.Cols, r.Cards)
 				for rhs := f.RHS.Next(0); rhs >= 0; rhs = f.RHS.Next(rhs + 1) {
-					if partition.G3Violations(p, r.Cols[rhs], r.Cards[rhs], 0) != 0 {
+					if partition.NewG3Counter(0).Violations(p, r.Cols[rhs], r.Cards[rhs], 0) != 0 {
 						t.Errorf("unsound FD in partial top-k: %v", f.Format(r.Names))
 					}
 				}

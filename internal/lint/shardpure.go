@@ -8,9 +8,10 @@ import (
 )
 
 // ShardPure enforces the phase-1 shard-kernel contract: functions
-// annotated `//fd:shardkernel` in their doc comment (the bodies behind
-// RefineSharded/IntersectSharded/shardScatter/shardGroup and the
-// sampling shard runs) execute concurrently over disjoint ranges, and
+// annotated `//fd:shardkernel` in their doc comment (the bodies the
+// sharded paths of partition.Singles/ForAttrsCached and the sampling
+// entry points run: refineRange, stitchShard, shardGroup, shardScatter,
+// sampleShard, coverShard) execute concurrently over disjoint ranges, and
 // their determinism-and-retry-safety argument — "writes are
 // deterministic positions of deterministic values" — only holds if
 // every write lands in the kernel's own range slice, a local, or a

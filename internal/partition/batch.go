@@ -13,25 +13,18 @@ type IntersectJob struct {
 	Left, Right *Partition
 }
 
-// IntersectBatch computes every job's intersection on up to workers
-// goroutines and returns the results in job order. It is the batched
-// form of Intersect that TANE's level generation feeds whole prefix-block
-// joins through. Each worker owns one ProbeTable buffer and one
-// Intersector for the whole batch: the probe indexes the Left side, so
-// runs of jobs sharing Left (TANE's prefix blocks are generated that way)
-// reuse the probe as built, and other jobs at worst refill the same
-// NRows-sized buffer instead of allocating a fresh one. On cancellation
-// the partial results are returned with ctx's error; unprocessed entries
-// are nil.
-func IntersectBatch(ctx context.Context, workers int, jobs []IntersectJob) ([]*Partition, error) {
-	return IntersectBatchPool(ctx, engine.NewPool(workers), jobs)
-}
-
-// IntersectBatchPool is IntersectBatch running on a caller-owned pool, so
-// a driver's retry policy (and its attempt counters) supervise the batch.
-// Re-running an item is safe: the probe refill check is idempotent and
-// out[i] is written only as the item's last step.
-func IntersectBatchPool(ctx context.Context, pool *engine.Pool, jobs []IntersectJob) ([]*Partition, error) {
+// IntersectBatch computes every job's intersection on the pool and
+// returns the results in job order; TANE's level generation feeds whole
+// prefix-block joins through it. Each worker owns one ProbeTable buffer
+// and one Intersector for the whole batch: the probe indexes the Left
+// side, so runs of jobs sharing Left (TANE's prefix blocks are generated
+// that way) reuse the probe as built, and other jobs at worst refill the
+// same NRows-sized buffer instead of allocating a fresh one. The pool's
+// retry policy supervises the items; re-running one is safe, because the
+// probe refill check is idempotent and out[i] is written only as the
+// item's last step. On cancellation the partial results are returned
+// with ctx's error; unprocessed entries are nil.
+func IntersectBatch(ctx context.Context, pool *engine.Pool, jobs []IntersectJob) ([]*Partition, error) {
 	probes := make([]ProbeTable, pool.Workers())
 	probedLeft := make([]*Partition, pool.Workers())
 	ixs := make([]*Intersector, pool.Workers())
@@ -60,21 +53,16 @@ type RefineJob struct {
 	Cards []int
 }
 
-// RefineBatch refines every job on up to workers goroutines and returns
-// the refined partitions in job order. Each item borrows pooled Refiner
-// scratch, so refinement reuses buckets without locking. The DDM's
-// partition refreshes run through it. On cancellation the partial
-// results are returned with ctx's error; unprocessed entries are nil.
-func RefineBatch(ctx context.Context, workers int, jobs []RefineJob) ([]*Partition, error) {
-	return RefineBatchPool(ctx, engine.NewPool(workers), jobs)
-}
-
-// RefineBatchPool is RefineBatch running on a caller-owned pool, so a
-// driver's retry policy supervises the refreshes. Items restart cleanly:
-// each attempt re-reads jobs[i].Part and only publishes out[i] at the end.
-// An item returns its Refiner only once its refinements completed, so a
-// panicking item drops its half-filled scratch with it.
-func RefineBatchPool(ctx context.Context, pool *engine.Pool, jobs []RefineJob) ([]*Partition, error) {
+// RefineBatch refines every job on the pool and returns the refined
+// partitions in job order; the DDM's partition refreshes run through it.
+// Each item borrows pooled Refiner scratch, so refinement reuses buckets
+// without locking, and returns it only once its refinements completed,
+// so a panicking item drops its half-filled scratch with it. Items
+// restart cleanly under the pool's retry policy: each attempt re-reads
+// jobs[i].Part and only publishes out[i] at the end. On cancellation the
+// partial results are returned with ctx's error; unprocessed entries are
+// nil.
+func RefineBatch(ctx context.Context, pool *engine.Pool, jobs []RefineJob) ([]*Partition, error) {
 	out := make([]*Partition, len(jobs))
 	err := pool.Run(ctx, len(jobs), func(_, i int) {
 		rf := getRefiner()

@@ -28,10 +28,10 @@ func TestIntersectBatchMatchesSerial(t *testing.T) {
 		a := Single(randColumn(rng, rows, 5), 5)
 		b := Single(randColumn(rng, rows, 7), 7)
 		jobs = append(jobs, IntersectJob{Left: a, Right: b})
-		want = append(want, Intersect(a, NewProbeTable(b)))
+		want = append(want, NewIntersector().Intersect(a, ProbeTable(nil).Fill(b)))
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := IntersectBatch(context.Background(), workers, jobs)
+	for _, workers := range []int{1, 2, 4} {
+		got, err := IntersectBatch(context.Background(), engine.NewPool(workers), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +56,8 @@ func TestRefineBatchMatchesSerial(t *testing.T) {
 		jobs = append(jobs, RefineJob{Part: p, Cols: [][]int32{c1, c2}, Cards: []int{6, 3}})
 		want = append(want, Refine(Refine(p, c1, 6), c2, 3))
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := RefineBatch(context.Background(), workers, jobs)
+	for _, workers := range []int{1, 2, 4} {
+		got, err := RefineBatch(context.Background(), engine.NewPool(workers), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestBatchCancellation(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = IntersectJob{Left: p, Right: p}
 	}
-	if _, err := IntersectBatch(ctx, 2, jobs); !errors.Is(err, context.Canceled) {
+	if _, err := IntersectBatch(ctx, engine.NewPool(2), jobs); !errors.Is(err, context.Canceled) {
 		t.Errorf("IntersectBatch err = %v, want context.Canceled", err)
 	}
 	rjobs := make([]RefineJob, 500)
@@ -86,7 +86,7 @@ func TestBatchCancellation(t *testing.T) {
 	for i := range rjobs {
 		rjobs[i] = RefineJob{Part: p, Cols: [][]int32{col}, Cards: []int{3}}
 	}
-	if _, err := RefineBatch(ctx, 2, rjobs); !errors.Is(err, context.Canceled) {
+	if _, err := RefineBatch(ctx, engine.NewPool(2), rjobs); !errors.Is(err, context.Canceled) {
 		t.Errorf("RefineBatch err = %v, want context.Canceled", err)
 	}
 }
@@ -108,19 +108,19 @@ func TestPooledScratchNeverReachesOutput(t *testing.T) {
 		{"ForAttrs", func(cols [][]int32, cards []int) (*Partition, error) {
 			return ForAttrs(bitset.FromAttrs(2, 0, 1), cols, cards), nil
 		}},
-		{"ForAttrsCachedStats", func(cols [][]int32, cards []int) (*Partition, error) {
-			p, _ := ForAttrsCachedStats(NewCache(1<<20, nil), bitset.FromAttrs(2, 0, 1), cols, cards)
-			return p, nil
+		{"ForAttrsCached", func(cols [][]int32, cards []int) (*Partition, error) {
+			p, _, err := ForAttrsCached(ctx, engine.NewPool(1), NewCache(1<<20, nil), bitset.FromAttrs(2, 0, 1), cols, cards, 0)
+			return p, err
 		}},
-		{"RefineSharded/1", func(cols [][]int32, cards []int) (*Partition, error) {
-			return RefineSharded(ctx, engine.NewPool(1), Single(cols[0], cards[0]), cols[1], cards[1], 16)
+		{"refineSharded/1", func(cols [][]int32, cards []int) (*Partition, error) {
+			return refineSharded(ctx, engine.NewPool(1), Single(cols[0], cards[0]), cols[1], cards[1], 16)
 		}},
-		{"RefineSharded/3", func(cols [][]int32, cards []int) (*Partition, error) {
-			return RefineSharded(ctx, engine.NewPool(3), Single(cols[0], cards[0]), cols[1], cards[1], 16)
+		{"refineSharded/3", func(cols [][]int32, cards []int) (*Partition, error) {
+			return refineSharded(ctx, engine.NewPool(3), Single(cols[0], cards[0]), cols[1], cards[1], 16)
 		}},
-		{"RefineBatchPool", func(cols [][]int32, cards []int) (*Partition, error) {
+		{"RefineBatch", func(cols [][]int32, cards []int) (*Partition, error) {
 			job := RefineJob{Part: Single(cols[0], cards[0]), Cols: cols[1:], Cards: cards[1:]}
-			out, err := RefineBatchPool(ctx, engine.NewPool(3), []RefineJob{job, job, job})
+			out, err := RefineBatch(ctx, engine.NewPool(3), []RefineJob{job, job, job})
 			if err != nil {
 				return nil, err
 			}
@@ -146,7 +146,7 @@ func TestPooledScratchNeverReachesOutput(t *testing.T) {
 	}
 }
 
-// TestRefineBatchPanicDropsScratch panics one RefineBatchPool call
+// TestRefineBatchPanicDropsScratch panics one RefineBatch call
 // inside the kernel, with a column shorter than the partition's row ids,
 // so the worker's Refiner is left with half-filled buckets. The next,
 // clean call must match a fresh Refiner: the dirty scratch never went
@@ -159,12 +159,12 @@ func TestRefineBatchPanicDropsScratch(t *testing.T) {
 	p := Single(randColumn(rng, rows, 3), 3)
 	col := randColumn(rng, rows, 5)
 	bad := RefineJob{Part: p, Cols: [][]int32{col[:rows/2]}, Cards: []int{5}}
-	_, err := RefineBatchPool(ctx, pool, []RefineJob{bad})
+	_, err := RefineBatch(ctx, pool, []RefineJob{bad})
 	var pe *engine.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("short column: err = %v, want *engine.PanicError", err)
 	}
-	got, err := RefineBatchPool(ctx, pool, []RefineJob{{Part: p, Cols: [][]int32{col}, Cards: []int{5}}})
+	got, err := RefineBatch(ctx, pool, []RefineJob{{Part: p, Cols: [][]int32{col}, Cards: []int{5}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,11 @@ func BenchmarkIntersect100k(b *testing.B) {
 	a := randomColumn(100_000, 50, 1)
 	c := randomColumn(100_000, 50, 2)
 	pa, pc := Single(a, 50), Single(c, 50)
-	probe := NewProbeTable(pc)
+	probe := ProbeTable(nil).Fill(pc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Intersect(pa, probe)
+		NewIntersector().Intersect(pa, probe)
 	}
 }
 
@@ -64,9 +64,9 @@ func BenchmarkRefineVsIntersect(b *testing.B) {
 		}
 	})
 	b.Run("intersect", func(b *testing.B) {
-		probe := NewProbeTable(pc)
+		probe := ProbeTable(nil).Fill(pc)
 		for i := 0; i < b.N; i++ {
-			Intersect(pa, probe)
+			NewIntersector().Intersect(pa, probe)
 		}
 	})
 }
@@ -80,7 +80,7 @@ func TestIntersectorAllocsPerRun(t *testing.T) {
 	c := randomColumn(20_000, 50, 2)
 	pa, pc := Single(a, 50), Single(c, 50)
 	ix := NewIntersector()
-	probe := NewProbeTable(pc)
+	probe := ProbeTable(nil).Fill(pc)
 	ix.Intersect(pa, probe) // warm scratch
 	if got := testing.AllocsPerRun(10, func() { ix.Intersect(pa, probe) }); got > 4 {
 		t.Errorf("Intersect allocs/run = %.0f, want <= 4", got)
@@ -109,8 +109,8 @@ func TestRefineAllocsPerRun(t *testing.T) {
 		}{
 			{"Refine", func() { Refine(pa, c, card) }},
 			{"ForAttrs", func() { ForAttrs(x, cols, cards) }},
-			{"RefineSharded", func() {
-				if _, err := RefineSharded(ctx, pool, pa, c, card, 0); err != nil {
+			{"refineSharded", func() {
+				if _, err := refineSharded(ctx, pool, pa, c, card, 0); err != nil {
 					t.Fatal(err)
 				}
 			}},
@@ -124,17 +124,44 @@ func TestRefineAllocsPerRun(t *testing.T) {
 	}
 }
 
+// TestForAttrsCachedAllocsPerRun pins serial as the one-worker case of
+// the merged walk: on a one-worker pool an uncached ForAttrsCached runs
+// the serial kernels directly, cutting no shard ranges, so it allocates
+// no more than the context-free ForAttrs on the same input.
+func TestForAttrsCachedAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	ctx := context.Background()
+	pool := engine.NewPool(1)
+	cols := [][]int32{randomColumn(10_000, 40, 1), randomColumn(10_000, 30, 2), randomColumn(10_000, 20, 3)}
+	cards := []int{40, 30, 20}
+	x := bitset.FromAttrs(3, 0, 1, 2)
+	serial := func() { ForAttrs(x, cols, cards) }
+	merged := func() {
+		if _, _, err := ForAttrsCached(ctx, pool, nil, x, cols, cards, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial() // warm the pooled scratch
+	merged()
+	want := testing.AllocsPerRun(10, serial)
+	if got := testing.AllocsPerRun(10, merged); got > want {
+		t.Errorf("ForAttrsCached allocs/run = %.0f, want <= %.0f (ForAttrs)", got, want)
+	}
+}
+
 // TestProbeTableFillReuses: refilling an adequately sized probe table
 // allocates nothing — the per-level reuse IntersectBatch relies on.
 func TestProbeTableFillReuses(t *testing.T) {
 	a := randomColumn(20_000, 50, 1)
 	c := randomColumn(20_000, 50, 2)
 	pa, pc := Single(a, 50), Single(c, 50)
-	probe := NewProbeTable(pa)
+	probe := ProbeTable(nil).Fill(pa)
 	if got := testing.AllocsPerRun(10, func() { probe = probe.Fill(pc) }); got != 0 {
 		t.Errorf("Fill allocs/run = %.0f, want 0", got)
 	}
-	want := NewProbeTable(pc)
+	want := ProbeTable(nil).Fill(pc)
 	for i := range want {
 		if probe[i] != want[i] {
 			t.Fatalf("refilled probe differs at row %d", i)

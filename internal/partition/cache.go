@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
+	"repro/internal/engine"
 )
 
 // Cache is a size-bounded LRU of stripped partitions keyed by attribute
@@ -371,31 +373,35 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 	c.mru = e
 }
 
-// ForAttrsCached computes π_X through the cache: an exact hit returns the
-// cached partition; otherwise refinement walks down the ascending-attribute
-// prefix chain from the longest cached prefix (LongestPrefix) — or, with
-// none cached, from the first attribute's single partition — publishing
-// every intermediate prefix so later supersets (and the ranking provider,
-// which walks the same chain) start further along. With a nil cache it is
-// exactly ForAttrs. The returned partition may be shared: treat it as
-// read-only.
-func ForAttrsCached(c *Cache, x bitset.Set, cols [][]int32, cards []int) *Partition {
-	p, _ := ForAttrsCachedStats(c, x, cols, cards)
-	return p
-}
-
-// ForAttrsCachedStats is ForAttrsCached additionally reporting whether the
-// partition was served whole from the cache (an exact hit) rather than
-// built or refined from a parent — the built/reused split ranking reports.
+// ForAttrsCached computes π_X for an attribute set, through the cache
+// when c is non-nil, and reports whether the partition was served whole
+// from the cache (an exact hit) rather than built or refined from a
+// parent — the built/reused split ranking reports. cols and cards describe
+// the full relation; X empty yields the full-relation partition.
+//
+// With a cache, an exact hit returns the cached partition; otherwise
+// refinement walks down the ascending-attribute prefix chain from the
+// longest cached prefix (LongestPrefix) — or, with none cached, from the
+// first attribute's single partition — publishing every intermediate
+// prefix so later supersets (and the ranking provider, which walks the
+// same chain) start further along. With a nil cache it walks uncached,
+// from the smallest-error single partition exactly like ForAttrs. The
+// returned partition may be shared: treat it as read-only.
+//
+// Each step runs on the pool: the start partition and every refinement
+// shard row-wise (shardSize rows, <= 0 selects DefaultShardSize) on a
+// pool of more than one worker, byte-identically; on a one-worker pool
+// they are the serial kernels, so cache contents are interchangeable
+// across widths. On cancellation or a pool failure the error returns
+// with no partition; prefixes published before it stay cached.
 //
 //fd:hotpath
-func ForAttrsCachedStats(c *Cache, x bitset.Set, cols [][]int32, cards []int) (*Partition, bool) {
-	if c == nil {
-		return ForAttrs(x, cols, cards), false
-	}
-	if p := c.lookup(x); p != nil {
-		c.hits.Add(1)
-		return p, true
+func ForAttrsCached(ctx context.Context, pool *engine.Pool, c *Cache, x bitset.Set, cols [][]int32, cards []int, shardSize int) (*Partition, bool, error) {
+	if c != nil {
+		if p := c.lookup(x); p != nil {
+			c.hits.Add(1)
+			return p, true, ctx.Err()
+		}
 	}
 	nrows := 0
 	if len(cols) > 0 {
@@ -403,32 +409,45 @@ func ForAttrsCachedStats(c *Cache, x bitset.Set, cols [][]int32, cards []int) (*
 	}
 	attrs := x.Attrs()
 	if len(attrs) == 0 {
-		return fullPartition(nrows), false
+		return fullPartition(nrows), false, ctx.Err()
 	}
-	p, prefix := c.LongestPrefix(x)
+	var p *Partition
+	var prefix bitset.Set
+	if c == nil {
+		orderForRefine(attrs, cards, nrows)
+	} else {
+		p, prefix = c.LongestPrefix(x)
+	}
 	k := 0
 	if p != nil {
 		k = prefix.Count()
 	} else {
-		prefix = x.Clone()
-		prefix.Clear()
 		a := attrs[0]
-		p = Single(cols[a], cards[a])
-		prefix.Add(a)
-		c.Put(prefix, p)
+		var err error
+		if p, err = singleSharded(ctx, pool, cols[a], cards[a], shardSize); err != nil {
+			return nil, false, err
+		}
+		if c != nil {
+			prefix = x.Clone()
+			prefix.Clear()
+			prefix.Add(a)
+			c.Put(prefix, p)
+		}
 		k = 1
 	}
-	if k == len(attrs) {
-		return p, false
-	}
-	rf := getRefiner()
 	for _, a := range attrs[k:] {
-		prefix.Add(a)
 		if len(p.Clusters) > 0 {
-			p = rf.Refine(p, cols[a], cards[a])
+			var err error
+			if p, err = refineSharded(ctx, pool, p, cols[a], cards[a], shardSize); err != nil {
+				return nil, false, err
+			}
+		} else if c == nil {
+			break
 		}
-		c.Put(prefix, p)
+		if c != nil {
+			prefix.Add(a)
+			c.Put(prefix, p)
+		}
 	}
-	refiners.Put(rf)
-	return p, false
+	return p, false, nil
 }

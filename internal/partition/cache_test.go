@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/engine"
 )
 
 // testPart builds a compact partition with the given clusters, for cache
@@ -195,6 +197,8 @@ func TestCacheLongestPrefix(t *testing.T) {
 }
 
 func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
+	ctx := context.Background()
+	pool := engine.NewPool(1)
 	rng := rand.New(rand.NewSource(11))
 	nrows, ncols := 200, 5
 	cols := make([][]int32, ncols)
@@ -220,7 +224,10 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 			}
 		}
 		want := ForAttrs(x, cols, cards)
-		got := ForAttrsCached(cache, x, cols, cards)
+		got, _, err := ForAttrsCached(ctx, pool, cache, x, cols, cards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: cached π_%v differs from ForAttrs", trial, x.Attrs())
 		}
@@ -236,7 +243,11 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 		x.Add(rng.Intn(ncols))
 		x.Add(rng.Intn(ncols))
 		want := ForAttrs(x, cols, cards)
-		if got := ForAttrsCached(tiny, x, cols, cards); !got.Equal(want) {
+		got, _, err := ForAttrsCached(ctx, pool, tiny, x, cols, cards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
 			t.Fatalf("tiny cache trial %d: π_%v differs", trial, x.Attrs())
 		}
 	}

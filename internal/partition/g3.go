@@ -65,9 +65,3 @@ func (g *G3Counter) ViolationsClusters(clusters [][]int32, col []int32, card int
 	}
 	return total
 }
-
-// G3Violations is a one-shot Violations for callers without a counter to
-// reuse (the post-run soundness verifier).
-func G3Violations(p *Partition, col []int32, card int, limit int) int {
-	return NewG3Counter(card).Violations(p, col, card, limit)
-}

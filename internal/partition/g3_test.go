@@ -44,12 +44,12 @@ func TestG3ViolationsMatchesBrute(t *testing.T) {
 		}
 		p := ForAttrs(lhs, data, cards)
 		want := g3Brute(p, data[3])
-		if got := G3Violations(p, data[3], card, rows); got != want {
-			t.Fatalf("trial %d: G3Violations = %d, want %d", trial, got, want)
+		if got := NewG3Counter(card).Violations(p, data[3], card, rows); got != want {
+			t.Fatalf("trial %d: Violations = %d, want %d", trial, got, want)
 		}
 		// The early-exit contract: any return past limit means "too many".
 		if want > 0 {
-			if got := G3Violations(p, data[3], card, want-1); got <= want-1 {
+			if got := NewG3Counter(card).Violations(p, data[3], card, want-1); got <= want-1 {
 				t.Fatalf("trial %d: limit %d returned %d, want > limit", trial, want-1, got)
 			}
 		}
@@ -81,7 +81,7 @@ func TestG3ZeroWhenFDHolds(t *testing.T) {
 	col0 := []int32{0, 0, 1, 1, 2, 2}
 	col1 := []int32{1, 1, 0, 0, 1, 1}
 	p := ForAttrs(bitset.FromAttrs(2, 0), [][]int32{col0, col1}, []int{3, 2})
-	if got := G3Violations(p, col1, 2, 6); got != 0 {
-		t.Fatalf("G3Violations = %d, want 0", got)
+	if got := NewG3Counter(2).Violations(p, col1, 2, 6); got != 0 {
+		t.Fatalf("Violations = %d, want 0", got)
 	}
 }

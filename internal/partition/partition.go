@@ -8,14 +8,26 @@
 // equivalent to the TANE error test e(X) = e(XA) with e(X) = ‖π_X‖ − |π_X|.
 //
 // The package provides the three partition computations the paper's
-// algorithms need:
+// algorithms need, each as a serial kernel:
 //
 //   - Single: build π_A for one attribute from dictionary codes,
-//   - Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA one
-//     cluster at a time (Algorithm 5), used by the DDM and by FD
+//   - Refiner.Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA
+//     one cluster at a time (Algorithm 5), used by the DDM and by FD
 //     validation,
-//   - Intersect: classic PLI intersection π_X ∩ π_Y ⇒ π_XY via probe
-//     tables, used by TANE's level-wise prefix-block joins.
+//   - Intersector.Intersect: classic PLI intersection π_X ∩ π_Y ⇒ π_XY
+//     via probe tables, used by TANE's level-wise prefix-block joins.
+//
+// A run reaches them through one entry point per operation, which takes
+// the run's engine.Pool: Singles (the PLI bootstrap) and ForAttrsCached
+// (the prefix-chain walk) also take a shard size and decide themselves
+// whether to shard; RefineBatch and IntersectBatch spread their jobs over
+// the pool's workers. Serial is the one-worker case, not a second API: on
+// a one-worker pool the walk runs the serial kernels directly, with no
+// shard cut, and only the bootstrap still shards a column longer than
+// one shard. The sharded forms are byte-identical to the serial kernels
+// at every shard size. The context-free ForAttrs and Refine stay for
+// callers that hold no run context (the public check API, ranking
+// without a cache, TANE's minimality check).
 //
 // Partitions produced by Single, Refine and Intersect are in compact form:
 // all cluster rows live in one backing array and Clusters are zero-copy
@@ -279,11 +291,6 @@ func Refine(p *Partition, col []int32, card int) *Partition {
 // both probe it.
 type ProbeTable []int32
 
-// NewProbeTable builds the inverted index of p.
-func NewProbeTable(p *Partition) ProbeTable {
-	return ProbeTable(nil).Fill(p)
-}
-
 // Fill rebuilds t as the inverted index of p, reusing t's storage when it
 // is large enough, and returns the (possibly grown) table. Workers that
 // probe many partitions of the same relation keep one table alive instead
@@ -347,41 +354,9 @@ func (ix *Intersector) growID(id int32) {
 //fd:hotpath
 func (ix *Intersector) Intersect(p *Partition, probe ProbeTable) *Partition {
 	faults.Check(faults.PartitionIntersect)
-	return ix.intersect(p, probe)
-}
-
-// intersect is Intersect without the fault-site hit, so the sharded
-// kernel (which fires partition.intersect once per product itself) can
-// delegate its degenerate single-shard path here without doubling the
-// site's hit count.
-//
-//fd:hotpath
-func (ix *Intersector) intersect(p *Partition, probe ProbeTable) *Partition {
-	out := &Partition{NRows: p.NRows}
 	backing := make([]int32, 0, p.Size())
 	ix.offsets = append(ix.offsets[:0], 0)
-	backing, ix.offsets = ix.intersectRange(p.Clusters, probe, backing, ix.offsets)
-	// The offsets scratch is reused next call; the partition keeps an
-	// exact-size copy, so per-call growth amortizes away entirely.
-	out.setCompact(backing, append([]int32(nil), ix.offsets...))
-	return out
-}
-
-// intersectRange is Intersect's cluster-range kernel: rows of each
-// cluster are grouped by their probe-side cluster id in two passes —
-// count per id, then place rows at the reserved group offsets —
-// appending surviving groups to backing and each group's end position
-// to ends, and returning the grown slices. Serial intersect runs it
-// over all clusters with a leading 0 already in ends; the sharded
-// kernel runs it per contiguous cluster range with empty local slices,
-// so concatenating per-range outputs in range order reproduces the
-// serial layout bit for bit. backing must have capacity for every row
-// of the ranged clusters.
-//
-//fd:hotpath
-//fd:shardkernel
-func (ix *Intersector) intersectRange(clusters [][]int32, probe ProbeTable, backing, ends []int32) ([]int32, []int32) {
-	for _, cluster := range clusters {
+	for _, cluster := range p.Clusters {
 		for _, row := range cluster {
 			id := probe[row]
 			if id < 0 {
@@ -400,7 +375,7 @@ func (ix *Intersector) intersectRange(clusters [][]int32, probe ProbeTable, back
 			if ix.counts[id] >= 2 {
 				ix.starts[id] = base + total
 				total += ix.counts[id]
-				ends = append(ends, base+total)
+				ix.offsets = append(ix.offsets, base+total)
 			} else {
 				ix.starts[id] = -1
 			}
@@ -421,13 +396,11 @@ func (ix *Intersector) intersectRange(clusters [][]int32, probe ProbeTable, back
 		}
 		ix.touched = ix.touched[:0]
 	}
-	return backing, ends
-}
-
-// Intersect is the one-shot form of Intersector.Intersect; batch callers
-// keep an Intersector per worker instead.
-func Intersect(p *Partition, probe ProbeTable) *Partition {
-	return NewIntersector().Intersect(p, probe)
+	// The offsets scratch is reused next call; the partition keeps an
+	// exact-size copy, so per-call growth amortizes away entirely.
+	out := &Partition{NRows: p.NRows}
+	out.setCompact(backing, append([]int32(nil), ix.offsets...))
+	return out
 }
 
 // Members marks every row lying inside a cluster of p into dst, a row

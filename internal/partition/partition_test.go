@@ -89,7 +89,7 @@ func TestIntersectMatchesRefine(t *testing.T) {
 			b[i] = int32(rng.Intn(cb))
 		}
 		pa, pb := Single(a, ca), Single(b, cb)
-		viaIntersect := Intersect(pa, NewProbeTable(pb))
+		viaIntersect := NewIntersector().Intersect(pa, ProbeTable(nil).Fill(pb))
 		viaRefine := Refine(pa, b, cb)
 		if !viaIntersect.Equal(viaRefine) {
 			t.Fatalf("trial %d: intersect %v != refine %v", trial, viaIntersect.Clusters, viaRefine.Clusters)
@@ -122,7 +122,7 @@ func TestForAttrsMultiAttr(t *testing.T) {
 
 func TestProbeTable(t *testing.T) {
 	p := Single([]int32{0, 1, 0, 2}, 3)
-	probe := NewProbeTable(p)
+	probe := ProbeTable(nil).Fill(p)
 	if probe[0] != probe[2] || probe[0] < 0 {
 		t.Errorf("rows 0,2 should share a cluster: %v", probe)
 	}

@@ -15,20 +15,22 @@ import (
 // counting-sort scratch stays cache-resident.
 const DefaultShardSize = 1 << 16
 
-// BuildSingles builds π_A for every attribute in attrs, sharding each
+// buildSingles builds π_A for every attribute in attrs, sharding each
 // column row-wise into shardSize-row blocks that group concurrently on
-// the pool (shardSize <= 0 selects DefaultShardSize). The results are
-// byte-identical to Single's — same compact backing, same cluster order —
-// because the merge reproduces Single's layout law exactly: clusters in
-// ascending code order, rows ascending within each cluster. Results are
-// returned in attrs order; on cancellation (or an injected fault) the
-// partial results carry nil for unbuilt attributes alongside the error.
+// the pool (shardSize <= 0 selects DefaultShardSize). Unlike the other
+// entry points it shards any column longer than one shard even on a
+// one-worker pool. The results are byte-identical to Single's — same
+// compact backing, same cluster order — because the merge reproduces
+// Single's layout law exactly: clusters in ascending code order, rows
+// ascending within each cluster. Results are returned in attrs order; on
+// cancellation (or an injected fault) the partial results carry nil for
+// unbuilt attributes alongside the error.
 //
 // Each built attribute costs one partition.build fault-site hit, exactly
 // like a Single call, and each shard scatter one partition.shardmerge
 // hit; the pool's per-item supervision (engine.worker site, retry
 // policy) wraps every shard item.
-func BuildSingles(ctx context.Context, pool *engine.Pool, attrs []int, cols [][]int32, cards []int, shardSize int) ([]*Partition, error) {
+func buildSingles(ctx context.Context, pool *engine.Pool, attrs []int, cols [][]int32, cards []int, shardSize int) ([]*Partition, error) {
 	out := make([]*Partition, len(attrs))
 	if len(attrs) == 0 {
 		return out, nil
@@ -60,7 +62,7 @@ func BuildSingles(ctx context.Context, pool *engine.Pool, attrs []int, cols [][]
 
 // Singles computes the single-attribute partitions of every column
 // through the cache: hits are charged to the budget as cache-resident
-// bytes, misses build through BuildSingles (sharded, on the pool), are
+// bytes, misses build through buildSingles (sharded, on the pool), are
 // charged as materialized partitions and published to the cache. It is
 // the shared PLI bootstrap of the partition-based drivers. Returns the
 // partitions in column order plus the number built (the driver's
@@ -80,7 +82,7 @@ func Singles(ctx context.Context, pool *engine.Pool, cols [][]int32, cards []int
 		}
 		missing = append(missing, c)
 	}
-	built, err := BuildSingles(ctx, pool, missing, cols, cards, shardSize)
+	built, err := buildSingles(ctx, pool, missing, cols, cards, shardSize)
 	nbuilt := 0
 	for j, c := range missing {
 		p := built[j]

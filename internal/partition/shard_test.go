@@ -28,7 +28,7 @@ func TestBuildSinglesByteIdentical(t *testing.T) {
 		for _, shardSize := range []int{1, 7, 64, nrows} {
 			for _, workers := range []int{1, 3} {
 				pool := engine.NewPool(workers)
-				got, err := BuildSingles(context.Background(), pool, attrs, r.Cols, r.Cards, shardSize)
+				got, err := buildSingles(context.Background(), pool, attrs, r.Cols, r.Cards, shardSize)
 				if err != nil {
 					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
 				}
@@ -72,11 +72,11 @@ func TestBuildSinglesEdgeCases(t *testing.T) {
 	ctx := context.Background()
 
 	// Empty attribute list.
-	if out, err := BuildSingles(ctx, pool, nil, nil, nil, 4); err != nil || len(out) != 0 {
+	if out, err := buildSingles(ctx, pool, nil, nil, nil, 4); err != nil || len(out) != 0 {
 		t.Fatalf("empty attrs: %v, %v", out, err)
 	}
 	// Empty column: same empty compact partition as Single.
-	out, err := BuildSingles(ctx, pool, []int{0}, [][]int32{{}}, []int{0}, 4)
+	out, err := buildSingles(ctx, pool, []int{0}, [][]int32{{}}, []int{0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBuildSinglesEdgeCases(t *testing.T) {
 	// column, all-singleton column.
 	cols := [][]int32{{0, 0, 0, 0, 0}, {0, 1, 2, 3, 4}}
 	cards := []int{1, 5}
-	out, err = BuildSingles(ctx, pool, []int{0, 1}, cols, cards, 2)
+	out, err = buildSingles(ctx, pool, []int{0, 1}, cols, cards, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBuildSinglesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	col := make([]int32, 100)
-	_, err := BuildSingles(ctx, engine.NewPool(2), []int{0}, [][]int32{col}, []int{1}, 8)
+	_, err := buildSingles(ctx, engine.NewPool(2), []int{0}, [][]int32{col}, []int{1}, 8)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -113,7 +113,7 @@ func TestBuildSinglesFaultParity(t *testing.T) {
 
 	// Nth-hit error plans double as hit counters: a plan at N fires only
 	// if the site is hit at least N times. faults.Check panics with the
-	// injection; BuildSingles fires partition.build outside the pool
+	// injection; buildSingles fires partition.build outside the pool
 	// items (like Single does), so the driver-level recovery owns it —
 	// absorb it here.
 	defer faults.Reset()
@@ -124,7 +124,7 @@ func TestBuildSinglesFaultParity(t *testing.T) {
 				t.Fatalf("recovered %v, want a partition.build injection", rec)
 			}
 		}()
-		_, _ = BuildSingles(context.Background(), engine.NewPool(1), []int{0, 1}, cols, cards, 3)
+		_, _ = buildSingles(context.Background(), engine.NewPool(1), []int{0, 1}, cols, cards, 3)
 	}()
 	if faults.Armed(faults.PartitionBuild) {
 		t.Fatal("partition.build hit fewer than 2 times for 2 attributes")
@@ -133,7 +133,7 @@ func TestBuildSinglesFaultParity(t *testing.T) {
 	faults.Reset()
 	faults.Arm(faults.PartitionShardMerge, faults.Plan{Kind: faults.KindError, N: 4, Class: faults.ClassTransient})
 	// 10 rows, shard size 3 -> 4 shards -> 4 scatter hits for one attribute.
-	_, err := BuildSingles(context.Background(), engine.NewPool(1), []int{0}, cols, cards, 3)
+	_, err := buildSingles(context.Background(), engine.NewPool(1), []int{0}, cols, cards, 3)
 	if faults.Armed(faults.PartitionShardMerge) {
 		t.Fatalf("partition.shardmerge hit fewer than 4 times for 4 shards (err %v)", err)
 	}

@@ -3,119 +3,136 @@ package partition
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
-	"math/rand"
 	"repro/internal/bitset"
-
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/faults"
 )
 
-// TestRefineShardedByteIdentical pins the sharded multi-attribute
-// contract: for every benchmark relation and shard sizes spanning
-// degenerate (1 row per shard), prime-unaligned (7), typical (64),
-// production (64k) and whole-relation (nrows), RefineSharded's compact
-// form — backing array and offsets — matches the serial Refiner byte
-// for byte, under both a serial and a parallel pool.
+// serialChain is the reference for the prefix-chain walk, built from
+// the serial kernels alone: Single of attrs[0], then one Refiner.Refine
+// per further attribute, stopping once the partition is empty.
+func serialChain(attrs []int, cols [][]int32, cards []int) *Partition {
+	p := Single(cols[attrs[0]], cards[attrs[0]])
+	for _, a := range attrs[1:] {
+		if len(p.Clusters) == 0 {
+			break
+		}
+		p = NewRefiner(cards[a]).Refine(p, cols[a], cards[a])
+	}
+	return p
+}
+
+// entryInput is one relation of the partition equivalence table and the
+// attribute sets walked on it.
+type entryInput struct {
+	name  string
+	cols  [][]int32
+	cards []int
+	sets  []bitset.Set
+}
+
+// matchSerialKernels is the partition equivalence table, pinning serial
+// as the one-worker case on one input: every shard-aware entry point —
+// the Singles bootstrap, refineSharded and the ForAttrsCached walk,
+// uncached and cached — runs at workers {1, 2, 4} × shard sizes spanning
+// degenerate (1 row per shard), prime-unaligned (7), typical (64) and
+// past the whole relation (nrows+13), and its compact form (backing
+// array and offsets) must match the serial kernels Single and
+// Refiner.Refine byte for byte. refineSharded refines π of each set's
+// lowest attribute by its next one. The uncached walk starts from the
+// smallest-error attribute (orderForRefine), the cached one walks
+// ascending attributes, publishing every prefix, so a second pass is all
+// exact hits.
+func matchSerialKernels(t *testing.T, in entryInput) {
+	t.Helper()
+	ctx := context.Background()
+	nrows := len(in.cols[0])
+	for _, workers := range []int{1, 2, 4} {
+		pool := engine.NewPool(workers)
+		for _, shardSize := range []int{1, 7, 64, nrows + 13} {
+			parts, built, err := Singles(ctx, pool, in.cols, in.cards, shardSize, nil, nil)
+			if err != nil || built != len(in.cols) {
+				t.Fatalf("%s workers=%d shard=%d: Singles built %d, err %v", in.name, workers, shardSize, built, err)
+			}
+			for c, p := range parts {
+				assertSameCompact(t, in.name+"/Singles", shardSize, c, Single(in.cols[c], in.cards[c]), p)
+			}
+
+			cache := NewCache(1<<30, nil)
+			for _, x := range in.sets {
+				attrs := x.Attrs()
+				a, b := attrs[0], attrs[1]
+				parent := Single(in.cols[a], in.cards[a])
+				got, err := refineSharded(ctx, pool, parent, in.cols[b], in.cards[b], shardSize)
+				if err != nil {
+					t.Fatalf("%s workers=%d shard=%d: refineSharded %d by %d: %v", in.name, workers, shardSize, a, b, err)
+				}
+				assertSameCompact(t, in.name+"/refine", shardSize, b, NewRefiner(in.cards[b]).Refine(parent, in.cols[b], in.cards[b]), got)
+
+				orderForRefine(attrs, in.cards, nrows)
+				got, hit, err := ForAttrsCached(ctx, pool, nil, x, in.cols, in.cards, shardSize)
+				if err != nil || hit {
+					t.Fatalf("%s workers=%d shard=%d: uncached walk %v: hit=%v err=%v", in.name, workers, shardSize, x.Attrs(), hit, err)
+				}
+				assertSameCompact(t, in.name+"/uncached", shardSize, x.Count(), serialChain(attrs, in.cols, in.cards), got)
+
+				got, hit, err = ForAttrsCached(ctx, pool, cache, x, in.cols, in.cards, shardSize)
+				if err != nil || hit {
+					t.Fatalf("%s workers=%d shard=%d: cached walk %v: hit=%v err=%v", in.name, workers, shardSize, x.Attrs(), hit, err)
+				}
+				assertSameCompact(t, in.name+"/cached", shardSize, x.Count(), serialChain(x.Attrs(), in.cols, in.cards), got)
+			}
+			for _, x := range in.sets {
+				if _, hit, err := ForAttrsCached(ctx, pool, cache, x, in.cols, in.cards, shardSize); err != nil || !hit {
+					t.Fatalf("%s workers=%d shard=%d: second pass %v: hit=%v err=%v", in.name, workers, shardSize, x.Attrs(), hit, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRefineShardedByteIdentical runs the equivalence table on every
+// benchmark relation with at least three of its first eight columns,
+// walking its two and three lowest-cardinality columns: their clusters
+// are the largest, so every refinement step has work to shard.
 func TestRefineShardedByteIdentical(t *testing.T) {
-	ctx := context.Background()
 	for _, b := range dataset.All() {
-		r := b.Generate(419, 0)
-		nrows := r.NumRows()
-		if r.NumCols() < 2 {
+		r := b.Generate(419, 8)
+		n := r.NumCols()
+		if n < 3 {
 			continue
 		}
-		parent := Single(r.Cols[0], r.Cards[0])
-		want := NewRefiner(r.Cards[1]).Refine(parent, r.Cols[1], r.Cards[1])
-		for _, shardSize := range []int{1, 7, 64, 1 << 16, nrows} {
-			for _, workers := range []int{1, 3} {
-				pool := engine.NewPool(workers)
-				got, err := RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], shardSize)
-				if err != nil {
-					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
-				}
-				assertSameCompact(t, b.Name, shardSize, 1, want, got)
-			}
+		byCard := make([]int, n)
+		for a := range byCard {
+			byCard[a] = a
 		}
+		sort.SliceStable(byCard, func(i, j int) bool { return r.Cards[byCard[i]] < r.Cards[byCard[j]] })
+		matchSerialKernels(t, entryInput{b.Name, r.Cols, r.Cards, []bitset.Set{
+			bitset.FromAttrs(n, byCard[:2]...),
+			bitset.FromAttrs(n, byCard[:3]...),
+		}})
 	}
 }
 
-// TestIntersectShardedByteIdentical is the same matrix for the sharded
-// PLI intersection, probing π_A against π_B for the first two columns.
-func TestIntersectShardedByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	for _, b := range dataset.All() {
-		r := b.Generate(419, 0)
-		nrows := r.NumRows()
-		if r.NumCols() < 2 {
-			continue
-		}
-		pa := Single(r.Cols[0], r.Cards[0])
-		probe := NewProbeTable(Single(r.Cols[1], r.Cards[1]))
-		want := NewIntersector().Intersect(pa, probe)
-		for _, shardSize := range []int{1, 7, 64, 1 << 16, nrows} {
-			for _, workers := range []int{1, 3} {
-				pool := engine.NewPool(workers)
-				got, err := IntersectSharded(ctx, pool, pa, probe, shardSize)
-				if err != nil {
-					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
-				}
-				assertSameCompact(t, b.Name, shardSize, 1, want, got)
-			}
-		}
-	}
-}
-
-// TestForAttrsShardedMatches checks the full sharded materialization
-// chain (sharded single + sharded refinement walk) against the serial
-// ForAttrs on multi-attribute sets, and the cached variant against
-// ForAttrsCachedStats with interchangeable cache contents.
+// TestForAttrsShardedMatches runs the equivalence table on a random
+// 500×6 relation, walking sets of two, three and four attributes.
 func TestForAttrsShardedMatches(t *testing.T) {
-	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(7)), 500, 6, 8)
-	pool := engine.NewPool(3)
-	sets := []bitset.Set{
+	matchSerialKernels(t, entryInput{"random", r.Cols, r.Cards, []bitset.Set{
 		bitset.FromAttrs(6, 0, 1),
 		bitset.FromAttrs(6, 1, 2, 3),
 		bitset.FromAttrs(6, 0, 2, 4, 5),
-	}
-	for _, x := range sets {
-		want := ForAttrs(x, r.Cols, r.Cards)
-		got, err := ForAttrsSharded(ctx, pool, x, r.Cols, r.Cards, 16)
-		if err != nil {
-			t.Fatalf("ForAttrsSharded(%v): %v", x.Attrs(), err)
-		}
-		assertSameCompact(t, "random", 16, 0, want, got)
-	}
-
-	serialCache := NewCache(1<<20, nil)
-	shardCache := NewCache(1<<20, nil)
-	for _, x := range sets {
-		want, whit := ForAttrsCachedStats(serialCache, x, r.Cols, r.Cards)
-		got, ghit, err := ForAttrsCachedSharded(ctx, pool, shardCache, x, r.Cols, r.Cards, 16)
-		if err != nil {
-			t.Fatalf("ForAttrsCachedSharded(%v): %v", x.Attrs(), err)
-		}
-		if whit != ghit {
-			t.Fatalf("hit mismatch for %v: serial=%v sharded=%v", x.Attrs(), whit, ghit)
-		}
-		if !want.Equal(got.Clone()) {
-			t.Fatalf("partition mismatch for %v", x.Attrs())
-		}
-	}
-	// A second pass over the same sets must be exact hits on both caches.
-	for _, x := range sets {
-		if _, hit, err := ForAttrsCachedSharded(ctx, pool, shardCache, x, r.Cols, r.Cards, 16); err != nil || !hit {
-			t.Fatalf("second pass %v: hit=%v err=%v", x.Attrs(), hit, err)
-		}
-	}
+	}})
 }
 
 // TestRefineShardedFault pins the partition.refineshard site: an armed
 // plan firing in the stitch phase surfaces as a typed, injection-marked
-// error from the sharded kernels, and the serial kernels never hit it.
+// error from the sharded refinement, and the serial kernel never hits it.
 func TestRefineShardedFault(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(11)), 300, 4, 3)
@@ -123,7 +140,7 @@ func TestRefineShardedFault(t *testing.T) {
 	pool := engine.NewPool(2)
 
 	defer faults.Arm(faults.PartitionRefineShard, faults.Plan{Kind: faults.KindPanic, N: 2})()
-	_, err := RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], 8)
+	_, err := refineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], 8)
 	if err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -152,7 +169,7 @@ func TestShardStatsCount(t *testing.T) {
 	r := dataset.Random(rand.New(rand.NewSource(13)), 400, 3, 2)
 	parent := Single(r.Cols[0], r.Cards[0])
 	pool := engine.NewPool(2)
-	got, err := RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], 16)
+	got, err := refineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], 16)
 	if err != nil {
 		t.Fatal(err)
 	}

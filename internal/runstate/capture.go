@@ -148,17 +148,3 @@ func (s *TopKSnap) Restore() *topk.Collector {
 func ManifestOf(c *partition.Cache, max int) ManifestSnap {
 	return ManifestSnap{Version: 1, Keys: c.Keys(max)}
 }
-
-// WarmCache rebuilds the manifest's partitions into the cache,
-// least-recent-first so the restored recency order matches the captured
-// one. Building goes through ForAttrsCached, so later manifest entries
-// refine from earlier ones where possible. No-op on a nil cache or empty
-// manifest.
-func WarmCache(c *partition.Cache, m ManifestSnap, cols [][]int32, cards []int) {
-	if c == nil {
-		return
-	}
-	for i := len(m.Keys) - 1; i >= 0; i-- {
-		partition.ForAttrsCached(c, m.Keys[i], cols, cards)
-	}
-}

@@ -1,9 +1,12 @@
 package runstate
 
 import (
+	"context"
+
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/partition"
+	"repro/internal/relation"
 	"repro/internal/topk"
 )
 
@@ -22,8 +25,9 @@ type Options struct {
 	// serial behaviour.
 	Workers int
 	// ShardSize is the row-block size of the sharded kernels (PLI
-	// bootstrap, multi-attribute builds, pair scans); <= 0 selects
-	// partition.DefaultShardSize.
+	// bootstrap, multi-attribute builds and refinement, sampling, pair
+	// scans); <= 0 selects partition.DefaultShardSize. Only the bootstrap
+	// shards on a one-worker pool.
 	ShardSize int
 	// Budget optionally bounds partition memory. On exhaustion a run stops
 	// spending memory — DHyFD stops refreshing its DDM, TANE abandons
@@ -109,6 +113,29 @@ func (h *Harness) Tick(force bool, capture func() *Snapshot) {
 	s.Manifest = ManifestOf(h.opts.Cache, manifestMax)
 	s.Frontier.Version = 1
 	_ = cp.Tick(s)
+}
+
+// WarmCache rebuilds a resumed snapshot's PLI-cache manifest into the
+// run's cache, least-recent-first so the restored recency order matches
+// the captured one. Building goes through partition.ForAttrsCached on the
+// run's pool and shard size, so later manifest entries refine from
+// earlier ones where possible. It runs on context.WithoutCancel(ctx): a
+// cancellation lands at the run's first search boundary instead, and an
+// error is a genuine pool failure. No-op without a cache or a resumed
+// snapshot.
+func (h *Harness) WarmCache(ctx context.Context, r *relation.Relation) error {
+	c, s := h.opts.Cache, h.opts.Resume
+	if c == nil || s == nil {
+		return nil
+	}
+	ctx = context.WithoutCancel(ctx)
+	keys := s.Manifest.Keys
+	for i := len(keys) - 1; i >= 0; i-- {
+		if _, _, err := partition.ForAttrsCached(ctx, h.Pool, c, keys[i], r.Cols, r.Cards, h.opts.ShardSize); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // End closes the run: the pool's retry and shard counters, the cache

@@ -16,8 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
-	"repro/internal/faults"
-	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -125,36 +123,37 @@ func (s *NonFDSet) NonRedundant() {
 // negativeCover computes the agree sets of all tuple pairs — the full
 // negative cover FDEP inducts from — serially, checking ctx once per
 // outer row. Quadratic in rows; row-based algorithms accept that by
-// design. NegativeCoverSharded is the entry point; it degenerates to this
-// pass on one shard or one worker.
+// design. NegativeCover runs it whenever the scan does not shard.
 func negativeCover(ctx context.Context, r *relation.Relation) (*NonFDSet, error) {
-	n := r.NumRows()
 	s := NewNonFDSet(r.NumCols())
 	buf := bitset.New(r.NumCols())
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.NumRows(); i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for j := i + 1; j < n; j++ {
-			s.Add(AgreeSet(r, i, j, buf))
-		}
+		coverRow(r, i, s, buf)
 	}
 	return s, nil
 }
 
-// ClusterNeighborSample samples agree sets from each cluster of the given
-// single-attribute partitions using the sorted-neighborhood method: rows of
-// a cluster are sorted by their full code tuple and each row is compared to
-// its neighbor at the given window distance. distance 1 compares adjacent
-// rows. Results accumulate into dst; the number of *new* non-FDs and the
-// number of comparisons are returned.
-func ClusterNeighborSample(r *relation.Relation, p *partition.Partition, distance int, dst *NonFDSet) (newNonFDs, comparisons int) {
-	faults.Check(faults.SamplingRun)
-	if distance < 1 {
-		distance = 1
+// coverRow adds the agree sets of row i with every later row to dst, in
+// row order — the inner loop of the all-pairs scan, serial or per shard.
+func coverRow(r *relation.Relation, i int, dst *NonFDSet, buf bitset.Set) {
+	n := r.NumRows()
+	for j := i + 1; j < n; j++ {
+		dst.Add(AgreeSet(r, i, j, buf))
 	}
+}
+
+// sampleClusters is the sorted-neighborhood kernel: rows of each cluster
+// are sorted by their full code tuple and each row is compared to its
+// neighbor at the given window distance (>= 1). Agree sets accumulate
+// into dst; the number of *new* non-FDs and the number of comparisons are
+// returned. ClusterNeighborSample runs it over a whole partition, and
+// each shard of the sharded pass over its own cluster range.
+func sampleClusters(r *relation.Relation, clusters [][]int32, distance int, dst *NonFDSet) (newNonFDs, comparisons int) {
 	buf := bitset.New(r.NumCols())
-	for _, cluster := range p.Clusters {
+	for _, cluster := range clusters {
 		if len(cluster) <= distance {
 			continue
 		}
@@ -249,15 +248,4 @@ func sortedClusterPacked(r *relation.Relation, cluster []int32) []int32 {
 		sorted[i] = k.row
 	}
 	return sorted
-}
-
-// InitialSample runs one sorted-neighborhood pass (distance 1) over the
-// single-attribute partitions of every column — the one-shot sampling DHyFD
-// performs before its main loop.
-func InitialSample(r *relation.Relation, singles []*partition.Partition) *NonFDSet {
-	s := NewNonFDSet(r.NumCols())
-	for _, p := range singles {
-		ClusterNeighborSample(r, p, 1, s)
-	}
-	return s
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
@@ -231,8 +232,12 @@ func TestClusterNeighborSample(t *testing.T) {
 		{"2", "z", "blue"},
 	})
 	p := partition.Single(r.Cols[0], r.Cards[0])
+	ctx, pool := context.Background(), engine.NewPool(1)
 	s := NewNonFDSet(3)
-	newN, comps := ClusterNeighborSample(r, p, 1, s)
+	newN, comps, err := ClusterNeighborSample(ctx, pool, r, p, 1, s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if comps != 2 {
 		t.Errorf("comparisons = %d, want 2 (cluster of 3 rows, window 1)", comps)
 	}
@@ -247,7 +252,7 @@ func TestClusterNeighborSample(t *testing.T) {
 	}
 	// Window distance larger than cluster yields nothing.
 	s2 := NewNonFDSet(3)
-	if n, _ := ClusterNeighborSample(r, p, 5, s2); n != 0 {
+	if n, _, _ := ClusterNeighborSample(ctx, pool, r, p, 5, s2, 0); n != 0 {
 		t.Errorf("oversized window sampled %d", n)
 	}
 }
@@ -259,11 +264,15 @@ func TestInitialSampleCoversAllColumns(t *testing.T) {
 		{"2", "x"},
 		{"2", "y"},
 	})
-	singles := make([]*partition.Partition, r.NumCols())
-	for c := range singles {
-		singles[c] = partition.Single(r.Cols[c], r.Cards[c])
+	// The initial sample the hybrid algorithms take: one distance-1 pass
+	// over the single-attribute partition of every column.
+	s := NewNonFDSet(r.NumCols())
+	for c := 0; c < r.NumCols(); c++ {
+		p := partition.Single(r.Cols[c], r.Cards[c])
+		if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, p, 1, s, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s := InitialSample(r, singles)
 	if s.Len() == 0 {
 		t.Fatal("initial sample found nothing")
 	}

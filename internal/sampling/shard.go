@@ -10,37 +10,51 @@ import (
 	"repro/internal/relation"
 )
 
-// This file shards the agree-set extraction passes. Phase 1 collects
-// per-shard agree sets into shard-local NonFDSets on pool workers —
-// local dedup bounds each shard's memory by its distinct sets — and
-// phase 2 reconciles them sequentially in shard order into the shared
-// set. Because NonFDSet.Add keeps first occurrences in insertion order
-// and shard s's comparisons precede shard s+1's in the serial scan
-// order, the merged set's contents AND insertion order are identical to
-// the serial pass — so induction order downstream, and therefore the
-// discovered cover, cannot depend on the shard size.
+// This file holds the entry points of the agree-set extraction passes.
+// Each decides from the pool width whether to shard: on one worker it
+// runs the serial kernel, on more it shards. Phase 1 collects per-shard
+// agree sets into shard-local NonFDSets on pool workers — local dedup
+// bounds each shard's memory by its distinct sets — and phase 2
+// reconciles them sequentially in shard order into the shared set.
+// Because NonFDSet.Add keeps first occurrences in insertion order and
+// shard s's comparisons precede shard s+1's in the serial scan order,
+// the merged set's contents AND insertion order are identical to the
+// serial pass — so induction order downstream, and therefore the
+// discovered cover, cannot depend on the worker count or shard size.
 
-// ClusterNeighborSampleSharded is ClusterNeighborSample on the pool:
-// the partition's clusters split into ~shardSize-row contiguous ranges
-// (partition.ShardClusters) that sample concurrently, then merge. It
-// fires sampling.run once per call like the serial pass, plus one
-// sampling.shardmerge hit per shard folded; single-shard (or
-// single-worker) inputs degenerate to the serial pass. The returned
-// newNonFDs and comparisons counts equal the serial pass's exactly.
-func ClusterNeighborSampleSharded(ctx context.Context, pool *engine.Pool, r *relation.Relation, p *partition.Partition, distance int, dst *NonFDSet, shardSize int) (newNonFDs, comparisons int, err error) {
-	cuts := partition.ShardClusters(p.Clusters, shardSize)
-	nshards := len(cuts) - 1
-	if nshards <= 1 || pool == nil || pool.Workers() == 1 {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
+// ClusterNeighborSample samples agree sets from each cluster of p using
+// the sorted-neighborhood method: rows of a cluster are sorted by their
+// full code tuple and each row is compared to its neighbor at the given
+// window distance (distance 1 compares adjacent rows). Results accumulate
+// into dst; the number of *new* non-FDs and the number of comparisons are
+// returned, identical at every worker count and shard size.
+//
+// On a pool of more than one worker the clusters split into ~shardSize-row
+// contiguous ranges (partition.ShardClusters) that sample concurrently,
+// then merge, with one sampling.shardmerge hit per shard folded. A
+// one-worker pool, or a partition within one range, runs the serial
+// kernel, and a one-worker pool cuts no ranges at all. Either way the
+// pass fires sampling.run once per call.
+func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, p *partition.Partition, distance int, dst *NonFDSet, shardSize int) (newNonFDs, comparisons int, err error) {
+	if pool.Workers() > 1 {
+		if cuts := partition.ShardClusters(p.Clusters, shardSize); len(cuts) > 2 {
+			return sampleSharded(ctx, pool, r, p, cuts, distance, dst)
 		}
-		newNonFDs, comparisons = ClusterNeighborSample(r, p, distance, dst)
-		return newNonFDs, comparisons, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
 	}
 	faults.Check(faults.SamplingRun)
-	if distance < 1 {
-		distance = 1
-	}
+	newNonFDs, comparisons = sampleClusters(r, p.Clusters, max(distance, 1), dst)
+	return newNonFDs, comparisons, nil
+}
+
+// sampleSharded is ClusterNeighborSample's sharded path over the
+// cluster ranges cuts.
+func sampleSharded(ctx context.Context, pool *engine.Pool, r *relation.Relation, p *partition.Partition, cuts []int, distance int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
+	faults.Check(faults.SamplingRun)
+	distance = max(distance, 1)
+	nshards := len(cuts) - 1
 
 	// Phase 1: sample each cluster range into a shard-local set.
 	// Re-running an item is safe: the kernel rebuilds the shard's local
@@ -79,21 +93,20 @@ func ClusterNeighborSampleSharded(ctx context.Context, pool *engine.Pool, r *rel
 	return newNonFDs, comparisons, nil
 }
 
-// NegativeCoverSharded computes the agree sets of all tuple pairs — the
-// full negative cover FDEP and FastFDs derive their covers from — on the
-// pool, honouring ctx. The quadratic all-pairs scan shards by contiguous
-// outer-row ranges, each collecting its agree sets locally, then merges
-// in range order — so the resulting set and its insertion order are
-// identical to the serial scan. Fires
-// one sampling.shardmerge hit per shard folded; single-shard (or
-// single-worker) inputs degenerate to the serial pass.
-func NegativeCoverSharded(ctx context.Context, pool *engine.Pool, r *relation.Relation, shardSize int) (*NonFDSet, error) {
-	n := r.NumRows()
+// NegativeCover computes the agree sets of all tuple pairs — the full
+// negative cover FDEP and FastFDs derive their covers from — honouring
+// ctx. On a pool of more than one worker the quadratic all-pairs scan
+// shards by contiguous ~shardSize-row outer-row ranges, each collecting
+// its agree sets locally, then merges in range order with one
+// sampling.shardmerge hit per shard folded; a one-worker pool, or a
+// relation within one range, runs the serial scan. The resulting set and
+// its insertion order are identical either way.
+func NegativeCover(ctx context.Context, pool *engine.Pool, r *relation.Relation, shardSize int) (*NonFDSet, error) {
 	if shardSize <= 0 {
 		shardSize = partition.DefaultShardSize
 	}
-	nshards := (n + shardSize - 1) / shardSize
-	if nshards <= 1 || pool == nil || pool.Workers() == 1 {
+	nshards := (r.NumRows() + shardSize - 1) / shardSize
+	if pool.Workers() == 1 || nshards <= 1 {
 		return negativeCover(ctx, r)
 	}
 
@@ -123,46 +136,31 @@ func NegativeCoverSharded(ctx context.Context, pool *engine.Pool, r *relation.Re
 	return out, nil
 }
 
-// sampleShard is the phase-1 kernel of ClusterNeighborSampleSharded:
-// shard s's cluster range samples into a fresh shard-local set, and the
-// only writes that leave the kernel land in its disjoint locals[s] /
-// comps[s] slots — which is what makes re-running the item after a
-// transient failure safe.
+// sampleShard is the phase-1 kernel of the sharded sample: shard s's
+// cluster range samples into a fresh shard-local set, and the only
+// writes that leave the kernel land in its disjoint locals[s] / comps[s]
+// slots — which is what makes re-running the item after a transient
+// failure safe.
 //
 //fd:shardkernel
 func sampleShard(r *relation.Relation, p *partition.Partition, cuts []int, distance, s int, locals []*NonFDSet, comps []int) {
 	local := NewNonFDSet(r.NumCols())
-	buf := bitset.New(r.NumCols())
-	n := 0
-	for _, cluster := range p.Clusters[cuts[s]:cuts[s+1]] {
-		if len(cluster) <= distance {
-			continue
-		}
-		sorted := sortedCluster(r, cluster)
-		for i := 0; i+distance < len(sorted); i++ {
-			n++
-			a, b := int(sorted[i]), int(sorted[i+distance])
-			local.Add(AgreeSet(r, a, b, buf))
-		}
-	}
+	_, n := sampleClusters(r, p.Clusters[cuts[s]:cuts[s+1]], distance, local)
 	locals[s], comps[s] = local, n
 }
 
-// coverShard is the phase-1 kernel of NegativeCoverSharded: outer rows
-// [s*shardSize, hi) scan against all later rows into a fresh local set,
-// written only to the shard's disjoint locals[s] slot.
+// coverShard is the phase-1 kernel of the sharded negative cover: outer
+// rows [s*shardSize, hi) scan against all later rows into a fresh local
+// set, written only to the shard's disjoint locals[s] slot.
 //
 //fd:shardkernel
 func coverShard(r *relation.Relation, shardSize, s int, locals []*NonFDSet) {
 	local := NewNonFDSet(r.NumCols())
 	buf := bitset.New(r.NumCols())
-	n := r.NumRows()
 	lo := s * shardSize
-	hi := min(lo+shardSize, n)
+	hi := min(lo+shardSize, r.NumRows())
 	for i := lo; i < hi; i++ {
-		for j := i + 1; j < n; j++ {
-			local.Add(AgreeSet(r, i, j, buf))
-		}
+		coverRow(r, i, local, buf)
 	}
 	locals[s] = local
 }

@@ -28,28 +28,39 @@ func assertSameNonFDs(t *testing.T, name string, shardSize int, want, got *NonFD
 	}
 }
 
-// TestClusterNeighborSampleShardedMatches pins the sharded sampler
-// contract across the benchmark relations: at every shard size the
-// merged set, its insertion order, and the newNonFDs/comparisons
-// counters equal the serial pass exactly.
+// TestClusterNeighborSampleShardedMatches pins serial as the one-worker
+// case for the sampler: ClusterNeighborSample takes the initial sample of
+// every benchmark relation (its first eight columns, one distance-1 pass
+// per column into one set) at workers {1, 2, 4} × shard sizes spanning
+// degenerate (1 row per shard), prime-unaligned (7), typical (64) and
+// past the whole relation (nrows+13), and the merged set, its insertion
+// order and the newNonFDs/comparisons counters must equal sampleClusters'
+// exactly.
 func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 	ctx := context.Background()
 	for _, b := range dataset.All() {
-		r := b.Generate(521, 0)
-		p := partition.Single(r.Cols[0], r.Cards[0])
+		r := b.Generate(521, 8)
+		singles := make([]*partition.Partition, r.NumCols())
 		wantDst := NewNonFDSet(r.NumCols())
-		wantNew, wantComps := ClusterNeighborSample(r, p, 1, wantDst)
-		for _, shardSize := range []int{1, 7, 64, 1 << 16, r.NumRows()} {
-			for _, workers := range []int{1, 3} {
-				pool := engine.NewPool(workers)
+		wantNew := make([]int, r.NumCols())
+		wantComps := make([]int, r.NumCols())
+		for c := range singles {
+			singles[c] = partition.Single(r.Cols[c], r.Cards[c])
+			wantNew[c], wantComps[c] = sampleClusters(r, singles[c].Clusters, 1, wantDst)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			pool := engine.NewPool(workers)
+			for _, shardSize := range []int{1, 7, 64, r.NumRows() + 13} {
 				dst := NewNonFDSet(r.NumCols())
-				gotNew, gotComps, err := ClusterNeighborSampleSharded(ctx, pool, r, p, 1, dst, shardSize)
-				if err != nil {
-					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
-				}
-				if gotNew != wantNew || gotComps != wantComps {
-					t.Fatalf("%s shard=%d workers=%d: new/comps = %d/%d, want %d/%d",
-						b.Name, shardSize, workers, gotNew, gotComps, wantNew, wantComps)
+				for c, p := range singles {
+					gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, shardSize)
+					if err != nil {
+						t.Fatalf("%s col %d shard=%d workers=%d: %v", b.Name, c, shardSize, workers, err)
+					}
+					if gotNew != wantNew[c] || gotComps != wantComps[c] {
+						t.Fatalf("%s col %d shard=%d workers=%d: new/comps = %d/%d, want %d/%d",
+							b.Name, c, shardSize, workers, gotNew, gotComps, wantNew[c], wantComps[c])
+					}
 				}
 				assertSameNonFDs(t, b.Name, shardSize, wantDst, dst)
 			}
@@ -57,9 +68,31 @@ func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 	}
 }
 
-// TestClusterNeighborSampleShardedPrefilled: merging into a dst that
-// already holds sets must count only the genuinely new ones, exactly
-// like the serial pass against the same prefilled dst.
+// TestNegativeCoverShardedMatches is the same matrix for the all-pairs
+// scan: on a random 120×4 relation NegativeCover's set contents and
+// insertion order equal negativeCover's at every (workers, shard size).
+func TestNegativeCoverShardedMatches(t *testing.T) {
+	ctx := context.Background()
+	r := dataset.Random(rand.New(rand.NewSource(9)), 120, 4, 3)
+	want, err := negativeCover(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		pool := engine.NewPool(workers)
+		for _, shardSize := range []int{1, 7, 64, r.NumRows() + 13} {
+			got, err := NegativeCover(ctx, pool, r, shardSize)
+			if err != nil {
+				t.Fatalf("negcover shard=%d workers=%d: %v", shardSize, workers, err)
+			}
+			assertSameNonFDs(t, "negcover", shardSize, want, got)
+		}
+	}
+}
+
+// TestClusterNeighborSampleShardedPrefilled: the sharded merge into a
+// dst that already holds sets must count only the genuinely new ones,
+// exactly like the serial kernel against the same prefilled dst.
 func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(3)), 400, 5, 3)
@@ -67,19 +100,19 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	pool := engine.NewPool(3)
 
 	seed := NewNonFDSet(r.NumCols())
-	ClusterNeighborSample(r, partition.Single(r.Cols[0], r.Cards[0]), 1, seed)
+	sampleClusters(r, partition.Single(r.Cols[0], r.Cards[0]).Clusters, 1, seed)
 
 	want := NewNonFDSet(r.NumCols())
 	for _, x := range seed.Sets() {
 		want.Add(x)
 	}
-	wantNew, wantComps := ClusterNeighborSample(r, p, 2, want)
+	wantNew, wantComps := sampleClusters(r, p.Clusters, 2, want)
 
 	got := NewNonFDSet(r.NumCols())
 	for _, x := range seed.Sets() {
 		got.Add(x)
 	}
-	gotNew, gotComps, err := ClusterNeighborSampleSharded(ctx, pool, r, p, 2, got, 16)
+	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, p, 2, got, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,30 +122,9 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	assertSameNonFDs(t, "prefilled", 16, want, got)
 }
 
-// TestNegativeCoverShardedMatches pins the sharded all-pairs scan: set
-// contents and insertion order equal the serial scan at every shard size.
-func TestNegativeCoverShardedMatches(t *testing.T) {
-	ctx := context.Background()
-	r := dataset.Random(rand.New(rand.NewSource(9)), 120, 4, 3)
-	want, err := negativeCover(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shardSize := range []int{1, 7, 50, r.NumRows()} {
-		for _, workers := range []int{1, 3} {
-			pool := engine.NewPool(workers)
-			got, err := NegativeCoverSharded(ctx, pool, r, shardSize)
-			if err != nil {
-				t.Fatalf("shard=%d workers=%d: %v", shardSize, workers, err)
-			}
-			assertSameNonFDs(t, "negcover", shardSize, want, got)
-		}
-	}
-}
-
 // TestSamplingShardMergeFault pins the sampling.shardmerge site: an
 // armed error plan firing during reconciliation surfaces as an
-// injection-marked error from the sharded pass, and the serial pass
+// injection-marked error from the sharded pass, and the one-worker pass
 // never hits the site.
 func TestSamplingShardMergeFault(t *testing.T) {
 	ctx := context.Background()
@@ -122,7 +134,7 @@ func TestSamplingShardMergeFault(t *testing.T) {
 
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic, N: 2})()
 	dst := NewNonFDSet(r.NumCols())
-	_, _, err := ClusterNeighborSampleSharded(ctx, pool, r, p, 1, dst, 8)
+	_, _, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, 8)
 	if err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -132,7 +144,9 @@ func TestSamplingShardMergeFault(t *testing.T) {
 
 	// The serial pass never touches the site: an armed plan stays armed.
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic})()
-	ClusterNeighborSample(r, p, 1, NewNonFDSet(r.NumCols()))
+	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, p, 1, NewNonFDSet(r.NumCols()), 8); err != nil {
+		t.Fatal(err)
+	}
 	if !faults.Armed(faults.SamplingShardMerge) {
 		t.Fatal("serial sample hit the shard-merge site")
 	}
@@ -147,7 +161,7 @@ func TestSamplingShardStats(t *testing.T) {
 	p := partition.Single(r.Cols[0], r.Cards[0])
 	pool := engine.NewPool(2)
 	dst := NewNonFDSet(r.NumCols())
-	if _, _, err := ClusterNeighborSampleSharded(ctx, pool, r, p, 1, dst, 16); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, 16); err != nil {
 		t.Fatal(err)
 	}
 	shards, _ := pool.ShardStats()

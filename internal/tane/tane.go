@@ -97,7 +97,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		if x.IsEmpty() {
 			return emptyPart, nil
 		}
-		p, _, err := partition.ForAttrsCachedSharded(ctx, pool, cfg.Cache, x, r.Cols, r.Cards, cfg.ShardSize)
+		p, _, err := partition.ForAttrsCached(ctx, pool, cfg.Cache, x, r.Cols, r.Cards, cfg.ShardSize)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		rs.CandidatesValidated = f.CandidatesValidated
 		rs.Invalidated = f.Invalidated
 		out = append(out, f.Out...)
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		if err := h.WarmCache(ctx, r); err != nil {
+			stop()
+			return h.End(nil, err)
+		}
 		prevErr = make(map[string]int, len(f.Prev))
 		prevPart = make(map[string]*partition.Partition, len(f.Prev))
 		prevRecs = f.Prev
@@ -459,7 +462,7 @@ func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCP
 			next = append(next, c)
 		}
 	}
-	parts, err := partition.IntersectBatchPool(ctx, pool, jobs)
+	parts, err := partition.IntersectBatch(ctx, pool, jobs)
 	if err != nil {
 		return nil, err
 	}
