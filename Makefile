@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-fast test race allocs fdperf bench bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-smoke chaos crash fuzz-smoke check
+.PHONY: all build vet fmt lint lint-fast test race allocs fdperf bench bench-smoke chaos crash fuzz-smoke check
 
 all: check
 
@@ -49,47 +49,11 @@ allocs:
 fdperf:
 	cd cmd/fdperf && $(GO) vet ./... && $(GO) test -short ./...
 
-# Full benchmark pass: the partition kernels and the discovery paths,
-# folded into BENCH_pr3.json against the pre-PR baselines recorded in
-# results/. Same flags as the baseline capture, for comparability.
-bench: bench-pr3 bench-pr4 bench-pr6 bench-pr7
-
-bench-pr3:
-	$(GO) test -run '^$$' -bench 'Single100k|Refine100k|Intersect100k|RefineVsIntersect' -benchmem ./internal/partition/ | tee results/bench_partition.txt
-	$(GO) test -run '^$$' -bench 'DiscoverWeather|DiscoverDiabetic|TANELattice|DiscoverCached' -benchtime 3x -benchmem . | tee results/bench_discover.txt
-	$(GO) run ./cmd/benchjson \
-		-baseline results/bench_baseline_pr3_partition.txt \
-		-baseline results/bench_baseline_pr3_discover.txt \
-		-current results/bench_partition.txt \
-		-current results/bench_discover.txt \
-		-o BENCH_pr3.json
-
-# The ranking and sampling kernels, folded into BENCH_pr4.json against the
-# seed baselines in results/bench_baseline_pr4_*.txt (captured at the
-# pre-PR commit with the same flags).
-bench-pr4:
-	$(GO) test -run '^$$' -bench 'RankCover|TotalsCover|Histogram' -benchtime 5x -benchmem ./internal/ranking/ | tee results/bench_ranking.txt
-	$(GO) test -run '^$$' -bench 'SortedCluster|ClusterNeighborSample|NonRedundant' -benchtime 10x -benchmem ./internal/sampling/ | tee results/bench_sampling.txt
-	$(GO) run ./cmd/benchjson \
-		-baseline results/bench_baseline_pr4_ranking.txt \
-		-baseline results/bench_baseline_pr4_sampling.txt \
-		-current results/bench_ranking.txt \
-		-current results/bench_sampling.txt \
-		-o BENCH_pr4.json
-
-# The fused top-k search against the two-phase discover→rank→truncate
-# pipeline, exact and at eps = 0.01, with equivalence checked on every
-# cell. Unlike pr3/pr4 this is a paired A/B harness, so it emits the JSON
-# itself instead of going through benchjson.
-bench-pr6:
-	$(GO) run ./cmd/benchpr6 -o BENCH_pr6.json
-
-# What durability costs: plain vs default-interval vs eager-checkpoint
-# discovery on flight, gated at ≤5% default-interval overhead on the
-# 500×20 cells, plus the supervised-retry counters. Emits its JSON
-# directly (paired A/B harness, like pr6).
-bench-pr7:
-	$(GO) run ./cmd/benchpr7 -o BENCH_pr7.json
+# Full benchmark pass: every fdperf workload, each appending one JSON
+# summary line to .bench_build/bench.jsonl (cmd/fdperf/README.md
+# describes the schema and the flags).
+bench:
+	bash cmd/fdperf/run.sh -o .bench_build/bench.jsonl
 
 # One iteration of the key benchmarks — catches bit-rot without the cost
 # of a full measurement run.
@@ -97,7 +61,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Intersect100k' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
-	$(GO) run ./cmd/benchpr6 -smoke -o /dev/null
 
 # The fault-injection matrix — every site × every plan × every algorithm —
 # under the race detector.

@@ -2,7 +2,7 @@
 // the module: a pure-stdlib static-analysis gate for the conventions the
 // discovery runtime depends on but no compiler checks.
 //
-//	fdvet [-json] [-fixable] [-run ctxflow,faultsite,...] [module-dir]
+//	fdvet [-json] [-run ctxflow,faultsite,...] [module-dir]
 //
 // With no directory it analyzes the module rooted at the current
 // directory (walking up to the nearest go.mod). Exit status: 0 clean,
@@ -14,13 +14,7 @@
 // array for CI consumption. Suppress a finding with a trailing or
 // preceding comment:
 //
-//	//fdvet:ignore <analyzer> <reason> [until=PRnn]
-//
-// The optional until=PRnn horizon expires the suppression: once the
-// repo's PR counter reaches nn the directive is reported instead of
-// honored. -fixable lists the in-force suppressions with how many
-// findings each absorbed — the debt backlog hiding behind the
-// directives.
+//	//fdvet:ignore <analyzer> <reason>
 package main
 
 import (
@@ -37,9 +31,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	run := flag.String("run", "", "comma-separated analyzers to run (default all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	fixable := flag.Bool("fixable", false, "list in-force suppressions with usage counts instead of findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fdvet [-json] [-fixable] [-run analyzers] [module-dir]\n")
+		fmt.Fprintf(os.Stderr, "usage: fdvet [-json] [-run analyzers] [module-dir]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -77,31 +70,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fdvet:", err)
 		os.Exit(2)
 	}
-	diags, sups := lint.RunDetail(m, analyzers)
-	if *fixable {
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(sups); err != nil {
-				fmt.Fprintln(os.Stderr, "fdvet:", err)
-				os.Exit(2)
-			}
-			return
-		}
-		for _, s := range sups {
-			rel, err := filepath.Rel(root, s.File)
-			if err == nil {
-				s.File = rel
-			}
-			horizon := ""
-			if s.Until > 0 {
-				horizon = fmt.Sprintf(" until=PR%d", s.Until)
-			}
-			fmt.Printf("%s:%d: %s suppresses %d finding(s)%s — %s\n",
-				s.File, s.Line, s.Analyzer, s.Used, horizon, s.Reason)
-		}
-		return
-	}
+	diags := lint.RunModule(m, analyzers)
 	if *jsonOut {
 		out := struct {
 			Root     string            `json:"root"`

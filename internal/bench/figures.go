@@ -326,13 +326,16 @@ func Fig11(ctx context.Context, w io.Writer, p Params) []Fig11Result {
 		rows := int(float64(p.rows(b.DefaultRows)) * frac)
 		r := b.Generate(rows, b.DefaultCols)
 		can := cover.Canonical(r.NumCols(), CoverOf(ctx, r))
-		rk := ranking.New(r)
 
+		start := time.Now()
+		ranked, _, err := ranking.RankCtx(ctx, r, can, ranking.Config{})
+		if err != nil {
+			panic(err)
+		}
 		var withN, withoutN []int
 		shifted := 0
-		start := time.Now()
-		for _, f := range can {
-			c := rk.FD(f)
+		for _, rr := range ranked {
+			c := rr.Counts
 			withN = append(withN, c.WithNulls)
 			withoutN = append(withoutN, c.NoNulls)
 			if c.WithNulls > 0 && c.NoNulls == 0 {

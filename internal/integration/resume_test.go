@@ -95,7 +95,10 @@ func TestResumeEquivalenceMatrix(t *testing.T) {
 // TestResumeAfterDeadline interrupts runs with wall-clock deadlines —
 // landing between boundaries rather than on a fault site — and asserts
 // the same equivalence. Runs that finish before the deadline resume from
-// their terminal snapshot, which must also be byte-identical.
+// their terminal snapshot, which must also be byte-identical. First,
+// uninterrupted checkpointing runs must return the plain cover, both at
+// the 30 s default interval (which still writes a snapshot) and at every
+// boundary (which writes more).
 func TestResumeAfterDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := dataset.Random(rng, 500, 8, 5)
@@ -105,6 +108,23 @@ func TestResumeAfterDeadline(t *testing.T) {
 		base, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2))
 		if err != nil {
 			t.Fatalf("fault-free %v run failed: %v", a, err)
+		}
+		saves := map[time.Duration]int64{}
+		for _, interval := range []time.Duration{0, tick} {
+			res, err := dhyfd.Discover(ctx, r,
+				dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2),
+				dhyfd.WithCheckpoint(t.TempDir(), interval))
+			if err != nil {
+				t.Fatalf("%v checkpointing every %v: %v", a, interval, err)
+			}
+			if !reflect.DeepEqual(res.FDs, base.FDs) {
+				only, other := dep.Diff(res.FDs, base.FDs, r.Names)
+				t.Fatalf("%v checkpointing every %v: cover differs from the plain run.\nonly durable: %v\nonly plain: %v", a, interval, only, other)
+			}
+			saves[interval] = res.Stats.Counters["checkpoints"]
+		}
+		if saves[0] < 1 || saves[tick] <= saves[0] {
+			t.Errorf("%v: %d checkpoints at the default interval, %d at every boundary; want at least 1, and more at every boundary", a, saves[0], saves[tick])
 		}
 		for _, budget := range []time.Duration{2 * time.Millisecond, 20 * time.Millisecond} {
 			t.Run(fmt.Sprintf("%v/%v", a, budget), func(t *testing.T) {

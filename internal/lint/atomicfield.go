@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AtomicField enforces atomic-access discipline on the counters the
@@ -12,66 +11,22 @@ import (
 // attempt/retry/shard counters, the cache hit/miss/eviction counters
 // and the RunStats fold sites:
 //
-//   - a struct field passed by address to a sync/atomic function
-//     (old-style `atomic.AddInt64(&s.n, 1)`) is an atomic field; any
-//     plain read or write of it outside the declaring package's
-//     constructors (New*/new* functions) is a data race waiting for a
-//     refactor, and is reported;
 //   - a field of one of the sync/atomic types (atomic.Int64,
 //     atomic.Bool, atomic.Pointer[T], ...) must only be used as a
 //     method receiver or have its address taken — assigning over it or
 //     copying it by value tears the atomicity;
-//   - 64-bit atomics must be alignment-safe in their struct layout.
-//     Offsets are computed under the 32-bit model (GOARCH=386: word
-//     and max alignment 4). The sync/atomic value types embed align64,
-//     which both the gc compiler and go/types honor, so atomic.Int64
-//     fields are safe anywhere; the rule bites old-style plain
-//     int64/uint64 fields driven through atomic.AddInt64 and friends,
-//     which have no such protection — those must sit at offsets the
-//     layout math proves 8-aligned on every architecture, in practice
-//     at the front of the struct.
+//   - the package-level sync/atomic functions (atomic.AddInt64,
+//     atomic.LoadPointer, ...) are not called at all. They drive plain
+//     fields, which nothing stops a later edit from reading plainly,
+//     and a plain int64 has no 8-byte alignment on 32-bit platforms;
+//     the typed values embed align64 and admit only atomic access.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "atomically-accessed struct fields allow no plain access outside constructors; 64-bit atomics must be layout-aligned",
+	Doc:  "sync/atomic-typed fields are used only through their methods or address; no package-level sync/atomic calls",
 	Run:  runAtomicField,
 }
 
-// sizes32 is the GOARCH=386 layout model the alignment rule evaluates
-// under: if an offset is 8-aligned here, it is 8-aligned everywhere.
-var sizes32 = &types.StdSizes{WordSize: 4, MaxAlign: 4}
-
 func runAtomicField(pass *Pass) {
-	// Pass 1 (module-wide): find old-style atomic fields — fields whose
-	// address reaches a sync/atomic call — and remember the call sites
-	// so the plain-access pass can skip them.
-	atomicFields := make(map[*types.Var]string) // field -> atomic func name
-	atomicArgs := make(map[ast.Expr]bool)       // the &s.f argument expressions
-	for _, pkg := range pass.Module.Pkgs {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				obj := calleeFuncObj(info, call)
-				if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-					return true
-				}
-				if _, isFunc := obj.(*types.Func); !isFunc || len(call.Args) == 0 {
-					return true
-				}
-				if fv := addressedField(info, call.Args[0]); fv != nil {
-					atomicFields[fv] = obj.Name()
-					atomicArgs[call.Args[0]] = true
-				}
-				return true
-			})
-		}
-	}
-
-	// Pass 2: report plain accesses of old-style atomic fields outside
-	// constructors, and non-method uses of sync/atomic-typed fields.
 	for _, pkg := range pass.Module.Pkgs {
 		info := pkg.Info
 		for _, f := range pkg.Files {
@@ -80,73 +35,38 @@ func runAtomicField(pass *Pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				inCtor := isConstructor(fd)
-				checkAtomicAccess(pass, info, fd.Body, atomicFields, atomicArgs, inCtor)
+				checkAtomicCalls(pass, info, fd.Body)
+				checkAtomicAccess(pass, info, fd.Body)
 			}
 		}
 	}
-
-	// Pass 3: alignment of 64-bit atomics in every module struct.
-	for _, pkg := range pass.Module.Pkgs {
-		checkAtomicAlignment(pass, pkg, atomicFields)
-	}
 }
 
-// addressedField resolves &expr.f (possibly parenthesized) to the
-// struct field variable it addresses, or nil.
-func addressedField(info *types.Info, e ast.Expr) *types.Var {
-	un, ok := ast.Unparen(e).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil
-	}
-	sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return fieldOf(info, sel)
-}
-
-// fieldOf returns the struct field a selector resolves to, or nil for
-// methods, package selectors and locals.
-func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// isConstructor reports whether fd is a constructor by the repo's
-// convention: a New*/new* function (or init), where single-threaded
-// plain initialization of an atomic field is legitimate.
-func isConstructor(fd *ast.FuncDecl) bool {
-	name := fd.Name.Name
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") || name == "init"
-}
-
-func checkAtomicAccess(pass *Pass, info *types.Info, body *ast.BlockStmt, atomicFields map[*types.Var]string, atomicArgs map[ast.Expr]bool, inCtor bool) {
-	// Old-style fields: any selector access outside the &s.f arguments
-	// of sync/atomic calls (and outside constructors) is plain access.
+// checkAtomicCalls reports every call of a package-level sync/atomic
+// function; methods of the sync/atomic types are the sanctioned API.
+func checkAtomicCalls(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if e, ok := n.(ast.Expr); ok && atomicArgs[e] {
-			return false // the sanctioned &s.f of an atomic call
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if fv := fieldOf(info, sel); fv != nil {
-				if fn, ok := atomicFields[fv]; ok && !inCtor {
-					pass.Reportf(sel.Pos(), "field %s is accessed with atomic.%s elsewhere; plain access outside a constructor races with it",
-						fv.Name(), fn)
-				}
-			}
+		fn, ok := calleeFuncObj(info, call).(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+			return true
+		}
+		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
+			pass.Reportf(call.Pos(), "call to atomic.%s drives a plain value; use a sync/atomic type (atomic.Int64, ...) and its methods",
+				fn.Name())
 		}
 		return true
 	})
+}
 
-	// New-style fields: the only sanctioned shapes are method receiver
-	// (x.f.Load()) and address-of (&x.f); assigning over the field or
-	// copying it by value tears the atomicity. Track parents during the
-	// walk to classify each selector's use.
+// checkAtomicAccess reports sync/atomic-typed fields used other than as
+// a method receiver (x.f.Load()) or by address (&x.f): assigning over
+// the field or copying it by value tears the atomicity. Parents are
+// tracked during the walk to classify each selector's use.
+func checkAtomicAccess(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	parentOK := make(map[ast.Node]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -191,6 +111,17 @@ func checkAtomicAccess(pass *Pass, info *types.Info, body *ast.BlockStmt, atomic
 	})
 }
 
+// fieldOf returns the struct field a selector resolves to, or nil for
+// methods, package selectors and locals.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		if v, ok := s.Obj().(*types.Var); ok {
+			return v
+		}
+	}
+	return nil
+}
+
 // isSyncAtomicType reports whether t is one of sync/atomic's value
 // types (Int32, Int64, Uint32, Uint64, Uintptr, Bool, Pointer[T],
 // Value).
@@ -201,79 +132,4 @@ func isSyncAtomicType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// is64BitAtomic reports whether t is an 8-byte atomic: atomic.Int64,
-// atomic.Uint64, or an old-style int64/uint64 field.
-func is64BitAtomic(t types.Type) bool {
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" {
-			return obj.Name() == "Int64" || obj.Name() == "Uint64"
-		}
-	}
-	if b, ok := t.Underlying().(*types.Basic); ok {
-		return b.Kind() == types.Int64 || b.Kind() == types.Uint64
-	}
-	return false
-}
-
-// checkAtomicAlignment reports 64-bit atomic fields whose offset is not
-// provably 8-aligned under the 32-bit layout model. Only named struct
-// types declared in the package are checked — allocations of named
-// types start the struct at an 8-aligned heap address, so a provably
-// aligned offset is sufficient.
-func checkAtomicAlignment(pass *Pass, pkg *Package, oldStyle map[*types.Var]string) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[ts.Name]
-				if !ok || obj == nil {
-					continue
-				}
-				st, ok := obj.Type().Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				reportMisaligned(pass, ts, st, oldStyle)
-			}
-		}
-	}
-}
-
-func reportMisaligned(pass *Pass, ts *ast.TypeSpec, st *types.Struct, oldStyle map[*types.Var]string) {
-	n := st.NumFields()
-	if n == 0 {
-		return
-	}
-	fields := make([]*types.Var, n)
-	for i := 0; i < n; i++ {
-		fields[i] = st.Field(i)
-	}
-	offsets := sizes32.Offsetsof(fields)
-	for i, fv := range fields {
-		isAtomic64 := false
-		if isSyncAtomicType(fv.Type()) && is64BitAtomic(fv.Type()) {
-			isAtomic64 = true
-		}
-		if _, ok := oldStyle[fv]; ok && is64BitAtomic(fv.Type()) {
-			isAtomic64 = true
-		}
-		if !isAtomic64 {
-			continue
-		}
-		if offsets[i]%8 != 0 {
-			pass.Reportf(fv.Pos(),
-				"64-bit atomic field %s.%s sits at offset %d under 32-bit layout; move the 64-bit atomics to the front of the struct",
-				ts.Name.Name, fv.Name(), offsets[i])
-		}
-	}
 }

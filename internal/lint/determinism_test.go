@@ -72,28 +72,3 @@ func TestSortDiagnostics(t *testing.T) {
 		}
 	}
 }
-
-// TestRunDetailSuppressions pins the -fixable surface over the ignore
-// fixture: only the well-formed, unexpired directives are in force, and
-// each reports the findings it absorbed.
-func TestRunDetailSuppressions(t *testing.T) {
-	m, err := Load(filepath.Join("testdata", "ignore"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers, err := ByName("ctxflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sups := RunDetail(m, analyzers)
-	if len(sups) != 2 {
-		t.Fatalf("in-force suppressions = %d, want 2 (got %+v)", len(sups), sups)
-	}
-	plain, horizon := sups[0], sups[1]
-	if plain.Until != 0 || plain.Used != 1 || plain.Analyzer != "ctxflow" {
-		t.Errorf("plain suppression = %+v, want until=0 used=1", plain)
-	}
-	if horizon.Until != 999 || horizon.Used != 1 {
-		t.Errorf("horizon suppression = %+v, want until=999 used=1", horizon)
-	}
-}

@@ -14,14 +14,11 @@
 // A finding is suppressed by a directive comment on the offending line or
 // on the line directly above it:
 //
-//	//fdvet:ignore <analyzer> <reason> [until=PRnn]
+//	//fdvet:ignore <analyzer> <reason>
 //
-// The reason is mandatory; a bare ignore is itself reported. The optional
-// until=PRnn token puts an expiry on the suppression: once CurrentPR
-// reaches nn the directive stops suppressing and is itself reported, so
-// debt cannot outlive its review horizon silently. Analyzers examine only
-// non-test files, so _test.go code may use private fault sites,
-// background contexts and maps freely.
+// The reason is mandatory; a bare ignore is itself reported. Analyzers
+// examine only non-test files, so _test.go code may use private fault
+// sites, background contexts and maps freely.
 package lint
 
 import (
@@ -32,12 +29,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// CurrentPR is the repo's PR sequence position, the clock that
-// `until=PRnn` ignore-directive expiries are measured against. Bump it
-// once per PR; any directive whose horizon it reaches turns back into a
-// finding.
-const CurrentPR = 10
 
 // Diagnostic is one finding: an analyzer name, a position and a message.
 type Diagnostic struct {
@@ -154,14 +145,6 @@ func Run(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // RunModule applies the analyzers to an already-loaded module.
 func RunModule(m *Module, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunDetail(m, analyzers)
-	return diags
-}
-
-// RunDetail applies the analyzers and additionally returns every
-// in-force suppression with its usage count — the raw material for
-// `fdvet -fixable`, which lists the debt the ignore directives hide.
-func RunDetail(m *Module, analyzers []*Analyzer) ([]Diagnostic, []Suppression) {
 	pkgOf := m.filePackages()
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -177,28 +160,7 @@ func RunDetail(m *Module, analyzers []*Analyzer) ([]Diagnostic, []Suppression) {
 		kept = append(kept, d)
 	}
 	sortDiagnostics(kept)
-	var sups []Suppression
-	for _, lines := range ignores {
-		for _, ss := range lines {
-			for _, s := range ss {
-				sups = append(sups, *s)
-			}
-		}
-	}
-	sort.Slice(sups, func(i, j int) bool {
-		a, b := sups[i], sups[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return kept, sups
+	return kept
 }
 
 // sortDiagnostics orders findings by (package, file, line, col,
@@ -221,37 +183,16 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// Suppression is one in-force //fdvet:ignore directive: where it sits,
-// what it silences, why, until when, and how many findings it absorbed
-// in this run.
-type Suppression struct {
-	Analyzer string `json:"analyzer"`
-	Package  string `json:"package"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Reason   string `json:"reason"`
-	// Until is the PR number the suppression expires at (the nn of
-	// until=PRnn), or 0 for no expiry.
-	Until int `json:"until,omitempty"`
-	// Used counts the findings this directive suppressed in the run. A
-	// zero count marks a directive with nothing left to hide.
-	Used int `json:"used"`
-}
-
-// ignoreSet maps file → line → the suppressions declared there. A
-// directive on line L suppresses findings on L and L+1, so it works both
-// trailing the offending line and standing alone above it.
-type ignoreSet map[string]map[int][]*Suppression
+// ignoreSet maps file → line → the analyzers an //fdvet:ignore directive
+// there names. A directive on line L suppresses findings on L and L+1, so
+// it works both trailing the offending line and standing alone above it.
+type ignoreSet map[string]map[int][]string
 
 func (s ignoreSet) covers(d Diagnostic) bool {
 	lines := s[d.File]
-	if lines == nil {
-		return false
-	}
 	for _, l := range [2]int{d.Line, d.Line - 1} {
-		for _, sup := range lines[l] {
-			if sup.Analyzer == d.Analyzer || sup.Analyzer == "all" {
-				sup.Used++
+		for _, a := range lines[l] {
+			if a == d.Analyzer || a == "all" {
 				return true
 			}
 		}
@@ -262,11 +203,9 @@ func (s ignoreSet) covers(d Diagnostic) bool {
 const ignorePrefix = "//fdvet:ignore"
 
 // ignoreDirectives scans every file's comments for //fdvet:ignore
-// directives. Malformed directives (no analyzer, no reason, or a
-// mangled until= token) and expired ones (until=PRnn with nn <=
-// CurrentPR) come back as diagnostics of the pseudo-analyzer "fdvet" so
-// they cannot silently fail to suppress — an expired directive stops
-// suppressing at the same moment it is reported.
+// directives. A malformed directive (no analyzer or no reason) comes back
+// as a diagnostic of the pseudo-analyzer "fdvet" and suppresses nothing,
+// so it cannot silently fail to suppress.
 func (m *Module) ignoreDirectives() (ignoreSet, []Diagnostic) {
 	set := make(ignoreSet)
 	var bad []Diagnostic
@@ -274,81 +213,32 @@ func (m *Module) ignoreDirectives() (ignoreSet, []Diagnostic) {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, ignorePrefix) {
+					rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
+					if !ok {
 						continue
 					}
 					pos := m.Fset.Position(c.Pos())
-					report := func(format string, args ...any) {
+					fields := strings.Fields(rest)
+					if len(fields) < 2 {
 						bad = append(bad, Diagnostic{
 							Analyzer: "fdvet",
 							Pos:      pos, Package: pkg.Path,
 							File: pos.Filename, Line: pos.Line, Col: pos.Column,
-							Message: fmt.Sprintf(format, args...),
+							Message: "malformed ignore directive: want //fdvet:ignore <analyzer> <reason>",
 						})
-					}
-					fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
-					sup, err := parseIgnore(fields)
-					if err != "" {
-						report("%s", err)
 						continue
 					}
-					sup.Package = pkg.Path
-					sup.File = pos.Filename
-					sup.Line = pos.Line
-					if sup.Until != 0 && CurrentPR >= sup.Until {
-						report("ignore directive for %s expired at PR%d (now PR%d): fix the finding or renew the horizon",
-							sup.Analyzer, sup.Until, CurrentPR)
-						continue // expired: stops suppressing
-					}
-					lines := set[sup.File]
+					lines := set[pos.Filename]
 					if lines == nil {
-						lines = make(map[int][]*Suppression)
-						set[sup.File] = lines
+						lines = make(map[int][]string)
+						set[pos.Filename] = lines
 					}
-					lines[sup.Line] = append(lines[sup.Line], sup)
+					lines[pos.Line] = append(lines[pos.Line], fields[0])
 				}
 			}
 		}
 	}
 	return set, bad
-}
-
-// parseIgnore decodes the fields after //fdvet:ignore into a
-// Suppression, or a non-empty error message. The until=PRnn token may
-// sit anywhere after the analyzer name; everything else is the reason.
-func parseIgnore(fields []string) (*Suppression, string) {
-	if len(fields) == 0 {
-		return nil, "malformed ignore directive: want //fdvet:ignore <analyzer> <reason> [until=PRnn]"
-	}
-	sup := &Suppression{Analyzer: fields[0]}
-	var reason []string
-	for _, f := range fields[1:] {
-		val, isUntil := strings.CutPrefix(f, "until=")
-		if !isUntil {
-			reason = append(reason, f)
-			continue
-		}
-		numStr, hasPR := strings.CutPrefix(val, "PR")
-		n := 0
-		if hasPR {
-			for _, r := range numStr {
-				if r < '0' || r > '9' {
-					n = -1
-					break
-				}
-				n = n*10 + int(r-'0')
-			}
-		}
-		if !hasPR || numStr == "" || n <= 0 {
-			return nil, fmt.Sprintf("malformed ignore expiry %q: want until=PRnn", f)
-		}
-		sup.Until = n
-	}
-	if len(reason) == 0 {
-		return nil, "malformed ignore directive: want //fdvet:ignore <analyzer> <reason> [until=PRnn]"
-	}
-	sup.Reason = strings.Join(reason, " ")
-	return sup, ""
 }
 
 // --- shared type helpers used by several analyzers ---

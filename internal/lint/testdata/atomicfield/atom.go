@@ -1,59 +1,25 @@
-// Package lib exercises the atomicfield analyzer: plain access to
-// old-style atomic fields outside constructors fires, as do assignments
-// to and value copies of sync/atomic-typed fields and misaligned
-// old-style 64-bit atomics; constructor initialization, method access,
-// address-of and align64-protected fields stay quiet.
+// Package lib exercises the atomicfield analyzer: calls to the
+// package-level sync/atomic functions fire, as do assignments to and
+// value copies of sync/atomic-typed fields; method calls on those
+// types, address-of and an atomic.Int64 behind an int32 stay quiet.
 package lib
 
 import "sync/atomic"
 
-// counter drives its n field through old-style sync/atomic calls. The
-// int32 in front leaves n at offset 4 under 32-bit layout — the
-// alignment finding.
+// counter drives its n field through old-style sync/atomic calls.
 type counter struct {
-	pad int32
-	n   int64
-	m   int64
+	n int64
 }
 
-// NewCounter may initialize the atomic field plainly: nothing else can
-// see the value yet.
-func NewCounter() *counter {
-	c := &counter{}
-	c.n = 0
-	return c
-}
-
-func (c *counter) Inc() {
+// BadAdd increments through a package-level sync/atomic function.
+func (c *counter) BadAdd() {
 	atomic.AddInt64(&c.n, 1)
 }
 
-// BadPlainRead reads the atomic field without sync/atomic.
-func (c *counter) BadPlainRead() int64 {
-	return c.n
-}
-
-// BadPlainWrite stores over it without sync/atomic.
-func (c *counter) BadPlainWrite() {
-	c.n = 7
-}
-
-// GoodAtomicRead goes through the atomic API.
-func (c *counter) GoodAtomicRead() int64 {
+// BadLoad reads through one.
+func (c *counter) BadLoad() int64 {
 	return atomic.LoadInt64(&c.n)
 }
-
-// GoodOtherField: m is never accessed atomically; plain access is fine.
-func (c *counter) GoodOtherField() int64 { return c.m }
-
-// alignedCounter keeps its old-style 64-bit atomic first: provably
-// 8-aligned, no finding.
-type alignedCounter struct {
-	n   int64
-	pad int32
-}
-
-func (c *alignedCounter) Inc() { atomic.AddInt64(&c.n, 1) }
 
 // gauge uses the new-style atomic.Int64, whose embedded align64 keeps
 // it safe at any offset — the int32 in front is not a finding.
@@ -72,8 +38,9 @@ func (g *gauge) BadCopy() atomic.Int64 {
 	return g.v
 }
 
-// GoodMethod drives the field through its method set.
-func (g *gauge) GoodMethod() int64 { return g.v.Load() }
+// GoodMethod drives the field through its method set: a sync/atomic
+// function, but a method, not a package-level one.
+func (g *gauge) GoodMethod() int64 { return g.v.Add(1) }
 
 // GoodStore likewise.
 func (g *gauge) GoodStore(x int64) { g.v.Store(x) }

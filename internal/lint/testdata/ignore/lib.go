@@ -1,7 +1,6 @@
 // Package lib exercises the suppression machinery: a well-formed
 // //fdvet:ignore silences a finding, a reason-less one is itself
-// reported and silences nothing, an unexpired until=PRnn horizon still
-// suppresses, and an expired or mangled one turns back into findings.
+// reported and silences nothing.
 package lib
 
 import "context"
@@ -21,31 +20,4 @@ func GoodIgnored() {
 func BadMalformed() {
 	//fdvet:ignore ctxflow
 	ctxUser(context.TODO())
-}
-
-// GoodUnexpired carries a horizon far in the future: it still
-// suppresses, and only the suppression listing sees it.
-func GoodUnexpired() {
-	//fdvet:ignore ctxflow fixture exercises the expiry path until=PR999
-	ctxUser(context.Background())
-}
-
-// BadExpired carries a horizon CurrentPR has already reached: the
-// directive is reported and the finding it used to hide survives.
-func BadExpired() {
-	//fdvet:ignore ctxflow horizon long past until=PR2
-	ctxUser(context.Background())
-}
-
-// BadMangledUntil has an until token that does not parse: the directive
-// is reported and suppresses nothing.
-func BadMangledUntil() {
-	//fdvet:ignore ctxflow mangled horizon until=soon
-	ctxUser(context.Background())
-}
-
-// BadOnlyUntil has a horizon but no reason: still malformed.
-func BadOnlyUntil() {
-	//fdvet:ignore ctxflow until=PR999
-	ctxUser(context.Background())
 }

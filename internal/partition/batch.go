@@ -71,7 +71,7 @@ func RefineBatch(ctx context.Context, pool *engine.Pool, jobs []RefineJob) ([]*P
 			if len(p.Clusters) == 0 {
 				break
 			}
-			p = rf.Refine(p, col, jobs[i].Cards[k])
+			p = rf.refine(p, col, jobs[i].Cards[k])
 		}
 		refiners.Put(rf)
 		out[i] = p

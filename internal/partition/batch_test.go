@@ -168,7 +168,7 @@ func TestRefineBatchPanicDropsScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := NewRefiner(5).Refine(p, col, 5)
+	want := NewRefiner(5).refine(p, col, 5)
 	if !reflect.DeepEqual(got[0].Clusters, want.Clusters) {
 		t.Error("the call after a panic refined on dirty scratch")
 	}

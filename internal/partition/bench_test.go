@@ -35,7 +35,7 @@ func BenchmarkRefine100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rf.Refine(p, c, 50)
+		rf.refine(p, c, 50)
 	}
 }
 
@@ -60,7 +60,7 @@ func BenchmarkRefineVsIntersect(b *testing.B) {
 	b.Run("refine", func(b *testing.B) {
 		rf := NewRefiner(200)
 		for i := 0; i < b.N; i++ {
-			rf.Refine(pa, c, 200)
+			rf.refine(pa, c, 200)
 		}
 	})
 	b.Run("intersect", func(b *testing.B) {

@@ -158,20 +158,10 @@ func (c *Cache) Get(x bitset.Set) *Partition {
 	return p
 }
 
-// Peek is Get without the hit/miss accounting, for probe loops — like
-// ranking's prefix-chain walk — that issue several speculative lookups per
-// logical consultation and would otherwise distort the counters. A found
-// entry still has its recency refreshed.
-func (c *Cache) Peek(x bitset.Set) *Partition {
-	if c == nil {
-		return nil
-	}
-	return c.lookup(x)
-}
-
 // lookup is Get without the hit/miss accounting, for probe paths that
-// count the consultation as a whole. A hit on a spilled entry faults the
-// partition back in from its spill file.
+// count the consultation as a whole. A found entry still has its recency
+// refreshed, and a hit on a spilled entry faults the partition back in
+// from its spill file.
 func (c *Cache) lookup(x bitset.Set) *Partition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -197,7 +187,7 @@ func (c *Cache) lookup(x bitset.Set) *Partition {
 // without scanning the whole cache. It returns (nil, nil) when not even
 // x's first attribute is cached. Finding a usable prefix counts as one
 // hit (the cache saved most of a build), finding none as one miss; the
-// probes themselves use Peek and leave the counters alone.
+// probes themselves leave the counters alone.
 func (c *Cache) LongestPrefix(x bitset.Set) (*Partition, bitset.Set) {
 	if c == nil {
 		return nil, nil
@@ -213,7 +203,7 @@ func (c *Cache) LongestPrefix(x bitset.Set) (*Partition, bitset.Set) {
 	k := 0
 	for j, a := range attrs {
 		prefix.Add(a)
-		p := c.Peek(prefix)
+		p := c.lookup(prefix)
 		if p == nil {
 			break
 		}
@@ -377,16 +367,16 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 // when c is non-nil, and reports whether the partition was served whole
 // from the cache (an exact hit) rather than built or refined from a
 // parent — the built/reused split ranking reports. cols and cards describe
-// the full relation; X empty yields the full-relation partition.
+// the full relation; X empty yields the full-relation partition and
+// touches no counter.
 //
 // With a cache, an exact hit returns the cached partition; otherwise
 // refinement walks down the ascending-attribute prefix chain from the
 // longest cached prefix (LongestPrefix) — or, with none cached, from the
 // first attribute's single partition — publishing every intermediate
-// prefix so later supersets (and the ranking provider, which walks the
-// same chain) start further along. With a nil cache it walks uncached,
-// from the smallest-error single partition exactly like ForAttrs. The
-// returned partition may be shared: treat it as read-only.
+// prefix so later supersets start further along. With a nil cache it
+// walks uncached, from the smallest-error single partition exactly like
+// ForAttrs. The returned partition may be shared: treat it as read-only.
 //
 // Each step runs on the pool: the start partition and every refinement
 // shard row-wise (shardSize rows, <= 0 selects DefaultShardSize) on a

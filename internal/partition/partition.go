@@ -11,7 +11,7 @@
 // algorithms need, each as a serial kernel:
 //
 //   - Single: build π_A for one attribute from dictionary codes,
-//   - Refiner.Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA
+//   - Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA
 //     one cluster at a time (Algorithm 5), used by the DDM and by FD
 //     validation,
 //   - Intersector.Intersect: classic PLI intersection π_X ∩ π_Y ⇒ π_XY
@@ -216,12 +216,12 @@ func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, are
 	return arena, dst
 }
 
-// Refine computes π_XA from π_X by splitting every cluster on column col.
+// refine computes π_XA from π_X by splitting every cluster on column col.
 // The result is in compact form: sub-clusters are laid into one backing
 // array instead of being copied out one allocation each.
 //
 //fd:hotpath
-func (rf *Refiner) Refine(p *Partition, col []int32, card int) *Partition {
+func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
 	rf.grow(card)
 	out := &Partition{NRows: p.NRows}
 	backing := make([]int32, 0, p.Size())
@@ -278,10 +278,11 @@ var refiners = sync.Pool{New: func() any { return new(Refiner) }}
 // grows on demand.
 func getRefiner() *Refiner { return refiners.Get().(*Refiner) }
 
-// Refine is the one-shot form of Refiner.Refine, on pooled scratch.
+// Refine computes π_XA from π_X by splitting every cluster on column col,
+// on pooled Refiner scratch.
 func Refine(p *Partition, col []int32, card int) *Partition {
 	rf := getRefiner()
-	out := rf.Refine(p, col, card)
+	out := rf.refine(p, col, card)
 	refiners.Put(rf)
 	return out
 }
@@ -472,7 +473,7 @@ func ForAttrs(x bitset.Set, cols [][]int32, cards []int) *Partition {
 		if len(p.Clusters) == 0 {
 			break
 		}
-		p = rf.Refine(p, cols[a], cards[a])
+		p = rf.refine(p, cols[a], cards[a])
 	}
 	refiners.Put(rf)
 	return p

@@ -69,7 +69,7 @@ func stitchShard(back, ends []int32, base int32, backing, offsets []int32) {
 	}
 }
 
-// refineSharded computes π_XA from π_X exactly like Refiner.Refine. On a
+// refineSharded computes π_XA from π_X exactly like Refine. On a
 // pool of more than one worker, a parent spanning more than one
 // ~shardSize-row cluster range (ShardClusters) refines its ranges
 // concurrently, each on pooled Refiner scratch, then scatters them by

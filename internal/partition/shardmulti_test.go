@@ -14,7 +14,7 @@ import (
 )
 
 // serialChain is the reference for the prefix-chain walk, built from
-// the serial kernels alone: Single of attrs[0], then one Refiner.Refine
+// the serial kernels alone: Single of attrs[0], then one Refiner.refine
 // per further attribute, stopping once the partition is empty.
 func serialChain(attrs []int, cols [][]int32, cards []int) *Partition {
 	p := Single(cols[attrs[0]], cards[attrs[0]])
@@ -22,7 +22,7 @@ func serialChain(attrs []int, cols [][]int32, cards []int) *Partition {
 		if len(p.Clusters) == 0 {
 			break
 		}
-		p = NewRefiner(cards[a]).Refine(p, cols[a], cards[a])
+		p = NewRefiner(cards[a]).refine(p, cols[a], cards[a])
 	}
 	return p
 }
@@ -43,7 +43,7 @@ type entryInput struct {
 // degenerate (1 row per shard), prime-unaligned (7), typical (64) and
 // past the whole relation (nrows+13), and its compact form (backing
 // array and offsets) must match the serial kernels Single and
-// Refiner.Refine byte for byte. refineSharded refines π of each set's
+// Refiner.refine byte for byte. refineSharded refines π of each set's
 // lowest attribute by its next one. The uncached walk starts from the
 // smallest-error attribute (orderForRefine), the cached one walks
 // ascending attributes, publishing every prefix, so a second pass is all
@@ -72,7 +72,7 @@ func matchSerialKernels(t *testing.T, in entryInput) {
 				if err != nil {
 					t.Fatalf("%s workers=%d shard=%d: refineSharded %d by %d: %v", in.name, workers, shardSize, a, b, err)
 				}
-				assertSameCompact(t, in.name+"/refine", shardSize, b, NewRefiner(in.cards[b]).Refine(parent, in.cols[b], in.cards[b]), got)
+				assertSameCompact(t, in.name+"/refine", shardSize, b, NewRefiner(in.cards[b]).refine(parent, in.cols[b], in.cards[b]), got)
 
 				orderForRefine(attrs, in.cards, nrows)
 				got, hit, err := ForAttrsCached(ctx, pool, nil, x, in.cols, in.cards, shardSize)
@@ -154,7 +154,7 @@ func TestRefineShardedFault(t *testing.T) {
 
 	// The serial kernel never touches the site: an armed plan stays armed.
 	defer faults.Arm(faults.PartitionRefineShard, faults.Plan{Kind: faults.KindPanic})()
-	NewRefiner(r.Cards[1]).Refine(parent, r.Cols[1], r.Cards[1])
+	NewRefiner(r.Cards[1]).refine(parent, r.Cols[1], r.Cards[1])
 	if !faults.Armed(faults.PartitionRefineShard) {
 		t.Fatal("serial Refine hit the shard site")
 	}

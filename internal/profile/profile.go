@@ -14,7 +14,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/cover"
-	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/normalize"
 	"repro/internal/partition"
@@ -141,14 +140,13 @@ func ProfileCtx(ctx context.Context, r *relation.Relation, opts Options) (*Repor
 	rep.Keys = normalize.CandidateKeys(n, can, opts.MaxKeys)
 	rep.KeysTruncated = len(rep.Keys) >= opts.MaxKeys
 
-	// Per-column statistics.
+	// Per-column statistics. #red+0 of X → A is ‖π_X‖ for every A in the
+	// RHS, so a ranked FD adds an equal share of its count to each.
 	perColRedundancy := make([]int, n)
-	rk := ranking.NewWith(r, ranking.Config{Cache: cache})
-	for _, f := range can {
-		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
-			rhs := bitset.New(n)
-			rhs.Add(a)
-			perColRedundancy[a] += rk.FD(dep.FD{LHS: f.LHS, RHS: rhs}).WithNulls
+	for _, rf := range rep.Ranked {
+		k := rf.FD.RHS.Count()
+		for a := rf.FD.RHS.Next(0); a >= 0; a = rf.FD.RHS.Next(a + 1) {
+			perColRedundancy[a] += rf.Counts.WithNulls / k
 		}
 	}
 	rep.Columns = make([]ColumnProfile, n)

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/dataset"
+	"repro/internal/dep"
+	"repro/internal/ranking"
 	"repro/internal/relation"
 )
 
@@ -38,6 +41,19 @@ func TestProfileNCVoterSnippet(t *testing.T) {
 	}
 	if len(rep.Keys) == 0 {
 		t.Error("no keys found")
+	}
+	// A column's redundant occurrences sum #red+0 of X → A over the
+	// canonical FDs whose RHS holds it.
+	for c, col := range rep.Columns {
+		want := 0
+		for _, rf := range rep.Ranked {
+			if rf.FD.RHS.Contains(c) {
+				want += ranking.Of(r, dep.FD{LHS: rf.FD.LHS, RHS: bitset.FromAttrs(rep.Cols, c)}).WithNulls
+			}
+		}
+		if col.RedundantOcc != want {
+			t.Errorf("column %s: %d redundant occurrences, want %d", col.Name, col.RedundantOcc, want)
+		}
 	}
 
 	// state is constant; name_suffix all-null (also constant under null=null).

@@ -300,12 +300,11 @@ func TestEquivalenceMatrix(t *testing.T) {
 				}
 			}
 
-			// The serial Ranker must agree FD-by-FD too.
-			rk := New(r)
+			// The one-FD path must agree FD-by-FD too.
 			sk := newSeedRanker(r)
 			for _, f := range can {
-				if got, want := rk.FD(f), sk.fd(f); got != want {
-					t.Fatalf("Ranker.FD(%v) = %+v, seed %+v", f, got, want)
+				if got, want := Of(r, f), sk.fd(f); got != want {
+					t.Fatalf("Of(%v) = %+v, seed %+v", f, got, want)
 				}
 			}
 		})

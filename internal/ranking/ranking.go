@@ -23,10 +23,11 @@
 // The package is built around three kernels so that ranking a cover of
 // thousands of FDs costs no more than the partition layer it sits on:
 //
-//   - π_X comes from the shared partition.Cache of the discovery run when
-//     one is supplied (refining from the best cached subset on a miss), or
-//     from a private bounded cache otherwise, so related LHSs never
-//     rebuild from single columns.
+//   - π_X comes from partition.ForAttrsCached, through the shared
+//     partition.Cache of the discovery run when one is supplied or a
+//     private bounded cache otherwise: a miss refines from the LHS's
+//     longest cached prefix, so related LHSs never rebuild from single
+//     columns.
 //   - Null counting is word-parallel: each partition's cluster rows are
 //     marked once into a membership bitmap, and #red per RHS attribute is
 //     one AndNot/popcount against the relation's packed null masks.
@@ -81,21 +82,16 @@ type Config struct {
 	Workers int
 	// Cache is a shared PLI cache, typically the one the discovery run
 	// filled, so partitions computed during discovery are reused and
-	// misses refine from the best cached subset. Nil gives the run a
+	// misses refine from the longest cached prefix. Nil gives the run a
 	// private cache of DefaultCacheBytes.
 	Cache *partition.Cache
-	// Budget, when non-nil, is attached to the private cache so resident
-	// partitions charge the run's memory budget — never past its headroom:
-	// the cache sheds entries rather than degrading the run. Ignored when
-	// Cache is supplied (a shared cache carries its own attachment).
-	Budget *partition.Budget
 }
 
 func (cfg Config) cache() *partition.Cache {
 	if cfg.Cache != nil {
 		return cfg.Cache
 	}
-	return partition.NewCache(DefaultCacheBytes, cfg.Budget)
+	return partition.NewCache(DefaultCacheBytes, nil)
 }
 
 // Stats reports what one ranking run did: how partitions were obtained,
@@ -114,7 +110,8 @@ type Stats struct {
 	// marking plus the per-row null-LHS recluster fallback.
 	RowsScanned int64
 	// CacheHits / CacheMisses / CacheEvictions are the PLI cache's counter
-	// movement during the run (a LongestPrefix parent reuse counts as a hit).
+	// movement during the run (a group refined from a cached prefix counts
+	// as a hit, an empty LHS as neither).
 	CacheHits, CacheMisses, CacheEvictions int64
 	// Elapsed is the run's wall time.
 	Elapsed time.Duration
@@ -182,72 +179,8 @@ type scratch struct {
 	members bitset.Bitmap // membership bitmap of the current partition
 	lhsNull bitset.Bitmap // union of the current LHS's null masks
 	attrs   []int         // LHS attribute scratch
-	prefix  bitset.Set    // prefix-chain scratch of partitionFor
-	rf      *partition.Refiner
 
 	built, reused, rows int64
-}
-
-// partitionFor returns π_X through the cache; the second result reports an
-// exact cache hit. On a miss the partition is built by refining from X's
-// longest cached attribute prefix, and every intermediate prefix partition
-// is published: the LHSs of a canonical cover share long prefixes, so
-// ranking builds each distinct prefix once — O(1) lookups per step —
-// instead of each LHS from its single columns (or from a linear whole-cache
-// subset scan, which is quadratic over thousands of groups).
-func (sc *scratch) partitionFor(c *partition.Cache, x bitset.Set, r *relation.Relation) (*partition.Partition, bool) {
-	if p := c.Get(x); p != nil {
-		return p, true
-	}
-	sc.attrs = x.AppendAttrs(sc.attrs[:0])
-	attrs := sc.attrs
-	if c == nil || len(attrs) == 0 {
-		return partition.ForAttrs(x, r.Cols, r.Cards), false
-	}
-	if sc.prefix == nil {
-		sc.prefix = bitset.New(r.NumCols())
-		maxCard := 1
-		for _, card := range r.Cards {
-			if card > maxCard {
-				maxCard = card
-			}
-		}
-		sc.rf = partition.NewRefiner(maxCard)
-	}
-	prefix := sc.prefix
-	prefix.Clear()
-	// Walk the ascending-attribute chain upward, remembering the longest
-	// cached strict prefix.
-	var p *partition.Partition
-	k := 0
-	for j := 0; j < len(attrs)-1; j++ {
-		prefix.Add(attrs[j])
-		q := c.Peek(prefix)
-		if q == nil {
-			break
-		}
-		p, k = q, j+1
-	}
-	prefix.Clear()
-	if k == 0 {
-		p = partition.Single(r.Cols[attrs[0]], r.Cards[attrs[0]])
-		prefix.Add(attrs[0])
-		c.Put(prefix, p)
-		k = 1
-	} else {
-		for j := 0; j < k; j++ {
-			prefix.Add(attrs[j])
-		}
-	}
-	for j := k; j < len(attrs); j++ {
-		prefix.Add(attrs[j])
-		if len(p.Clusters) > 0 {
-			p = sc.rf.Refine(p, r.Cols[attrs[j]], r.Cards[attrs[j]])
-			sc.rows += int64(p.Size())
-		}
-		c.Put(prefix, p)
-	}
-	return p, false
 }
 
 // lhsNullBitmap fills sc.lhsNull with the union of the LHS attributes'
@@ -319,21 +252,26 @@ func countsFor(r *relation.Relation, f dep.FD, p *partition.Partition, sc *scrat
 	return c
 }
 
-// scoreGroups computes counts for every FD, fanning the LHS groups out
-// over the pool. It is the shared core of RankCtx and ForColumnCtx.
-func scoreGroups(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Config) ([]Counts, Stats, error) {
+// fanOut is the group fan-out shared by every entry point: the cover's
+// FDs are grouped by LHS and the groups run over the pool's workers.
+// Each group takes π_X from partition.ForAttrsCached on a one-worker pool
+// (the groups, not the walk, are the parallel unit), marks its membership
+// bitmap into the worker's scratch, and hands both to score. A walk fails
+// only on cancellation; the group then stops and Run reports ctx.Err().
+func fanOut(ctx context.Context, pool *engine.Pool, r *relation.Relation, fds []dep.FD, cache *partition.Cache, score func(w int, sc *scratch, g lhsGroup, p *partition.Partition)) (Stats, error) {
 	start := time.Now()
-	cache := cfg.cache()
 	cache0 := cache.Stats()
 	groups := groupByLHS(fds)
-	out := make([]Counts, len(fds))
-	pool := engine.NewPool(cfg.Workers)
+	walk := engine.NewPool(1)
 	ws := make([]scratch, pool.Workers())
 	err := pool.Run(ctx, len(groups), func(w, gi int) {
 		faults.Check(faults.RankingRun)
 		g := groups[gi]
+		p, reused, err := partition.ForAttrsCached(ctx, walk, cache, g.lhs, r.Cols, r.Cards, 0)
+		if err != nil {
+			return
+		}
 		sc := &ws[w]
-		p, reused := sc.partitionFor(cache, g.lhs, r)
 		if reused {
 			sc.reused++
 		} else {
@@ -341,18 +279,9 @@ func scoreGroups(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Co
 		}
 		sc.members = p.Members(sc.members)
 		sc.rows += int64(p.Size())
-		lhsHasNulls := sc.lhsNullBitmap(r, g.lhs)
-		for _, i := range g.idxs {
-			out[i] = countsFor(r, fds[i], p, sc, lhsHasNulls)
-		}
+		score(w, sc, g, p)
 	})
-	stats := mergeStats(ws, len(fds), len(groups), pool.Workers(), cache, cache0)
-	stats.Elapsed = time.Since(start)
-	return out, stats, err
-}
-
-func mergeStats(ws []scratch, fds, groups, workers int, cache *partition.Cache, cache0 partition.CacheStats) Stats {
-	s := Stats{FDs: fds, Groups: groups, Workers: workers}
+	s := Stats{FDs: len(fds), Groups: len(groups), Workers: pool.Workers()}
 	for i := range ws {
 		s.PartitionsBuilt += ws[i].built
 		s.PartitionsReused += ws[i].reused
@@ -360,65 +289,31 @@ func mergeStats(ws []scratch, fds, groups, workers int, cache *partition.Cache, 
 	}
 	delta := cache.Stats().Delta(cache0)
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = delta.Hits, delta.Misses, delta.Evictions
-	return s
+	s.Elapsed = time.Since(start)
+	return s, err
 }
 
-// Ranker computes redundancy counts over one relation for callers that
-// score FDs one at a time (profiling loops, per-column views). Partitions
-// are shared through the configured PLI cache; the membership bitmap of
-// the most recent LHS is kept warm, so consecutive FDs with one LHS —
-// the common per-column iteration — pay for it once. A Ranker is not safe
-// for concurrent use; RankCtx fans out internally instead.
-type Ranker struct {
-	r   *relation.Relation
-	cfg Config
-
-	cache       *partition.Cache
-	sc          scratch
-	cur         *partition.Partition
-	curKey      string
-	curLHSNulls bool
-	stats       Stats
-}
-
-// New returns a serial ranker with a private partition cache.
-func New(r *relation.Relation) *Ranker { return NewWith(r, Config{}) }
-
-// NewWith returns a ranker using the given cache/budget configuration
-// (Workers is ignored: a Ranker is serial by construction).
-func NewWith(r *relation.Relation, cfg Config) *Ranker {
-	return &Ranker{r: r, cfg: cfg, cache: cfg.cache()}
-}
-
-// FD computes the redundancy counts of one FD (set-valued RHS: counts sum
-// over the RHS attributes).
-func (rk *Ranker) FD(f dep.FD) Counts {
-	key := f.LHS.Key()
-	if rk.cur == nil || key != rk.curKey {
-		p, reused := rk.sc.partitionFor(rk.cache, f.LHS, rk.r)
-		if reused {
-			rk.stats.PartitionsReused++
-		} else {
-			rk.stats.PartitionsBuilt++
+// scoreGroups computes counts for every FD through the group fan-out. It
+// is the shared core of RankCtx and ForColumnCtx.
+func scoreGroups(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Config) ([]Counts, Stats, error) {
+	out := make([]Counts, len(fds))
+	stats, err := fanOut(ctx, engine.NewPool(cfg.Workers), r, fds, cfg.cache(), func(_ int, sc *scratch, g lhsGroup, p *partition.Partition) {
+		lhsHasNulls := sc.lhsNullBitmap(r, g.lhs)
+		for _, i := range g.idxs {
+			out[i] = countsFor(r, fds[i], p, sc, lhsHasNulls)
 		}
-		rk.cur, rk.curKey = p, key
-		rk.sc.members = p.Members(rk.sc.members)
-		rk.sc.rows += int64(p.Size())
-		rk.curLHSNulls = rk.sc.lhsNullBitmap(rk.r, f.LHS)
-		rk.stats.Groups++
-	}
-	rk.stats.FDs++
-	return countsFor(rk.r, f, rk.cur, &rk.sc, rk.curLHSNulls)
+	})
+	return out, stats, err
 }
 
-// Stats reports the ranker's accumulated counters.
-func (rk *Ranker) Stats() Stats {
-	s := rk.stats
-	s.Workers = 1
-	s.RowsScanned = rk.sc.rows
-	delta := rk.cache.Stats()
-	s.CacheHits, s.CacheMisses, s.CacheEvictions = delta.Hits, delta.Misses, delta.Evictions
-	return s
+// Of computes the redundancy counts of one FD (set-valued RHS: counts sum
+// over the RHS attributes), building π_X uncached. To score many FDs,
+// rank them together: RankCtx shares partitions across LHSs.
+func Of(r *relation.Relation, f dep.FD) Counts {
+	var sc scratch
+	p := partition.ForAttrs(f.LHS, r.Cols, r.Cards)
+	sc.members = p.Members(nil)
+	return countsFor(r, f, p, &sc, sc.lhsNullBitmap(r, f.LHS))
 }
 
 // sortRanked orders by descending WithNulls count (ties: smaller LHS
@@ -489,29 +384,13 @@ func (t DatasetTotals) PercentRedWithNulls() float64 {
 // column against the packed null masks. Groups fan out over cfg.Workers
 // with per-worker mark sets merged by word-Or.
 func TotalsCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Config) (DatasetTotals, Stats, error) {
-	start := time.Now()
 	rows, cols := r.NumRows(), r.NumCols()
-	cache := cfg.cache()
-	cache0 := cache.Stats()
-	groups := groupByLHS(fds)
 	pool := engine.NewPool(cfg.Workers)
-	ws := make([]scratch, pool.Workers())
 	marked := make([][]bitset.Bitmap, pool.Workers()) // [worker][col]
 	for w := range marked {
 		marked[w] = make([]bitset.Bitmap, cols)
 	}
-	err := pool.Run(ctx, len(groups), func(w, gi int) {
-		faults.Check(faults.RankingRun)
-		g := groups[gi]
-		sc := &ws[w]
-		p, reused := sc.partitionFor(cache, g.lhs, r)
-		if reused {
-			sc.reused++
-		} else {
-			sc.built++
-		}
-		sc.members = p.Members(sc.members)
-		sc.rows += int64(p.Size())
+	stats, err := fanOut(ctx, pool, r, fds, cfg.cache(), func(w int, sc *scratch, g lhsGroup, _ *partition.Partition) {
 		for _, i := range g.idxs {
 			f := fds[i]
 			for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
@@ -543,8 +422,6 @@ func TotalsCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Conf
 		t.RedWithNulls += m.Count()
 		t.Red += m.AndNotCount(r.NullBitmap(a))
 	}
-	stats := mergeStats(ws, len(fds), len(groups), pool.Workers(), cache, cache0)
-	stats.Elapsed = time.Since(start)
 	return t, stats, err
 }
 

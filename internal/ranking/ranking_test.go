@@ -11,6 +11,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -53,18 +54,17 @@ func fdOf(n int, lhs []int, rhs ...int) dep.FD {
 // the 14-row Table I snippet.
 func TestTableOneSigmas(t *testing.T) {
 	r := dataset.NCVoterSnippet(relation.NullEqNull)
-	rk := New(r)
 	n := r.NumCols()
 
 	// σ1 = ∅ → state: every state occurrence is redundant (14 rows).
-	c := rk.FD(fdOf(n, nil, state))
+	c := Of(r, fdOf(n, nil, state))
 	if c.WithNulls != 14 || c.NoNullRHS != 14 || c.NoNulls != 14 {
 		t.Errorf("σ1 counts = %+v, want all 14", c)
 	}
 
 	// σ2 = last_name, zip_code → city: five duplicated (last_name, zip)
 	// pairs cover 10 rows — the bold occurrences of Table I.
-	c = rk.FD(fdOf(n, []int{lastName, zipCode}, city))
+	c = Of(r, fdOf(n, []int{lastName, zipCode}, city))
 	if c.WithNulls != 10 || c.NoNullRHS != 10 {
 		t.Errorf("σ2 counts = %+v, want 10", c)
 	}
@@ -73,7 +73,7 @@ func TestTableOneSigmas(t *testing.T) {
 	// and (johnson,m,27820) cover 4 rows, but every name_suffix is null, so
 	// excluding nulls drops the count to 0 — the paper's point that σ3 is
 	// likely accidental.
-	c = rk.FD(fdOf(n, []int{lastName, gender, zipCode}, nameSuffix))
+	c = Of(r, fdOf(n, []int{lastName, gender, zipCode}, nameSuffix))
 	if c.WithNulls != 4 {
 		t.Errorf("σ3 with nulls = %d, want 4", c.WithNulls)
 	}
@@ -82,7 +82,7 @@ func TestTableOneSigmas(t *testing.T) {
 	}
 
 	// σ4 = voter_id → state: the duplicate voter id 131 covers 2 rows.
-	c = rk.FD(fdOf(n, []int{voterID}, state))
+	c = Of(r, fdOf(n, []int{voterID}, state))
 	if c.WithNulls != 2 || c.NoNullRHS != 2 {
 		t.Errorf("σ4 counts = %+v, want 2", c)
 	}
@@ -112,7 +112,6 @@ func TestRedundancyOracle(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		r := dataset.Random(rng, 5+rng.Intn(40), 2+rng.Intn(4), 1+rng.Intn(4))
 		n := r.NumCols()
-		rk := New(r)
 		// Pick a random FD shape (validity is irrelevant to the count's
 		// definition; the measure applies to valid FDs but is well-defined
 		// for any X, A).
@@ -126,7 +125,7 @@ func TestRedundancyOracle(t *testing.T) {
 		lhs.Remove(a)
 		rhs := bitset.New(n)
 		rhs.Add(a)
-		got := rk.FD(dep.FD{LHS: lhs, RHS: rhs}).WithNulls
+		got := Of(r, dep.FD{LHS: lhs, RHS: rhs}).WithNulls
 
 		want := 0
 		for i := 0; i < r.NumRows(); i++ {
@@ -150,6 +149,39 @@ func TestRedundancyOracle(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: count = %d, oracle = %d (lhs %v -> %d)", trial, got, want, lhs, a)
 		}
+	}
+}
+
+// TestRankCacheAccounting pins the counters of the cached walk: an LHS
+// refined from a cached prefix counts one hit and publishes its own
+// partition, and an empty LHS touches the cache not at all.
+func TestRankCacheAccounting(t *testing.T) {
+	r := dataset.NCVoterSnippet(relation.NullEqNull)
+	n := r.NumCols()
+	cache := partition.NewCache(1<<20, nil)
+	cache.Put(bitset.FromAttrs(n, lastName), partition.Single(r.Cols[lastName], r.Cards[lastName]))
+
+	fds := []dep.FD{fdOf(n, []int{lastName, zipCode}, city)}
+	_, stats, err := RankCtx(context.Background(), r, fds, Config{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheHits != 1 || stats.CacheMisses != 0 {
+		t.Errorf("prefix reuse: %d hits, %d misses, want 1 and 0", stats.CacheHits, stats.CacheMisses)
+	}
+	if cache.Len() != 2 {
+		t.Errorf("cache holds %d entries, want 2", cache.Len())
+	}
+	if p := cache.Get(bitset.FromAttrs(n, lastName, zipCode)); p == nil || p.Size() != 10 {
+		t.Errorf("π_{last_name, zip_code} not cached with ‖π‖ = 10: %v", p)
+	}
+
+	_, stats, err = RankCtx(context.Background(), r, []dep.FD{fdOf(n, nil, state)}, Config{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheHits != 0 || stats.CacheMisses != 0 || stats.CacheEvictions != 0 {
+		t.Errorf("∅ LHS: %d hits, %d misses, %d evictions, want none", stats.CacheHits, stats.CacheMisses, stats.CacheEvictions)
 	}
 }
 
@@ -291,8 +323,7 @@ func TestNoNullsReclustersLHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk := New(r)
-	c := rk.FD(fdOf(2, []int{0}, 1))
+	c := Of(r, fdOf(2, []int{0}, 1))
 	if c.WithNulls != 4 || c.NoNullRHS != 4 {
 		t.Errorf("with nulls = %+v, want 4", c)
 	}

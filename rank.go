@@ -55,7 +55,7 @@ func Rank(ctx context.Context, r *Relation, fds []FD, opts ...Option) ([]RankedF
 
 // RedundancyOf computes the counts of a single FD.
 func RedundancyOf(r *Relation, f FD) RedundancyCounts {
-	return ranking.New(r).FD(f)
+	return ranking.Of(r, f)
 }
 
 // DatasetRedundancy is the Table IV summary of one data set.
