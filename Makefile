@@ -69,10 +69,12 @@ chaos:
 
 # The durability acceptance gate: SIGKILL a checkpointing fddiscover
 # mid-run, resume it, and require a cover byte-identical to an
-# uninterrupted run. Exercises the real binary and a real process kill,
-# complementing the in-process resume matrix in internal/integration.
+# uninterrupted run, once for each hybrid driver. Exercises the real
+# binary and a real process kill, complementing the in-process resume
+# matrix in internal/integration.
 crash:
-	$(GO) run ./cmd/crashcheck
+	$(GO) run ./cmd/crashcheck -algo dhyfd
+	$(GO) run ./cmd/crashcheck -algo hyfd
 
 # A ~10s native-fuzzing smoke pass over the CSV reader and the discovery
 # pipeline. Longer runs: go test -fuzz=FuzzReadCSV ./internal/relation/

@@ -667,7 +667,7 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 	case DHyFD:
 		fds, rs, err = core.Run(ctx, r, core.Config{Options: shared, Ratio: cfg.ratio})
 	case HyFD:
-		fds, rs, err = hyfd.Run(ctx, r, hyfd.Config{Options: shared})
+		fds, rs, err = hyfd.Run(ctx, r, shared)
 	case TANE:
 		fds, rs, err = tane.Run(ctx, r, shared)
 	case FDEP:

@@ -113,7 +113,7 @@ func algorithmFunc(name string, cache *partition.Cache) runFunc {
 		return fdepFunc(fdep.Sorted)
 	case "HyFD":
 		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			fds, rs, err := hyfd.Run(ctx, r, hyfd.Config{Options: runstate.Options{Cache: cache}})
+			fds, rs, err := hyfd.Run(ctx, r, hyfd.Config{Cache: cache})
 			return len(fds), rs, err
 		}
 	case "DHyFD":

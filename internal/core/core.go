@@ -22,6 +22,9 @@
 // validation doubles as further sampling: witness pairs of invalid FDs
 // are genuine non-FDs fed back into synergized induction.
 //
+// The level loop (Hybrid) is HyFD's too: HyFD runs it with its own Step,
+// the switch into its progressive sampler, in place of the DDM refresh.
+//
 // Both validation hot paths run on the shared engine.Pool: per-level
 // candidate validation fans out over per-worker validators, and DDM
 // refreshes batch their partition refinements through
@@ -40,7 +43,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/runstate"
 	"repro/internal/sampling"
-	"repro/internal/validate"
 )
 
 // Config tunes DHyFD. The zero value is the paper's tuning. The shared
@@ -70,17 +72,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// stats holds the DHyFD-specific measures of a run; finish folds them into
-// the run report's counters.
-type stats struct {
-	initialNonFDs int // distinct agree sets from the one-shot sampling
-	comparisons   int // tuple pairs compared by the one-shot sampling
-	levels        int // validation levels processed
-	refinements   int // DDM refreshes (controlled-level advances)
-	peakDynRows   int // max Σ‖π‖ held by the DDM at once (memory proxy)
-	peakDynCount  int // max number of dynamic partitions held at once
-}
-
 // ddm is the dynamic data manager: pre-computed single-attribute stripped
 // partitions plus one array of dynamic partitions per controlled-level
 // epoch. Node ids below NumCols index singles; ids >= NumCols index the
@@ -98,18 +89,6 @@ type ddm struct {
 type dynPartition struct {
 	part  *partition.Partition
 	attrs bitset.Set
-}
-
-func newDDM(ctx context.Context, pool *engine.Pool, r *relation.Relation, cfg *Config) (*ddm, int, error) {
-	m := &ddm{
-		r:      r,
-		epoch:  1,
-		budget: cfg.Budget,
-		cache:  cfg.Cache,
-	}
-	singles, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, cfg.Budget)
-	m.singles = singles
-	return m, built, err
 }
 
 // partitionFor returns a stripped partition π_X′ with X′ ⊆ lhs for the
@@ -218,272 +197,86 @@ func (m *ddm) rows() int {
 }
 
 // Run returns the left-reduced cover of the FDs holding on r together with
-// the algorithm-agnostic run report, honouring ctx between validation
-// batches. On cancellation the partial report (with Cancelled set) is
-// returned alongside ctx's error.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
+// the algorithm-agnostic run report: the hybrid level loop with the DDM
+// refresh as its step. On cancellation the partial report (with Cancelled
+// set) is returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, *engine.RunStats, error) {
 	cfg.fillDefaults()
-	h := runstate.Start("dhyfd", cfg.Options)
-	defer h.Recover(&fds, &rs, &err)
-	rs = h.Stats
-	pool := h.Pool
-	n := r.NumCols()
-	if n == 0 {
-		return h.End(nil, nil)
-	}
-	if err := ctx.Err(); err != nil {
-		return h.End(nil, err)
-	}
-	var st stats
-	stop := rs.Phase("sample")
-	m, built, err := newDDM(ctx, pool, r, &cfg)
-	rs.PartitionsBuilt += int64(built)
-	if err != nil {
-		stop()
-		return h.End(nil, err)
-	}
-	if cfg.Budget.Exhausted() {
-		rs.Degrade(cfg.Budget.Reason() + "; DDM refreshes disabled")
-	}
-	v := validate.New(r)
-	v.MaxViolations = cfg.MaxViolations
-	approx := cfg.MaxViolations > 0
-	full := bitset.Full(n)
-
-	var tree *fdtree.Tree
-	var nonFDs *sampling.NonFDSet
-	var numFDs int
-	startLevel := 1
-	if lf := resumeLevel(cfg.Resume); lf != nil {
-		// Continue a checkpointed run: the restored tree and non-FD set are
-		// the search state proper; sampling and root validation already
-		// happened, so the run re-enters the level loop at the cursor. The
-		// validator's exported counters and the driver's measures are
-		// assigned from the snapshot — finish() reads them, so the resumed
-		// report is cumulative.
-		tree = cfg.Resume.Tree.Restore()
-		nonFDs = cfg.Resume.NonFDs.Restore()
-		if nonFDs == nil {
-			nonFDs = sampling.NewNonFDSet(n)
-		}
-		v.Validations = int(lf.Validations)
-		v.Invalidated = int(lf.Invalidated)
-		v.RowsScanned = int(lf.RowsScannedV)
-		v.ClustersRefined = int(lf.ClustersRefined)
-		st = stats{
-			initialNonFDs: int(lf.InitialNonFDs),
-			comparisons:   int(lf.Comparisons),
-			levels:        int(lf.Level) - 1,
-			refinements:   int(lf.Refinements),
-			peakDynRows:   int(lf.PeakDynRows),
-			peakDynCount:  int(lf.PeakDynCount),
-		}
-		rs.RowsScanned = lf.RowsScanned
-		rs.PartitionsBuilt = lf.PartitionsBuilt
-		numFDs = int(lf.NumFDs)
-		startLevel = int(lf.Level)
-		if err := h.WarmCache(ctx, r); err != nil {
-			stop()
-			return h.End(nil, err)
-		}
-		stop()
-	} else {
-		tree = fdtree.NewWithFullRHS(n)
-		tree.ControlledLevel = 1
-
-		// One-shot sampling plus root validation (Algorithm 6, lines 5–6).
-		// Approximate runs skip sampling entirely: one exact violating pair
-		// would refute an FD the g3 bound still admits, so the tree may only
-		// specialize from approximate validation outcomes.
-		nonFDs = sampling.NewNonFDSet(n)
-		rootWitness := nonFDs
-		if approx {
-			rootWitness = nil
-		} else {
-			for c := 0; c < n; c++ {
-				_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, m.singles[c], 1, nonFDs, cfg.ShardSize)
-				if err != nil {
-					stop()
-					return h.End(nil, err)
-				}
-				st.comparisons += comps
-			}
-			rs.RowsScanned += 2 * int64(st.comparisons)
-		}
-		rootValid := v.EmptyLHS(full, rootWitness)
-		st.initialNonFDs = nonFDs.Len()
-		stop()
-		stop = rs.Phase("induct")
-		tree.InductAll(nonFDs.Sets())
-		if approx {
-			if invalid := full.Difference(rootValid); !invalid.IsEmpty() {
-				tree.Induct(bitset.New(n), invalid)
-			}
-		}
-		stop()
-		if cfg.TopK != nil {
-			rootScore := 0
-			if r.NumRows() >= 2 {
-				rootScore = r.NumRows()
-			}
-			for a := rootValid.Next(0); a >= 0; a = rootValid.Next(a + 1) {
-				rhs := bitset.New(n)
-				rhs.Add(a)
-				cfg.TopK.Admit(dep.FD{LHS: bitset.New(n), RHS: rhs}, rootScore)
-			}
-		}
-
-		// The surviving root RHS attributes are the validated FDs ∅ → A.
-		numFDs = tree.Root().RHSCount()
-	}
-	processed := nonFDs.Len()
-
-	// tick snapshots the boundary before validation level vl: levels below
-	// it are fully validated and inducted into the tree, so a resumed run
-	// re-enters the loop exactly at vl.
-	tick := func(vl int, force bool) {
-		h.Tick(force, func() *runstate.Snapshot {
-			return &runstate.Snapshot{
-				Tree:   runstate.TreeSnapOf(tree),
-				NonFDs: runstate.NonFDSnapOf(nonFDs, n),
-				Frontier: runstate.FrontierSnap{Level: &runstate.LevelFrontier{
-					Version:         1,
-					Level:           int64(vl),
-					NumFDs:          int64(numFDs),
-					Validations:     int64(v.Validations),
-					Invalidated:     int64(v.Invalidated),
-					RowsScannedV:    int64(v.RowsScanned),
-					ClustersRefined: int64(v.ClustersRefined),
-					InitialNonFDs:   int64(st.initialNonFDs),
-					Comparisons:     int64(st.comparisons),
-					Refinements:     int64(st.refinements),
-					PeakDynRows:     int64(st.peakDynRows),
-					PeakDynCount:    int64(st.peakDynCount),
-					RowsScanned:     rs.RowsScanned,
-					PartitionsBuilt: rs.PartitionsBuilt,
-				}},
-			}
-		})
-	}
-
-	// finish folds the validator's and the driver's measures into the
-	// report and closes the run.
-	finish := func(fds []dep.FD, err error) ([]dep.FD, *engine.RunStats, error) {
-		rs.CandidatesValidated = int64(v.Validations)
-		rs.Invalidated = int64(v.Invalidated)
-		rs.RowsScanned += int64(v.RowsScanned)
-		rs.PartitionsRefined += int64(v.ClustersRefined)
-		rs.NonFDs = int64(nonFDs.Len())
-		rs.Levels = int64(st.levels)
-		rs.Count("initial_non_fds", int64(st.initialNonFDs))
-		rs.Count("sampling_comparisons", int64(st.comparisons))
-		rs.Count("ddm_refreshes", int64(st.refinements))
-		rs.Count("peak_dyn_partitions", int64(st.peakDynCount))
-		rs.Count("peak_dyn_rows", int64(st.peakDynRows))
-		return h.End(fds, err)
-	}
-
-	for vl := startLevel; vl <= tree.MaxLevel(); vl++ {
-		if err := ctx.Err(); err != nil {
-			// Level vl is untouched, so this is still a boundary: park
-			// it for the final Flush and Ctrl-C loses nothing.
-			tick(vl, true)
-			return finish(nil, err)
-		}
-		tick(vl, false)
-		candidates := tree.NodesAtLevel(vl)
-		st.levels++
-
-		total := 0
-		for _, node := range candidates {
-			total += node.RHSCount()
-		}
-		stop = rs.Phase("validate")
-		invalids, err := validateLevel(ctx, pool, r, m, candidates, v, nonFDs, &cfg)
-		stop()
-		if err != nil {
-			return finish(nil, err)
-		}
-		stop = rs.Phase("induct")
-		tree.InductAll(nonFDs.Sets()[processed:])
-		// Approximate runs specialize from the validation outcomes instead
-		// of witness pairs: lhs → a failing the g3 bound fails for every
-		// generalization too (monotonicity), which is exactly Induct's
-		// removal semantics.
-		for _, li := range invalids {
-			tree.Induct(li.lhs, li.invalid)
-		}
-		stop()
-		processed = nonFDs.Len()
-
-		numNewFDs := 0
-		for _, node := range candidates {
-			if node.Pruned {
-				continue
-			}
-			numNewFDs += node.RHSCount()
-		}
-		numFDs += numNewFDs
-
-		var reusables []*fdtree.Node
-		for _, node := range candidates {
-			if !node.Pruned && node.HasLiveChildren() {
-				reusables = append(reusables, node)
-			}
-		}
-
-		// Efficiency–inefficiency decision (Algorithm 6, lines 21–27).
-		higher := tree.CountFDs() - numFDs
-		if vl > 1 && total > 0 && len(reusables) > 0 && higher > 0 {
-			if EfficiencyInefficiencyRatio(numNewFDs, total, len(reusables), higher) > cfg.Ratio {
-				// Refreshing trades memory for time; once the budget is
-				// exhausted the trade is off — validation continues from
-				// the partitions already held, which stays sound.
-				if cfg.Budget.Exhausted() {
-					rs.Degrade(cfg.Budget.Reason() + "; DDM refreshes disabled")
-					continue
-				}
-				tree.ControlledLevel = vl
-				stop = rs.Phase("refine")
-				err := m.update(ctx, pool, reusables)
-				stop()
-				if err != nil {
-					return finish(nil, err)
-				}
-				st.refinements++
-				rs.PartitionsBuilt += int64(len(reusables))
-				if rows := m.rows(); rows > st.peakDynRows {
-					st.peakDynRows = rows
-				}
-				if len(m.slots) > st.peakDynCount {
-					st.peakDynCount = len(m.slots)
-				}
-			}
-		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return finish(nil, err)
-	}
-	// Terminal boundary: the cursor is past every tree level, so resuming a
-	// post-completion snapshot replays no validation and re-emits the same
-	// cover.
-	tick(tree.MaxLevel()+1, true)
-	if cfg.TopK != nil {
-		return finish(nil, nil) // the collector's FDs, in ranking order
-	}
-	fds = dep.SplitRHS(tree.FDs())
-	dep.Sort(fds)
-	return finish(fds, nil)
+	l := new(hybrid)
+	return l.run(ctx, r, "dhyfd", cfg.Options, &refresh{l: l, ratio: cfg.Ratio})
 }
 
-// resumeLevel extracts a snapshot's level frontier, nil when the run
-// starts cold or the snapshot belongs to another algorithm family.
-func resumeLevel(s *runstate.Snapshot) *runstate.LevelFrontier {
-	if s == nil || s.Frontier.Level == nil || s.Tree == nil {
-		return nil
+// refresh is DHyFD's step: after each level, the efficiency–inefficiency
+// decision of Algorithm 6 (lines 21–27) and the DDM refresh it triggers.
+type refresh struct {
+	l            *hybrid
+	ratio        float64
+	refinements  int // DDM refreshes (controlled-level advances)
+	peakDynRows  int // max Σ‖π‖ held by the DDM at once (memory proxy)
+	peakDynCount int // max number of dynamic partitions held at once
+}
+
+func (s *refresh) Start(_ context.Context, h *runstate.Harness, _ []*partition.Partition, resume *runstate.LevelFrontier) {
+	if budget := s.l.opts.Budget; budget.Exhausted() {
+		h.Stats.Degrade(budget.Reason() + "; DDM refreshes disabled")
 	}
-	return s.Frontier.Level
+	if resume != nil {
+		s.refinements = int(resume.Refinements)
+		s.peakDynRows = int(resume.PeakDynRows)
+		s.peakDynCount = int(resume.PeakDynCount)
+	}
+}
+
+func (s *refresh) AfterLevel(ctx context.Context, _ *sampling.NonFDSet, _, _ int) (int, error) {
+	l := s.l
+	var reusables []*fdtree.Node
+	for _, node := range l.candidates {
+		if !node.Pruned && node.HasLiveChildren() {
+			reusables = append(reusables, node)
+		}
+	}
+	higher := l.tree.CountFDs() - l.numFDs
+	if l.level <= 1 || l.total == 0 || len(reusables) == 0 || higher <= 0 ||
+		EfficiencyInefficiencyRatio(l.numNewFDs, l.total, len(reusables), higher) <= s.ratio {
+		return 0, nil
+	}
+	rs := l.h.Stats
+	// Refreshing trades memory for time; once the budget is exhausted the
+	// trade is off — validation continues from the partitions already
+	// held, which stays sound.
+	if budget := l.opts.Budget; budget.Exhausted() {
+		rs.Degrade(budget.Reason() + "; DDM refreshes disabled")
+		return 0, nil
+	}
+	l.tree.ControlledLevel = l.level
+	stop := rs.Phase("refine")
+	err := l.m.update(ctx, l.h.Pool, reusables)
+	stop()
+	if err != nil {
+		return 0, err
+	}
+	s.refinements++
+	rs.PartitionsBuilt += int64(len(reusables))
+	if rows := l.m.rows(); rows > s.peakDynRows {
+		s.peakDynRows = rows
+	}
+	if len(l.m.slots) > s.peakDynCount {
+		s.peakDynCount = len(l.m.slots)
+	}
+	return 0, nil
+}
+
+func (s *refresh) Save(f *runstate.LevelFrontier) {
+	f.Refinements = int64(s.refinements)
+	f.PeakDynRows = int64(s.peakDynRows)
+	f.PeakDynCount = int64(s.peakDynCount)
+}
+
+func (s *refresh) Fold(rs *engine.RunStats) {
+	rs.Count("initial_non_fds", int64(s.l.initialNonFDs))
+	rs.Count("ddm_refreshes", int64(s.refinements))
+	rs.Count("peak_dyn_partitions", int64(s.peakDynCount))
+	rs.Count("peak_dyn_rows", int64(s.peakDynRows))
 }
 
 // EfficiencyInefficiencyRatio computes the paper's Section IV-G measure:
@@ -496,125 +289,4 @@ func EfficiencyInefficiencyRatio(validFDs, totalFDs, reusableNodes, higherFDs in
 	efficiency := float64(validFDs) / float64(totalFDs)
 	inefficiency := float64(reusableNodes) / float64(higherFDs)
 	return efficiency / inefficiency
-}
-
-// levelInvalid records one approximate invalidation: every RHS attribute
-// of invalid failed the g3 bound at lhs, refuting lhs → a and (by
-// monotonicity) every generalization.
-type levelInvalid struct {
-	lhs     bitset.Set
-	invalid bitset.Set
-}
-
-// validateNode validates one FD-node: the fused top-k bound check and
-// possible skip, the validator call, heap admissions of validated FDs,
-// and — on approximate runs — the invalid RHS set for post-level
-// induction. Safe to run concurrently for distinct nodes (the collector
-// is concurrent; the DDM is read-only during a level except for per-node
-// id resets).
-func validateNode(node *fdtree.Node, n int, m *ddm, v *validate.Validator, nonFDs *sampling.NonFDSet, cfg *Config) (levelInvalid, bool) {
-	lhs := node.Path(n)
-	if cfg.TopK != nil {
-		// ‖π_lhs‖ — and the score of every FD specializing lhs — is at
-		// most the smallest single-attribute partition size over lhs.
-		bound := -1
-		for a := lhs.Next(0); a >= 0; a = lhs.Next(a + 1) {
-			if s := m.singles[a].Size(); bound < 0 || s < bound {
-				bound = s
-			}
-		}
-		if bound >= 0 && cfg.TopK.Prunable(bound) {
-			node.Pruned = true
-			return levelInvalid{}, false
-		}
-	}
-	p, attrs := m.partitionFor(node, lhs)
-	valid := v.FD(lhs, node.RHS, p, attrs, nonFDs)
-	if cfg.TopK != nil && !valid.IsEmpty() {
-		score := v.LastSize
-		for a := valid.Next(0); a >= 0; a = valid.Next(a + 1) {
-			rhs := bitset.New(n)
-			rhs.Add(a)
-			cfg.TopK.Admit(dep.FD{LHS: lhs, RHS: rhs}, score)
-		}
-	}
-	if cfg.MaxViolations > 0 {
-		if inv := node.RHS.Difference(valid); !inv.IsEmpty() {
-			return levelInvalid{lhs: lhs, invalid: inv}, true
-		}
-	}
-	return levelInvalid{}, false
-}
-
-// validateLevel validates the FD-nodes among candidates against their DDM
-// partitions, collecting witness non-FDs (exact runs) or per-node invalid
-// sets (approximate runs; returned in candidate order so induction stays
-// deterministic for any worker count). With a pool wider than one the
-// candidates fan out over engine.Pool workers: each worker owns a
-// validator and a local non-FD buffer, merged into v and nonFDs after the
-// level. The DDM is read-only during a level except for per-node id
-// resets, which are safe because every node is processed by exactly one
-// worker. Counters are merged even on cancellation so partial runs report
-// honestly.
-func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, m *ddm, candidates []*fdtree.Node, v *validate.Validator, nonFDs *sampling.NonFDSet, cfg *Config) ([]levelInvalid, error) {
-	n := r.NumCols()
-	approx := cfg.MaxViolations > 0
-	witness := nonFDs
-	if approx {
-		witness = nil
-	}
-	var invalids []levelInvalid
-	workers := pool.Workers()
-	if workers < 2 || len(candidates) < 4*workers {
-		for i, node := range candidates {
-			if i%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return invalids, err
-				}
-			}
-			if !node.IsFDNode() {
-				continue
-			}
-			if li, ok := validateNode(node, n, m, v, witness, cfg); ok {
-				invalids = append(invalids, li)
-			}
-		}
-		return invalids, nil
-	}
-
-	locals := make([]*sampling.NonFDSet, workers)
-	validators := make([]*validate.Validator, workers)
-	for w := 0; w < workers; w++ {
-		locals[w] = sampling.NewNonFDSet(n)
-		validators[w] = validate.New(r)
-		validators[w].MaxViolations = cfg.MaxViolations
-	}
-	slots := make([]levelInvalid, len(candidates))
-	found := make([]bool, len(candidates))
-	err := pool.Run(ctx, len(candidates), func(w, i int) {
-		node := candidates[i]
-		if !node.IsFDNode() {
-			return
-		}
-		local := locals[w]
-		if approx {
-			local = nil
-		}
-		slots[i], found[i] = validateNode(node, n, m, validators[w], local, cfg)
-	})
-	for w := 0; w < workers; w++ {
-		v.Validations += validators[w].Validations
-		v.Invalidated += validators[w].Invalidated
-		v.RowsScanned += validators[w].RowsScanned
-		v.ClustersRefined += validators[w].ClustersRefined
-		for _, x := range locals[w].Sets() {
-			nonFDs.Add(x)
-		}
-	}
-	for i, ok := range found {
-		if ok {
-			invalids = append(invalids, slots[i])
-		}
-	}
-	return invalids, err
 }

@@ -2,10 +2,12 @@ package hyfd
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/brute"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dep"
 	"repro/internal/engine"
@@ -125,22 +127,72 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	var cfg Config
-	cfg.fillDefaults()
-	if cfg.InvalidSwitchRatio != 0.01 || cfg.SamplingEfficiency != 0.01 {
-		t.Errorf("defaults wrong: %+v", cfg)
+	if invalidSwitchRatio != 0.01 || samplingEfficiency != 0.01 {
+		t.Errorf("defaults wrong: invalidSwitchRatio %g, samplingEfficiency %g", invalidSwitchRatio, samplingEfficiency)
 	}
-	// Extreme configs must not affect correctness, only performance.
+	// Extreme thresholds must not affect correctness, only performance.
 	rng := rand.New(rand.NewSource(44))
 	r := dataset.Random(rng, 30, 4, 3)
 	want := brute.MinimalFDs(r)
-	for _, cfg := range []Config{
-		{InvalidSwitchRatio: 1e9, SamplingEfficiency: 1e9}, // never sample again
-		{InvalidSwitchRatio: 1e-9, SamplingEfficiency: 1e-9},
+	for _, th := range []struct{ invalid, efficiency float64 }{
+		{1e9, 1e9}, // never sample again
+		{1e-9, 1e-9},
 	} {
-		got, _ := discoverWith(r, cfg)
+		setThresholds(t, th.invalid, th.efficiency)
+		got, _ := discoverWith(r, Config{})
 		if !dep.Equal(got, want) {
-			t.Errorf("config %+v changes results", cfg)
+			t.Errorf("thresholds %+v change results", th)
+		}
+	}
+}
+
+// setThresholds sets HyFD's phase-switching thresholds for the rest of
+// the test.
+func setThresholds(t *testing.T, invalid, efficiency float64) {
+	t.Helper()
+	oldInvalid, oldEfficiency := invalidSwitchRatio, samplingEfficiency
+	t.Cleanup(func() { invalidSwitchRatio, samplingEfficiency = oldInvalid, oldEfficiency })
+	invalidSwitchRatio, samplingEfficiency = invalid, efficiency
+}
+
+// TestSwitchOffMatchesDHyFDWithoutRefresh pins what lets HyFD run DHyFD's
+// level loop: with the sampler switch off, HyFD is DHyFD with the DDM
+// never refreshed, down to the cover and every validation counter.
+func TestSwitchOffMatchesDHyFDWithoutRefresh(t *testing.T) {
+	setThresholds(t, math.Inf(1), samplingEfficiency)
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+	}{{"weather", 1000, 18}, {"diabetic", 500, 19}, {"ncvoter", 500, 19}} {
+		b, err := dataset.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := b.Generate(c.rows, c.cols)
+		got, hs := discoverWith(r, Config{})
+		want, ds, err := core.Run(context.Background(), r, core.Config{Ratio: 1e18})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dep.Equal(got, want) {
+			only, other := dep.Diff(got, want, r.Names)
+			t.Fatalf("%s: only hyfd %v, only dhyfd %v", c.name, only, other)
+		}
+		for _, f := range []struct {
+			name       string
+			hyfd, core int64
+		}{
+			{"CandidatesValidated", hs.CandidatesValidated, ds.CandidatesValidated},
+			{"Invalidated", hs.Invalidated, ds.Invalidated},
+			{"RowsScanned", hs.RowsScanned, ds.RowsScanned},
+			{"PartitionsRefined", hs.PartitionsRefined, ds.PartitionsRefined},
+			{"PartitionsBuilt", hs.PartitionsBuilt, ds.PartitionsBuilt},
+			{"NonFDs", hs.NonFDs, ds.NonFDs},
+			{"Levels", hs.Levels, ds.Levels},
+		} {
+			if f.hyfd != f.core {
+				t.Errorf("%s: %s hyfd %d, dhyfd %d", c.name, f.name, f.hyfd, f.core)
+			}
 		}
 	}
 }

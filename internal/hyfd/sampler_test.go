@@ -17,9 +17,7 @@ func samplerFor(t *testing.T, cols [][]int32) (*sampler, *relation.Relation) {
 	for c := range plis {
 		plis[c] = partition.Single(r.Cols[c], r.Cards[c])
 	}
-	cfg := Config{}
-	cfg.fillDefaults()
-	return newSampler(context.Background(), engine.NewPool(1), r, plis, cfg), r
+	return newSampler(context.Background(), engine.NewPool(1), r, plis, Config{}), r
 }
 
 func TestSamplerMarksUniqueColumnsExhausted(t *testing.T) {
@@ -27,10 +25,10 @@ func TestSamplerMarksUniqueColumnsExhausted(t *testing.T) {
 		{0, 1, 2, 3}, // unique: no cluster to sample from
 		{0, 0, 1, 1},
 	})
-	if !s.runs[0].exhausted {
+	if !s.runs[0].Exhausted {
 		t.Error("unique column should start exhausted")
 	}
-	if s.runs[1].exhausted {
+	if s.runs[1].Exhausted {
 		t.Error("clustered column should be sampleable")
 	}
 	if !s.alive() {
@@ -43,8 +41,8 @@ func TestSamplerStepPicksBestEfficiency(t *testing.T) {
 		{0, 0, 0, 0}, // big cluster: much to find
 		{0, 0, 1, 1},
 	})
-	s.runs[0].efficiency = 0.9
-	s.runs[1].efficiency = 0.1
+	s.runs[0].Efficiency = 0.9
+	s.runs[1].Efficiency = 0.1
 	dst := sampling.NewNonFDSet(2)
 	_, _, ran, err := s.step(dst)
 	if err != nil {
@@ -54,8 +52,8 @@ func TestSamplerStepPicksBestEfficiency(t *testing.T) {
 		t.Fatal("step did not run")
 	}
 	// Column 0 must have been chosen: its distance advanced.
-	if s.runs[0].distance != 2 || s.runs[1].distance != 1 {
-		t.Errorf("distances = %d/%d, want 2/1", s.runs[0].distance, s.runs[1].distance)
+	if s.runs[0].Distance != 2 || s.runs[1].Distance != 1 {
+		t.Errorf("distances = %d/%d, want 2/1", s.runs[0].Distance, s.runs[1].Distance)
 	}
 }
 
@@ -96,7 +94,7 @@ func TestSamplerPhaseRespectsThreshold(t *testing.T) {
 	})
 	var st stats
 	dst := sampling.NewNonFDSet(2)
-	s.cfg.SamplingEfficiency = 1e9 // nothing is efficient enough
+	setThresholds(t, invalidSwitchRatio, 1e9) // nothing is efficient enough
 	if err := s.phase(dst, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,120 @@
+package integration
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/dep"
+	"repro/internal/engine"
+	"repro/internal/hyfd"
+	"repro/internal/relation"
+)
+
+// The metamorphic relations run every benchmark shape at a size the
+// brute-force oracle cannot check: metaRows rows and metaCols columns,
+// or all of them where the shape has fewer.
+const (
+	metaRows = 300
+	metaCols = 12
+)
+
+// hybrids are the drivers the metamorphic relations check.
+var hybrids = []struct {
+	name string
+	run  func(context.Context, *relation.Relation) ([]dep.FD, *engine.RunStats, error)
+}{
+	{"dhyfd", func(ctx context.Context, r *relation.Relation) ([]dep.FD, *engine.RunStats, error) {
+		return core.Run(ctx, r, core.Config{})
+	}},
+	{"hyfd", func(ctx context.Context, r *relation.Relation) ([]dep.FD, *engine.RunStats, error) {
+		return hyfd.Run(ctx, r, hyfd.Config{})
+	}},
+}
+
+// TestRowPermutationKeepsCover: an FD holds on a set of tuples, so
+// storing the rows in another order must return the identical cover.
+func TestRowPermutationKeepsCover(t *testing.T) {
+	ctx := context.Background()
+	for i, b := range dataset.All() {
+		i, b := i, b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			r := b.Generate(metaRows, metaCols)
+			perm := rand.New(rand.NewSource(int64(i))).Perm(r.NumRows())
+			cols := make([][]int32, r.NumCols())
+			nulls := make([][]bool, r.NumCols())
+			for c := range cols {
+				cols[c] = make([]int32, len(perm))
+				if r.Nulls[c] != nil {
+					nulls[c] = make([]bool, len(perm))
+				}
+				for to, from := range perm {
+					cols[c][to] = r.Cols[c][from]
+					if nulls[c] != nil {
+						nulls[c][to] = r.Nulls[c][from]
+					}
+				}
+			}
+			p := relation.FromCodes(r.Names, cols, nulls, r.Semantics)
+			for _, h := range hybrids {
+				want := coverOf(h.run(ctx, r))
+				got := coverOf(h.run(ctx, p))
+				if !reflect.DeepEqual(got, want) {
+					only, other := dep.Diff(got, want, r.Names)
+					t.Errorf("%s: rows permuted: only permuted %v, only original %v", h.name, only, other)
+				}
+			}
+		})
+	}
+}
+
+// TestColumnPermutationPermutesCover: renumbering the attributes must
+// renumber the cover and change nothing else.
+func TestColumnPermutationPermutesCover(t *testing.T) {
+	ctx := context.Background()
+	for i, b := range dataset.All() {
+		i, b := i, b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			r := b.Generate(metaRows, metaCols)
+			n := r.NumCols()
+			// Column c of p is column perm[c] of r, so attribute a of r is
+			// attribute at[a] of p.
+			perm := rand.New(rand.NewSource(int64(i))).Perm(n)
+			at := make([]int, n)
+			names := make([]string, n)
+			cols := make([][]int32, n)
+			nulls := make([][]bool, n)
+			for c, from := range perm {
+				at[from] = c
+				names[c], cols[c], nulls[c] = r.Names[from], r.Cols[from], r.Nulls[from]
+			}
+			p := relation.FromCodes(names, cols, nulls, r.Semantics)
+			renumber := func(s bitset.Set) bitset.Set {
+				out := bitset.New(n)
+				for a := s.Next(0); a >= 0; a = s.Next(a + 1) {
+					out.Add(at[a])
+				}
+				return out
+			}
+			for _, h := range hybrids {
+				cover := coverOf(h.run(ctx, r))
+				want := make([]dep.FD, 0, len(cover))
+				for _, f := range cover {
+					want = append(want, dep.FD{LHS: renumber(f.LHS), RHS: renumber(f.RHS)})
+				}
+				dep.Sort(want)
+				got := coverOf(h.run(ctx, p))
+				if !reflect.DeepEqual(got, want) {
+					only, other := dep.Diff(got, want, p.Names)
+					t.Errorf("%s: columns permuted: only permuted %v, only renumbered original %v", h.name, only, other)
+				}
+			}
+		})
+	}
+}

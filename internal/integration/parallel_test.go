@@ -54,7 +54,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 			}
 		}
 		for _, w := range widths {
-			got, _, err := hyfd.Run(ctx, r, hyfd.Config{Options: runstate.Options{Workers: w}})
+			got, _, err := hyfd.Run(ctx, r, hyfd.Config{Workers: w})
 			if err != nil {
 				t.Fatalf("%s hyfd workers=%d: %v", fx.name, w, err)
 			}
@@ -146,7 +146,7 @@ func TestMidRunCancellationIsPrompt(t *testing.T) {
 			return rs, err
 		},
 		"hyfd": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := hyfd.Run(ctx, r, hyfd.Config{Options: runstate.Options{Workers: 2}})
+			_, rs, err := hyfd.Run(ctx, r, hyfd.Config{Workers: 2})
 			return rs, err
 		},
 		"tane": func(ctx context.Context) (*engine.RunStats, error) {

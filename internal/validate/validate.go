@@ -28,12 +28,11 @@ type Validator struct {
 	scratch, next  [][]int32
 	arenaA, arenaB []int32
 	attrs          []int
-	// Approximate-validation scratch: a per-value-code counts table with a
-	// touched list (reset cost O(distinct values) per refined cluster) and
-	// the per-attribute violation budgets of the current FD call.
-	g3counts  []int32
-	g3touched []int32
-	viol      []int
+	// Approximate-validation scratch: the g3 counter every refined
+	// cluster is charged through, and the per-attribute violation budgets
+	// of the current FD call.
+	g3   *partition.G3Counter
+	viol []int
 	// MaxViolations switches FD to g3-style approximate validation when
 	// positive: a RHS attribute stays valid while the rows that would have
 	// to be deleted for lhs → attr to hold exactly stay at or below this
@@ -67,6 +66,7 @@ func New(r *relation.Relation) *Validator {
 		r:  r,
 		rf: partition.NewRefiner(maxCard),
 		ag: bitset.New(r.NumCols()),
+		g3: partition.NewG3Counter(0),
 	}
 }
 
@@ -161,29 +161,9 @@ func (v *Validator) FD(lhs, rhs bitset.Set, start *partition.Partition, startAtt
 // attr-agreeing group must be deleted for lhs → attr to hold on this
 // cluster. Returns true when every RHS attribute has been invalidated.
 func (v *Validator) scanApprox(s []int32, valid bitset.Set) (done bool) {
-	cols := v.r.Cols
+	cluster := [][]int32{s}
 	for a := valid.Next(0); a >= 0; a = valid.Next(a + 1) {
-		card := v.r.Cards[a]
-		if card > len(v.g3counts) {
-			v.g3counts = append(v.g3counts, make([]int32, card-len(v.g3counts))...)
-		}
-		col := cols[a]
-		var max int32
-		for _, row := range s {
-			code := col[row]
-			v.g3counts[code]++
-			if v.g3counts[code] == 1 {
-				v.g3touched = append(v.g3touched, code)
-			}
-			if v.g3counts[code] > max {
-				max = v.g3counts[code]
-			}
-		}
-		for _, code := range v.g3touched {
-			v.g3counts[code] = 0
-		}
-		v.g3touched = v.g3touched[:0]
-		v.viol[a] += len(s) - int(max)
+		v.viol[a] += v.g3.ViolationsClusters(cluster, v.r.Cols[a], v.r.Cards[a], v.MaxViolations)
 		if v.viol[a] > v.MaxViolations {
 			valid.Remove(a)
 			v.Invalidated++
