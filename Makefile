@@ -69,18 +69,23 @@ chaos:
 
 # The durability acceptance gate: SIGKILL a checkpointing fddiscover
 # mid-run, resume it, and require a cover byte-identical to an
-# uninterrupted run, once for each hybrid driver. Exercises the real
-# binary and a real process kill, complementing the in-process resume
-# matrix in internal/integration.
+# uninterrupted run, once for each hybrid driver and once for TANE, so a
+# non-hybrid frontier crosses a real kill too. Exercises the real binary
+# and a real process kill, complementing the in-process resume matrix in
+# internal/integration, which covers all five durable algorithms.
 crash:
 	$(GO) run ./cmd/crashcheck -algo dhyfd
 	$(GO) run ./cmd/crashcheck -algo hyfd
+	$(GO) run ./cmd/crashcheck -algo tane
 
-# A ~10s native-fuzzing smoke pass over the CSV reader and the discovery
-# pipeline. Longer runs: go test -fuzz=FuzzReadCSV ./internal/relation/
+# A ~15s native-fuzzing smoke pass over the CSV reader, the discovery
+# pipeline and the snapshot decoder. Longer runs: go test
+# -fuzz=FuzzReadCSV ./internal/relation/. The fuzzer prints 0 execs/sec
+# while it minimizes a new input; that is not a hang.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime 5s -run '^$$' ./internal/relation/
 	$(GO) test -fuzz=FuzzDiscoverSmall -fuzztime 5s -run '^$$' ./internal/integration/
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime 5s -run '^$$' ./internal/runstate/
 
 # The default verify path: build, vet, formatting and the invariant
 # analyzers, then the full suite under the race detector (which includes

@@ -505,10 +505,10 @@ func WithResume(dir string) Option {
 // WithRetries lets every algorithm re-run a failed pool work item — a
 // validation batch, a partition or pair-scan shard, a lattice join — up to
 // n times when the failure is classified transient, sleeping a capped,
-// fully-jittered exponential backoff between attempts. Fatal failures (and organic panics) still surface immediately
-// as *PanicError. Attempts and retries are reported in Stats under
-// "attempts" / "retries". n of 0 disables retrying (the default);
-// negative n is an error.
+// fully-jittered exponential backoff between attempts. Fatal failures (and
+// organic panics) still surface immediately as *PanicError. Attempts and
+// retries are reported in Stats under "attempts" / "retries". n of 0
+// disables retrying (the default); negative n is an error.
 func WithRetries(n int) Option {
 	return func(c *discoverConfig) {
 		if n < 0 {

@@ -118,3 +118,34 @@ func TestColumnPermutationPermutesCover(t *testing.T) {
 		})
 	}
 }
+
+// TestDuplicateRowsKeepCover: under null = null, the semantics the
+// generator encodes with, a row and its copy agree on every attribute,
+// so storing every row twice must return the identical cover.
+func TestDuplicateRowsKeepCover(t *testing.T) {
+	ctx := context.Background()
+	for _, b := range dataset.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			r := b.Generate(metaRows, metaCols)
+			cols := make([][]int32, r.NumCols())
+			nulls := make([][]bool, r.NumCols())
+			for c := range cols {
+				cols[c] = append(append([]int32(nil), r.Cols[c]...), r.Cols[c]...)
+				if r.Nulls[c] != nil {
+					nulls[c] = append(append([]bool(nil), r.Nulls[c]...), r.Nulls[c]...)
+				}
+			}
+			d := relation.FromCodes(r.Names, cols, nulls, r.Semantics)
+			for _, h := range hybrids {
+				want := coverOf(h.run(ctx, r))
+				got := coverOf(h.run(ctx, d))
+				if !reflect.DeepEqual(got, want) {
+					only, other := dep.Diff(got, want, r.Names)
+					t.Errorf("%s: rows duplicated: only duplicated %v, only original %v", h.name, only, other)
+				}
+			}
+		})
+	}
+}

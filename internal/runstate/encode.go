@@ -1,35 +1,35 @@
 package runstate
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"math"
-
-	"repro/internal/bitset"
-	"repro/internal/dep"
+	"reflect"
 )
 
-// The payload codec: hand-rolled little-endian varint encoding with a
-// sticky-error reader. Integers are zigzag varints, strings and slices
-// are length-prefixed, bitsets are a word count plus fixed 8-byte LE
-// words (the same layout bitset.AppendKey uses), floats are their IEEE
-// bits. Optional sections carry a presence byte. Every section starts
-// with its struct's Version field; decode requires the version it knows.
+// The file frame is the magic, the little-endian uint16 FormatVersion,
+// the payload, and a trailing CRC32-IEEE over everything before it. The
+// payload is the Snapshot in encoding/gob: gob matches fields by name,
+// refuses a field whose type changed, caps the first allocation for a
+// claimed slice length and grows the slice only as its elements decode,
+// so a damaged length cannot force a large allocation.
 
 const magic = "FDRS"
 
-// encodeFile frames the payload: magic, u16 LE format version, payload,
-// trailing CRC32-IEEE over everything before it.
+// encodeFile appends the framed snapshot to dst.
 func encodeFile(dst []byte, s *Snapshot) []byte {
-	w := writer{buf: append(dst, magic...)}
-	w.buf = append(w.buf, byte(FormatVersion), byte(FormatVersion>>8))
-	w.snapshot(s)
-	sum := crc32.ChecksumIEEE(w.buf)
-	return binary.LittleEndian.AppendUint32(w.buf, sum)
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint16(append(dst, magic...), FormatVersion))
+	if err := gob.NewEncoder(buf).Encode(s); err != nil {
+		// The section types hold only gob-encodable fields, so this is a
+		// programming error, not a property of the data.
+		panic(fmt.Sprintf("runstate: encoding snapshot: %v", err))
+	}
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes()))
 }
 
-// decodeFile verifies the framing and decodes the payload, mapping every
+// decodeFile verifies the frame and decodes the payload, mapping every
 // failure mode to a typed sentinel.
 func decodeFile(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+2+4 {
@@ -38,7 +38,7 @@ func decodeFile(data []byte) (*Snapshot, error) {
 	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	ver := uint16(data[len(magic)]) | uint16(data[len(magic)+1])<<8
+	ver := binary.LittleEndian.Uint16(data[len(magic):])
 	if ver != FormatVersion {
 		return nil, fmt.Errorf("%w: format v%d, this build reads v%d", ErrVersion, ver, FormatVersion)
 	}
@@ -46,548 +46,41 @@ func decodeFile(data []byte) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	d := reader{buf: body[len(magic)+2:]}
-	s := d.snapshot()
-	if d.err != nil {
-		return nil, d.err
+	payload := bytes.NewReader(body[len(magic)+2:])
+	s := &Snapshot{}
+	if err := gob.NewDecoder(payload).Decode(s); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.buf))
+	if payload.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, payload.Len())
+	}
+	if err := checkSections(reflect.ValueOf(s)); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-type writer struct{ buf []byte }
-
-func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *writer) version(v uint16) { w.uvarint(uint64(v)) }
-func (w *writer) f64(v float64)    { w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v)) }
-func (w *writer) u64(v uint64)     { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) boolean(b bool)   { w.buf = append(w.buf, boolByte(b)) }
-func (w *writer) str(s string)     { w.uvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
-func (w *writer) present(ok bool)  { w.boolean(ok) }
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (w *writer) set(s bitset.Set) {
-	w.uvarint(uint64(len(s)))
-	for _, word := range s {
-		w.u64(word)
-	}
-}
-
-func (w *writer) sets(ss []bitset.Set) {
-	w.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.set(s)
-	}
-}
-
-func (w *writer) fd(f dep.FD) { w.set(f.LHS); w.set(f.RHS) }
-
-func (w *writer) fds(fs []dep.FD) {
-	w.uvarint(uint64(len(fs)))
-	for _, f := range fs {
-		w.fd(f)
-	}
-}
-
-// maxSliceLen bounds decoded slice lengths: a corrupted length must not
-// turn into an attempted multi-terabyte allocation before the CRC had a
-// chance to... the CRC runs first, so this is belt-and-braces against
-// adversarial files with a valid checksum.
-const maxSliceLen = 1 << 28
-
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (d *reader) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-	}
-}
-
-func (d *reader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *reader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// version reads a section version and requires the current one, mapping
-// skew to ErrVersion rather than ErrCorrupt.
-func (d *reader) version(section string, want uint16) uint16 {
-	v := d.uvarint()
-	if d.err == nil && v != uint64(want) {
-		d.err = fmt.Errorf("%w: section %s is v%d, this build reads v%d", ErrVersion, section, v, want)
-	}
-	return uint16(v)
-}
-
-func (d *reader) length() int {
-	v := d.uvarint()
-	if d.err == nil && v > maxSliceLen {
-		d.fail("implausible length %d", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *reader) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *reader) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *reader) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.buf) < 1 {
-		d.fail("truncated bool")
-		return false
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	if b > 1 {
-		d.fail("bad bool byte %d", b)
-		return false
-	}
-	return b == 1
-}
-
-func (d *reader) present() bool { return d.boolean() }
-
-func (d *reader) str() string {
-	n := d.length()
-	if d.err != nil {
-		return ""
-	}
-	if len(d.buf) < n {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *reader) set() bitset.Set {
-	n := d.length()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if len(d.buf) < 8*n {
-		d.fail("truncated bitset")
-		return nil
-	}
-	s := make(bitset.Set, n)
-	for i := range s {
-		s[i] = d.u64()
-	}
-	return s
-}
-
-func (d *reader) setsField() []bitset.Set {
-	n := d.length()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]bitset.Set, n)
-	for i := range out {
-		out[i] = d.set()
-		if d.err != nil {
+// checkSections requires Version 1 of v and of every section reachable
+// from it through struct fields and non-nil pointers, so a snapshot
+// whose layout has moved on is ErrVersion rather than misread. Slices
+// hold Rec rows, which their section versions.
+func checkSections(v reflect.Value) error {
+	if v.Kind() == reflect.Pointer {
+		if v.IsNil() {
 			return nil
 		}
+		v = v.Elem()
 	}
-	return out
-}
-
-func (d *reader) fd() dep.FD { return dep.FD{LHS: d.set(), RHS: d.set()} }
-
-func (d *reader) fdsField() []dep.FD {
-	n := d.length()
-	if d.err != nil || n == 0 {
+	if v.Kind() != reflect.Struct {
 		return nil
 	}
-	out := make([]dep.FD, n)
-	for i := range out {
-		out[i] = d.fd()
-		if d.err != nil {
-			return nil
+	if ver := v.FieldByName("Version"); ver.IsValid() && ver.Uint() != 1 {
+		return fmt.Errorf("%w: section %s is v%d, this build reads v1", ErrVersion, v.Type().Name(), ver.Uint())
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if err := checkSections(v.Field(i)); err != nil {
+			return err
 		}
 	}
-	return out
-}
-
-// --- Snapshot -----------------------------------------------------------
-
-func (w *writer) snapshot(s *Snapshot) {
-	w.version(s.Version)
-	w.fingerprint(s.Fingerprint)
-	w.stats(s.Stats)
-	w.present(s.Tree != nil)
-	if s.Tree != nil {
-		w.tree(s.Tree)
-	}
-	w.present(s.NonFDs != nil)
-	if s.NonFDs != nil {
-		w.nonFDs(s.NonFDs)
-	}
-	w.present(s.TopK != nil)
-	if s.TopK != nil {
-		w.topK(s.TopK)
-	}
-	w.manifest(s.Manifest)
-	w.frontier(s.Frontier)
-}
-
-func (d *reader) snapshot() *Snapshot {
-	s := &Snapshot{}
-	s.Version = d.version("snapshot", 1)
-	s.Fingerprint = d.fingerprint()
-	s.Stats = d.stats()
-	if d.present() {
-		s.Tree = d.tree()
-	}
-	if d.present() {
-		s.NonFDs = d.nonFDs()
-	}
-	if d.present() {
-		s.TopK = d.topK()
-	}
-	s.Manifest = d.manifest()
-	s.Frontier = d.frontier()
-	return s
-}
-
-func (w *writer) fingerprint(f Fingerprint) {
-	w.version(f.Version)
-	w.str(f.Algorithm)
-	w.varint(f.Rows)
-	w.varint(f.Cols)
-	w.u64(f.DataHash)
-	w.varint(f.TopK)
-	w.varint(f.MaxViolations)
-}
-
-func (d *reader) fingerprint() Fingerprint {
-	var f Fingerprint
-	f.Version = d.version("fingerprint", 1)
-	f.Algorithm = d.str()
-	f.Rows = d.varint()
-	f.Cols = d.varint()
-	f.DataHash = d.u64()
-	f.TopK = d.varint()
-	f.MaxViolations = d.varint()
-	return f
-}
-
-func (w *writer) stats(s StatsSnap) {
-	w.version(s.Version)
-	w.varint(s.ElapsedNanos)
-	w.uvarint(uint64(len(s.Phases)))
-	for _, p := range s.Phases {
-		w.str(p.Name)
-		w.varint(p.Nanos)
-	}
-	w.varint(s.CacheHits)
-	w.varint(s.CacheMisses)
-	w.varint(s.CacheEvicts)
-}
-
-func (d *reader) stats() StatsSnap {
-	var s StatsSnap
-	s.Version = d.version("stats", 1)
-	s.ElapsedNanos = d.varint()
-	n := d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		s.Phases = append(s.Phases, PhaseRec{Name: d.str(), Nanos: d.varint()})
-	}
-	s.CacheHits = d.varint()
-	s.CacheMisses = d.varint()
-	s.CacheEvicts = d.varint()
-	return s
-}
-
-func (w *writer) tree(t *TreeSnap) {
-	w.version(t.Version)
-	w.varint(t.NumAttrs)
-	w.varint(t.ControlledLevel)
-	w.uvarint(uint64(len(t.Nodes)))
-	for _, n := range t.Nodes {
-		w.set(n.LHS)
-		w.set(n.RHS)
-		w.boolean(n.Pruned)
-	}
-}
-
-func (d *reader) tree() *TreeSnap {
-	t := &TreeSnap{}
-	t.Version = d.version("tree", 1)
-	t.NumAttrs = d.varint()
-	t.ControlledLevel = d.varint()
-	n := d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		t.Nodes = append(t.Nodes, TreeNodeRec{LHS: d.set(), RHS: d.set(), Pruned: d.boolean()})
-	}
-	return t
-}
-
-func (w *writer) nonFDs(s *NonFDSnap) {
-	w.version(s.Version)
-	w.varint(s.NumAttrs)
-	w.sets(s.Sets)
-}
-
-func (d *reader) nonFDs() *NonFDSnap {
-	s := &NonFDSnap{}
-	s.Version = d.version("nonfds", 1)
-	s.NumAttrs = d.varint()
-	s.Sets = d.setsField()
-	return s
-}
-
-func (w *writer) topK(t *TopKSnap) {
-	w.version(t.Version)
-	w.varint(t.K)
-	w.uvarint(uint64(len(t.Entries)))
-	for _, e := range t.Entries {
-		w.set(e.LHS)
-		w.set(e.RHS)
-		w.varint(e.Score)
-	}
-	w.varint(t.Admitted)
-	w.varint(t.Rejected)
-	w.varint(t.Pruned)
-}
-
-func (d *reader) topK() *TopKSnap {
-	t := &TopKSnap{}
-	t.Version = d.version("topk", 1)
-	t.K = d.varint()
-	n := d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		t.Entries = append(t.Entries, EntryRec{LHS: d.set(), RHS: d.set(), Score: d.varint()})
-	}
-	t.Admitted = d.varint()
-	t.Rejected = d.varint()
-	t.Pruned = d.varint()
-	return t
-}
-
-func (w *writer) manifest(m ManifestSnap) {
-	w.version(m.Version)
-	w.sets(m.Keys)
-}
-
-func (d *reader) manifest() ManifestSnap {
-	var m ManifestSnap
-	m.Version = d.version("manifest", 1)
-	m.Keys = d.setsField()
-	return m
-}
-
-func (w *writer) frontier(f FrontierSnap) {
-	w.version(f.Version)
-	w.present(f.Tane != nil)
-	if f.Tane != nil {
-		w.taneFrontier(f.Tane)
-	}
-	w.present(f.Level != nil)
-	if f.Level != nil {
-		w.levelFrontier(f.Level)
-	}
-	w.present(f.DFD != nil)
-	if f.DFD != nil {
-		w.dfdFrontier(f.DFD)
-	}
-	w.present(f.FastFDs != nil)
-	if f.FastFDs != nil {
-		w.fastFDsFrontier(f.FastFDs)
-	}
-}
-
-func (d *reader) frontier() FrontierSnap {
-	var f FrontierSnap
-	f.Version = d.version("frontier", 1)
-	if d.present() {
-		f.Tane = d.taneFrontier()
-	}
-	if d.present() {
-		f.Level = d.levelFrontier()
-	}
-	if d.present() {
-		f.DFD = d.dfdFrontier()
-	}
-	if d.present() {
-		f.FastFDs = d.fastFDsFrontier()
-	}
-	return f
-}
-
-func (w *writer) taneFrontier(f *TaneFrontier) {
-	w.version(f.Version)
-	w.varint(f.Levels)
-	w.fds(f.Out)
-	w.uvarint(uint64(len(f.Cands)))
-	for _, c := range f.Cands {
-		w.set(c.Set)
-		w.set(c.CPlus)
-		w.varint(c.Err)
-		w.boolean(c.Dead)
-	}
-	w.uvarint(uint64(len(f.Prev)))
-	for _, p := range f.Prev {
-		w.set(p.Set)
-		w.varint(p.Err)
-	}
-	w.varint(f.RowsScanned)
-	w.varint(f.PartitionsBuilt)
-	w.varint(f.PartitionsRefined)
-	w.varint(f.CandidatesValidated)
-	w.varint(f.Invalidated)
-}
-
-func (d *reader) taneFrontier() *TaneFrontier {
-	f := &TaneFrontier{}
-	f.Version = d.version("tane", 1)
-	f.Levels = d.varint()
-	f.Out = d.fdsField()
-	n := d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		f.Cands = append(f.Cands, TaneCandRec{Set: d.set(), CPlus: d.set(), Err: d.varint(), Dead: d.boolean()})
-	}
-	n = d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		f.Prev = append(f.Prev, TanePrevRec{Set: d.set(), Err: d.varint()})
-	}
-	f.RowsScanned = d.varint()
-	f.PartitionsBuilt = d.varint()
-	f.PartitionsRefined = d.varint()
-	f.CandidatesValidated = d.varint()
-	f.Invalidated = d.varint()
-	return f
-}
-
-func (w *writer) levelFrontier(f *LevelFrontier) {
-	w.version(f.Version)
-	w.varint(f.Level)
-	w.varint(f.NumFDs)
-	w.varint(f.Validations)
-	w.varint(f.Invalidated)
-	w.varint(f.RowsScannedV)
-	w.varint(f.ClustersRefined)
-	w.varint(f.InitialNonFDs)
-	w.varint(f.Comparisons)
-	w.varint(f.SamplingRounds)
-	w.varint(f.Refinements)
-	w.varint(f.PeakDynRows)
-	w.varint(f.PeakDynCount)
-	w.varint(f.RowsScanned)
-	w.varint(f.PartitionsBuilt)
-	w.uvarint(uint64(len(f.Sampler)))
-	for _, s := range f.Sampler {
-		w.varint(s.Distance)
-		w.f64(s.Efficiency)
-		w.boolean(s.Exhausted)
-	}
-}
-
-func (d *reader) levelFrontier() *LevelFrontier {
-	f := &LevelFrontier{}
-	f.Version = d.version("level", 1)
-	f.Level = d.varint()
-	f.NumFDs = d.varint()
-	f.Validations = d.varint()
-	f.Invalidated = d.varint()
-	f.RowsScannedV = d.varint()
-	f.ClustersRefined = d.varint()
-	f.InitialNonFDs = d.varint()
-	f.Comparisons = d.varint()
-	f.SamplingRounds = d.varint()
-	f.Refinements = d.varint()
-	f.PeakDynRows = d.varint()
-	f.PeakDynCount = d.varint()
-	f.RowsScanned = d.varint()
-	f.PartitionsBuilt = d.varint()
-	n := d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		f.Sampler = append(f.Sampler, SamplerRec{Distance: d.varint(), Efficiency: d.f64(), Exhausted: d.boolean()})
-	}
-	return f
-}
-
-func (w *writer) dfdFrontier(f *DFDFrontier) {
-	w.version(f.Version)
-	w.varint(f.NextAttr)
-	w.fds(f.Out)
-	w.varint(f.Validations)
-	w.varint(f.PartitionsBuilt)
-}
-
-func (d *reader) dfdFrontier() *DFDFrontier {
-	f := &DFDFrontier{}
-	f.Version = d.version("dfd", 1)
-	f.NextAttr = d.varint()
-	f.Out = d.fdsField()
-	f.Validations = d.varint()
-	f.PartitionsBuilt = d.varint()
-	return f
-}
-
-func (w *writer) fastFDsFrontier(f *FastFDsFrontier) {
-	w.version(f.Version)
-	w.varint(f.NextAttr)
-	w.sets(f.Diff)
-	w.fds(f.Out)
-	w.varint(f.RowsScanned)
-	w.varint(f.NonFDs)
-}
-
-func (d *reader) fastFDsFrontier() *FastFDsFrontier {
-	f := &FastFDsFrontier{}
-	f.Version = d.version("fastfds", 1)
-	f.NextAttr = d.varint()
-	f.Diff = d.setsField()
-	f.Out = d.fdsField()
-	f.RowsScanned = d.varint()
-	f.NonFDs = d.varint()
-	return f
+	return nil
 }

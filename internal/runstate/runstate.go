@@ -14,11 +14,13 @@
 // one.
 //
 // The on-disk format is "FDRS", a little-endian uint16 format version,
-// the varint-encoded payload, and a trailing CRC32 (IEEE) over everything
-// before it. Writes go through a temp file, fsync and rename in the
+// the Snapshot encoded with encoding/gob, and a trailing CRC32 (IEEE)
+// over everything before it. After decoding, every section present must
+// carry Version 1. Writes go through a temp file, fsync and rename in the
 // snapshot's directory, so a crash mid-write leaves the previous snapshot
 // intact. Damaged or foreign files are rejected with the typed sentinel
-// errors below — never a panic.
+// errors below — never a panic, and with memory bounded however a length
+// field is damaged.
 package runstate
 
 import (
@@ -35,8 +37,9 @@ import (
 
 // FormatVersion is the on-disk container version. Payload structs carry
 // their own version tags on top (the snapversion analyzer enforces that),
-// so the container version only moves when the framing itself changes.
-const FormatVersion = 1
+// so the container version only moves when the framing or the payload
+// encoding changes: version 2 encodes the payload with encoding/gob.
+const FormatVersion = 2
 
 // DefaultInterval is the checkpoint write cadence when the caller passes
 // a non-positive interval: long enough that short runs pay a single
@@ -182,13 +185,12 @@ func Load(dir string) (*Snapshot, error) {
 	return decodeFile(data)
 }
 
-// Checkpointer writes snapshots on an interval. Tick, called at every
-// driver boundary, always *encodes* the snapshot — the encode is the deep
-// copy that decouples the snapshot from the driver's live, mutating
-// structures — but only writes the file when the interval has elapsed
-// (the first Tick writes immediately). Flush writes the latest encoded
-// boundary unconditionally; the cancellation, deadline, and exit paths
-// call it so an interrupt never loses the frontier.
+// Checkpointer writes snapshots on an interval. Tick, called at a driver
+// boundary, parks the snapshot as the latest boundary, and encodes and
+// writes it only when the interval has elapsed (the first Tick writes
+// immediately). Flush encodes and writes the parked boundary
+// unconditionally; the cancellation, deadline, and exit paths call it so
+// an interrupt never loses the frontier.
 //
 // A nil *Checkpointer is the documented "checkpointing off" state: every
 // method is a no-op, so drivers need no guards.
