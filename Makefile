@@ -58,7 +58,7 @@ bench:
 # One iteration of the key benchmarks — catches bit-rot without the cost
 # of a full measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Intersect100k' -benchtime 1x ./internal/partition/
+	$(GO) test -run '^$$' -bench 'Refine100k' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
 

@@ -5,8 +5,6 @@
 package brute
 
 import (
-	"math/bits"
-
 	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/relation"
@@ -39,14 +37,8 @@ func MinimalFDs(r *relation.Relation) []dep.FD {
 			if dominated {
 				continue
 			}
-			if Holds(r, mask, a) {
+			if lhs := maskSet(n, mask); HoldsSet(r, lhs, a) {
 				minimal = append(minimal, mask)
-				lhs := bitset.New(n)
-				for b := 0; b < n; b++ {
-					if mask&(1<<uint(b)) != 0 {
-						lhs.Add(b)
-					}
-				}
 				rhs := bitset.New(n)
 				rhs.Add(a)
 				out = append(out, dep.FD{LHS: lhs, RHS: rhs})
@@ -57,16 +49,29 @@ func MinimalFDs(r *relation.Relation) []dep.FD {
 	return out
 }
 
-// Holds checks whether the FD (columns of mask) → a holds on r by grouping
-// rows on the LHS projection.
-func Holds(r *relation.Relation, mask uint32, a int) bool {
-	n := r.NumCols()
-	attrs := make([]int, 0, bits.OnesCount32(mask))
+// maskSet returns the attribute set of the low n bits of mask.
+func maskSet(n int, mask uint32) bitset.Set {
+	s := bitset.New(n)
 	for b := 0; b < n; b++ {
 		if mask&(1<<uint(b)) != 0 {
-			attrs = append(attrs, b)
+			s.Add(b)
 		}
 	}
+	return s
+}
+
+// Holds checks whether the FD (columns of mask) → a holds on r; it is
+// HoldsSet for the attributes of the mask.
+func Holds(r *relation.Relation, mask uint32, a int) bool {
+	return HoldsSet(r, maskSet(r.NumCols(), mask), a)
+}
+
+// HoldsSet checks whether X → A holds on r by grouping rows on their
+// X-projection of raw codes, the groupby(X)[A].nunique() <= 1 test: no
+// partition is involved, so it checks the partition kernels
+// independently, at any width.
+func HoldsSet(r *relation.Relation, x bitset.Set, a int) bool {
+	attrs := x.Attrs()
 	seen := make(map[string]int32, r.NumRows())
 	key := make([]byte, len(attrs)*4)
 	for row := 0; row < r.NumRows(); row++ {
@@ -87,13 +92,4 @@ func Holds(r *relation.Relation, mask uint32, a int) bool {
 		}
 	}
 	return true
-}
-
-// HoldsSet checks whether X → A holds for bitset arguments.
-func HoldsSet(r *relation.Relation, x bitset.Set, a int) bool {
-	var mask uint32
-	for b := x.Next(0); b >= 0; b = x.Next(b + 1) {
-		mask |= 1 << uint(b)
-	}
-	return Holds(r, mask, a)
 }

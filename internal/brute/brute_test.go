@@ -39,6 +39,28 @@ func TestHoldsSet(t *testing.T) {
 	}
 }
 
+// TestHoldsSetWideRelation: attributes past the 32nd count like any
+// other. Attribute 35 is a key, so it determines attribute 0, which the
+// constant attribute 36 does not.
+func TestHoldsSetWideRelation(t *testing.T) {
+	const n, rows = 40, 6
+	cols := make([][]int32, n)
+	for c := range cols {
+		cols[c] = make([]int32, rows)
+	}
+	for row := 0; row < rows; row++ {
+		cols[0][row] = int32(row % 2)
+		cols[35][row] = int32(row)
+	}
+	r := relation.FromCodes(nil, cols, nil, relation.NullEqNull)
+	if !HoldsSet(r, bitset.FromAttrs(n, 35), 0) {
+		t.Error("key attribute 35 -> 0 should hold")
+	}
+	if HoldsSet(r, bitset.FromAttrs(n, 36), 0) {
+		t.Error("constant attribute 36 -> 0 should not hold")
+	}
+}
+
 func TestMinimalFDsMinimality(t *testing.T) {
 	r := relation.FromCodes(nil, [][]int32{
 		{0, 1, 2, 3}, // key

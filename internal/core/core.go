@@ -155,15 +155,13 @@ func (m *ddm) update(ctx context.Context, pool *engine.Pool, reusables []*fdtree
 		}
 		job := partition.RefineJob{Part: p}
 		for b := lhs.Next(0); b >= 0; b = lhs.Next(b + 1) {
-			if attrs.Contains(b) {
-				continue
+			if !attrs.Contains(b) {
+				job.Attrs = append(job.Attrs, b)
 			}
-			job.Cols = append(job.Cols, m.r.Cols[b])
-			job.Cards = append(job.Cards, m.r.Cards[b])
 		}
 		jobs[k] = job
 	}
-	parts, err := partition.RefineBatch(ctx, pool, jobs)
+	parts, err := partition.RefineBatch(ctx, pool, m.r.Cols, m.r.Cards, jobs)
 	if err != nil {
 		return err
 	}

@@ -373,10 +373,11 @@ type RunStats struct {
 	// entered repeatedly (per level, say) accumulates into one entry.
 	Phases []PhaseStat
 	// RowsScanned counts row accesses on the hot path: cluster rows fed
-	// into partition refinement, tuple-pair comparisons, probe lookups.
+	// into partition refinement (for a TANE level join, the rows of the
+	// parent it refines) and tuple-pair comparisons.
 	RowsScanned int64
 	// PartitionsBuilt counts stripped partitions materialized (singles,
-	// PLI intersections, DDM refreshes).
+	// TANE's level products, DDM refreshes).
 	PartitionsBuilt int64
 	// PartitionsRefined counts cluster-level refinement steps
 	// (Algorithm 5 invocations).

@@ -25,7 +25,7 @@ func TestTaxonomy(t *testing.T) {
 			t.Errorf("%s should be fatal", site)
 		}
 	}
-	for _, site := range []Site{PartitionIntersect, DDMRefresh, EngineWorker, SamplingRun, RankingRun, TopKPrune} {
+	for _, site := range []Site{DDMRefresh, EngineWorker, SamplingRun, RankingRun, TopKPrune} {
 		if DefaultClass(site) != ClassTransient {
 			t.Errorf("%s should be transient", site)
 		}

@@ -1,7 +1,7 @@
 // Package faults is a deterministic fault-injection registry for the
 // discovery runtime's chaos tests.
 //
-// Hot paths declare named sites (partition construction, PLI intersection,
+// Hot paths declare named sites (partition construction, sharded merges,
 // DDM refreshes, pool workers, sampling runs) and call Hit or Check at the
 // site. Tests arm a site with a Plan — panic, error, or delay on the Nth
 // hit — and the runtime's recovery layers must turn the injection into a
@@ -40,10 +40,6 @@ const (
 	// ForAttrsCached's start partition on a wide pool), the merge that
 	// lays per-shard groups into the shared compact backing.
 	PartitionShardMerge Site = "partition.shardmerge"
-	// PartitionIntersect fires in partition.Intersector.Intersect, TANE's
-	// per-level PLI product, run through partition.IntersectBatch
-	// (usually on a pool worker).
-	PartitionIntersect Site = "partition.intersect"
 	// PartitionRefineShard fires once per shard inside the stitch step of
 	// the sharded refinement, which partition.ForAttrsCached runs on a
 	// pool of more than one worker: the scatter that lays per-shard
@@ -77,7 +73,7 @@ const (
 // Sites lists the runtime's instrumented sites in a stable order, the set
 // the chaos suite iterates.
 func Sites() []Site {
-	return []Site{PartitionBuild, PartitionShardMerge, PartitionIntersect, PartitionRefineShard, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune}
+	return []Site{PartitionBuild, PartitionShardMerge, PartitionRefineShard, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune}
 }
 
 // Kind selects what an armed plan injects.
@@ -121,7 +117,7 @@ const (
 	ClassUnknown Class = iota
 	// ClassTransient marks a failure safe and worthwhile to re-run: the
 	// failed operation had not yet published side effects, so a retry
-	// starts clean (a flaky worker, a torn intersection, a sampling pass).
+	// starts clean (a flaky worker, a DDM refresh, a sampling pass).
 	ClassTransient
 	// ClassFatal marks a failure that will recur on retry: a deterministic
 	// computation over immutable input failed, so re-running it burns time
@@ -149,17 +145,16 @@ func (c Class) String() string {
 // fatal — Single and the sharded scatter/stitch steps are deterministic
 // passes over an immutable column or parent partition, so a genuine
 // failure there reproduces on every retry. Every other site guards a
-// re-runnable unit: intersections and worker items recompute from
-// inputs that survive the failure, DDM refreshes and sampling passes
-// are optimizations a rerun (or a skip) absorbs — the sampling
-// shard-merge in particular folds into an idempotent dedup set, so
-// re-entering it is safe — and top-k bound checks publish nothing
-// before they fire.
+// re-runnable unit: worker items recompute from inputs that survive the
+// failure, DDM refreshes and sampling passes are optimizations a rerun
+// (or a skip) absorbs — the sampling shard-merge in particular folds
+// into an idempotent dedup set, so re-entering it is safe — and top-k
+// bound checks publish nothing before they fire.
 func DefaultClass(site Site) Class {
 	switch site {
 	case PartitionBuild, PartitionShardMerge, PartitionRefineShard:
 		return ClassFatal
-	case PartitionIntersect, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune:
+	case DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune:
 		return ClassTransient
 	default:
 		return ClassUnknown

@@ -67,15 +67,15 @@ func TestCheckPanicsOnInjectedError(t *testing.T) {
 
 func TestDelaySleepsAndProceeds(t *testing.T) {
 	defer Reset()
-	Arm(PartitionIntersect, Plan{Kind: KindDelay, Delay: 20 * time.Millisecond})
+	Arm(DDMRefresh, Plan{Kind: KindDelay, Delay: 20 * time.Millisecond})
 	t0 := time.Now()
-	if err := Hit(PartitionIntersect); err != nil {
+	if err := Hit(DDMRefresh); err != nil {
 		t.Fatalf("delay hit returned %v", err)
 	}
 	if d := time.Since(t0); d < 15*time.Millisecond {
 		t.Errorf("delay hit returned after %v", d)
 	}
-	if err := Hit(PartitionIntersect); err != nil {
+	if err := Hit(DDMRefresh); err != nil {
 		t.Fatalf("post-fire hit returned %v", err)
 	}
 }
@@ -118,7 +118,7 @@ func TestConcurrentHitsFireExactlyOnce(t *testing.T) {
 
 func TestSitesStable(t *testing.T) {
 	s := Sites()
-	if len(s) != 10 || s[0] != PartitionBuild || s[9] != TopKPrune {
+	if len(s) != 9 || s[0] != PartitionBuild || s[8] != TopKPrune {
 		t.Fatalf("Sites() = %v", s)
 	}
 }

@@ -104,16 +104,23 @@ func TestPLICacheUnderMemoryBudget(t *testing.T) {
 
 // TestPLICacheWithFaultInjection: a fault firing mid-run with the cache
 // enabled must still produce only sound FDs (the post-run verifier itself
-// goes through the cache).
+// goes through the cache). engine.worker fires on its hit past the
+// bootstrap's one item per column, so for TANE it lands in a level join.
 func TestPLICacheWithFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	r := dataset.Random(rng, 200, 6, 4)
 	ctx := context.Background()
-	for _, site := range []faults.Site{faults.PartitionBuild, faults.PartitionIntersect} {
+	for _, inj := range []struct {
+		site faults.Site
+		n    int
+	}{
+		{faults.PartitionBuild, 2},
+		{faults.EngineWorker, r.NumCols() + 2},
+	} {
 		for _, a := range []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.TANE} {
-			t.Run(string(site)+"/"+a.String(), func(t *testing.T) {
+			t.Run(string(inj.site)+"/"+a.String(), func(t *testing.T) {
 				defer faults.Reset()
-				faults.Arm(site, faults.Plan{Kind: faults.KindError, N: 2})
+				faults.Arm(inj.site, faults.Plan{Kind: faults.KindError, N: inj.n})
 				res, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a),
 					dhyfd.WithPartitionCache(16<<20))
 				if res == nil {

@@ -11,7 +11,7 @@ import (
 // comment run per cluster, per row or per candidate, and a stray
 // fmt.Sprintf, map, closure or growing append re-introduces exactly the
 // per-call garbage the flat-partition redesign removed (and that
-// TestIntersectorAllocsPerRun-style tests only catch for the few
+// TestRefineAllocsPerRun-style tests only catch for the few
 // functions they pin).
 //
 // Inside an annotated function the analyzer rejects:

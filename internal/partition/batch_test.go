@@ -19,45 +19,28 @@ func randColumn(rng *rand.Rand, rows, card int) []int32 {
 	return col
 }
 
-func TestIntersectBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const rows = 400
-	var jobs []IntersectJob
-	var want []*Partition
-	for k := 0; k < 20; k++ {
-		a := Single(randColumn(rng, rows, 5), 5)
-		b := Single(randColumn(rng, rows, 7), 7)
-		jobs = append(jobs, IntersectJob{Left: a, Right: b})
-		want = append(want, NewIntersector().Intersect(a, ProbeTable(nil).Fill(b)))
-	}
-	for _, workers := range []int{1, 2, 4} {
-		got, err := IntersectBatch(context.Background(), engine.NewPool(workers), jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("workers=%d: job %d differs from serial Intersect", workers, i)
-			}
-		}
-	}
-}
-
 func TestRefineBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const rows = 400
+	cards := []int{4, 6, 3, 5, 7, 2}
+	cols := make([][]int32, len(cards))
+	for a, card := range cards {
+		cols[a] = randColumn(rng, rows, card)
+	}
 	var jobs []RefineJob
 	var want []*Partition
 	for k := 0; k < 20; k++ {
-		base := randColumn(rng, rows, 4)
-		c1 := randColumn(rng, rows, 6)
-		c2 := randColumn(rng, rows, 3)
-		p := Single(base, 4)
-		jobs = append(jobs, RefineJob{Part: p, Cols: [][]int32{c1, c2}, Cards: []int{6, 3}})
-		want = append(want, Refine(Refine(p, c1, 6), c2, 3))
+		base := rng.Intn(len(cols))
+		attrs := rng.Perm(len(cols))[:1+rng.Intn(3)]
+		p := Single(cols[base], cards[base])
+		jobs = append(jobs, RefineJob{Part: p, Attrs: attrs})
+		for _, a := range attrs {
+			p = Refine(p, cols[a], cards[a])
+		}
+		want = append(want, p)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, err := RefineBatch(context.Background(), engine.NewPool(workers), jobs)
+		got, err := RefineBatch(context.Background(), engine.NewPool(workers), cols, cards, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,19 +57,12 @@ func TestBatchCancellation(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(3))
 	p := Single(randColumn(rng, 100, 3), 3)
-	jobs := make([]IntersectJob, 500)
+	jobs := make([]RefineJob, 500)
+	cols := [][]int32{randColumn(rng, 100, 3)}
 	for i := range jobs {
-		jobs[i] = IntersectJob{Left: p, Right: p}
+		jobs[i] = RefineJob{Part: p, Attrs: []int{0}}
 	}
-	if _, err := IntersectBatch(ctx, engine.NewPool(2), jobs); !errors.Is(err, context.Canceled) {
-		t.Errorf("IntersectBatch err = %v, want context.Canceled", err)
-	}
-	rjobs := make([]RefineJob, 500)
-	col := randColumn(rng, 100, 3)
-	for i := range rjobs {
-		rjobs[i] = RefineJob{Part: p, Cols: [][]int32{col}, Cards: []int{3}}
-	}
-	if _, err := RefineBatch(ctx, engine.NewPool(2), rjobs); !errors.Is(err, context.Canceled) {
+	if _, err := RefineBatch(ctx, engine.NewPool(2), cols, []int{3}, jobs); !errors.Is(err, context.Canceled) {
 		t.Errorf("RefineBatch err = %v, want context.Canceled", err)
 	}
 }
@@ -119,8 +95,8 @@ func TestPooledScratchNeverReachesOutput(t *testing.T) {
 			return refineSharded(ctx, engine.NewPool(3), Single(cols[0], cards[0]), cols[1], cards[1], 16)
 		}},
 		{"RefineBatch", func(cols [][]int32, cards []int) (*Partition, error) {
-			job := RefineJob{Part: Single(cols[0], cards[0]), Cols: cols[1:], Cards: cards[1:]}
-			out, err := RefineBatch(ctx, engine.NewPool(3), []RefineJob{job, job, job})
+			job := RefineJob{Part: Single(cols[0], cards[0]), Attrs: []int{1}}
+			out, err := RefineBatch(ctx, engine.NewPool(3), cols, cards, []RefineJob{job, job, job})
 			if err != nil {
 				return nil, err
 			}
@@ -158,13 +134,13 @@ func TestRefineBatchPanicDropsScratch(t *testing.T) {
 	const rows = 400
 	p := Single(randColumn(rng, rows, 3), 3)
 	col := randColumn(rng, rows, 5)
-	bad := RefineJob{Part: p, Cols: [][]int32{col[:rows/2]}, Cards: []int{5}}
-	_, err := RefineBatch(ctx, pool, []RefineJob{bad})
+	job := RefineJob{Part: p, Attrs: []int{0}}
+	_, err := RefineBatch(ctx, pool, [][]int32{col[:rows/2]}, []int{5}, []RefineJob{job})
 	var pe *engine.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("short column: err = %v, want *engine.PanicError", err)
 	}
-	got, err := RefineBatch(ctx, pool, []RefineJob{{Part: p, Cols: [][]int32{col}, Cards: []int{5}}})
+	got, err := RefineBatch(ctx, pool, [][]int32{col}, []int{5}, []RefineJob{job})
 	if err != nil {
 		t.Fatal(err)
 	}

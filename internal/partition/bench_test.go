@@ -39,54 +39,6 @@ func BenchmarkRefine100k(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersect100k(b *testing.B) {
-	a := randomColumn(100_000, 50, 1)
-	c := randomColumn(100_000, 50, 2)
-	pa, pc := Single(a, 50), Single(c, 50)
-	probe := ProbeTable(nil).Fill(pc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewIntersector().Intersect(pa, probe)
-	}
-}
-
-func BenchmarkRefineVsIntersect(b *testing.B) {
-	// The micro-comparison behind the DDM: dynamic refinement vs the PLI
-	// product TANE uses.
-	a := randomColumn(50_000, 200, 1)
-	c := randomColumn(50_000, 200, 2)
-	pa, pc := Single(a, 200), Single(c, 200)
-	b.Run("refine", func(b *testing.B) {
-		rf := NewRefiner(200)
-		for i := 0; i < b.N; i++ {
-			rf.refine(pa, c, 200)
-		}
-	})
-	b.Run("intersect", func(b *testing.B) {
-		probe := ProbeTable(nil).Fill(pc)
-		for i := 0; i < b.N; i++ {
-			NewIntersector().Intersect(pa, probe)
-		}
-	})
-}
-
-// TestIntersectorAllocsPerRun pins the allocation profile of the reused
-// intersection kernel: after warm-up, one Intersect costs only its output
-// (partition struct, backing, offsets, cluster views — plus bounded
-// offsets growth), never a map or a per-call probe table.
-func TestIntersectorAllocsPerRun(t *testing.T) {
-	a := randomColumn(20_000, 50, 1)
-	c := randomColumn(20_000, 50, 2)
-	pa, pc := Single(a, 50), Single(c, 50)
-	ix := NewIntersector()
-	probe := ProbeTable(nil).Fill(pc)
-	ix.Intersect(pa, probe) // warm scratch
-	if got := testing.AllocsPerRun(10, func() { ix.Intersect(pa, probe) }); got > 4 {
-		t.Errorf("Intersect allocs/run = %.0f, want <= 4", got)
-	}
-}
-
 // TestRefineAllocsPerRun pins the pooled refine scratch: after one warm
 // call, each one-shot refine entry point pays for its output and a few
 // headers, never for a card-sized bucket table or buckets grown from nil,
@@ -103,6 +55,7 @@ func TestRefineAllocsPerRun(t *testing.T) {
 		pa := Single(a, card)
 		x := bitset.FromAttrs(2, 0, 1)
 		cols, cards := [][]int32{a, c}, []int{card, card}
+		jobs := []RefineJob{{Part: pa, Attrs: []int{1}}}
 		calls := []struct {
 			name string
 			call func()
@@ -111,6 +64,11 @@ func TestRefineAllocsPerRun(t *testing.T) {
 			{"ForAttrs", func() { ForAttrs(x, cols, cards) }},
 			{"refineSharded", func() {
 				if _, err := refineSharded(ctx, pool, pa, c, card, 0); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"RefineBatch", func() {
+				if _, err := RefineBatch(ctx, pool, cols, cards, jobs); err != nil {
 					t.Fatal(err)
 				}
 			}},
@@ -148,23 +106,5 @@ func TestForAttrsCachedAllocsPerRun(t *testing.T) {
 	want := testing.AllocsPerRun(10, serial)
 	if got := testing.AllocsPerRun(10, merged); got > want {
 		t.Errorf("ForAttrsCached allocs/run = %.0f, want <= %.0f (ForAttrs)", got, want)
-	}
-}
-
-// TestProbeTableFillReuses: refilling an adequately sized probe table
-// allocates nothing — the per-level reuse IntersectBatch relies on.
-func TestProbeTableFillReuses(t *testing.T) {
-	a := randomColumn(20_000, 50, 1)
-	c := randomColumn(20_000, 50, 2)
-	pa, pc := Single(a, 50), Single(c, 50)
-	probe := ProbeTable(nil).Fill(pa)
-	if got := testing.AllocsPerRun(10, func() { probe = probe.Fill(pc) }); got != 0 {
-		t.Errorf("Fill allocs/run = %.0f, want 0", got)
-	}
-	want := ProbeTable(nil).Fill(pc)
-	for i := range want {
-		if probe[i] != want[i] {
-			t.Fatalf("refilled probe differs at row %d", i)
-		}
 	}
 }

@@ -7,38 +7,35 @@
 // An FD X → A holds iff refining π_X by A splits no cluster, which is
 // equivalent to the TANE error test e(X) = e(XA) with e(X) = ‖π_X‖ − |π_X|.
 //
-// The package provides the three partition computations the paper's
+// The package provides the two partition computations the paper's
 // algorithms need, each as a serial kernel:
 //
 //   - Single: build π_A for one attribute from dictionary codes,
 //   - Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA
-//     one cluster at a time (Algorithm 5), used by the DDM and by FD
-//     validation,
-//   - Intersector.Intersect: classic PLI intersection π_X ∩ π_Y ⇒ π_XY
-//     via probe tables, used by TANE's level-wise prefix-block joins.
+//     one cluster at a time (Algorithm 5), used by the DDM, by FD
+//     validation and by TANE's level joins: the product of two parents
+//     that differ only in their last attribute is either parent refined
+//     by the other's last attribute.
 //
 // A run reaches them through one entry point per operation, which takes
 // the run's engine.Pool: Singles (the PLI bootstrap) and ForAttrsCached
 // (the prefix-chain walk) also take a shard size and decide themselves
-// whether to shard; RefineBatch and IntersectBatch spread their jobs over
-// the pool's workers. Serial is the one-worker case, not a second API: on
-// a one-worker pool the walk runs the serial kernels directly, with no
+// whether to shard; RefineBatch spreads its jobs over the pool's
+// workers. Serial is the one-worker case, not a second API: on a
+// one-worker pool the walk runs the serial kernels directly, with no
 // shard cut, and only the bootstrap still shards a column longer than
 // one shard. The sharded forms are byte-identical to the serial kernels
 // at every shard size. The context-free ForAttrs and Refine stay for
 // callers that hold no run context (the public check API, ranking
 // without a cache, TANE's minimality check).
 //
-// Partitions produced by Single, Refine and Intersect are in compact form:
-// all cluster rows live in one backing array and Clusters are zero-copy
-// views into it, so a partition costs three allocations regardless of its
-// cluster count. Intersector carries the flat probe scratch of the
-// intersection kernel across calls, the same sets-array-plus-touched-list
-// trick Refiner uses, so TANE levels intersect without a map allocation
-// per call. The one-shot refine entry points borrow their Refiner from a
-// package pool, so its bucket table outlives the call. Cache (cache.go)
-// keeps refined partitions alive across candidate evaluations under an
-// LRU byte bound.
+// Partitions produced by Single and Refine are in compact form: all
+// cluster rows live in one backing array and Clusters are zero-copy
+// views into it, so a partition costs three allocations regardless of
+// its cluster count. The one-shot refine entry points borrow their
+// Refiner from a package pool, so its bucket table outlives the call.
+// Cache (cache.go) keeps refined partitions alive across candidate
+// evaluations under an LRU byte bound.
 package partition
 
 import (
@@ -228,7 +225,7 @@ func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
 	rf.offsets = append(rf.offsets[:0], 0)
 	backing, rf.offsets = rf.refineRange(p.Clusters, col, backing, rf.offsets)
 	// The offsets scratch is reused next call; the partition keeps an
-	// exact-size copy, as Intersector's does.
+	// exact-size copy, so per-call growth amortizes away entirely.
 	out.setCompact(backing, append([]int32(nil), rf.offsets...))
 	return out
 }
@@ -284,123 +281,6 @@ func Refine(p *Partition, col []int32, card int) *Partition {
 	rf := getRefiner()
 	out := rf.refine(p, col, card)
 	refiners.Put(rf)
-	return out
-}
-
-// ProbeTable is an inverted index of a partition: row → cluster id, with -1
-// for stripped (singleton) rows. TANE's intersection and HyFD's validation
-// both probe it.
-type ProbeTable []int32
-
-// Fill rebuilds t as the inverted index of p, reusing t's storage when it
-// is large enough, and returns the (possibly grown) table. Workers that
-// probe many partitions of the same relation keep one table alive instead
-// of allocating NRows int32s per intersection.
-//
-//fd:hotpath
-func (t ProbeTable) Fill(p *Partition) ProbeTable {
-	if cap(t) < p.NRows {
-		t = make(ProbeTable, p.NRows)
-	}
-	t = t[:p.NRows]
-	for i := range t {
-		t[i] = -1
-	}
-	for id, cluster := range p.Clusters {
-		for _, row := range cluster {
-			t[row] = int32(id)
-		}
-	}
-	return t
-}
-
-// Intersector computes PLI intersections with flat reusable scratch: a
-// counts array indexed by probe-side cluster id plus a touched-id list
-// (the trick Refiner uses for dictionary codes), so one intersection costs
-// three output allocations and no map. One Intersector serves one
-// goroutine; TANE keeps one per worker for a whole level.
-type Intersector struct {
-	counts  []int32 // per probe-side cluster id: rows of the current cluster
-	starts  []int32 // per probe-side cluster id: write cursor, -1 = stripped
-	touched []int32 // ids used by the current cluster
-	offsets []int32 // scratch for the output offsets, copied out exact-size
-}
-
-// NewIntersector returns an empty intersector; scratch grows on demand.
-func NewIntersector() *Intersector { return &Intersector{} }
-
-func (ix *Intersector) growID(id int32) {
-	if int(id) < len(ix.counts) {
-		return
-	}
-	n := len(ix.counts) * 2
-	if n <= int(id) {
-		n = int(id) + 1
-	}
-	counts := make([]int32, n)
-	copy(counts, ix.counts)
-	ix.counts = counts
-	starts := make([]int32, n)
-	copy(starts, ix.starts)
-	ix.starts = starts
-}
-
-// Intersect computes π_XY from π_X and a probe table of π_Y: rows of each
-// X-cluster are grouped by their Y-cluster id, dropping rows singleton in
-// Y (probe -1) and groups of fewer than two rows. The result is in compact
-// form. Each cluster is processed in two passes — count per Y-id, then
-// place rows at the precomputed group offsets — touching only the ids the
-// cluster actually uses.
-//
-//fd:hotpath
-func (ix *Intersector) Intersect(p *Partition, probe ProbeTable) *Partition {
-	faults.Check(faults.PartitionIntersect)
-	backing := make([]int32, 0, p.Size())
-	ix.offsets = append(ix.offsets[:0], 0)
-	for _, cluster := range p.Clusters {
-		for _, row := range cluster {
-			id := probe[row]
-			if id < 0 {
-				continue
-			}
-			ix.growID(id)
-			if ix.counts[id] == 0 {
-				ix.touched = append(ix.touched, id)
-			}
-			ix.counts[id]++
-		}
-		// Reserve one contiguous range per surviving group.
-		base := int32(len(backing))
-		total := int32(0)
-		for _, id := range ix.touched {
-			if ix.counts[id] >= 2 {
-				ix.starts[id] = base + total
-				total += ix.counts[id]
-				ix.offsets = append(ix.offsets, base+total)
-			} else {
-				ix.starts[id] = -1
-			}
-		}
-		backing = backing[:int(base+total)]
-		for _, row := range cluster {
-			id := probe[row]
-			if id < 0 {
-				continue
-			}
-			if s := ix.starts[id]; s >= 0 {
-				backing[s] = row
-				ix.starts[id] = s + 1
-			}
-		}
-		for _, id := range ix.touched {
-			ix.counts[id] = 0
-		}
-		ix.touched = ix.touched[:0]
-	}
-	// The offsets scratch is reused next call; the partition keeps an
-	// exact-size copy, so per-call growth amortizes away entirely.
-	out := &Partition{NRows: p.NRows}
-	out.setCompact(backing, append([]int32(nil), ix.offsets...))
 	return out
 }
 

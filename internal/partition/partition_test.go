@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -77,26 +76,6 @@ func TestRefinerReuseAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestIntersectMatchesRefine(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(60)
-		a := make([]int32, n)
-		b := make([]int32, n)
-		ca, cb := 1+rng.Intn(5), 1+rng.Intn(5)
-		for i := range a {
-			a[i] = int32(rng.Intn(ca))
-			b[i] = int32(rng.Intn(cb))
-		}
-		pa, pb := Single(a, ca), Single(b, cb)
-		viaIntersect := NewIntersector().Intersect(pa, ProbeTable(nil).Fill(pb))
-		viaRefine := Refine(pa, b, cb)
-		if !viaIntersect.Equal(viaRefine) {
-			t.Fatalf("trial %d: intersect %v != refine %v", trial, viaIntersect.Clusters, viaRefine.Clusters)
-		}
-	}
-}
-
 func TestForAttrsEmptySet(t *testing.T) {
 	cols := [][]int32{{0, 1, 0}}
 	p := ForAttrs(bitset.New(1), cols, []int{2})
@@ -117,17 +96,6 @@ func TestForAttrsMultiAttr(t *testing.T) {
 	p.SortClusters()
 	if !reflect.DeepEqual(p.Clusters, [][]int32{{0, 2}}) {
 		t.Errorf("π_ab = %v", p.Clusters)
-	}
-}
-
-func TestProbeTable(t *testing.T) {
-	p := Single([]int32{0, 1, 0, 2}, 3)
-	probe := ProbeTable(nil).Fill(p)
-	if probe[0] != probe[2] || probe[0] < 0 {
-		t.Errorf("rows 0,2 should share a cluster: %v", probe)
-	}
-	if probe[1] != -1 || probe[3] != -1 {
-		t.Errorf("singleton rows should be -1: %v", probe)
 	}
 }
 

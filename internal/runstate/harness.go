@@ -20,7 +20,7 @@ const manifestMax = 64
 // partitions, and only the lattice algorithms fuse top-k or relax validity.
 type Options struct {
 	// Workers sets the engine.Pool width of the run's parallel hot paths:
-	// level validation, DDM refreshes, PLI intersections, sharded
+	// level validation, DDM refreshes, TANE's level joins, sharded
 	// partition builds and pair scans. Values below 2 keep the published
 	// serial behaviour.
 	Workers int

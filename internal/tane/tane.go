@@ -2,15 +2,18 @@
 // Porkka and Toivonen — the column-based baseline of the paper.
 //
 // TANE traverses the attribute lattice level by level. Each level-ℓ
-// candidate X carries its stripped partition π_X (computed by intersecting
-// two level-(ℓ−1) parents) and the RHS-candidate set C+(X); the FD
+// candidate X carries its stripped partition π_X (the product of two
+// level-(ℓ−1) parents) and the RHS-candidate set C+(X); the FD
 // X∖{A} → A is valid iff the partition error e(X∖{A}) equals e(X).
 // Key pruning removes superkeys from the lattice after emitting the FDs
 // they certify.
 //
-// The PLI intersections of one level are independent, so level generation
-// batches them through partition.IntersectBatch on the shared engine
-// pool; workers = 1 keeps the classic serial behaviour.
+// The two parents of X differ only in their last attribute, so their
+// product is either parent refined by the other's last attribute
+// (Algorithm 5 of the paper, the kernel the DDM and validation share).
+// The refinements of one level are independent, so level generation
+// batches them through partition.RefineBatch on the shared engine pool;
+// workers = 1 keeps the classic serial behaviour.
 //
 // As the paper observes, TANE excels when all FDs have short LHSs
 // (fd-reduced) and degrades badly with many columns; the partitions of a
@@ -39,7 +42,7 @@ type candidate struct {
 }
 
 // Config tunes TANE; the algorithm has no knobs beyond the shared run
-// options. Workers fans each level's PLI intersections out over the pool.
+// options. Workers fans each level's partition products out over the pool.
 // Budget exhaustion lets the current level finish validating and abandons
 // deeper levels, since whole lattice levels of resident partitions are
 // TANE's characteristic cost; the FDs certified so far are each valid, so
@@ -347,7 +350,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		}
 
 		stop = rs.Phase("generate")
-		next, err := nextLevel(ctx, pool, level, curCPlus, n, rs, &cfg)
+		next, err := nextLevel(ctx, pool, r, level, curCPlus, rs, &cfg)
 		stop()
 		if err != nil {
 			return h.End(nil, err)
@@ -405,11 +408,14 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, prevErr map[string]
 // sharing their first ℓ−1 attributes produce their union, kept only if all
 // ℓ+1 subsets survive; C+ is the intersection of the subsets' C+ sets, and
 // the partition the product of the parents'. The pair scan is cheap and
-// serial; the PLI products — the level's hot path — run as one
-// partition.IntersectBatch over the worker pool. Candidates whose π_X the
-// shared cache already holds skip the product entirely; fresh products are
-// published to the cache for later levels, verification and other runs.
-func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCPlus map[string]bitset.Set, n int, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+// serial; the products — the level's hot path — run as one
+// partition.RefineBatch over the worker pool, each refining the parent
+// with fewer rows in clusters by the other's last attribute, so a product
+// reads and allocates no more than the smaller parent. Candidates whose
+// π_X the shared cache already holds skip the product entirely; fresh
+// products are published to the cache for later levels, verification and
+// other runs.
+func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, level []*candidate, curCPlus map[string]bitset.Set, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
 	alive := level[:0:0]
 	for _, c := range level {
 		if !c.dead {
@@ -427,8 +433,9 @@ func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCP
 		aliveKeys[c.set.Key()] = c
 	}
 
+	n := r.NumCols()
 	var next []*candidate
-	var jobs []partition.IntersectJob
+	var jobs []partition.RefineJob
 	var jobFor []int // jobs[k] fills next[jobFor[k]]
 	for i := 0; i < len(alive); i++ {
 		if i%64 == 0 {
@@ -456,13 +463,17 @@ func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCP
 				c.err = p.Error()
 				cfg.Budget.ChargeBytes(partition.Cost(p))
 			} else {
-				jobs = append(jobs, partition.IntersectJob{Left: a.part, Right: b.part})
+				base, other := a, b
+				if b.part.Size() < a.part.Size() {
+					base, other = b, a
+				}
+				jobs = append(jobs, partition.RefineJob{Part: base.part, Attrs: other.attrs[len(other.attrs)-1:]})
 				jobFor = append(jobFor, len(next))
 			}
 			next = append(next, c)
 		}
 	}
-	parts, err := partition.IntersectBatch(ctx, pool, jobs)
+	parts, err := partition.RefineBatch(ctx, pool, r.Cols, r.Cards, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +481,7 @@ func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCP
 		c := next[jobFor[k]]
 		c.part = p
 		c.err = p.Error()
-		rs.RowsScanned += int64(jobs[k].Left.Size())
+		rs.RowsScanned += int64(jobs[k].Part.Size())
 		cfg.Budget.Charge(p)
 		cfg.Cache.Put(c.set, p)
 	}

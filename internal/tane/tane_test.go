@@ -8,6 +8,7 @@ import (
 	"repro/internal/brute"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -162,4 +163,30 @@ func TestDiscoverWideLattice(t *testing.T) {
 		a, bb := dep.Diff(got, want, r.Names)
 		t.Fatalf("only tane %v, only brute %v", a, bb)
 	}
+}
+
+// TestLevelPartitionsMatchForAttrs: every partition TANE publishes to the
+// cache, the singles and each level's products (the smaller parent
+// refined by the other's last attribute), equals π_X built directly by
+// ForAttrs.
+func TestLevelPartitionsMatchForAttrs(t *testing.T) {
+	ctx := context.Background()
+	checked := 0
+	for _, b := range dataset.All() {
+		r := b.Generate(200, 10)
+		for _, workers := range []int{1, 4} {
+			cache := partition.NewCache(1<<30, nil)
+			if _, _, err := Run(ctx, r, Config{Workers: workers, Cache: cache}); err != nil {
+				t.Fatalf("%s workers=%d: %v", b.Name, workers, err)
+			}
+			for _, x := range cache.Keys(0) {
+				got := cache.Get(x).Clone()
+				if !got.Equal(partition.ForAttrs(x, r.Cols, r.Cards)) {
+					t.Errorf("%s workers=%d: cached π_%v differs from ForAttrs", b.Name, workers, x.Attrs())
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d partitions checked", checked)
 }
