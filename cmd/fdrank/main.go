@@ -44,7 +44,7 @@ func main() {
 	column := flag.String("column", "", "fix a column and list its minimal LHSs")
 	nullSem := flag.String("null", "eq", "null semantics: eq or neq")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes, spanning discovery and ranking (0 = ranking-private cache only)")
-	shardSize := flag.Int("shard-size", 0, "row-block size of discovery's sharded kernels: PLI bootstrap, partition builds and refinement, sampling, pair scan, verification; they shard only with -workers > 1, except the bootstrap, which shards any column longer than one block (0 = the built-in default)")
+	shardSize := flag.Int("shard-size", 0, "row-block size of discovery's row-sharded kernels: refinement within a partition build, sampling, pair scan; they shard only with -workers > 1 (the PLI bootstrap and verification fan out over columns and LHS groups instead; 0 = the built-in default)")
 	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
 	workers := flag.Int("workers", 1, "worker-pool width for discovery validation and ranking")

@@ -219,7 +219,7 @@ type discoverConfig struct {
 	maxParts   int64 // partitions; < 0 = unlimited
 	cacheBytes int64 // PLI cache capacity; <= 0 = disabled
 	cache      *PLICache
-	shardSize  int    // rows per shard of the sharded kernels; <= 0 = default
+	shardSize  int    // rows per shard of the row-sharded kernels; <= 0 = default
 	spillDir   string // spill-tier root; meaningful only when spill is set
 	spill      bool   // attach an out-of-core tier to the PLI cache
 	noVerify   bool
@@ -238,8 +238,9 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithWorkers sets the worker-pool width of the run's parallel hot paths:
-// validation, lattice joins, sharded partition builds and pair scans.
-// Values below 2 keep the serial behaviour.
+// validation, lattice joins, the PLI bootstrap, sharded refinement and
+// sampling, pair scans and post-run verification. Values below 2 keep
+// the serial behaviour.
 func WithWorkers(n int) Option {
 	return func(c *discoverConfig) { c.workers = n }
 }
@@ -302,18 +303,19 @@ func WithPartitionCache(bytes int64) Option {
 	return func(c *discoverConfig) { c.cacheBytes = bytes }
 }
 
-// WithShardSize sets the row-block size of every sharded kernel: the
-// single-attribute partition bootstrap of the PLI-based algorithms
-// (DHyFD, HyFD, TANE, DFD), multi-attribute partition builds and
-// refinement, the hybrid algorithms' sampling passes, the all-pairs scan
-// of the row-based algorithms (FDEP variants, FastFDs), and post-run
-// verification. A sharded kernel splits its input into blocks of about n
-// rows that run concurrently on the worker pool and merges them into
-// results byte-identical to the serial kernel, so the cover never depends
-// on n. Sharding happens only on a run with more than one worker (see
-// WithWorkers); the one exception is the bootstrap, which shards any
-// column longer than one shard even on one worker. n <= 0 keeps the
-// default (partition.DefaultShardSize rows).
+// WithShardSize sets the row-block size of the row-sharded kernels, the
+// ones whose call has no independent items to fan out over: refinement
+// inside one multi-attribute partition build (DHyFD, HyFD, TANE, DFD),
+// the hybrid algorithms' sampling passes, and the all-pairs scan of the
+// row-based algorithms (FDEP variants, FastFDs). A sharded kernel splits
+// its input into blocks of about n rows that run concurrently on the
+// worker pool and merges them into results byte-identical to the serial
+// kernel, so the cover never depends on n. Sharding happens only on a
+// run with more than one worker (see WithWorkers). The passes that do
+// have independent items fan out over them instead and take no shard
+// size: the single-attribute bootstrap over columns, post-run
+// verification over LHS groups. n <= 0 keeps the default
+// (partition.DefaultShardSize rows).
 func WithShardSize(n int) Option {
 	return func(c *discoverConfig) { c.shardSize = n }
 }
@@ -529,8 +531,8 @@ func WithRetries(n int) Option {
 // *PanicError alongside the partial Result. Runs that end early for any
 // reason — cancelled, degraded under a WithMemoryBudget/WithMaxPartitions
 // budget, or errored — have their partial cover re-verified against the
-// relation before it is returned, so every FD in Result.FDs holds on the
-// data (row-sampled above check.DefaultSampleRows rows).
+// relation before it is returned, so every FD in Result.FDs holds on
+// every row of the data.
 func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, err error) {
 	cfg := discoverConfig{memBudget: -1, maxParts: -1}
 	for _, o := range opts {
@@ -709,7 +711,7 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		// The gate must complete even when the run was cancelled — it is
 		// exactly the cancelled run's partial cover that needs vetting —
 		// so it runs on a non-cancellable derivation of the caller's ctx.
-		if verr := verifySoundness(context.WithoutCancel(ctx), r, res, cache, maxViol, cfg.workers, cfg.shardSize); verr != nil && err == nil {
+		if verr := verifySoundness(context.WithoutCancel(ctx), r, res, cache, maxViol, cfg.workers); verr != nil && err == nil {
 			err = verr
 		}
 	}
@@ -755,26 +757,25 @@ func attachTopK(ctx context.Context, r *Relation, res *Result, cfg *discoverConf
 	return err
 }
 
-// verifySoundness re-validates a partial cover against the relation and
-// drops any FD that does not hold, recording the outcome in the run
-// report's counters (postverify_checked / postverify_dropped /
-// postverify_sampled). With maxViol > 0 it verifies the g3 bound of
-// approximate covers instead of exact validity. The run's PLI cache, when
-// enabled, supplies the LHS partitions the run already built; the extra
-// cache traffic is folded into the run report, and with workers > 1 the
-// per-FD scans shard across a pool of that width. Clean complete exact
+// verifySoundness re-validates a partial cover against every row of the
+// relation and drops any FD that does not hold, recording the outcome in
+// the run report's counters (postverify_checked / postverify_dropped).
+// With maxViol > 0 it verifies the g3 bound of approximate covers instead
+// of exact validity. The run's PLI cache, when enabled, supplies the LHS
+// partitions the run already built, one lookup per distinct LHS; the
+// extra cache traffic is folded into the run report, and with workers > 1
+// the LHS groups fan out over a pool of that width. Clean complete exact
 // runs skip it: their cover is exact by construction and continuously
 // cross-checked in the test suite. A verification failure (an injected
 // fault, a worker panic) returns after keeping only the FDs already
 // proven sound — the cover stays conservative, never unsound.
-func verifySoundness(ctx context.Context, r *Relation, res *Result, cache *partition.Cache, maxViol, workers, shardSize int) error {
+func verifySoundness(ctx context.Context, r *Relation, res *Result, cache *partition.Cache, maxViol, workers int) error {
 	if r == nil || len(res.FDs) == 0 {
 		return nil
 	}
 	cache0 := cache.Stats()
 	rep, err := check.VerifyCover(ctx, r, res.FDs, check.VerifyOptions{
-		Cache: cache, MaxViolations: maxViol,
-		Workers: workers, ShardSize: shardSize,
+		Cache: cache, MaxViolations: maxViol, Workers: workers,
 	})
 	delta := cache.Stats().Delta(cache0)
 	res.Stats.CacheHits += delta.Hits
@@ -784,8 +785,5 @@ func verifySoundness(ctx context.Context, r *Relation, res *Result, cache *parti
 	res.Stats.FDs = int64(len(rep.Sound))
 	res.Stats.Count("postverify_checked", int64(rep.Checked))
 	res.Stats.Count("postverify_dropped", int64(rep.Violated))
-	if rep.Sampled {
-		res.Stats.Count("postverify_sampled", 1)
-	}
 	return err
 }

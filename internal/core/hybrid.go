@@ -87,7 +87,7 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 		return h.End(nil, err)
 	}
 	stop := rs.Phase("sample")
-	singles, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, opts.ShardSize, opts.Cache, opts.Budget)
+	singles, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, 0, opts.Cache, opts.Budget)
 	rs.PartitionsBuilt += int64(built)
 	if err != nil {
 		stop()

@@ -94,6 +94,34 @@ func MergeByLHS(fds []FD) []FD {
 	return out
 }
 
+// Group is one distinct LHS of an FD list and the positions of the FDs
+// sharing it: the unit of work of passes that build π_LHS once and then
+// decide or score every FD over it.
+type Group struct {
+	LHS  bitset.Set
+	Idxs []int
+}
+
+// GroupByLHS groups fds by LHS in first-seen order, with positions
+// ascending within each group — deterministic, so serial and parallel
+// passes over the groups see the same units.
+func GroupByLHS(fds []FD) []Group {
+	byKey := make(map[string]int, len(fds))
+	var groups []Group
+	var key []byte
+	for i, f := range fds {
+		key = f.LHS.AppendKey(key[:0])
+		gi, ok := byKey[string(key)]
+		if !ok {
+			gi = len(groups)
+			byKey[string(key)] = gi
+			groups = append(groups, Group{LHS: f.LHS})
+		}
+		groups[gi].Idxs = append(groups[gi].Idxs, i)
+	}
+	return groups
+}
+
 // Count returns |Σ|, the number of FDs.
 func Count(fds []FD) int { return len(fds) }
 

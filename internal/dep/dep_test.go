@@ -102,6 +102,27 @@ func TestMergeByLHS(t *testing.T) {
 	}
 }
 
+func TestGroupByLHS(t *testing.T) {
+	groups := GroupByLHS([]FD{
+		fd([]int{2}, 3),
+		fd([]int{0, 1}, 2),
+		fd([]int{2}, 4),
+		fd([]int{0, 1}, 5),
+		fd([]int{2}, 0),
+	})
+	// First-seen LHS order, positions ascending within each group.
+	want := []Group{
+		{LHS: bitset.FromAttrs(8, 2), Idxs: []int{0, 2, 4}},
+		{LHS: bitset.FromAttrs(8, 0, 1), Idxs: []int{1, 3}},
+	}
+	if !reflect.DeepEqual(groups, want) {
+		t.Errorf("GroupByLHS = %v, want %v", groups, want)
+	}
+	if len(GroupByLHS(nil)) != 0 {
+		t.Error("no FDs should give no groups")
+	}
+}
+
 func TestCountAndAttrOccurrences(t *testing.T) {
 	fds := []FD{fd([]int{0, 1}, 2), fd(nil, 3)}
 	if Count(fds) != 2 {

@@ -31,12 +31,12 @@ import (
 
 // Config tunes DFD; the algorithm has no knobs beyond the shared run
 // options. Each walk materialization runs on the run's pool: above one
-// worker it shards row-wise (byte-identical results, so the walk's
-// decisions match the serial run exactly), at one the serial kernels run.
-// ShardSize also sizes the sharded single-attribute prewarm that seeds an
-// attached Cache, which then keeps visited lattice nodes alive so a query
-// refines from X's longest cached prefix instead of restarting from
-// singles. Budget exhaustion abandons the walks of the remaining RHS
+// worker its refinements shard row-wise in ShardSize-row ranges
+// (byte-identical results, so the walk's decisions match the serial run
+// exactly), at one the serial kernels run. An attached Cache is
+// prewarmed with every single-attribute partition, one column per pool
+// item, and then keeps visited lattice nodes alive so a query refines
+// from X's longest cached prefix instead of restarting from singles. Budget exhaustion abandons the walks of the remaining RHS
 // attributes: each attribute is decided completely or not at all, so the
 // FDs returned are sound. TopK skips a whole RHS walk when no LHS over
 // R∖{A} can beat the threshold — pruning inside a walk would be unsound,
@@ -111,12 +111,12 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		return h.End(fds, err)
 	}
 	if cfg.Cache != nil {
-		// Prewarm the cache with every single-attribute partition through
-		// the sharded builder on the run's pool, so walks always find a
+		// Prewarm the cache with every single-attribute partition, one
+		// column per item on the run's pool, so walks always find a
 		// prefix start instead of rebuilding singles mid-walk. The cache
 		// owns the bytes (and charges its own budget); no transient
 		// materialization charge.
-		_, built, err := partition.Singles(ctx, h.Pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, nil)
+		_, built, err := partition.Singles(ctx, h.Pool, r.Cols, r.Cards, 0, cfg.Cache, nil)
 		prewarmBuilt = int64(built)
 		if err != nil {
 			return finish(nil, err)

@@ -18,9 +18,9 @@ func TestEverySiteIsClassified(t *testing.T) {
 }
 
 func TestTaxonomy(t *testing.T) {
-	// partition.build and partition.shardmerge are the deterministic
+	// partition.build and partition.refineshard are the deterministic
 	// sites: a genuine failure there reproduces on every retry.
-	for _, site := range []Site{PartitionBuild, PartitionShardMerge} {
+	for _, site := range []Site{PartitionBuild, PartitionRefineShard} {
 		if DefaultClass(site) != ClassFatal {
 			t.Errorf("%s should be fatal", site)
 		}

@@ -30,16 +30,11 @@ type Site string
 // The instrumented sites. Arm accepts any Site value, so tests may define
 // private sites of their own, but these are the ones the runtime hits.
 const (
-	// PartitionBuild fires once per single-attribute partition built —
-	// in partition.Single, or once per column in the sharded builder
-	// behind partition.Singles and ForAttrsCached — the constructor every
-	// algorithm's setup runs per column.
+	// PartitionBuild fires once per single-attribute partition built in
+	// partition.Single — behind partition.Singles (one pool item per
+	// column) and ForAttrsCached's start partition — the constructor
+	// every algorithm's setup runs per column.
 	PartitionBuild Site = "partition.build"
-	// PartitionShardMerge fires once per shard inside the scatter step of
-	// the sharded single-attribute builder (partition.Singles, and
-	// ForAttrsCached's start partition on a wide pool), the merge that
-	// lays per-shard groups into the shared compact backing.
-	PartitionShardMerge Site = "partition.shardmerge"
 	// PartitionRefineShard fires once per shard inside the stitch step of
 	// the sharded refinement, which partition.ForAttrsCached runs on a
 	// pool of more than one worker: the scatter that lays per-shard
@@ -73,7 +68,7 @@ const (
 // Sites lists the runtime's instrumented sites in a stable order, the set
 // the chaos suite iterates.
 func Sites() []Site {
-	return []Site{PartitionBuild, PartitionShardMerge, PartitionRefineShard, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune}
+	return []Site{PartitionBuild, PartitionRefineShard, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune}
 }
 
 // Kind selects what an armed plan injects.
@@ -141,10 +136,10 @@ func (c Class) String() string {
 // DefaultClass is the per-site failure taxonomy: what a failure at the
 // site means when the plan does not override it.
 //
-// partition.build, partition.shardmerge and partition.refineshard are
-// fatal — Single and the sharded scatter/stitch steps are deterministic
-// passes over an immutable column or parent partition, so a genuine
-// failure there reproduces on every retry. Every other site guards a
+// partition.build and partition.refineshard are fatal — Single and the
+// sharded refinement's stitch step are deterministic passes over an
+// immutable column or parent partition, so a genuine failure there
+// reproduces on every retry. Every other site guards a
 // re-runnable unit: worker items recompute from inputs that survive the
 // failure, DDM refreshes and sampling passes are optimizations a rerun
 // (or a skip) absorbs — the sampling shard-merge in particular folds
@@ -152,7 +147,7 @@ func (c Class) String() string {
 // bound checks publish nothing before they fire.
 func DefaultClass(site Site) Class {
 	switch site {
-	case PartitionBuild, PartitionShardMerge, PartitionRefineShard:
+	case PartitionBuild, PartitionRefineShard:
 		return ClassFatal
 	case DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune:
 		return ClassTransient

@@ -118,7 +118,7 @@ func TestConcurrentHitsFireExactlyOnce(t *testing.T) {
 
 func TestSitesStable(t *testing.T) {
 	s := Sites()
-	if len(s) != 9 || s[0] != PartitionBuild || s[8] != TopKPrune {
+	if len(s) != 8 || s[0] != PartitionBuild || s[7] != TopKPrune {
 		t.Fatalf("Sites() = %v", s)
 	}
 }

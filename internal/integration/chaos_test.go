@@ -196,23 +196,25 @@ func TestChaosDelayInjection(t *testing.T) {
 // goroutine must close the run report with the same folds as an ordinary
 // failure. The pools ran supervised partition builds before the panic, so
 // the report must carry their attempt counters (DHyFD, HyFD) or shard
-// counters (DFD, whose sampling-free walk panics at a top-k bound check).
+// counters (DFD, whose sampling-free walk panics at its second top-k
+// bound check, after the first walk's sharded refinements).
 func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := dataset.Random(rng, 200, 6, 4)
 	cases := []struct {
 		algo dhyfd.Algorithm
 		site faults.Site
+		n    int
 		opts []dhyfd.Option
 	}{
-		{dhyfd.DHyFD, faults.SamplingRun, nil},
-		{dhyfd.HyFD, faults.SamplingRun, nil},
-		{dhyfd.DFD, faults.TopKPrune, []dhyfd.Option{dhyfd.WithTopK(3)}},
+		{dhyfd.DHyFD, faults.SamplingRun, 1, nil},
+		{dhyfd.HyFD, faults.SamplingRun, 1, nil},
+		{dhyfd.DFD, faults.TopKPrune, 2, []dhyfd.Option{dhyfd.WithTopK(3)}},
 	}
 	for _, c := range cases {
 		t.Run(c.algo.String(), func(t *testing.T) {
 			defer faults.Reset()
-			faults.Arm(c.site, faults.Plan{Kind: faults.KindPanic, N: 1})
+			faults.Arm(c.site, faults.Plan{Kind: faults.KindPanic, N: c.n})
 			opts := append([]dhyfd.Option{
 				dhyfd.WithAlgorithm(c.algo), dhyfd.WithWorkers(2), dhyfd.WithRetries(1),
 				dhyfd.WithShardSize(16), dhyfd.WithPartitionCache(1 << 20),

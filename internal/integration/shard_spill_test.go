@@ -2,24 +2,20 @@ package integration
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	dhyfd "repro"
-	"repro/internal/check"
 	"repro/internal/dataset"
 	"repro/internal/dep"
-	"repro/internal/faults"
 )
 
-// pliAlgorithms are the drivers whose bootstrap builds single-attribute
-// partitions and therefore routes through the sharded builder. DFD only
-// does so when a cache is attached (its prewarm), so its runs below add
-// one.
+// pliAlgorithms are the drivers that build multi-attribute partitions
+// through the shard-aware walk, and whose bootstrap builds every
+// single-attribute partition through partition.Singles. DFD bootstraps
+// only when a cache is attached (its prewarm), so its runs below add one.
 var pliAlgorithms = []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD, dhyfd.TANE, dhyfd.DFD}
 
 // shardOpts builds the option set for one sharded run.
@@ -34,9 +30,11 @@ func shardOpts(a dhyfd.Algorithm, shardSize int) []dhyfd.Option {
 	return opts
 }
 
-// TestShardSizeCoverEquivalence asserts the sharded bootstrap is purely
-// an execution strategy: every shard size — one row per shard, tiny,
-// medium, larger than the relation — discovers the identical cover.
+// TestShardSizeCoverEquivalence asserts row sharding is purely an
+// execution strategy: on two workers, every shard size — one row per
+// shard, tiny, medium, larger than the relation — shards the walks'
+// refinements and the hybrids' sampling differently, yet discovers the
+// identical cover.
 func TestShardSizeCoverEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := dataset.Random(rng, 300, 6, 4)
@@ -59,77 +57,6 @@ func TestShardSizeCoverEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestChaosShardMerge arms the partition.shardmerge fault site under a
-// shard size small enough that every bootstrap crosses it (300 rows, 16
-// rows per shard): the fault must actually fire, a panic or error must
-// surface typed from Discover, and whatever partial cover comes back
-// must be sound.
-func TestChaosShardMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	r := dataset.Random(rng, 300, 6, 4)
-	ctx := context.Background()
-	const shardSize = 16
-
-	plans := []faults.Plan{
-		{Kind: faults.KindPanic, N: 1},
-		{Kind: faults.KindError, N: 1},
-		{Kind: faults.KindError, N: 3},
-	}
-	for _, plan := range plans {
-		for _, a := range pliAlgorithms {
-			name := fmt.Sprintf("%v@%d/%v", plan.Kind, plan.N, a)
-			t.Run(name, func(t *testing.T) {
-				defer faults.Reset()
-				faults.Arm(faults.PartitionShardMerge, plan)
-				res, err := dhyfd.Discover(ctx, r, shardOpts(a, shardSize)...)
-				if res == nil {
-					t.Fatal("Discover returned a nil result")
-				}
-				if faults.Armed(faults.PartitionShardMerge) {
-					t.Fatal("shard merge fault never fired despite 19 shards per attribute")
-				}
-				if err == nil {
-					t.Fatal("fired shard-merge fault did not surface")
-				}
-				if !errors.Is(err, faults.ErrInjected) {
-					t.Fatalf("fired fault surfaced as untyped error %v", err)
-				}
-				if plan.Kind == faults.KindPanic {
-					var perr *dhyfd.PanicError
-					if !errors.As(err, &perr) {
-						t.Fatalf("panic injection surfaced as %T, want *PanicError", err)
-					}
-				}
-				for _, f := range res.FDs {
-					if !check.Holds(r, f) {
-						t.Errorf("unsound FD emitted: %v", f.Format(r.Names))
-					}
-				}
-			})
-		}
-	}
-
-	// An armed-but-unfired plan (the default shard size keeps the whole
-	// relation in one shard, skipping the merge path) must leave the
-	// cover untouched.
-	base, err := dhyfd.Discover(ctx, r, shardOpts(dhyfd.DHyFD, 0)...)
-	if err != nil {
-		t.Fatalf("fault-free run failed: %v", err)
-	}
-	defer faults.Reset()
-	faults.Arm(faults.PartitionShardMerge, faults.Plan{Kind: faults.KindError, N: 1})
-	res, err := dhyfd.Discover(ctx, r, shardOpts(dhyfd.DHyFD, 0)...)
-	if err != nil {
-		t.Fatalf("unfired run errored: %v", err)
-	}
-	if !faults.Armed(faults.PartitionShardMerge) {
-		t.Fatal("single-shard bootstrap crossed the merge site unexpectedly")
-	}
-	if !dep.Equal(res.FDs, base.FDs) {
-		t.Error("unfired fault changed the discovered cover")
 	}
 }
 

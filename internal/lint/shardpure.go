@@ -9,9 +9,9 @@ import (
 
 // ShardPure enforces the phase-1 shard-kernel contract: functions
 // annotated `//fd:shardkernel` in their doc comment (the bodies the
-// sharded paths of partition.Singles/ForAttrsCached and the sampling
-// entry points run: refineRange, stitchShard, shardGroup, shardScatter,
-// sampleShard, coverShard) execute concurrently over disjoint ranges, and
+// sharded paths of partition.ForAttrsCached and the sampling entry
+// points run: refineRange, stitchShard, sampleShard, coverShard) execute
+// concurrently over disjoint ranges, and
 // their determinism-and-retry-safety argument — "writes are
 // deterministic positions of deterministic values" — only holds if
 // every write lands in the kernel's own range slice, a local, or a
@@ -30,7 +30,7 @@ import (
 //   - copy() into a destination that is not rooted at a local,
 //     parameter or receiver.
 //
-// Reslicing scratch (sb.touched = sb.touched[:0]) and appending through
+// Reslicing scratch (rf.touched = rf.touched[:0]) and appending through
 // parameters stay allowed — that is the sanctioned idiom.
 var ShardPure = &Analyzer{
 	Name: "shardpure",

@@ -2,10 +2,12 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
@@ -106,5 +108,27 @@ func TestForAttrsCachedAllocsPerRun(t *testing.T) {
 	want := testing.AllocsPerRun(10, serial)
 	if got := testing.AllocsPerRun(10, merged); got > want {
 		t.Errorf("ForAttrsCached allocs/run = %.0f, want <= %.0f (ForAttrs)", got, want)
+	}
+}
+
+// BenchmarkSingles times the PLI bootstrap — every column of ncvoter
+// 400k × 12 built uncached through Singles — at pool widths 1 and 2.
+func BenchmarkSingles(b *testing.B) {
+	bm, err := dataset.ByName("ncvoter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := bm.Generate(400_000, 12)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("ncvoter-400000x12/workers=%d", workers), func(b *testing.B) {
+			pool := engine.NewPool(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Singles(ctx, pool, r.Cols, r.Cards, 0, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

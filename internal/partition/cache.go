@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
+	"repro/internal/dep"
 	"repro/internal/engine"
 )
 
@@ -378,12 +379,13 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 // walks uncached, from the smallest-error single partition exactly like
 // ForAttrs. The returned partition may be shared: treat it as read-only.
 //
-// Each step runs on the pool: the start partition and every refinement
-// shard row-wise (shardSize rows, <= 0 selects DefaultShardSize) on a
-// pool of more than one worker, byte-identically; on a one-worker pool
-// they are the serial kernels, so cache contents are interchangeable
-// across widths. On cancellation or a pool failure the error returns
-// with no partition; prefixes published before it stay cached.
+// The start partition is Single, after a context check. Every
+// refinement runs on the pool: on a pool of more than one worker it
+// shards row-wise (shardSize rows, <= 0 selects DefaultShardSize),
+// byte-identically; on a one-worker pool it is the serial kernel, so
+// cache contents are interchangeable across widths. On cancellation or
+// a pool failure the error returns with no partition; prefixes
+// published before it stay cached.
 //
 //fd:hotpath
 func ForAttrsCached(ctx context.Context, pool *engine.Pool, c *Cache, x bitset.Set, cols [][]int32, cards []int, shardSize int) (*Partition, bool, error) {
@@ -412,11 +414,11 @@ func ForAttrsCached(ctx context.Context, pool *engine.Pool, c *Cache, x bitset.S
 	if p != nil {
 		k = prefix.Count()
 	} else {
-		a := attrs[0]
-		var err error
-		if p, err = singleSharded(ctx, pool, cols[a], cards[a], shardSize); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
+		a := attrs[0]
+		p = Single(cols[a], cards[a])
 		if c != nil {
 			prefix = x.Clone()
 			prefix.Clear()
@@ -440,4 +442,22 @@ func ForAttrsCached(ctx context.Context, pool *engine.Pool, c *Cache, x bitset.S
 		}
 	}
 	return p, false, nil
+}
+
+// ForGroups takes π_LHS once for each LHS group of an FD list
+// (dep.GroupByLHS) and hands it to fn, with ForAttrsCached's reused
+// flag, on the worker that took the group. The groups fan out over pool
+// and each walk runs on a one-worker pool: the groups, not the walk, are
+// the parallel unit, so cache contents match the serial pass at every
+// width. A walk fails only on cancellation; its group is then skipped
+// and the returned error is Run's.
+func ForGroups(ctx context.Context, pool *engine.Pool, c *Cache, groups []dep.Group, cols [][]int32, cards []int, fn func(w int, g dep.Group, p *Partition, reused bool)) error {
+	walk := engine.NewPool(1)
+	return pool.Run(ctx, len(groups), func(w, gi int) {
+		p, reused, err := ForAttrsCached(ctx, walk, c, groups[gi].LHS, cols, cards, 0)
+		if err != nil {
+			return
+		}
+		fn(w, groups[gi], p, reused)
+	})
 }

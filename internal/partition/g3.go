@@ -35,10 +35,10 @@ func (g *G3Counter) Violations(p *Partition, col []int32, card int, limit int) i
 }
 
 // ViolationsClusters is Violations over an explicit cluster list — the
-// sharded post-run verifier counts contiguous cluster ranges with it
-// and reconciles the per-range counts. Clusters violate independently,
-// so summing range counts (each early-exited past limit) decides
-// "total > limit" exactly as the whole-partition scan does.
+// validator counts one cluster at a time with it. Clusters violate
+// independently, so summing per-list counts (each early-exited past
+// limit) decides "total > limit" exactly as the whole-partition scan
+// does.
 func (g *G3Counter) ViolationsClusters(clusters [][]int32, col []int32, card int, limit int) int {
 	g.grow(card)
 	total := 0

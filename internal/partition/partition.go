@@ -18,14 +18,16 @@
 //     by the other's last attribute.
 //
 // A run reaches them through one entry point per operation, which takes
-// the run's engine.Pool: Singles (the PLI bootstrap) and ForAttrsCached
-// (the prefix-chain walk) also take a shard size and decide themselves
-// whether to shard; RefineBatch spreads its jobs over the pool's
-// workers. Serial is the one-worker case, not a second API: on a
-// one-worker pool the walk runs the serial kernels directly, with no
-// shard cut, and only the bootstrap still shards a column longer than
-// one shard. The sharded forms are byte-identical to the serial kernels
-// at every shard size. The context-free ForAttrs and Refine stay for
+// the run's engine.Pool and fans out over the independent items the call
+// already has: Singles (the PLI bootstrap) runs one Single per column,
+// RefineBatch one job per item and ForGroups one walk per LHS group of
+// an FD list (post-run verification, ranking). ForAttrsCached (the
+// prefix-chain walk) has no such items, so it alone takes a shard size:
+// on a pool of more than one worker each refinement splits its clusters
+// into row-balanced ranges, byte-identically to the serial kernel at
+// every shard size. Serial is the one-worker case, not a second API: on a
+// one-worker pool every entry point runs the serial kernels directly,
+// with no shard cut. The context-free ForAttrs and Refine stay for
 // callers that hold no run context (the public check API, ranking
 // without a cache, TANE's minimality check).
 //

@@ -7,24 +7,32 @@ import (
 	"repro/internal/faults"
 )
 
-// This file extends the 3-phase shard-merge scheme of the sharded
-// single-attribute builder (shard.go) to refinement: refineSharded splits
-// the parent partition's clusters row-wise into ~shardSize-row contiguous
-// cluster ranges, refines each range on a pool worker with pooled
-// scratch, then stitches the per-range outputs into one compact backing
-// by prefix offset. Because the serial kernel processes clusters
-// independently and appends its output in cluster order, concatenating
-// the per-range outputs in range order reproduces the serial layout —
-// backing and offsets — bit for bit, at every shard size.
+// This file holds the row-sharded refinement of one partition, the one
+// partition kernel whose call has no independent items to fan out over
+// (the bootstrap fans out over columns, batches over jobs):
+// refineSharded splits the parent partition's clusters row-wise into
+// ~shardSize-row contiguous cluster ranges, refines each range on a pool
+// worker with pooled scratch, then stitches the per-range outputs into
+// one compact backing by prefix offset. Because the serial kernel
+// processes clusters independently and appends its output in cluster
+// order, concatenating the per-range outputs in range order reproduces
+// the serial layout — backing and offsets — bit for bit, at every shard
+// size.
+
+// DefaultShardSize is the row count of one shard in the row-sharded
+// kernels (refinement here, the sampling passes and the pair scan in
+// package sampling): large enough that per-shard fixed costs (range
+// lists, pool items) amortize away, small enough that a shard's scratch
+// stays cache-resident.
+const DefaultShardSize = 1 << 16
 
 // ShardClusters splits clusters into contiguous ranges holding at least
 // size rows each (the last range may be smaller; a single oversized
 // cluster forms its own range; size <= 0 selects DefaultShardSize).
 // Returns the range boundaries as cluster indexes: range s is
-// clusters[cuts[s]:cuts[s+1]]. The sharded refinement, sampling and
-// verification passes cut their per-shard work with it, so every
-// per-shard consumer of a partition agrees on the same row-balanced
-// decomposition.
+// clusters[cuts[s]:cuts[s+1]]. The sharded refinement and sampling
+// passes cut their per-shard work with it, so every per-shard consumer
+// of a partition agrees on the same row-balanced decomposition.
 func ShardClusters(clusters [][]int32, size int) []int {
 	if size <= 0 {
 		size = DefaultShardSize
@@ -143,21 +151,4 @@ func stitchSharded(ctx context.Context, pool *engine.Pool, nrows int, backs, end
 	out := &Partition{NRows: nrows}
 	out.setCompact(backing, offsets)
 	return out, nil
-}
-
-// singleSharded builds one single-attribute partition, byte-identical to
-// Single: through the 3-phase sharded builder on a pool of more than one
-// worker when the column is longer than one shard, through Single
-// otherwise.
-func singleSharded(ctx context.Context, pool *engine.Pool, col []int32, card, shardSize int) (*Partition, error) {
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-	}
-	if pool.Workers() > 1 && len(col) > shardSize {
-		return newShardBuilder(pool.Workers(), len(col), shardSize).build(ctx, pool, col, card)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Single(col, card), nil
 }

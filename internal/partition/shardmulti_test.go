@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -37,13 +38,13 @@ type entryInput struct {
 }
 
 // matchSerialKernels is the partition equivalence table, pinning serial
-// as the one-worker case on one input: every shard-aware entry point —
-// the Singles bootstrap, refineSharded and the ForAttrsCached walk,
-// uncached and cached — runs at workers {1, 2, 4} × shard sizes spanning
-// degenerate (1 row per shard), prime-unaligned (7), typical (64) and
-// past the whole relation (nrows+13), and its compact form (backing
-// array and offsets) must match the serial kernels Single and
-// Refiner.refine byte for byte. refineSharded refines π of each set's
+// as the one-worker case on one input: the Singles bootstrap runs at
+// workers {1, 2, 4}, and the shard-aware entry points — refineSharded
+// and the ForAttrsCached walk, uncached and cached — at those widths ×
+// shard sizes spanning degenerate (1 row per shard), prime-unaligned
+// (7), typical (64) and past the whole relation (nrows+13); every
+// compact form (backing array and offsets) must match the serial
+// kernels Single and Refiner.refine byte for byte. refineSharded refines π of each set's
 // lowest attribute by its next one. The uncached walk starts from the
 // smallest-error attribute (orderForRefine), the cached one walks
 // ascending attributes, publishing every prefix, so a second pass is all
@@ -54,15 +55,15 @@ func matchSerialKernels(t *testing.T, in entryInput) {
 	nrows := len(in.cols[0])
 	for _, workers := range []int{1, 2, 4} {
 		pool := engine.NewPool(workers)
+		parts, built, err := Singles(ctx, pool, in.cols, in.cards, 0, nil, nil)
+		if err != nil || built != len(in.cols) {
+			t.Fatalf("%s workers=%d: Singles built %d, err %v", in.name, workers, built, err)
+		}
+		for c, p := range parts {
+			assertSameCompact(t, fmt.Sprintf("%s/Singles workers=%d", in.name, workers), c, Single(in.cols[c], in.cards[c]), p)
+		}
 		for _, shardSize := range []int{1, 7, 64, nrows + 13} {
-			parts, built, err := Singles(ctx, pool, in.cols, in.cards, shardSize, nil, nil)
-			if err != nil || built != len(in.cols) {
-				t.Fatalf("%s workers=%d shard=%d: Singles built %d, err %v", in.name, workers, shardSize, built, err)
-			}
-			for c, p := range parts {
-				assertSameCompact(t, in.name+"/Singles", shardSize, c, Single(in.cols[c], in.cards[c]), p)
-			}
-
+			cell := fmt.Sprintf("%s workers=%d shard=%d", in.name, workers, shardSize)
 			cache := NewCache(1<<30, nil)
 			for _, x := range in.sets {
 				attrs := x.Attrs()
@@ -72,20 +73,20 @@ func matchSerialKernels(t *testing.T, in entryInput) {
 				if err != nil {
 					t.Fatalf("%s workers=%d shard=%d: refineSharded %d by %d: %v", in.name, workers, shardSize, a, b, err)
 				}
-				assertSameCompact(t, in.name+"/refine", shardSize, b, NewRefiner(in.cards[b]).refine(parent, in.cols[b], in.cards[b]), got)
+				assertSameCompact(t, cell+"/refine", b, NewRefiner(in.cards[b]).refine(parent, in.cols[b], in.cards[b]), got)
 
 				orderForRefine(attrs, in.cards, nrows)
 				got, hit, err := ForAttrsCached(ctx, pool, nil, x, in.cols, in.cards, shardSize)
 				if err != nil || hit {
 					t.Fatalf("%s workers=%d shard=%d: uncached walk %v: hit=%v err=%v", in.name, workers, shardSize, x.Attrs(), hit, err)
 				}
-				assertSameCompact(t, in.name+"/uncached", shardSize, x.Count(), serialChain(attrs, in.cols, in.cards), got)
+				assertSameCompact(t, cell+"/uncached", x.Count(), serialChain(attrs, in.cols, in.cards), got)
 
 				got, hit, err = ForAttrsCached(ctx, pool, cache, x, in.cols, in.cards, shardSize)
 				if err != nil || hit {
 					t.Fatalf("%s workers=%d shard=%d: cached walk %v: hit=%v err=%v", in.name, workers, shardSize, x.Attrs(), hit, err)
 				}
-				assertSameCompact(t, in.name+"/cached", shardSize, x.Count(), serialChain(x.Attrs(), in.cols, in.cards), got)
+				assertSameCompact(t, cell+"/cached", x.Count(), serialChain(x.Attrs(), in.cols, in.cards), got)
 			}
 			for _, x := range in.sets {
 				if _, hit, err := ForAttrsCached(ctx, pool, cache, x, in.cols, in.cards, shardSize); err != nil || !hit {

@@ -148,32 +148,6 @@ func (s Stats) AddToRunStats(rs *engine.RunStats) {
 	rs.Count("rank_partitions_reused", s.PartitionsReused)
 }
 
-// lhsGroup is one unit of ranking work: a distinct LHS and the positions
-// of the FDs sharing it.
-type lhsGroup struct {
-	lhs  bitset.Set
-	idxs []int
-}
-
-// groupByLHS groups FDs by LHS in first-seen order (deterministic, so
-// serial and parallel runs score the same groups).
-func groupByLHS(fds []dep.FD) []lhsGroup {
-	byKey := make(map[string]int, len(fds))
-	var groups []lhsGroup
-	var key []byte
-	for i, f := range fds {
-		key = f.LHS.AppendKey(key[:0])
-		gi, ok := byKey[string(key)]
-		if !ok {
-			gi = len(groups)
-			byKey[string(key)] = gi
-			groups = append(groups, lhsGroup{lhs: f.LHS})
-		}
-		groups[gi].idxs = append(groups[gi].idxs, i)
-	}
-	return groups
-}
-
 // scratch is the per-worker reusable state of a ranking run.
 type scratch struct {
 	members bitset.Bitmap // membership bitmap of the current partition
@@ -253,24 +227,17 @@ func countsFor(r *relation.Relation, f dep.FD, p *partition.Partition, sc *scrat
 }
 
 // fanOut is the group fan-out shared by every entry point: the cover's
-// FDs are grouped by LHS and the groups run over the pool's workers.
-// Each group takes π_X from partition.ForAttrsCached on a one-worker pool
-// (the groups, not the walk, are the parallel unit), marks its membership
-// bitmap into the worker's scratch, and hands both to score. A walk fails
-// only on cancellation; the group then stops and Run reports ctx.Err().
-func fanOut(ctx context.Context, pool *engine.Pool, r *relation.Relation, fds []dep.FD, cache *partition.Cache, score func(w int, sc *scratch, g lhsGroup, p *partition.Partition)) (Stats, error) {
+// FDs are grouped by LHS and partition.ForGroups takes each group's π_X
+// on the pool's workers. Each group marks its membership bitmap into the
+// worker's scratch and hands both to score. A walk fails only on
+// cancellation; the group then stops and Run reports ctx.Err().
+func fanOut(ctx context.Context, pool *engine.Pool, r *relation.Relation, fds []dep.FD, cache *partition.Cache, score func(w int, sc *scratch, g dep.Group, p *partition.Partition)) (Stats, error) {
 	start := time.Now()
 	cache0 := cache.Stats()
-	groups := groupByLHS(fds)
-	walk := engine.NewPool(1)
+	groups := dep.GroupByLHS(fds)
 	ws := make([]scratch, pool.Workers())
-	err := pool.Run(ctx, len(groups), func(w, gi int) {
+	err := partition.ForGroups(ctx, pool, cache, groups, r.Cols, r.Cards, func(w int, g dep.Group, p *partition.Partition, reused bool) {
 		faults.Check(faults.RankingRun)
-		g := groups[gi]
-		p, reused, err := partition.ForAttrsCached(ctx, walk, cache, g.lhs, r.Cols, r.Cards, 0)
-		if err != nil {
-			return
-		}
 		sc := &ws[w]
 		if reused {
 			sc.reused++
@@ -297,9 +264,9 @@ func fanOut(ctx context.Context, pool *engine.Pool, r *relation.Relation, fds []
 // is the shared core of RankCtx and ForColumnCtx.
 func scoreGroups(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Config) ([]Counts, Stats, error) {
 	out := make([]Counts, len(fds))
-	stats, err := fanOut(ctx, engine.NewPool(cfg.Workers), r, fds, cfg.cache(), func(_ int, sc *scratch, g lhsGroup, p *partition.Partition) {
-		lhsHasNulls := sc.lhsNullBitmap(r, g.lhs)
-		for _, i := range g.idxs {
+	stats, err := fanOut(ctx, engine.NewPool(cfg.Workers), r, fds, cfg.cache(), func(_ int, sc *scratch, g dep.Group, p *partition.Partition) {
+		lhsHasNulls := sc.lhsNullBitmap(r, g.LHS)
+		for _, i := range g.Idxs {
 			out[i] = countsFor(r, fds[i], p, sc, lhsHasNulls)
 		}
 	})
@@ -390,8 +357,8 @@ func TotalsCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Conf
 	for w := range marked {
 		marked[w] = make([]bitset.Bitmap, cols)
 	}
-	stats, err := fanOut(ctx, pool, r, fds, cfg.cache(), func(w int, sc *scratch, g lhsGroup, _ *partition.Partition) {
-		for _, i := range g.idxs {
+	stats, err := fanOut(ctx, pool, r, fds, cfg.cache(), func(w int, sc *scratch, g dep.Group, _ *partition.Partition) {
+		for _, i := range g.Idxs {
 			f := fds[i]
 			for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 				if marked[w][a] == nil {

@@ -20,14 +20,16 @@ const manifestMax = 64
 // partitions, and only the lattice algorithms fuse top-k or relax validity.
 type Options struct {
 	// Workers sets the engine.Pool width of the run's parallel hot paths:
-	// level validation, DDM refreshes, TANE's level joins, sharded
-	// partition builds and pair scans. Values below 2 keep the published
-	// serial behaviour.
+	// level validation, DDM refreshes, TANE's level joins, the PLI
+	// bootstrap, sharded refinement, sampling and pair scans. Values below
+	// 2 keep the published serial behaviour.
 	Workers int
-	// ShardSize is the row-block size of the sharded kernels (PLI
-	// bootstrap, multi-attribute builds and refinement, sampling, pair
-	// scans); <= 0 selects partition.DefaultShardSize. Only the bootstrap
-	// shards on a one-worker pool.
+	// ShardSize is the row-block size of the row-sharded kernels, the
+	// ones whose call has no independent items to fan out over:
+	// refinement inside one multi-attribute walk, sampling and pair
+	// scans. <= 0 selects partition.DefaultShardSize. None of them shards
+	// on a one-worker pool; the PLI bootstrap fans out over columns and
+	// takes no shard size.
 	ShardSize int
 	// Budget optionally bounds partition memory. On exhaustion a run stops
 	// spending memory — DHyFD stops refreshing its DDM, TANE abandons

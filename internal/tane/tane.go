@@ -167,10 +167,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		prevErr = map[string]int{bitset.New(n).Key(): emptyErr}
 		prevPart = map[string]*partition.Partition{bitset.New(n).Key(): emptyPart}
 		prevRecs = []runstate.TanePrevRec{{Set: bitset.New(n), Err: int64(emptyErr)}}
-		// The sharded bootstrap charges the budget exactly as the old
-		// per-column loop did: cache hits as resident bytes, fresh builds
-		// as materialized partitions.
-		parts, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, cfg.Budget)
+		// The bootstrap builds the columns on the pool and charges the
+		// budget exactly as a per-column loop would: cache hits as
+		// resident bytes, fresh builds as materialized partitions.
+		parts, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, 0, cfg.Cache, cfg.Budget)
 		rs.PartitionsBuilt += int64(built)
 		if err != nil {
 			stop()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/dep"
+	"repro/internal/relation"
 )
 
 func verifyTestRelation(t *testing.T) *Relation {
@@ -33,7 +34,7 @@ func TestVerifySoundnessDropsViolatedFDs(t *testing.T) {
 	res := &Result{FDs: []dep.FD{valid, bogus}}
 	res.Stats.Degrade("test")
 
-	if err := verifySoundness(context.Background(), r, res, nil, 0, 2, 2); err != nil {
+	if err := verifySoundness(context.Background(), r, res, nil, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,6 +46,33 @@ func TestVerifySoundnessDropsViolatedFDs(t *testing.T) {
 	}
 	if res.Stats.FDs != 1 {
 		t.Errorf("Stats.FDs = %d", res.Stats.FDs)
+	}
+}
+
+// TestVerifySoundnessChecksTail: the gate checks every row, so a
+// violation past the first 100,000 rows still drops the FD. a → b holds
+// on rows 0..100,003 and breaks at row 100,004.
+func TestVerifySoundnessChecksTail(t *testing.T) {
+	const rows = 100_005
+	a := make([]int32, rows)
+	b := make([]int32, rows)
+	for i := range a {
+		a[i] = int32(i % 1000)
+		b[i] = a[i]
+	}
+	b[rows-1] = 1000
+	r := relation.FromCodes([]string{"a", "b"}, [][]int32{a, b}, nil, relation.NullEqNull)
+	res := &Result{FDs: []dep.FD{{LHS: bitset.FromAttrs(2, 0), RHS: bitset.FromAttrs(2, 1)}}}
+	res.Stats.Degrade("test")
+
+	if err := verifySoundness(context.Background(), r, res, nil, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FDs) != 0 {
+		t.Fatalf("a -> b survived verification despite its violation at row %d", rows-1)
+	}
+	if res.Stats.Counters["postverify_checked"] != 1 || res.Stats.Counters["postverify_dropped"] != 1 {
+		t.Errorf("counters = %v", res.Stats.Counters)
 	}
 }
 
