@@ -60,7 +60,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Refine100k|BenchmarkSingles$$' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCover' -benchtime 1x ./internal/check/
-	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached' -benchtime 1x ./
+	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached|TANELattice' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
 
 # The fault-injection matrix — every site × every plan × every algorithm —

@@ -292,14 +292,24 @@ func BenchmarkNegativeCover1000Rows(b *testing.B) {
 	}
 }
 
+// BenchmarkTANELattice times TANE alone on fd-reduced, whose FDs all sit
+// at level 3, and on flight 500×17, fdperf's rank-lattice shape, where the
+// lattice's bookkeeping is a large share of a run.
 func BenchmarkTANELattice(b *testing.B) {
-	bm, _ := dataset.ByName("fd-reduced")
-	r := bm.Generate(2000, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tane.Run(context.Background(), r, tane.Config{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range []struct {
+		dataset    string
+		rows, cols int
+	}{{"fd-reduced", 2000, 20}, {"flight", 500, 17}} {
+		bm, _ := dataset.ByName(s.dataset)
+		r := bm.Generate(s.rows, s.cols)
+		b.Run(fmt.Sprintf("%s-%dx%d", s.dataset, s.rows, s.cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tane.Run(context.Background(), r, tane.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -414,7 +414,12 @@ type RunStats struct {
 	// attached): a hit reused a cached partition — exactly, or as the
 	// refinement parent of a superset request — a miss built one from
 	// scratch, an eviction shed a least-recently-used partition to
-	// respect the cache's byte bound.
+	// respect the cache's byte bound. At workers > 1 the hit/miss split
+	// can differ between identical runs while CacheHits + CacheMisses
+	// stays fixed: top-k's ranking pass and the post-run soundness gate
+	// walk LHS groups concurrently over the run's cache, each walk counts
+	// one hit or one miss, and whether it finds a prefix another group
+	// published depends on scheduling.
 	CacheHits, CacheMisses, CacheEvictions int64
 	// Cancelled reports that the run stopped early on context
 	// cancellation; the other fields then describe the partial run.

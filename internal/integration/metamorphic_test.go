@@ -10,9 +10,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/dfd"
 	"repro/internal/engine"
 	"repro/internal/hyfd"
 	"repro/internal/relation"
+	"repro/internal/runstate"
+	"repro/internal/tane"
 )
 
 // The metamorphic relations run every benchmark shape at a size the
@@ -144,6 +147,55 @@ func TestDuplicateRowsKeepCover(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					only, other := dep.Diff(got, want, r.Names)
 					t.Errorf("%s: rows duplicated: only duplicated %v, only original %v", h.name, only, other)
+				}
+			}
+		})
+	}
+}
+
+// TestErrorBoundMonotone: an FD whose g3 error is within ε₁ is within any
+// ε₂ > ε₁, so every FD X → A of the ε₁ cover needs some Y → A with Y ⊆ X
+// in the ε₂ cover. Checked for the four lattice algorithms on every shape
+// at metaRows × 10, for ε ∈ {0, 0.01, 0.05}. A C+ rule that holds only
+// for exact FDs, applied to an approximate run, loses FDs here.
+func TestErrorBoundMonotone(t *testing.T) {
+	ctx := context.Background()
+	lattice := []struct {
+		name string
+		run  func(context.Context, *relation.Relation, runstate.Options) ([]dep.FD, *engine.RunStats, error)
+	}{
+		{"dhyfd", func(ctx context.Context, r *relation.Relation, o runstate.Options) ([]dep.FD, *engine.RunStats, error) {
+			return core.Run(ctx, r, core.Config{Options: o})
+		}},
+		{"hyfd", hyfd.Run},
+		{"tane", tane.Run},
+		{"dfd", dfd.Run},
+	}
+	epsilons := []float64{0, 0.01, 0.05}
+	for _, b := range dataset.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			r := b.Generate(metaRows, 10)
+			for _, d := range lattice {
+				var tighter []dep.FD
+				for i, eps := range epsilons {
+					cover := coverOf(d.run(ctx, r, runstate.Options{MaxViolations: int(eps * float64(r.NumRows()))}))
+					lhss := map[int][]bitset.Set{}
+					for _, f := range cover {
+						lhss[f.RHS.Min()] = append(lhss[f.RHS.Min()], f.LHS)
+					}
+					for _, f := range tighter {
+						implied := false
+						for _, y := range lhss[f.RHS.Min()] {
+							implied = implied || y.IsSubsetOf(f.LHS)
+						}
+						if !implied {
+							t.Errorf("%s: %v holds at ε=%v but no subset of its LHS determines its RHS at ε=%v",
+								d.name, f.Format(r.Names), epsilons[i-1], eps)
+						}
+					}
+					tighter = cover
 				}
 			}
 		})

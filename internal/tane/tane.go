@@ -3,10 +3,11 @@
 //
 // TANE traverses the attribute lattice level by level. Each level-ℓ
 // candidate X carries its stripped partition π_X (the product of two
-// level-(ℓ−1) parents) and the RHS-candidate set C+(X); the FD
-// X∖{A} → A is valid iff the partition error e(X∖{A}) equals e(X).
-// Key pruning removes superkeys from the lattice after emitting the FDs
-// they certify.
+// level-(ℓ−1) parents), the RHS-candidate set C+(X) and links to its ℓ
+// co-atoms X∖{A} on the level below; the FD X∖{A} → A is valid iff the
+// partition error e(X∖{A}) equals e(X), read through the link. Key
+// pruning removes superkeys from the lattice after emitting the FDs they
+// certify.
 //
 // The two parents of X differ only in their last attribute, so their
 // product is either parent refined by the other's last attribute
@@ -38,7 +39,11 @@ type candidate struct {
 	part  *partition.Partition
 	err   int
 	cplus bitset.Set
-	dead  bool // pruned, but cplus stays queryable for the key-pruning rule
+	dead  bool // pruned: joins no further
+	// parents[i] is the co-atom X∖{attrs[i]} on the level below. Links are
+	// cleared once the level above exists, so at most two levels stay
+	// reachable.
+	parents []*candidate
 }
 
 // Config tunes TANE; the algorithm has no knobs beyond the shared run
@@ -75,12 +80,6 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		g3c = partition.NewG3Counter(0)
 	}
 
-	// e(∅): a single cluster of all rows (empty when fewer than 2 rows).
-	emptyErr := 0
-	if nrows >= 2 {
-		emptyErr = nrows - 1
-	}
-
 	full := bitset.Full(n)
 
 	// Level 0 is the empty set: one cluster of all rows.
@@ -108,19 +107,16 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		return p, nil
 	}
 
-	var level []*candidate
-	var prevErr map[string]int
-	var prevPart map[string]*partition.Partition
-	// prevRecs mirrors prevErr as (set, error) records — the checkpointable
-	// form of the previous level's error table (partitions are rebuilt).
-	var prevRecs []runstate.TanePrevRec
+	// level is the lattice level being validated and prev the level below
+	// it, which its candidates link to.
+	var level, prev []*candidate
 
 	stop := rs.Phase("build")
 	cfg.Budget.Charge(emptyPart)
 	if f := resumeFrontier(cfg.Resume); f != nil {
 		// Continue a checkpointed run: restore the emitted FDs, the counter
 		// bases (TANE accumulates with +=, so assigning seeds them exactly),
-		// the previous level's error table and the live candidates;
+		// the previous level and the live candidates, relinked to it;
 		// partitions are rebuilt through the warmed cache.
 		rs.Levels = f.Levels
 		rs.RowsScanned = f.RowsScanned
@@ -133,18 +129,17 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			stop()
 			return h.End(nil, err)
 		}
-		prevErr = make(map[string]int, len(f.Prev))
-		prevPart = make(map[string]*partition.Partition, len(f.Prev))
-		prevRecs = f.Prev
+		prev = make([]*candidate, 0, len(f.Prev))
+		index := make(map[string]*candidate, len(f.Prev))
 		for _, rec := range f.Prev {
-			k := rec.Set.Key()
-			prevErr[k] = int(rec.Err)
 			p, err := partitionForSet(rec.Set)
 			if err != nil {
 				stop()
 				return h.End(nil, err)
 			}
-			prevPart[k] = p
+			c := &candidate{set: rec.Set, part: p, err: int(rec.Err)}
+			prev = append(prev, c)
+			index[rec.Set.Key()] = c
 		}
 		level = make([]*candidate, 0, len(f.Cands))
 		for _, rec := range f.Cands {
@@ -153,20 +148,26 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 				stop()
 				return h.End(nil, err)
 			}
-			level = append(level, &candidate{
+			c := &candidate{
 				set:   rec.Set,
 				attrs: rec.Set.Attrs(),
 				part:  p,
 				err:   int(rec.Err),
 				cplus: rec.CPlus,
 				dead:  rec.Dead,
-			})
+			}
+			c.parents = make([]*candidate, len(c.attrs))
+			sub := rec.Set.Clone()
+			for i, a := range c.attrs {
+				sub.Remove(a)
+				c.parents[i] = index[sub.Key()]
+				sub.Add(a)
+			}
+			level = append(level, c)
 		}
 	} else {
-		// Level 1, cold.
-		prevErr = map[string]int{bitset.New(n).Key(): emptyErr}
-		prevPart = map[string]*partition.Partition{bitset.New(n).Key(): emptyPart}
-		prevRecs = []runstate.TanePrevRec{{Set: bitset.New(n), Err: int64(emptyErr)}}
+		// Level 1, cold: every column's co-atom is ∅.
+		prev = []*candidate{{set: bitset.New(n), part: emptyPart, err: emptyPart.Error()}}
 		// The bootstrap builds the columns on the pool and charges the
 		// budget exactly as a per-column loop would: cache hits as
 		// resident bytes, fresh builds as materialized partitions.
@@ -180,19 +181,20 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		for a := 0; a < n; a++ {
 			p := parts[a]
 			level = append(level, &candidate{
-				set:   bitset.FromAttrs(n, a),
-				attrs: []int{a},
-				part:  p,
-				err:   p.Error(),
-				cplus: full.Clone(),
+				set:     bitset.FromAttrs(n, a),
+				attrs:   []int{a},
+				part:    p,
+				err:     p.Error(),
+				cplus:   full.Clone(),
+				parents: prev,
 			})
 		}
 	}
 	stop()
 
 	// tick snapshots the level boundary: FDs emitted so far, the live
-	// candidates, the previous level's error table, and the counters. A
-	// resumed run re-enters the main loop exactly here.
+	// candidates, the previous level's errors, and the counters. A resumed
+	// run re-enters the main loop exactly here.
 	tick := func(force bool) {
 		h.Tick(force, func() *runstate.Snapshot {
 			f := &runstate.TaneFrontier{
@@ -215,8 +217,8 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 					Dead:  c.dead,
 				})
 			}
-			for _, rec := range prevRecs {
-				f.Prev = append(f.Prev, runstate.TanePrevRec{Set: rec.Set.Clone(), Err: rec.Err})
+			for _, p := range prev {
+				f.Prev = append(f.Prev, runstate.TanePrevRec{Set: p.set.Clone(), Err: int64(p.err)})
 			}
 			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{Tane: f}}
 		})
@@ -232,46 +234,32 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		tick(false)
 		rs.Levels++
 		stop = rs.Phase("validate")
-		curCPlus := make(map[string]bitset.Set, len(level))
-		curErr := make(map[string]int, len(level))
-		curPart := make(map[string]*partition.Partition, len(level))
-		curRecs := make([]runstate.TanePrevRec, 0, len(level))
-		for _, c := range level {
-			curCPlus[c.set.Key()] = c.cplus
-			curErr[c.set.Key()] = c.err
-			curPart[c.set.Key()] = c.part
-			curRecs = append(curRecs, runstate.TanePrevRec{Set: c.set, Err: int64(c.err)})
-		}
 
 		// COMPUTE_DEPENDENCIES.
 		for _, c := range level {
-			for _, a := range c.attrs {
+			for i, a := range c.attrs {
 				if !c.cplus.Contains(a) {
 					continue
 				}
-				rest := c.set.Clone()
-				rest.Remove(a)
-				restKey := rest.Key()
-				restErr, ok := prevErr[restKey]
-				if !ok {
+				rest := c.parents[i]
+				if rest == nil {
 					continue // parent pruned: X∖A → A cannot be minimal
 				}
 				rs.CandidatesValidated++
 				valid := false
 				if cfg.MaxViolations > 0 {
-					pRest := prevPart[restKey]
-					rs.RowsScanned += int64(pRest.Size())
-					valid = g3c.Violations(pRest, r.Cols[a], r.Cards[a], cfg.MaxViolations) <= cfg.MaxViolations
+					rs.RowsScanned += int64(rest.part.Size())
+					valid = g3c.Violations(rest.part, r.Cols[a], r.Cards[a], cfg.MaxViolations) <= cfg.MaxViolations
 				} else {
-					valid = restErr == c.err
+					valid = rest.err == c.err
 				}
 				if valid {
 					rhs := bitset.New(n)
 					rhs.Add(a)
 					if cfg.TopK != nil {
-						cfg.TopK.Admit(dep.FD{LHS: rest, RHS: rhs}, prevPart[restKey].Size())
+						cfg.TopK.Admit(dep.FD{LHS: rest.set.Clone(), RHS: rhs}, rest.part.Size())
 					} else {
-						out = append(out, dep.FD{LHS: rest, RHS: rhs})
+						out = append(out, dep.FD{LHS: rest.set.Clone(), RHS: rhs})
 					}
 					c.cplus.Remove(a)
 					if cfg.MaxViolations == 0 {
@@ -302,7 +290,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			if cfg.MaxViolations == 0 && c.part.IsUnique() { // X is a (super)key
 				outside := c.cplus.Difference(c.set)
 				for a := outside.Next(0); a >= 0; a = outside.Next(a + 1) {
-					if keyFDMinimal(r, c, a, prevErr, prevPart, rs) {
+					if keyFDMinimal(r, c, a, rs) {
 						rhs := bitset.New(n)
 						rhs.Add(a)
 						if cfg.TopK != nil {
@@ -318,19 +306,12 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 			if cfg.TopK != nil && !c.dead {
 				// Any FD specializing X has an LHS containing X or one of
 				// its co-atoms, so its score is at most the largest co-atom
-				// partition size. All co-atoms are present in prevPart —
-				// nextLevel only joins candidates whose subsets all
-				// survived the previous level.
+				// partition size.
 				bound := 0
-				rest := c.set.Clone()
-				for _, b := range c.attrs {
-					rest.Remove(b)
-					if p, ok := prevPart[rest.Key()]; ok {
-						if s := p.Size(); s > bound {
-							bound = s
-						}
+				for _, p := range c.parents {
+					if p != nil && p.part.Size() > bound {
+						bound = p.part.Size()
 					}
-					rest.Add(b)
 				}
 				if cfg.TopK.Prunable(bound) {
 					c.dead = true
@@ -350,18 +331,18 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		}
 
 		stop = rs.Phase("generate")
-		next, err := nextLevel(ctx, pool, r, level, curCPlus, rs, &cfg)
+		next, err := nextLevel(ctx, pool, r, level, rs, &cfg)
 		stop()
 		if err != nil {
 			return h.End(nil, err)
 		}
-		level = next
-		dropped := prevPart
-		prevErr, prevPart = curErr, curPart
-		prevRecs = curRecs
-		for _, p := range dropped {
-			cfg.Budget.Release(p)
+		for _, p := range prev {
+			cfg.Budget.Release(p.part)
 		}
+		for _, c := range level {
+			c.parents = nil
+		}
+		prev, level = level, next
 	}
 	if err := ctx.Err(); err != nil {
 		return h.End(nil, err)
@@ -382,22 +363,17 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 // consults may already be pruned from the lattice, losing FDs. The
 // co-atom check covers arbitrary subsets by monotonicity. Only exact runs
 // call it: approximate runs disable the key rule.
-func keyFDMinimal(r *relation.Relation, c *candidate, a int, prevErr map[string]int, prevPart map[string]*partition.Partition, rs *engine.RunStats) bool {
-	rest := c.set.Clone()
-	for _, b := range c.attrs {
-		rest.Remove(b)
-		k := rest.Key()
-		rest.Add(b)
-		pRest, ok := prevPart[k]
-		if !ok {
+func keyFDMinimal(r *relation.Relation, c *candidate, a int, rs *engine.RunStats) bool {
+	for _, rest := range c.parents {
+		if rest == nil {
 			// Parent pruned: it was a key itself, so X∖{B} → A holds and
 			// X → A is not minimal.
 			return false
 		}
-		refined := partition.Refine(pRest, r.Cols[a], r.Cards[a])
-		rs.PartitionsRefined += int64(len(pRest.Clusters))
-		rs.RowsScanned += int64(pRest.Size())
-		if refined.Error() == prevErr[k] {
+		refined := partition.Refine(rest.part, r.Cols[a], r.Cards[a])
+		rs.PartitionsRefined += int64(len(rest.part.Clusters))
+		rs.RowsScanned += int64(rest.part.Size())
+		if refined.Error() == rest.err {
 			return false // X∖{B} → A already valid
 		}
 	}
@@ -405,17 +381,19 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, prevErr map[string]
 }
 
 // nextLevel generates level ℓ+1 by joining prefix blocks: two level-ℓ sets
-// sharing their first ℓ−1 attributes produce their union, kept only if all
-// ℓ+1 subsets survive; C+ is the intersection of the subsets' C+ sets, and
-// the partition the product of the parents'. The pair scan is cheap and
-// serial; the products — the level's hot path — run as one
-// partition.RefineBatch over the worker pool, each refining the parent
-// with fewer rows in clusters by the other's last attribute, so a product
-// reads and allocates no more than the smaller parent. Candidates whose
-// π_X the shared cache already holds skip the product entirely; fresh
-// products are published to the cache for later levels, verification and
-// other runs.
-func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, level []*candidate, curCPlus map[string]bitset.Set, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+// a = P∪{x} and b = P∪{y} sharing their first ℓ−1 attributes produce
+// X = P∪{x, y}, kept only if all ℓ+1 co-atoms survive. a and b are X∖{y}
+// and X∖{x}; the other ℓ−1 co-atoms are looked up in one index over the
+// level's alive candidates, probed without allocating. X links all of
+// them, its C+ is the intersection of theirs, and its partition the
+// product of a's and b's. The pair scan is cheap and serial; the products
+// — the level's hot path — run as one partition.RefineBatch over the
+// worker pool, each refining the parent with fewer rows in clusters by the
+// other's last attribute, so a product reads and allocates no more than
+// the smaller parent. Candidates whose π_X the shared cache already holds
+// skip the product entirely; fresh products are published to the cache
+// for later levels, verification and other runs.
+func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, level []*candidate, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
 	alive := level[:0:0]
 	for _, c := range level {
 		if !c.dead {
@@ -428,35 +406,56 @@ func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, lev
 	sort.Slice(alive, func(i, j int) bool {
 		return bitset.CompareLex(alive[i].set, alive[j].set) < 0
 	})
-	aliveKeys := make(map[string]*candidate, len(alive))
+	index := make(map[string]*candidate, len(alive))
 	for _, c := range alive {
-		aliveKeys[c.set.Key()] = c
+		index[c.set.Key()] = c
 	}
 
-	n := r.NumCols()
 	var next []*candidate
 	var jobs []partition.RefineJob
 	var jobFor []int // jobs[k] fills next[jobFor[k]]
+	x, cplus := bitset.New(r.NumCols()), bitset.New(r.NumCols())
+	var key []byte
+	var links []*candidate
 	for i := 0; i < len(alive); i++ {
 		if i%64 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
+	join:
 		for j := i + 1; j < len(alive); j++ {
 			a, b := alive[i], alive[j]
 			if !samePrefix(a.attrs, b.attrs) {
 				break // sorted order: later j cannot share the prefix either
 			}
-			union := a.set.Union(b.set)
-			cplus := intersectSubsetCPlus(union, curCPlus, aliveKeys, n)
-			if cplus == nil {
-				continue // some subset pruned: no minimal FD can come from here
+			x.CopyFrom(a.set)
+			x.Add(b.attrs[len(b.attrs)-1])
+			links = links[:0]
+			for _, p := range a.attrs[:len(a.attrs)-1] {
+				x.Remove(p)
+				key = x.AppendKey(key[:0])
+				x.Add(p)
+				co := index[string(key)]
+				if co == nil {
+					continue join // some subset pruned: no minimal FD can come from here
+				}
+				links = append(links, co)
 			}
+			links = append(links, b, a)
+			cplus.CopyFrom(a.cplus)
+			for _, co := range links[:len(links)-1] {
+				cplus.IntersectWith(co.cplus)
+			}
+			if cplus.IsEmpty() {
+				continue
+			}
+			union := x.Clone()
 			c := &candidate{
-				set:   union,
-				attrs: union.Attrs(),
-				cplus: cplus,
+				set:     union,
+				attrs:   union.Attrs(),
+				cplus:   cplus.Clone(),
+				parents: append([]*candidate(nil), links...),
 			}
 			if p := cfg.Cache.Get(union); p != nil {
 				c.part = p
@@ -505,24 +504,4 @@ func samePrefix(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// intersectSubsetCPlus returns ∩_{A∈X} C+(X∖A), or nil when a subset was
-// pruned from the lattice (which prunes X as well).
-func intersectSubsetCPlus(x bitset.Set, curCPlus map[string]bitset.Set, alive map[string]*candidate, n int) bitset.Set {
-	acc := bitset.Full(n)
-	sub := x.Clone()
-	for a := x.Next(0); a >= 0; a = x.Next(a + 1) {
-		sub.Remove(a)
-		k := sub.Key()
-		if _, ok := alive[k]; !ok {
-			return nil
-		}
-		acc.IntersectWith(curCPlus[k])
-		sub.Add(a)
-		if acc.IsEmpty() {
-			return nil
-		}
-	}
-	return acc
 }

@@ -2,14 +2,21 @@ package tane
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/brute"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/runstate"
+	"repro/internal/topk"
 )
 
 // discover runs TANE with the zero Config and returns its cover. The tests
@@ -189,4 +196,117 @@ func TestLevelPartitionsMatchForAttrs(t *testing.T) {
 		}
 	}
 	t.Logf("%d partitions checked", checked)
+}
+
+// flightCounters is a run's cover digest and the RunStats counters TANE
+// accumulates itself.
+type flightCounters struct {
+	sha                                            string
+	levels, rowsScanned, built, refined, validated int64
+	invalidated, fds                               int64
+}
+
+func countersOf(r *relation.Relation, fds []dep.FD, rs *engine.RunStats) flightCounters {
+	return flightCounters{
+		sha:         fmt.Sprintf("%x", sha256.Sum256([]byte(dep.FormatAll(fds, r.Names)))),
+		levels:      rs.Levels,
+		rowsScanned: rs.RowsScanned,
+		built:       rs.PartitionsBuilt,
+		refined:     rs.PartitionsRefined,
+		validated:   rs.CandidatesValidated,
+		invalidated: rs.Invalidated,
+		fds:         rs.FDs,
+	}
+}
+
+func flight(t *testing.T) *relation.Relation {
+	t.Helper()
+	b, err := dataset.ByName("flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Generate(500, 17)
+}
+
+// TestFlightCounterPins pins TANE's cover and work counters on flight
+// 500×17, the shape fdperf's rank-lattice workload runs, exactly: a
+// change to the lattice's bookkeeping must visit the same candidates,
+// validate the same (node, RHS) pairs and build the same partitions. The
+// counters do not depend on the pool width.
+func TestFlightCounterPins(t *testing.T) {
+	r := flight(t)
+	pins := []struct {
+		name string
+		cfg  func() Config
+		want flightCounters
+	}{
+		{"plain", func() Config { return Config{} },
+			flightCounters{"3d09f1a5ab13e0fbc6ad6276734e10d4d0b4ac4ed458fb04a060e43296325bec",
+				11, 2158520, 27010, 71675, 161695, 159450, 3402}},
+		{"max-violations", func() Config { return Config{MaxViolations: 10} },
+			flightCounters{"73e86e248755246a6b891a48b8a6a49a86a7172a4b94be6b4edeb3db4f47011e",
+				16, 52345119, 131070, 0, 407513, 391580, 15933}},
+		{"topk", func() Config { return Config{TopK: topk.New(10)} },
+			flightCounters{"6fe798a2090b5cf7eb21eac4cd70ee69c4e23db46d3e2e1c41302673f8b72f2f",
+				9, 2013160, 21406, 22627, 132466, 131588, 10}},
+	}
+	for _, p := range pins {
+		for _, workers := range []int{1, 3} {
+			p, workers := p, workers
+			t.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(t *testing.T) {
+				t.Parallel()
+				cfg := p.cfg()
+				cfg.Workers = workers
+				fds, rs, err := Run(context.Background(), r, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := countersOf(r, fds, rs); got != p.want {
+					t.Errorf("got  %+v\nwant %+v", got, p.want)
+				}
+			})
+		}
+	}
+}
+
+// TestResumeKeepsCounters kills a run checkpointing at every level
+// boundary with an engine.worker panic at several depths, then resumes
+// it: the resumed run rebuilds the restored level's partitions and
+// co-atom links, and must return the uninterrupted cover with the same
+// counters, the restored bases plus the work after the boundary.
+func TestResumeKeepsCounters(t *testing.T) {
+	r := flight(t)
+	ctx := context.Background()
+	fds, rs, err := Run(ctx, r, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := countersOf(r, fds, rs)
+	fp := runstate.FingerprintOf(r, "tane", 0, 0)
+	for _, n := range []int{50, 500, 3000, 10000, 20000} {
+		t.Run(fmt.Sprintf("kill@%d", n), func(t *testing.T) {
+			defer faults.Reset()
+			dir := t.TempDir()
+			cp, err := runstate.NewCheckpointer(dir, time.Nanosecond, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults.Arm(faults.EngineWorker, faults.Plan{Kind: faults.KindPanic, N: n})
+			if _, _, err := Run(ctx, r, Config{Workers: 1, Checkpoint: cp}); err == nil || faults.Armed(faults.EngineWorker) {
+				t.Fatalf("the fault did not kill the run (err %v)", err)
+			}
+			faults.Reset()
+			snap, err := runstate.Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fds, rs, err := Run(ctx, r, Config{Workers: 1, Resume: snap})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if got := countersOf(r, fds, rs); got != want {
+				t.Errorf("resumed  %+v\nuninterrupted %+v", got, want)
+			}
+		})
+	}
 }
