@@ -286,7 +286,7 @@ func BenchmarkNegativeCover1000Rows(b *testing.B) {
 	r := bm.Generate(1000, 19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sampling.NegativeCover(context.Background(), engine.NewPool(1), r, 0); err != nil {
+		if _, err := sampling.NegativeCover(context.Background(), engine.NewPool(1), r); err != nil {
 			b.Fatal(err)
 		}
 	}

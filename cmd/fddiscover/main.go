@@ -21,15 +21,17 @@
 // when a budget is exhausted the run finishes early with a sound partial
 // cover and a warning on stderr. -pli-cache shares stripped partitions
 // across the run's subsystems through a size-bounded LRU cache; hit and
-// miss counts show up in the -stats report. -shard-size overrides the row
-// block size of the row-sharded kernels (refinement within a partition
-// build, sampling, the all-pairs scan), which shard only with -workers
-// above 1; the PLI bootstrap and post-run verification fan out over
-// columns and LHS groups instead. -spill-dir spills cold
-// cache entries to memory-mapped temp files instead of discarding them so
-// the resident footprint stays within the budget. -page-columns pages the
-// encoded columns themselves to memory-mapped temp files during ingest, so
-// the relation's code storage stays off-heap.
+// miss counts show up in the -stats report. -workers N runs each parallel
+// pass over its own items on N workers: validation over a level's
+// FD-nodes, lattice joins over refinement jobs, the PLI bootstrap over
+// columns, sampling over the columns' cluster ranges, the FDEP and
+// FastFDs pair scan over blocks of outer rows, and post-run verification
+// over LHS groups; the output is identical at every width. -spill-dir
+// spills cold cache entries to memory-mapped temp files instead of
+// discarding them so the resident footprint stays within the budget.
+// -page-columns pages the encoded columns themselves to memory-mapped
+// temp files during ingest, so the relation's code storage stays
+// off-heap.
 //
 // -checkpoint DIR makes the run durable: the search state is snapshotted
 // into DIR every -interval (default 30s), atomically, and a final snapshot
@@ -59,7 +61,7 @@ import (
 
 func main() {
 	algo := flag.String("algo", "dhyfd", "algorithm: dhyfd, hyfd, tane, fdep, fdep1, fdep2, fastfds, dfd")
-	workers := flag.Int("workers", 1, "validation worker-pool width (dhyfd, hyfd, tane)")
+	workers := flag.Int("workers", 1, "worker-pool width of every parallel pass: validation, lattice joins, PLI bootstrap, sampling, pair scan, post-run verification (output identical at any width)")
 	nullSem := flag.String("null", "eq", "null semantics: eq (null = null) or neq (null ≠ null)")
 	canonical := flag.Bool("canonical", false, "emit a canonical cover instead of the left-reduced cover")
 	ratio := flag.Float64("ratio", 3.0, "DHyFD efficiency–inefficiency ratio")
@@ -69,7 +71,6 @@ func main() {
 	memBudget := flag.Int64("mem-budget", -1, "approximate partition-memory budget in bytes; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	maxParts := flag.Int("max-partitions", -1, "cap on partitions materialized; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes (0 = disabled)")
-	shardSize := flag.Int("shard-size", 0, "row-block size of the row-sharded kernels: refinement within a partition build, sampling, pair scan; they shard only with -workers > 1 (the PLI bootstrap and verification fan out over columns and LHS groups instead; 0 = the built-in default)")
 	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
 	topK := flag.Int("topk", 0, "discover only the N most relevant FDs, pre-ranked by redundancy (0 = full cover)")
@@ -77,7 +78,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot the run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partition and pair-scan shards) up to N times")
+	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partitions, sampling and pair-scan items) up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fddiscover [flags] file.csv\n")
 		flag.PrintDefaults()
@@ -151,9 +152,6 @@ func main() {
 	}
 	if *pliCache > 0 {
 		discoverOpts = append(discoverOpts, dhyfd.WithPartitionCache(*pliCache))
-	}
-	if *shardSize > 0 {
-		discoverOpts = append(discoverOpts, dhyfd.WithShardSize(*shardSize))
 	}
 	if *spillDir != "" {
 		discoverOpts = append(discoverOpts, dhyfd.WithSpillDir(*spillDir))

@@ -24,7 +24,7 @@ import (
 func main() {
 	nullSem := flag.String("null", "eq", "null semantics: eq or neq")
 	maxKeys := flag.Int("keys", 64, "bound on minimal-key enumeration")
-	workers := flag.Int("workers", 0, "parallel validation workers (0 = serial)")
+	workers := flag.Int("workers", 0, "worker-pool width of DHyFD's parallel passes (validation, DDM refreshes, PLI bootstrap, sampling) and of ranking over LHS groups (0 = serial)")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes (0 = disabled)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fdprofile [flags] file.csv\n")

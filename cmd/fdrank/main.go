@@ -13,11 +13,12 @@
 // -topk N takes the fused fast path: discovery itself keeps only the N
 // most relevant FDs and prunes lattice regions that cannot reach the top
 // N, skipping the full discover-then-rank pipeline (and the canonical
-// cover and dataset totals, which need the whole cover). -workers fans the
-// ranking kernels (and discovery's validation hot path) out over a worker
-// pool. -pli-cache shares one stripped-partition cache across discovery
-// and ranking, so ranking reuses the partitions discovery built. -stats
-// prints the ranking run report to stderr.
+// cover and dataset totals, which need the whole cover). -workers runs
+// discovery's parallel passes and the ranking kernels, which fan out over
+// LHS groups, on a worker pool of that width. -pli-cache shares one
+// stripped-partition cache across discovery and ranking, so ranking
+// reuses the partitions discovery built. -stats prints the ranking run
+// report to stderr.
 //
 // -checkpoint DIR / -interval / -resume / -retries make the discovery
 // stage durable exactly as in fddiscover: an interrupted run flushes a
@@ -44,15 +45,14 @@ func main() {
 	column := flag.String("column", "", "fix a column and list its minimal LHSs")
 	nullSem := flag.String("null", "eq", "null semantics: eq or neq")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes, spanning discovery and ranking (0 = ranking-private cache only)")
-	shardSize := flag.Int("shard-size", 0, "row-block size of discovery's row-sharded kernels: refinement within a partition build, sampling, pair scan; they shard only with -workers > 1 (the PLI bootstrap and verification fan out over columns and LHS groups instead; 0 = the built-in default)")
 	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
-	workers := flag.Int("workers", 1, "worker-pool width for discovery validation and ranking")
+	workers := flag.Int("workers", 1, "worker-pool width of discovery's parallel passes (validation, lattice joins, PLI bootstrap, sampling, pair scan) and of ranking over LHS groups (output identical at any width)")
 	stats := flag.Bool("stats", false, "print the ranking run report to stderr")
 	checkpoint := flag.String("checkpoint", "", "snapshot the discovery run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue discovery from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partition and pair-scan shards) up to N times")
+	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partitions, sampling and pair-scan items) up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fdrank [flags] file.csv\n")
 		flag.PrintDefaults()
@@ -108,9 +108,6 @@ func main() {
 		// is a cheap no-op.
 		defer cache.Close()
 		shared = append(shared, dhyfd.WithCache(cache))
-	}
-	if *shardSize > 0 {
-		shared = append(shared, dhyfd.WithShardSize(*shardSize))
 	}
 	if *spillDir != "" {
 		shared = append(shared, dhyfd.WithSpillDir(*spillDir))

@@ -219,7 +219,6 @@ type discoverConfig struct {
 	maxParts   int64 // partitions; < 0 = unlimited
 	cacheBytes int64 // PLI cache capacity; <= 0 = disabled
 	cache      *PLICache
-	shardSize  int    // rows per shard of the row-sharded kernels; <= 0 = default
 	spillDir   string // spill-tier root; meaningful only when spill is set
 	spill      bool   // attach an out-of-core tier to the PLI cache
 	noVerify   bool
@@ -237,10 +236,15 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *discoverConfig) { c.algorithm = a }
 }
 
-// WithWorkers sets the worker-pool width of the run's parallel hot paths:
-// validation, lattice joins, the PLI bootstrap, sharded refinement and
-// sampling, pair scans and post-run verification. Values below 2 keep
-// the serial behaviour.
+// WithWorkers sets the worker-pool width of the run's parallel passes,
+// each of which fans out over its own items: the hybrids' validation
+// over a level's FD-nodes, TANE's level joins and DHyFD's DDM refreshes
+// over refinement jobs, the PLI bootstrap over columns, the hybrids'
+// sampling over the columns' cluster ranges, the FDEP and FastFDs pair
+// scan over blocks of outer rows of about equal pair count, refinement
+// inside one lattice walk (DFD) over cluster ranges, and post-run
+// verification and top-k ranking over LHS groups. The cover is identical
+// at every width; values below 2 keep the serial behaviour.
 func WithWorkers(n int) Option {
 	return func(c *discoverConfig) { c.workers = n }
 }
@@ -301,23 +305,6 @@ func WithMaxPartitions(n int) Option {
 // negative disables caching (the default).
 func WithPartitionCache(bytes int64) Option {
 	return func(c *discoverConfig) { c.cacheBytes = bytes }
-}
-
-// WithShardSize sets the row-block size of the row-sharded kernels, the
-// ones whose call has no independent items to fan out over: refinement
-// inside one multi-attribute partition build (DHyFD, HyFD, TANE, DFD),
-// the hybrid algorithms' sampling passes, and the all-pairs scan of the
-// row-based algorithms (FDEP variants, FastFDs). A sharded kernel splits
-// its input into blocks of about n rows that run concurrently on the
-// worker pool and merges them into results byte-identical to the serial
-// kernel, so the cover never depends on n. Sharding happens only on a
-// run with more than one worker (see WithWorkers). The passes that do
-// have independent items fan out over them instead and take no shard
-// size: the single-attribute bootstrap over columns, post-run
-// verification over LHS groups. n <= 0 keeps the default
-// (partition.DefaultShardSize rows).
-func WithShardSize(n int) Option {
-	return func(c *discoverConfig) { c.shardSize = n }
 }
 
 // WithSpillDir attaches an out-of-core tier to the run's PLI cache:
@@ -505,12 +492,13 @@ func WithResume(dir string) Option {
 }
 
 // WithRetries lets every algorithm re-run a failed pool work item — a
-// validation batch, a partition or pair-scan shard, a lattice join — up to
-// n times when the failure is classified transient, sleeping a capped,
-// fully-jittered exponential backoff between attempts. Fatal failures (and
-// organic panics) still surface immediately as *PanicError. Attempts and
-// retries are reported in Stats under "attempts" / "retries". n of 0
-// disables retrying (the default); negative n is an error.
+// validation batch, a column's partition, a sampling or pair-scan item, a
+// lattice join — up to n times when the failure is classified transient,
+// sleeping a capped, fully-jittered exponential backoff between attempts.
+// Fatal failures (and organic panics) still surface immediately as
+// *PanicError. Attempts and retries are reported in Stats under
+// "attempts" / "retries". n of 0 disables retrying (the default);
+// negative n is an error.
 func WithRetries(n int) Option {
 	return func(c *discoverConfig) {
 		if n < 0 {
@@ -660,8 +648,7 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		rs  *engine.RunStats
 	)
 	shared := runstate.Options{
-		Workers: cfg.workers, ShardSize: cfg.shardSize,
-		Budget: budget, Cache: cache,
+		Workers: cfg.workers, Budget: budget, Cache: cache,
 		TopK: collector, MaxViolations: maxViol,
 		Checkpoint: cp, Resume: snap, Retries: cfg.retries,
 	}

@@ -141,14 +141,12 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 		// from approximate validation outcomes.
 		l.nonFDs = sampling.NewNonFDSet(n)
 		if !approx {
-			for c := 0; c < n; c++ {
-				_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, singles[c], 1, l.nonFDs, opts.ShardSize)
-				if err != nil {
-					stop()
-					return h.End(nil, err)
-				}
-				l.comparisons += comps
+			_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, singles, 1, l.nonFDs, opts.ShardSize)
+			if err != nil {
+				stop()
+				return h.End(nil, err)
 			}
+			l.comparisons += comps
 			rs.RowsScanned += 2 * int64(l.comparisons)
 		}
 		rootValid := l.v.EmptyLHS(full, l.nonFDs)

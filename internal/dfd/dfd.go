@@ -31,12 +31,13 @@ import (
 
 // Config tunes DFD; the algorithm has no knobs beyond the shared run
 // options. Each walk materialization runs on the run's pool: above one
-// worker its refinements shard row-wise in ShardSize-row ranges
-// (byte-identical results, so the walk's decisions match the serial run
-// exactly), at one the serial kernels run. An attached Cache is
-// prewarmed with every single-attribute partition, one column per pool
-// item, and then keeps visited lattice nodes alive so a query refines
-// from X's longest cached prefix instead of restarting from singles. Budget exhaustion abandons the walks of the remaining RHS
+// worker each refinement fans out over the parent's ShardSize-row
+// cluster ranges (byte-identical results, so the walk's decisions match
+// the serial run exactly), at one the serial kernels run. An attached
+// Cache is prewarmed with every single-attribute partition, one column
+// per pool item, and then keeps visited lattice nodes alive so a query
+// refines from X's longest cached prefix instead of restarting from
+// singles. Budget exhaustion abandons the walks of the remaining RHS
 // attributes: each attribute is decided completely or not at all, so the
 // FDs returned are sound. TopK skips a whole RHS walk when no LHS over
 // R∖{A} can beat the threshold — pruning inside a walk would be unsound,

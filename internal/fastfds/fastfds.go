@@ -28,13 +28,14 @@ import (
 )
 
 // Config tunes FastFDs; the cover enumeration itself has no knobs. Of the
-// shared run options, Workers and ShardSize shard the negative cover's
-// pair scan (the merged agree-set order matches the serial scan, so the
-// derived difference sets are identical), and Checkpoint snapshots the
-// difference sets and the per-RHS cover cursor after the negative cover
-// and after each fully enumerated attribute, so a killed run resumes
-// without redoing the O(r²) pair scan. FastFDs holds no partitions: Cache,
-// Budget, TopK and MaxViolations are ignored.
+// shared run options, Workers fans the negative cover's pair scan out
+// over blocks of outer rows of about equal pair count (the merged
+// agree-set order matches the serial scan, so the derived difference sets
+// are identical), and Checkpoint snapshots the difference sets and the
+// per-RHS cover cursor after the negative cover and after each fully
+// enumerated attribute, so a killed run resumes without redoing the
+// O(r²) pair scan. FastFDs holds no partitions: ShardSize, Cache, Budget,
+// TopK and MaxViolations are ignored.
 type Config = runstate.Options
 
 // Run returns the left-reduced cover (singleton RHSs) of the FDs holding on
@@ -64,7 +65,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		rs.NonFDs = f.NonFDs
 	} else {
 		stop := rs.Phase("negative-cover")
-		neg, err := sampling.NegativeCover(ctx, h.Pool, r, cfg.ShardSize)
+		neg, err := sampling.NegativeCover(ctx, h.Pool, r)
 		stop()
 		if err != nil {
 			return h.End(nil, err)

@@ -46,15 +46,14 @@ const (
 	DDMRefresh Site = "ddm.refresh"
 	// EngineWorker fires once per work item inside engine.Pool workers.
 	EngineWorker Site = "engine.worker"
-	// SamplingRun fires once per sampling.ClusterNeighborSample call, the
-	// sorted-neighborhood pass of the hybrid algorithms, serial or
-	// sharded.
+	// SamplingRun fires once per sampling.ClusterNeighborSample call, on
+	// the calling goroutine: once for a hybrid's initial sample of all
+	// columns, once per HyFD progressive round.
 	SamplingRun Site = "sampling.run"
-	// SamplingShardMerge fires once per shard during the cross-shard
-	// reconciliation of the sampling passes
-	// (sampling.ClusterNeighborSample, sampling.NegativeCover) on a pool
-	// of more than one worker, the sequential merge that folds per-shard
-	// agree sets into the shared non-FD set.
+	// SamplingShardMerge fires once per item while the agree-set passes
+	// (sampling.ClusterNeighborSample, sampling.NegativeCover) merge their
+	// item-local sets into the shared non-FD set, in item order, on a pool
+	// of more than one worker; a single-item pass never reaches it.
 	SamplingShardMerge Site = "sampling.shardmerge"
 	// RankingRun fires once per LHS group inside the redundancy-ranking
 	// kernels (ranking.RankCtx / TotalsCtx), usually on a pool worker.

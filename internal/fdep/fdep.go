@@ -57,12 +57,13 @@ func (v Variant) String() string {
 }
 
 // Config tunes FDEP's negative-cover pass; induction itself is inherently
-// sequential and has no knobs. Of the shared run options, Workers and
-// ShardSize shard the pair scan (the merged agree-set order is identical
-// to the serial scan, so every variant's induction sees the same input)
-// and Retries supervises its shards. The single induction pass has no
-// resumable frontier and holds no partitions: Checkpoint, Resume, Cache,
-// Budget, TopK and MaxViolations are ignored.
+// sequential and has no knobs. Of the shared run options, Workers fans
+// the pair scan out over blocks of outer rows of about equal pair count
+// (the merged agree-set order is identical to the serial scan, so every
+// variant's induction sees the same input) and Retries supervises its
+// blocks. The single induction pass has no resumable frontier and holds
+// no partitions: ShardSize, Checkpoint, Resume, Cache, Budget, TopK and
+// MaxViolations are ignored.
 type Config = runstate.Options
 
 // Run returns the left-reduced cover (singleton RHSs) of the FDs that hold
@@ -72,14 +73,14 @@ type Config = runstate.Options
 // returned alongside ctx's error.
 func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
 	h := runstate.Start(strings.ToLower(variant.String()), runstate.Options{
-		Workers: cfg.Workers, ShardSize: cfg.ShardSize, Retries: cfg.Retries,
+		Workers: cfg.Workers, Retries: cfg.Retries,
 	})
 	defer h.Recover(&fds, &rs, &err)
 	rs = h.Stats
 	n := r.NumCols()
 	nrows := int64(r.NumRows())
 	stop := rs.Phase("negative-cover")
-	neg, err := sampling.NegativeCover(ctx, h.Pool, r, cfg.ShardSize)
+	neg, err := sampling.NegativeCover(ctx, h.Pool, r)
 	stop()
 	if err != nil {
 		return h.End(nil, err)

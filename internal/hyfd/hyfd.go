@@ -17,7 +17,7 @@
 // and the DDM is never refreshed, so every FD-node validates from its
 // cheapest single-attribute partition; reusing refinements across levels
 // is exactly what DHyFD adds. The validation phase runs on the shared
-// engine.Pool when Config.Workers is above one.
+// engine.Pool when Config.Workers is above one, and so does sampling.
 package hyfd
 
 import (
@@ -34,12 +34,13 @@ import (
 )
 
 // Config tunes HyFD; the algorithm has no knobs beyond the shared run
-// options. Workers parallelizes the validation phase only (sampling and
-// induction are sequential either way); HyFD holds nothing but the
-// single-attribute partitions, so Budget exhaustion cannot change its
-// behaviour and only flags the run Degraded; MaxViolations > 0 disables
-// sampling, since exact violating pairs must not refute approximately
-// valid FDs.
+// options. Workers fans validation out over FD-nodes and sampling over
+// the sampled columns' cluster ranges (merged byte-identically, so every
+// round's efficiency matches the serial pass); induction is sequential.
+// HyFD holds nothing but the single-attribute partitions, so Budget
+// exhaustion cannot change its behaviour and only flags the run
+// Degraded; MaxViolations > 0 disables sampling, since exact violating
+// pairs must not refute approximately valid FDs.
 type Config = runstate.Options
 
 // The phase-switching thresholds of the experiments.
@@ -86,9 +87,9 @@ func newSampler(ctx context.Context, pool *engine.Pool, r *relation.Relation, pl
 }
 
 // step executes the most promising run. It reports new non-FDs,
-// comparisons, and whether any run was executed at all. The sampling
-// pass shards across the run's pool (byte-identical merge, so the
-// efficiency trajectory matches the serial pass at every shard size).
+// comparisons, and whether any run was executed at all. The run's column
+// fans out over its cluster ranges (byte-identical merge, so the
+// efficiency trajectory matches the serial pass at every width).
 func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran bool, err error) {
 	best := -1
 	for i := range s.runs {
@@ -103,7 +104,7 @@ func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran 
 		return 0, 0, false, nil
 	}
 	ru := &s.runs[best]
-	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.plis[best], int(ru.Distance), dst, s.cfg.ShardSize)
+	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.plis[best:best+1], int(ru.Distance), dst, s.cfg.ShardSize)
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -38,8 +38,10 @@ func TestCancellationSurfacesEverywhere(t *testing.T) {
 	if _, _, err := core.Run(ctx, r, core.Config{}); err == nil {
 		t.Error("dhyfd ignored cancellation")
 	}
-	if _, err := sampling.NegativeCover(ctx, engine.NewPool(1), r, 0); err == nil {
-		t.Error("negative cover ignored cancellation")
+	for _, workers := range []int{1, 2} {
+		if s, err := sampling.NegativeCover(ctx, engine.NewPool(workers), r); err == nil || s != nil {
+			t.Errorf("negative cover on %d workers ignored cancellation", workers)
+		}
 	}
 }
 

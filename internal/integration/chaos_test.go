@@ -13,7 +13,11 @@ import (
 	"repro/internal/check"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/dfd"
 	"repro/internal/faults"
+	"repro/internal/partition"
+	"repro/internal/runstate"
+	"repro/internal/topk"
 )
 
 // chaosAlgorithms covers every driver family: the DDM pipeline, the
@@ -197,39 +201,50 @@ func TestChaosDelayInjection(t *testing.T) {
 // failure. The pools ran supervised partition builds before the panic, so
 // the report must carry their attempt counters (DHyFD, HyFD) or shard
 // counters (DFD, whose sampling-free walk panics at its second top-k
-// bound check, after the first walk's sharded refinements).
+// bound check, after the first walk's refinements fanned out over
+// 16-row cluster ranges — a range size only the driver's options reach).
 func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := dataset.Random(rng, 200, 6, 4)
+	discover := func(a dhyfd.Algorithm) func() (*dhyfd.RunStats, error) {
+		return func() (*dhyfd.RunStats, error) {
+			res, err := dhyfd.Discover(context.Background(), r,
+				dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2), dhyfd.WithRetries(1),
+				dhyfd.WithPartitionCache(1<<20))
+			return &res.Stats, err
+		}
+	}
 	cases := []struct {
 		algo dhyfd.Algorithm
 		site faults.Site
 		n    int
-		opts []dhyfd.Option
+		run  func() (*dhyfd.RunStats, error)
 	}{
-		{dhyfd.DHyFD, faults.SamplingRun, 1, nil},
-		{dhyfd.HyFD, faults.SamplingRun, 1, nil},
-		{dhyfd.DFD, faults.TopKPrune, 2, []dhyfd.Option{dhyfd.WithTopK(3)}},
+		{dhyfd.DHyFD, faults.SamplingRun, 1, discover(dhyfd.DHyFD)},
+		{dhyfd.HyFD, faults.SamplingRun, 1, discover(dhyfd.HyFD)},
+		{dhyfd.DFD, faults.TopKPrune, 2, func() (*dhyfd.RunStats, error) {
+			_, rs, err := dfd.Run(context.Background(), r, runstate.Options{
+				Workers: 2, ShardSize: 16, Retries: 1,
+				Cache: partition.NewCache(1<<20, nil), TopK: topk.New(3),
+			})
+			return rs, err
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.algo.String(), func(t *testing.T) {
 			defer faults.Reset()
 			faults.Arm(c.site, faults.Plan{Kind: faults.KindPanic, N: c.n})
-			opts := append([]dhyfd.Option{
-				dhyfd.WithAlgorithm(c.algo), dhyfd.WithWorkers(2), dhyfd.WithRetries(1),
-				dhyfd.WithShardSize(16), dhyfd.WithPartitionCache(1 << 20),
-			}, c.opts...)
-			res, err := dhyfd.Discover(context.Background(), r, opts...)
+			rs, err := c.run()
 			var perr *dhyfd.PanicError
 			if !errors.As(err, &perr) || perr.Site != string(c.site) {
 				t.Fatalf("want a *PanicError at %s, got %v", c.site, err)
 			}
 			if c.algo == dhyfd.DFD {
-				if res.Stats.ShardsBuilt == 0 {
-					t.Errorf("panic report lost the shard counters: %+v", res.Stats)
+				if rs.ShardsBuilt == 0 {
+					t.Errorf("panic report lost the shard counters: %+v", rs)
 				}
-			} else if res.Stats.Counters["attempts"] == 0 {
-				t.Errorf("panic report lost the retry counters: %v", res.Stats.Counters)
+			} else if rs.Counters["attempts"] == 0 {
+				t.Errorf("panic report lost the retry counters: %v", rs.Counters)
 			}
 		})
 	}

@@ -153,6 +153,67 @@ func TestDuplicateRowsKeepCover(t *testing.T) {
 	}
 }
 
+// TestColumnCopyAddsTwinFDs: appending an exact copy A′ of a column A —
+// codes and null mask both — adds exactly the FDs A′ makes minimal: for
+// every FD whose LHS holds A, a twin with A′ in its place; X → A′ for
+// every X → A; and A → A′ and A′ → A, unless ∅ → A is in the cover (A
+// is constant, so ∅ → A′ is the only new FD with RHS A′ and neither
+// single-attribute FD is minimal). Nothing else may change.
+func TestColumnCopyAddsTwinFDs(t *testing.T) {
+	ctx := context.Background()
+	for i, b := range dataset.All() {
+		i, b := i, b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			r := b.Generate(metaRows, metaCols)
+			n := r.NumCols()
+			a := rand.New(rand.NewSource(int64(i))).Intn(n)
+			names := append(append([]string(nil), r.Names...), r.Names[a]+"_copy")
+			cols := append(append([][]int32(nil), r.Cols...), append([]int32(nil), r.Cols[a]...))
+			nulls := append(append([][]bool(nil), r.Nulls...), append([]bool(nil), r.Nulls[a]...))
+			d := relation.FromCodes(names, cols, nulls, r.Semantics)
+			// widen lifts an attribute set of r into d's schema; attribute
+			// n of d is A′.
+			widen := func(s bitset.Set) bitset.Set {
+				out := bitset.New(n + 1)
+				for x := s.Next(0); x >= 0; x = s.Next(x + 1) {
+					out.Add(x)
+				}
+				return out
+			}
+			for _, h := range hybrids {
+				var want []dep.FD
+				constant := false
+				for _, f := range coverOf(h.run(ctx, r)) {
+					lhs, rhs := widen(f.LHS), widen(f.RHS)
+					want = append(want, dep.FD{LHS: lhs, RHS: rhs})
+					if lhs.Contains(a) {
+						twin := lhs.Clone()
+						twin.Remove(a)
+						twin.Add(n)
+						want = append(want, dep.FD{LHS: twin, RHS: rhs})
+					}
+					if rhs.Contains(a) {
+						want = append(want, dep.FD{LHS: lhs, RHS: bitset.FromAttrs(n+1, n)})
+						constant = constant || lhs.IsEmpty()
+					}
+				}
+				if !constant {
+					want = append(want,
+						dep.FD{LHS: bitset.FromAttrs(n+1, a), RHS: bitset.FromAttrs(n+1, n)},
+						dep.FD{LHS: bitset.FromAttrs(n+1, n), RHS: bitset.FromAttrs(n+1, a)})
+				}
+				dep.Sort(want)
+				got := coverOf(h.run(ctx, d))
+				if !reflect.DeepEqual(got, want) {
+					only, other := dep.Diff(got, want, d.Names)
+					t.Errorf("%s: column %s copied: only discovered %v, only expected %v", h.name, r.Names[a], only, other)
+				}
+			}
+		})
+	}
+}
+
 // TestErrorBoundMonotone: an FD whose g3 error is within ε₁ is within any
 // ε₂ > ε₁, so every FD X → A of the ε₁ cover needs some Y → A with Y ⊆ X
 // in the ε₂ cover. Checked for the four lattice algorithms on every shape

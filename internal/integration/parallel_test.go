@@ -126,13 +126,23 @@ func TestRunStatsPopulated(t *testing.T) {
 // TestMidRunCancellationIsPrompt: cancelling while validation is under way
 // must surface context.Canceled quickly — within one validation batch, not
 // after the remaining lattice is processed. The relation is sized so a
-// full run takes far longer than the accepted bound.
+// full run takes far longer than the accepted bound. FDEP2 and FastFDs
+// spend their run in the pair scan, so they run on two workers over a
+// weather 12000×18 relation whose scan takes several bounds (2.8 and
+// 3.5 s on a 2-vCPU host, against a bound of about 0.4 s) and are
+// cancelled mid-scan: a pair-scan block that does not poll ctx once per
+// outer row runs to its end and fails them.
 func TestMidRunCancellationIsPrompt(t *testing.T) {
 	b, err := dataset.ByName("diabetic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := b.Generate(1500, 20)
+	w, err := dataset.ByName("weather")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tall := w.Generate(12000, 18)
 
 	full := time.Now()
 	if _, _, err := core.Run(context.Background(), r, core.Config{Options: runstate.Options{Workers: 2}}); err != nil {
@@ -151,6 +161,14 @@ func TestMidRunCancellationIsPrompt(t *testing.T) {
 		},
 		"tane": func(ctx context.Context) (*engine.RunStats, error) {
 			_, rs, err := tane.Run(ctx, r, tane.Config{Workers: 2})
+			return rs, err
+		},
+		"fdep2": func(ctx context.Context) (*engine.RunStats, error) {
+			_, rs, err := fdep.Run(ctx, tall, fdep.Sorted, fdep.Config{Workers: 2})
+			return rs, err
+		},
+		"fastfds": func(ctx context.Context) (*engine.RunStats, error) {
+			_, rs, err := fastfds.Run(ctx, tall, fastfds.Config{Workers: 2})
 			return rs, err
 		},
 	}

@@ -10,31 +10,29 @@ import (
 	dhyfd "repro"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/runstate"
 )
 
 // pliAlgorithms are the drivers that build multi-attribute partitions
-// through the shard-aware walk, and whose bootstrap builds every
+// through the range-cut walk, and whose bootstrap builds every
 // single-attribute partition through partition.Singles. DFD bootstraps
 // only when a cache is attached (its prewarm), so its runs below add one.
 var pliAlgorithms = []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD, dhyfd.TANE, dhyfd.DFD}
 
-// shardOpts builds the option set for one sharded run.
-func shardOpts(a dhyfd.Algorithm, shardSize int) []dhyfd.Option {
+// pliOpts builds the option set for one two-worker run.
+func pliOpts(a dhyfd.Algorithm) []dhyfd.Option {
 	opts := []dhyfd.Option{dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2)}
-	if shardSize > 0 {
-		opts = append(opts, dhyfd.WithShardSize(shardSize))
-	}
 	if a == dhyfd.DFD {
 		opts = append(opts, dhyfd.WithPartitionCache(16<<20))
 	}
 	return opts
 }
 
-// TestShardSizeCoverEquivalence asserts row sharding is purely an
-// execution strategy: on two workers, every shard size — one row per
-// shard, tiny, medium, larger than the relation — shards the walks'
-// refinements and the hybrids' sampling differently, yet discovers the
-// identical cover.
+// TestShardSizeCoverEquivalence asserts cutting partitions into cluster
+// ranges is purely an execution strategy: on two workers, every range
+// size — one row per range, tiny, medium, larger than the relation —
+// cuts the walks' refinements and the hybrids' sampling differently, yet
+// discovers the identical cover as the default size.
 func TestShardSizeCoverEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := dataset.Random(rng, 300, 6, 4)
@@ -42,18 +40,15 @@ func TestShardSizeCoverEquivalence(t *testing.T) {
 
 	for _, a := range pliAlgorithms {
 		t.Run(a.String(), func(t *testing.T) {
-			base, err := dhyfd.Discover(ctx, r, shardOpts(a, 0)...)
-			if err != nil {
-				t.Fatalf("default-shard run failed: %v", err)
-			}
+			base := coverOf(runDriver(ctx, a, r, runstate.Options{Workers: 2}))
 			for _, shardSize := range []int{1, 7, 64, r.NumRows(), r.NumRows() + 13} {
-				res, err := dhyfd.Discover(ctx, r, shardOpts(a, shardSize)...)
+				fds, _, err := runDriver(ctx, a, r, runstate.Options{Workers: 2, ShardSize: shardSize})
 				if err != nil {
 					t.Fatalf("shard size %d: %v", shardSize, err)
 				}
-				if !dep.Equal(res.FDs, base.FDs) {
+				if !dep.Equal(fds, base) {
 					t.Errorf("shard size %d changed the cover: %d vs %d FDs",
-						shardSize, len(res.FDs), len(base.FDs))
+						shardSize, len(fds), len(base))
 				}
 			}
 		})
@@ -76,11 +71,11 @@ func TestSpillCoverMatchesResident(t *testing.T) {
 
 	for _, a := range pliAlgorithms {
 		t.Run(a.String(), func(t *testing.T) {
-			resident, err := dhyfd.Discover(ctx, r, shardOpts(a, 0)...)
+			resident, err := dhyfd.Discover(ctx, r, pliOpts(a)...)
 			if err != nil {
 				t.Fatalf("resident run failed: %v", err)
 			}
-			opts := append(shardOpts(a, 0),
+			opts := append(pliOpts(a),
 				dhyfd.WithPartitionCache(bound), // a few entries at most: everything else spills
 				dhyfd.WithSpillDir(dir))
 			res, err := dhyfd.Discover(ctx, r, opts...)

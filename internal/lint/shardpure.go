@@ -8,10 +8,9 @@ import (
 )
 
 // ShardPure enforces the phase-1 shard-kernel contract: functions
-// annotated `//fd:shardkernel` in their doc comment (the bodies the
-// sharded paths of partition.ForAttrsCached and the sampling entry
-// points run: refineRange, stitchShard, sampleShard, coverShard) execute
-// concurrently over disjoint ranges, and
+// annotated `//fd:shardkernel` in their doc comment (the bodies pool
+// workers run: refineRange, stitchShard, collectItem, sampleItem,
+// coverBlock) execute concurrently over disjoint ranges, and
 // their determinism-and-retry-safety argument — "writes are
 // deterministic positions of deterministic values" — only holds if
 // every write lands in the kernel's own range slice, a local, or a

@@ -19,11 +19,12 @@ import (
 // the serial layout — backing and offsets — bit for bit, at every shard
 // size.
 
-// DefaultShardSize is the row count of one shard in the row-sharded
-// kernels (refinement here, the sampling passes and the pair scan in
-// package sampling): large enough that per-shard fixed costs (range
-// lists, pool items) amortize away, small enough that a shard's scratch
-// stays cache-resident.
+// DefaultShardSize is the row count of one cluster range (ShardClusters)
+// in the passes that cut a partition's clusters into ranges on a pool of
+// more than one worker — refinement here and cluster sampling in package
+// sampling: large enough that per-range fixed costs (range lists, pool
+// items) amortize away, small enough that a range's scratch stays
+// cache-resident.
 const DefaultShardSize = 1 << 16
 
 // ShardClusters splits clusters into contiguous ranges holding at least

@@ -75,7 +75,8 @@ type Options struct {
 	// TopValues is the number of frequent values kept per column
 	// (default 3; requires the relation to retain dictionaries).
 	TopValues int
-	// Workers parallelizes discovery (default serial).
+	// Workers is the pool width of discovery's parallel passes and of
+	// ranking over LHS groups (default serial).
 	Workers int
 	// CacheBytes bounds a shared PLI cache routed through discovery
 	// (0 = disabled).

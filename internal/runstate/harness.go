@@ -19,17 +19,15 @@ const manifestMax = 64
 // algorithm has no use for is ignored: the row-based FDEP variants hold no
 // partitions, and only the lattice algorithms fuse top-k or relax validity.
 type Options struct {
-	// Workers sets the engine.Pool width of the run's parallel hot paths:
-	// level validation, DDM refreshes, TANE's level joins, the PLI
-	// bootstrap, sharded refinement, sampling and pair scans. Values below
-	// 2 keep the published serial behaviour.
+	// Workers sets the engine.Pool width of the run's parallel passes,
+	// each fanning out over its own items (FD-nodes, refinement jobs,
+	// columns, cluster ranges, pair-scan row blocks). Values below 2 keep
+	// the published serial behaviour.
 	Workers int
-	// ShardSize is the row-block size of the row-sharded kernels, the
-	// ones whose call has no independent items to fan out over:
-	// refinement inside one multi-attribute walk, sampling and pair
-	// scans. <= 0 selects partition.DefaultShardSize. None of them shards
-	// on a one-worker pool; the PLI bootstrap fans out over columns and
-	// takes no shard size.
+	// ShardSize is the row count of one cluster range, the unit sampling
+	// and refinement inside one ForAttrsCached walk cut a partition into
+	// on more than one worker; <= 0 selects partition.DefaultShardSize.
+	// No option or flag sets it: it is a test seam and changes no output.
 	ShardSize int
 	// Budget optionally bounds partition memory. On exhaustion a run stops
 	// spending memory — DHyFD stops refreshing its DDM, TANE abandons

@@ -31,24 +31,24 @@ func BenchmarkSortedCluster(b *testing.B) {
 func BenchmarkClusterNeighborSample(b *testing.B) {
 	rng := rand.New(rand.NewSource(72))
 	r := dataset.Random(rng, 4000, 16, 6)
-	p := partition.Single(r.Cols[0], r.Cards[0])
+	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0])}
 	ctx, pool := context.Background(), engine.NewPool(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst := NewNonFDSet(r.NumCols())
-		if _, _, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, 0); err != nil {
+		if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestClusterNeighborSampleAllocsPerRun pins serial as the one-worker
-// case of the sampling entry point: on a one-worker pool it runs the
-// kernel directly, cutting no shard ranges, so it allocates no more than
-// the kernel itself on one weather column. Every run samples into a
-// fresh set built beforehand, so the count is the pass's own: a set built
-// inside the measured call would add its header, which the entry point
-// lets escape through the sharded merge.
+// case of the sampling entry point: on a one-worker pool its items — the
+// partitions, cut into no ranges — run the kernel straight into dst, so
+// it allocates no more than the kernel itself on one weather column.
+// Every run samples into a fresh set built beforehand, so the count is
+// the pass's own: a set built inside the measured call would add its
+// header, which the entry point lets escape through the fanned-out merge.
 func TestClusterNeighborSampleAllocsPerRun(t *testing.T) {
 	b, err := dataset.ByName("weather")
 	if err != nil {
@@ -56,6 +56,7 @@ func TestClusterNeighborSampleAllocsPerRun(t *testing.T) {
 	}
 	r := b.Generate(4000, 12)
 	p := partition.Single(r.Cols[0], r.Cards[0])
+	ps := []*partition.Partition{p}
 	ctx, pool := context.Background(), engine.NewPool(1)
 	const runs = 10
 	dsts := make([]*NonFDSet, 2*(runs+1)) // AllocsPerRun calls once more to warm up
@@ -69,7 +70,7 @@ func TestClusterNeighborSampleAllocsPerRun(t *testing.T) {
 	}
 	kernel := func() { sampleClusters(r, p.Clusters, 1, next()) }
 	entry := func() {
-		if _, _, err := ClusterNeighborSample(ctx, pool, r, p, 1, next(), 0); err != nil {
+		if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, next(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

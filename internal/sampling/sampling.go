@@ -10,7 +10,6 @@
 package sampling
 
 import (
-	"context"
 	"math/bits"
 	"slices"
 	"sort"
@@ -120,38 +119,13 @@ func (s *NonFDSet) NonRedundant() {
 	s.seen = nil // no further Adds expected
 }
 
-// negativeCover computes the agree sets of all tuple pairs — the full
-// negative cover FDEP inducts from — serially, checking ctx once per
-// outer row. Quadratic in rows; row-based algorithms accept that by
-// design. NegativeCover runs it whenever the scan does not shard.
-func negativeCover(ctx context.Context, r *relation.Relation) (*NonFDSet, error) {
-	s := NewNonFDSet(r.NumCols())
-	buf := bitset.New(r.NumCols())
-	for i := 0; i < r.NumRows(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		coverRow(r, i, s, buf)
-	}
-	return s, nil
-}
-
-// coverRow adds the agree sets of row i with every later row to dst, in
-// row order — the inner loop of the all-pairs scan, serial or per shard.
-func coverRow(r *relation.Relation, i int, dst *NonFDSet, buf bitset.Set) {
-	n := r.NumRows()
-	for j := i + 1; j < n; j++ {
-		dst.Add(AgreeSet(r, i, j, buf))
-	}
-}
-
 // sampleClusters is the sorted-neighborhood kernel: rows of each cluster
 // are sorted by their full code tuple and each row is compared to its
 // neighbor at the given window distance (>= 1). Agree sets accumulate
-// into dst; the number of *new* non-FDs and the number of comparisons are
-// returned. ClusterNeighborSample runs it over a whole partition, and
-// each shard of the sharded pass over its own cluster range.
-func sampleClusters(r *relation.Relation, clusters [][]int32, distance int, dst *NonFDSet) (newNonFDs, comparisons int) {
+// into dst, and the number of comparisons is returned. Each item of
+// ClusterNeighborSample runs it over a whole partition or one cluster
+// range.
+func sampleClusters(r *relation.Relation, clusters [][]int32, distance int, dst *NonFDSet) (comparisons int) {
 	buf := bitset.New(r.NumCols())
 	for _, cluster := range clusters {
 		if len(cluster) <= distance {
@@ -161,12 +135,10 @@ func sampleClusters(r *relation.Relation, clusters [][]int32, distance int, dst 
 		for i := 0; i+distance < len(sorted); i++ {
 			comparisons++
 			a, b := int(sorted[i]), int(sorted[i+distance])
-			if dst.Add(AgreeSet(r, a, b, buf)) {
-				newNonFDs++
-			}
+			dst.Add(AgreeSet(r, a, b, buf))
 		}
 	}
-	return newNonFDs, comparisons
+	return comparisons
 }
 
 // sortedCluster returns the cluster rows ordered by their code tuples so

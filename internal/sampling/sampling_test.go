@@ -69,7 +69,7 @@ func TestNegativeCover(t *testing.T) {
 		{"1", "y", "red"},
 		{"2", "y", "red"},
 	})
-	s, err := negativeCover(context.Background(), r)
+	s, err := NegativeCover(context.Background(), engine.NewPool(1), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestClusterNeighborSample(t *testing.T) {
 	p := partition.Single(r.Cols[0], r.Cards[0])
 	ctx, pool := context.Background(), engine.NewPool(1)
 	s := NewNonFDSet(3)
-	newN, comps, err := ClusterNeighborSample(ctx, pool, r, p, 1, s, 0)
+	newN, comps, err := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 1, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestClusterNeighborSample(t *testing.T) {
 	}
 	// Window distance larger than cluster yields nothing.
 	s2 := NewNonFDSet(3)
-	if n, _, _ := ClusterNeighborSample(ctx, pool, r, p, 5, s2, 0); n != 0 {
+	if n, _, _ := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 5, s2, 0); n != 0 {
 		t.Errorf("oversized window sampled %d", n)
 	}
 }
@@ -265,13 +265,14 @@ func TestInitialSampleCoversAllColumns(t *testing.T) {
 		{"2", "y"},
 	})
 	// The initial sample the hybrid algorithms take: one distance-1 pass
-	// over the single-attribute partition of every column.
+	// over the single-attribute partitions of all columns.
 	s := NewNonFDSet(r.NumCols())
-	for c := 0; c < r.NumCols(); c++ {
-		p := partition.Single(r.Cols[c], r.Cards[c])
-		if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, p, 1, s, 0); err != nil {
-			t.Fatal(err)
-		}
+	singles := make([]*partition.Partition, r.NumCols())
+	for c := range singles {
+		singles[c] = partition.Single(r.Cols[c], r.Cards[c])
+	}
+	if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, singles, 1, s, 0); err != nil {
+		t.Fatal(err)
 	}
 	if s.Len() == 0 {
 		t.Fatal("initial sample found nothing")

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -10,157 +11,192 @@ import (
 	"repro/internal/relation"
 )
 
-// This file holds the entry points of the agree-set extraction passes.
-// Each decides from the pool width whether to shard: on one worker it
-// runs the serial kernel, on more it shards. Phase 1 collects per-shard
-// agree sets into shard-local NonFDSets on pool workers — local dedup
-// bounds each shard's memory by its distinct sets — and phase 2
-// reconciles them sequentially in shard order into the shared set.
-// Because NonFDSet.Add keeps first occurrences in insertion order and
-// shard s's comparisons precede shard s+1's in the serial scan order,
-// the merged set's contents AND insertion order are identical to the
-// serial pass — so induction order downstream, and therefore the
-// discovered cover, cannot depend on the worker count or shard size.
+// This file holds the entry points of the agree-set passes. Each cuts
+// its work into items listed in serial order — cluster ranges of the
+// sampled partitions, or blocks of outer rows of the pair scan — that
+// collect runs. NonFDSet.Add keeps first occurrences in insertion order,
+// so merging item-local sets in item order reproduces the serial set and
+// its order, and the induced cover cannot depend on the width or the cut.
 
-// ClusterNeighborSample samples agree sets from each cluster of p using
-// the sorted-neighborhood method: rows of a cluster are sorted by their
-// full code tuple and each row is compared to its neighbor at the given
-// window distance (distance 1 compares adjacent rows). Results accumulate
-// into dst; the number of *new* non-FDs and the number of comparisons are
-// returned, identical at every worker count and shard size.
+// pairBlocksPerWorker is how many pair-scan blocks each worker of a
+// multi-worker pool gets, so workers stay busy when blocks of equal pair
+// count take unequal time.
+const pairBlocksPerWorker = 4
+
+// ClusterNeighborSample samples agree sets from each cluster of the
+// partitions ps, in order, using the sorted-neighborhood method: rows of
+// a cluster are sorted by their full code tuple and each row is compared
+// to its neighbor at the given window distance (distance 1 compares
+// adjacent rows). Results accumulate into dst; the number of *new*
+// non-FDs and the number of comparisons are returned, identical at every
+// worker count and shard size.
 //
-// On a pool of more than one worker the clusters split into ~shardSize-row
-// contiguous ranges (partition.ShardClusters) that sample concurrently,
-// then merge, with one sampling.shardmerge hit per shard folded. A
-// one-worker pool, or a partition within one range, runs the serial
-// kernel, and a one-worker pool cuts no ranges at all. Either way the
-// pass fires sampling.run once per call.
-func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, p *partition.Partition, distance int, dst *NonFDSet, shardSize int) (newNonFDs, comparisons int, err error) {
-	if pool.Workers() > 1 {
-		if cuts := partition.ShardClusters(p.Clusters, shardSize); len(cuts) > 2 {
-			return sampleSharded(ctx, pool, r, p, cuts, distance, dst)
-		}
-	}
+// On a pool of more than one worker each partition's clusters split into
+// ~shardSize-row contiguous ranges (partition.ShardClusters), and the
+// ranges of all partitions are the items that fan out; a one-worker pool
+// cuts no ranges and samples each partition whole. Either way the pass
+// fires sampling.run once per call, on the calling goroutine.
+func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, ps []*partition.Partition, distance int, dst *NonFDSet, shardSize int) (newNonFDs, comparisons int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
 	faults.Check(faults.SamplingRun)
-	newNonFDs, comparisons = sampleClusters(r, p.Clusters, max(distance, 1), dst)
-	return newNonFDs, comparisons, nil
-}
-
-// sampleSharded is ClusterNeighborSample's sharded path over the
-// cluster ranges cuts.
-func sampleSharded(ctx context.Context, pool *engine.Pool, r *relation.Relation, p *partition.Partition, cuts []int, distance int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
-	faults.Check(faults.SamplingRun)
-	distance = max(distance, 1)
-	nshards := len(cuts) - 1
-
-	// Phase 1: sample each cluster range into a shard-local set.
-	// Re-running an item is safe: the kernel rebuilds the shard's local
-	// set from the immutable partition and relation.
-	locals := make([]*NonFDSet, nshards)
-	comps := make([]int, nshards)
-	err = pool.Run(ctx, nshards, func(_, s int) {
-		sampleShard(r, p, cuts, distance, s, locals, comps)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-
-	// Phase 2: fold the shard-local sets into dst in shard order. The
-	// merge runs as one pool item so an injected sampling.shardmerge
-	// fault recovers into a typed *engine.PanicError instead of escaping
-	// as a raw panic; Add is idempotent, so the merge is safe to re-enter
-	// after a transient failure.
-	rows := int64(0)
-	err = pool.Run(ctx, 1, func(_, _ int) {
-		for s, local := range locals {
-			faults.Check(faults.SamplingShardMerge)
-			for _, x := range local.Sets() {
-				if dst.Add(x) {
-					newNonFDs++
-				}
+	s := sample{r: r, ps: ps, distance: max(distance, 1)}
+	n := len(ps)
+	if pool.Workers() > 1 {
+		for _, p := range ps {
+			cuts := partition.ShardClusters(p.Clusters, shardSize)
+			for k := 1; k < len(cuts); k++ {
+				s.ranges = append(s.ranges, p.Clusters[cuts[k-1]:cuts[k]])
 			}
-			comparisons += comps[s]
-			rows += int64(local.Len())
 		}
-	})
-	if err != nil {
-		return 0, 0, err
+		n = len(s.ranges)
 	}
-	pool.CountShards(int64(nshards), rows)
-	return newNonFDs, comparisons, nil
+	return collect(ctx, pool, n, s, sampleItem, dst)
 }
 
 // NegativeCover computes the agree sets of all tuple pairs — the full
-// negative cover FDEP and FastFDs derive their covers from — honouring
-// ctx. On a pool of more than one worker the quadratic all-pairs scan
-// shards by contiguous ~shardSize-row outer-row ranges, each collecting
-// its agree sets locally, then merges in range order with one
-// sampling.shardmerge hit per shard folded; a one-worker pool, or a
-// relation within one range, runs the serial scan. The resulting set and
-// its insertion order are identical either way.
-func NegativeCover(ctx context.Context, pool *engine.Pool, r *relation.Relation, shardSize int) (*NonFDSet, error) {
-	if shardSize <= 0 {
-		shardSize = partition.DefaultShardSize
+// negative cover FDEP and FastFDs derive their covers from — polling ctx
+// once per outer row. On a pool of more than one worker the outer rows
+// split into pairBlocksPerWorker contiguous blocks per worker of about
+// equal pair count (pairBlockStart), which are the items that fan out; a
+// one-worker pool scans all rows as one block. The resulting set and its
+// insertion order are identical at every width.
+func NegativeCover(ctx context.Context, pool *engine.Pool, r *relation.Relation) (*NonFDSet, error) {
+	blocks := 1
+	if w := pool.Workers(); w > 1 {
+		blocks = pairBlocksPerWorker * w
 	}
-	nshards := (r.NumRows() + shardSize - 1) / shardSize
-	if pool.Workers() == 1 || nshards <= 1 {
-		return negativeCover(ctx, r)
-	}
-
-	locals := make([]*NonFDSet, nshards)
-	err := pool.Run(ctx, nshards, func(_, s int) {
-		coverShard(r, shardSize, s, locals)
-	})
-	if err != nil {
+	dst := NewNonFDSet(r.NumCols())
+	if _, _, err := collect(ctx, pool, blocks, pairScan{r: r, blocks: blocks}, coverBlock, dst); err != nil {
 		return nil, err
 	}
+	return dst, nil
+}
 
-	out := NewNonFDSet(r.NumCols())
-	rows := int64(0)
+// collect runs the n items of one pass, item(ctx, s, i, set) adding the
+// agree sets of item i to set and returning its comparisons, and leaves
+// their agree sets in dst in item order; it returns how many were new to
+// dst and the comparisons. On a one-worker pool, or for one item, the
+// items add straight into dst. Otherwise each collects into an item-local
+// set on a pool worker, and the locals merge into dst in item order as
+// one pool item hitting sampling.shardmerge once per local, so a fault
+// surfaces typed (Add is idempotent, so a retried merge is safe); the
+// pool counts items as shards and merged local sets as rows. ctx is
+// polled between items, and a cancelled pass returns its error. s travels
+// beside item rather than inside a closure so that a one-worker pass
+// allocates nothing its items do not.
+func collect[S any](ctx context.Context, pool *engine.Pool, n int, s S, item func(context.Context, S, int, *NonFDSet) int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
+	before := dst.Len()
+	if pool.Workers() == 1 || n <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			comparisons += item(ctx, s, i, dst)
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
+		return dst.Len() - before, comparisons, nil
+	}
+
+	locals := make([]*NonFDSet, n)
+	comps := make([]int, n)
+	err = pool.Run(ctx, n, func(_, i int) {
+		collectItem(ctx, s, item, i, dst.n, locals, comps)
+	})
+	if err != nil {
+		return 0, 0, err
+	}
 	err = pool.Run(ctx, 1, func(_, _ int) {
 		for _, local := range locals {
 			faults.Check(faults.SamplingShardMerge)
 			for _, x := range local.Sets() {
-				out.Add(x)
+				dst.Add(x)
 			}
-			rows += int64(local.Len())
 		}
 	})
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	pool.CountShards(int64(nshards), rows)
-	return out, nil
+	rows := int64(0)
+	for i, local := range locals {
+		comparisons += comps[i]
+		rows += int64(local.Len())
+	}
+	pool.CountShards(int64(n), rows)
+	return dst.Len() - before, comparisons, nil
 }
 
-// sampleShard is the phase-1 kernel of the sharded sample: shard s's
-// cluster range samples into a fresh shard-local set, and the only
-// writes that leave the kernel land in its disjoint locals[s] / comps[s]
-// slots — which is what makes re-running the item after a transient
-// failure safe.
+// collectItem is collect's phase-1 kernel: item i collects into a fresh
+// set, and its only writes land in its disjoint locals[i] / comps[i]
+// slots, which makes re-running it after a transient failure safe.
 //
 //fd:shardkernel
-func sampleShard(r *relation.Relation, p *partition.Partition, cuts []int, distance, s int, locals []*NonFDSet, comps []int) {
-	local := NewNonFDSet(r.NumCols())
-	_, n := sampleClusters(r, p.Clusters[cuts[s]:cuts[s+1]], distance, local)
-	locals[s], comps[s] = local, n
+func collectItem[S any](ctx context.Context, s S, item func(context.Context, S, int, *NonFDSet) int, i, ncols int, locals []*NonFDSet, comps []int) {
+	local := NewNonFDSet(ncols)
+	comps[i] = item(ctx, s, i, local)
+	locals[i] = local
 }
 
-// coverShard is the phase-1 kernel of the sharded negative cover: outer
-// rows [s*shardSize, hi) scan against all later rows into a fresh local
-// set, written only to the shard's disjoint locals[s] slot.
+// sample is the item list of one ClusterNeighborSample call: the
+// partitions whole, or their cluster ranges when ranges is set.
+type sample struct {
+	r        *relation.Relation
+	ps       []*partition.Partition
+	ranges   [][][]int32
+	distance int
+}
+
+// sampleItem samples item i of s into dst and returns its comparisons.
 //
 //fd:shardkernel
-func coverShard(r *relation.Relation, shardSize, s int, locals []*NonFDSet) {
-	local := NewNonFDSet(r.NumCols())
-	buf := bitset.New(r.NumCols())
-	lo := s * shardSize
-	hi := min(lo+shardSize, r.NumRows())
-	for i := lo; i < hi; i++ {
-		coverRow(r, i, local, buf)
+func sampleItem(_ context.Context, s sample, i int, dst *NonFDSet) int {
+	if s.ranges != nil {
+		return sampleClusters(s.r, s.ranges[i], s.distance, dst)
 	}
-	locals[s] = local
+	return sampleClusters(s.r, s.ps[i].Clusters, s.distance, dst)
+}
+
+// pairScan is the item list of one NegativeCover call: blocks contiguous
+// blocks of outer rows.
+type pairScan struct {
+	r      *relation.Relation
+	blocks int
+}
+
+// coverBlock adds the agree sets of each outer row i of block b with
+// every later row to dst, in row order, and returns the pairs compared.
+// It polls ctx once per outer row and stops once ctx is cancelled; collect
+// then returns the error, so the partial set is never used.
+//
+//fd:shardkernel
+func coverBlock(ctx context.Context, s pairScan, b int, dst *NonFDSet) int {
+	n := s.r.NumRows()
+	buf := bitset.New(s.r.NumCols())
+	pairs := 0
+	for i, hi := pairBlockStart(n, s.blocks, b), pairBlockStart(n, s.blocks, b+1); i < hi; i++ {
+		if ctx.Err() != nil {
+			return pairs
+		}
+		for j := i + 1; j < n; j++ {
+			dst.Add(AgreeSet(s.r, i, j, buf))
+		}
+		pairs += n - i - 1
+	}
+	return pairs
+}
+
+// pairBlockStart returns the first outer row of block b when the n rows
+// of an all-pairs scan split into contiguous blocks of about equal pair
+// count. Row i pairs with the n−i−1 rows after it, so the rows before i
+// hold P(i) = i·n − i(i+1)/2 pairs; block b starts at the smallest i with
+// P(i) ≥ b/blocks of all pairs, and the end (b = blocks) is n. Each
+// block's pair count is thus within n−1 of the mean.
+func pairBlockStart(n, blocks, b int) int {
+	if b >= blocks {
+		return n
+	}
+	total := n * (n - 1) / 2
+	return sort.Search(n, func(i int) bool {
+		return (i*n-i*(i+1)/2)*blocks >= b*total
+	})
 }

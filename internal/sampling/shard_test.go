@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,56 +14,58 @@ import (
 )
 
 // assertSameNonFDs compares two NonFDSets on contents AND insertion
-// order — the sharded merges promise both, because induction order
+// order — the fanned-out merges promise both, because induction order
 // downstream depends on the order sets were first seen.
-func assertSameNonFDs(t *testing.T, name string, shardSize int, want, got *NonFDSet) {
+func assertSameNonFDs(t *testing.T, cell string, want, got *NonFDSet) {
 	t.Helper()
 	if want.Len() != got.Len() {
-		t.Fatalf("%s shard=%d: Len = %d, want %d", name, shardSize, got.Len(), want.Len())
+		t.Fatalf("%s: Len = %d, want %d", cell, got.Len(), want.Len())
 	}
 	ws, gs := want.Sets(), got.Sets()
 	for i := range ws {
 		if !ws[i].Equal(gs[i]) {
-			t.Fatalf("%s shard=%d: set %d = %v, want %v", name, shardSize, i, gs[i], ws[i])
+			t.Fatalf("%s: set %d = %v, want %v", cell, i, gs[i], ws[i])
 		}
 	}
 }
 
 // TestClusterNeighborSampleShardedMatches pins serial as the one-worker
-// case for the sampler: ClusterNeighborSample takes the initial sample of
-// every benchmark relation (its first eight columns, one distance-1 pass
-// per column into one set) at workers {1, 2, 4} × shard sizes spanning
-// degenerate (1 row per shard), prime-unaligned (7), typical (64) and
-// past the whole relation (nrows+13), and the merged set, its insertion
-// order and the newNonFDs/comparisons counters must equal sampleClusters'
-// exactly.
+// case for the sampler: one ClusterNeighborSample call takes the initial
+// sample of every benchmark relation (its first eight columns, one
+// distance-1 pass over all of them into one set) at workers {1, 2, 4} ×
+// shard sizes spanning degenerate (1 row per range), prime-unaligned (7),
+// typical (64) and past the whole relation (nrows+13), and the set, its
+// insertion order and the newNonFDs/comparisons counters must equal those
+// of serial calls, one per partition, on a one-worker pool.
 func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 	ctx := context.Background()
+	serial := engine.NewPool(1)
 	for _, b := range dataset.All() {
 		r := b.Generate(521, 8)
 		singles := make([]*partition.Partition, r.NumCols())
 		wantDst := NewNonFDSet(r.NumCols())
-		wantNew := make([]int, r.NumCols())
-		wantComps := make([]int, r.NumCols())
+		wantComps := 0
 		for c := range singles {
 			singles[c] = partition.Single(r.Cols[c], r.Cards[c])
-			wantNew[c], wantComps[c] = sampleClusters(r, singles[c].Clusters, 1, wantDst)
+			_, comps, err := ClusterNeighborSample(ctx, serial, r, singles[c:c+1], 1, wantDst, 0)
+			if err != nil {
+				t.Fatalf("%s col %d: %v", b.Name, c, err)
+			}
+			wantComps += comps
 		}
 		for _, workers := range []int{1, 2, 4} {
 			pool := engine.NewPool(workers)
 			for _, shardSize := range []int{1, 7, 64, r.NumRows() + 13} {
+				cell := fmt.Sprintf("%s workers=%d shard=%d", b.Name, workers, shardSize)
 				dst := NewNonFDSet(r.NumCols())
-				for c, p := range singles {
-					gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, shardSize)
-					if err != nil {
-						t.Fatalf("%s col %d shard=%d workers=%d: %v", b.Name, c, shardSize, workers, err)
-					}
-					if gotNew != wantNew[c] || gotComps != wantComps[c] {
-						t.Fatalf("%s col %d shard=%d workers=%d: new/comps = %d/%d, want %d/%d",
-							b.Name, c, shardSize, workers, gotNew, gotComps, wantNew[c], wantComps[c])
-					}
+				gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, singles, 1, dst, shardSize)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
 				}
-				assertSameNonFDs(t, b.Name, shardSize, wantDst, dst)
+				if gotNew != wantDst.Len() || gotComps != wantComps {
+					t.Fatalf("%s: new/comps = %d/%d, want %d/%d", cell, gotNew, gotComps, wantDst.Len(), wantComps)
+				}
+				assertSameNonFDs(t, cell, wantDst, dst)
 			}
 		}
 	}
@@ -70,27 +73,59 @@ func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 
 // TestNegativeCoverShardedMatches is the same matrix for the all-pairs
 // scan: on a random 120×4 relation NegativeCover's set contents and
-// insertion order equal negativeCover's at every (workers, shard size).
+// insertion order equal a plain double loop over all pairs at pool
+// widths {1, 2, 3, 4, 7}, each of which cuts the rows into a different
+// number of pair blocks.
 func TestNegativeCoverShardedMatches(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(9)), 120, 4, 3)
-	want, err := negativeCover(ctx, r)
-	if err != nil {
-		t.Fatal(err)
+	want := NewNonFDSet(r.NumCols())
+	for i := 0; i < r.NumRows(); i++ {
+		for j := i + 1; j < r.NumRows(); j++ {
+			want.Add(AgreeSet(r, i, j, nil))
+		}
 	}
-	for _, workers := range []int{1, 2, 4} {
-		pool := engine.NewPool(workers)
-		for _, shardSize := range []int{1, 7, 64, r.NumRows() + 13} {
-			got, err := NegativeCover(ctx, pool, r, shardSize)
-			if err != nil {
-				t.Fatalf("negcover shard=%d workers=%d: %v", shardSize, workers, err)
+	for _, workers := range []int{1, 2, 3, 4, 7} {
+		got, err := NegativeCover(ctx, engine.NewPool(workers), r)
+		if err != nil {
+			t.Fatalf("negcover workers=%d: %v", workers, err)
+		}
+		assertSameNonFDs(t, fmt.Sprintf("negcover workers=%d", workers), want, got)
+	}
+}
+
+// TestPairBlockStart pins the pair scan's block cut: blocks are
+// contiguous, cover [0, n), and each holds within n−1 of the mean pair
+// count — also with more blocks than rows and for n ∈ {0, 1, 2}.
+func TestPairBlockStart(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 5, 17, 120, 1001} {
+		for _, blocks := range []int{1, 2, 3, 4, 8, 28, n + 5} {
+			total := n * (n - 1) / 2
+			if got := pairBlockStart(n, blocks, 0); got != 0 {
+				t.Fatalf("n=%d blocks=%d: block 0 starts at %d", n, blocks, got)
 			}
-			assertSameNonFDs(t, "negcover", shardSize, want, got)
+			if got := pairBlockStart(n, blocks, blocks); got != n {
+				t.Fatalf("n=%d blocks=%d: end = %d, want %d", n, blocks, got, n)
+			}
+			for b := 0; b < blocks; b++ {
+				lo, hi := pairBlockStart(n, blocks, b), pairBlockStart(n, blocks, b+1)
+				if lo > hi {
+					t.Fatalf("n=%d blocks=%d: block %d = [%d, %d)", n, blocks, b, lo, hi)
+				}
+				pairs := 0
+				for i := lo; i < hi; i++ {
+					pairs += n - i - 1
+				}
+				// |pairs − total/blocks| ≤ n−1, scaled by blocks.
+				if dev := pairs*blocks - total; dev > max(n-1, 0)*blocks || -dev > max(n-1, 0)*blocks {
+					t.Errorf("n=%d blocks=%d: block %d holds %d pairs, mean %.1f", n, blocks, b, pairs, float64(total)/float64(blocks))
+				}
+			}
 		}
 	}
 }
 
-// TestClusterNeighborSampleShardedPrefilled: the sharded merge into a
+// TestClusterNeighborSampleShardedPrefilled: the fanned-out merge into a
 // dst that already holds sets must count only the genuinely new ones,
 // exactly like the serial kernel against the same prefilled dst.
 func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
@@ -106,35 +141,36 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	for _, x := range seed.Sets() {
 		want.Add(x)
 	}
-	wantNew, wantComps := sampleClusters(r, p.Clusters, 2, want)
+	wantComps := sampleClusters(r, p.Clusters, 2, want)
+	wantNew := want.Len() - seed.Len()
 
 	got := NewNonFDSet(r.NumCols())
 	for _, x := range seed.Sets() {
 		got.Add(x)
 	}
-	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, p, 2, got, 16)
+	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 2, got, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotNew != wantNew || gotComps != wantComps {
 		t.Fatalf("new/comps = %d/%d, want %d/%d", gotNew, gotComps, wantNew, wantComps)
 	}
-	assertSameNonFDs(t, "prefilled", 16, want, got)
+	assertSameNonFDs(t, "prefilled shard=16", want, got)
 }
 
 // TestSamplingShardMergeFault pins the sampling.shardmerge site: an
 // armed error plan firing during reconciliation surfaces as an
-// injection-marked error from the sharded pass, and the one-worker pass
-// never hits the site.
+// injection-marked error from the fanned-out pass, and the one-worker
+// pass never hits the site.
 func TestSamplingShardMergeFault(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(5)), 300, 4, 2)
-	p := partition.Single(r.Cols[0], r.Cards[0])
+	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0])}
 	pool := engine.NewPool(2)
 
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic, N: 2})()
 	dst := NewNonFDSet(r.NumCols())
-	_, _, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, 8)
+	_, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst, 8)
 	if err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -144,28 +180,38 @@ func TestSamplingShardMergeFault(t *testing.T) {
 
 	// The serial pass never touches the site: an armed plan stays armed.
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic})()
-	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, p, 1, NewNonFDSet(r.NumCols()), 8); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, ps, 1, NewNonFDSet(r.NumCols()), 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NegativeCover(ctx, engine.NewPool(1), r); err != nil {
 		t.Fatal(err)
 	}
 	if !faults.Armed(faults.SamplingShardMerge) {
-		t.Fatal("serial sample hit the shard-merge site")
+		t.Fatal("serial pass hit the shard-merge site")
 	}
 	faults.Disarm(faults.SamplingShardMerge)
 }
 
-// TestSamplingShardStats: a genuinely sharded sample reports shard
-// counts through the pool.
+// TestSamplingShardStats: both passes, fanned out, report their items as
+// shards through the pool.
 func TestSamplingShardStats(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(17)), 400, 4, 2)
-	p := partition.Single(r.Cols[0], r.Cards[0])
+	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0])}
 	pool := engine.NewPool(2)
 	dst := NewNonFDSet(r.NumCols())
-	if _, _, err := ClusterNeighborSample(ctx, pool, r, p, 1, dst, 16); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst, 16); err != nil {
 		t.Fatal(err)
 	}
 	shards, _ := pool.ShardStats()
 	if shards < 2 {
-		t.Fatalf("shards = %d, want >= 2", shards)
+		t.Fatalf("sample shards = %d, want >= 2", shards)
+	}
+	pool = engine.NewPool(2)
+	if _, err := NegativeCover(ctx, pool, r); err != nil {
+		t.Fatal(err)
+	}
+	if shards, _ := pool.ShardStats(); shards != 2*pairBlocksPerWorker {
+		t.Fatalf("pair-scan shards = %d, want %d", shards, 2*pairBlocksPerWorker)
 	}
 }
