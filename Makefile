@@ -70,14 +70,17 @@ chaos:
 
 # The durability acceptance gate: SIGKILL a checkpointing fddiscover
 # mid-run, resume it, and require a cover byte-identical to an
-# uninterrupted run, once for each hybrid driver and once for TANE, so a
-# non-hybrid frontier crosses a real kill too. Exercises the real binary
-# and a real process kill, complementing the in-process resume matrix in
+# uninterrupted run, once for each hybrid driver, once for TANE, so a
+# non-hybrid frontier crosses a real kill too, and once for DFD with a
+# PLI cache, so the resumed run rebuilds the snapshot's cache manifest
+# and continues its walk over it. Exercises the real binary and a real
+# process kill, complementing the in-process resume matrix in
 # internal/integration, which covers all five durable algorithms.
 crash:
 	$(GO) run ./cmd/crashcheck -algo dhyfd
 	$(GO) run ./cmd/crashcheck -algo hyfd
 	$(GO) run ./cmd/crashcheck -algo tane
+	$(GO) run ./cmd/crashcheck -algo dfd -rows 6000 -cols 14 -pli-cache 16777216
 
 # A ~15s native-fuzzing smoke pass over the CSV reader, the discovery
 # pipeline and the snapshot decoder. Longer runs: go test

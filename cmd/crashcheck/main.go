@@ -17,6 +17,10 @@
 //  5. re-runs with -resume, requiring exit 0 and stdout byte-identical
 //     to the baseline.
 //
+// -pli-cache BYTES gives all three runs a PLI cache of that bound, so the
+// snapshot carries a cache manifest and the resumed run rebuilds it
+// (runstate.Harness.WarmCache) before it continues.
+//
 // Exit 0 on success; exit 1 with a diagnosis on any divergence.
 package main
 
@@ -40,17 +44,18 @@ func main() {
 	algo := flag.String("algo", "dhyfd", "algorithm to crash and resume")
 	rows := flag.Int("rows", 15000, "rows of the generated relation")
 	cols := flag.Int("cols", 16, "columns of the generated relation")
+	pliCache := flag.Int64("pli-cache", 0, "PLI cache bound in bytes, passed to all three runs (0 = no cache)")
 	keep := flag.Bool("keep", false, "keep the scratch directory for inspection")
 	flag.Parse()
 
-	if err := run(*algo, *rows, *cols, *keep); err != nil {
+	if err := run(*algo, *rows, *cols, *pliCache, *keep); err != nil {
 		fmt.Fprintln(os.Stderr, "crashcheck:", err)
 		os.Exit(1)
 	}
 	fmt.Println("crashcheck: kill -9 mid-run, resume byte-identical — ok")
 }
 
-func run(algo string, rows, cols int, keep bool) error {
+func run(algo string, rows, cols int, pliCache int64, keep bool) error {
 	scratch, err := os.MkdirTemp("", "crashcheck-")
 	if err != nil {
 		return err
@@ -71,7 +76,7 @@ func run(algo string, rows, cols int, keep bool) error {
 		return fmt.Errorf("building fddiscover: %w\n%s", err, out)
 	}
 
-	common := []string{"-algo", algo, "-workers", "4"}
+	common := []string{"-algo", algo, "-workers", "4", "-pli-cache", strconv.FormatInt(pliCache, 10)}
 
 	// Baseline: the uninterrupted cover.
 	baseline, err := exec.Command(bin, append(common, csvPath)...).Output()
@@ -99,8 +104,8 @@ func run(algo string, rows, cols int, keep bool) error {
 			break
 		}
 		select {
-		case werr := <-finished:
-			return fmt.Errorf("run finished (err=%w) before writing a snapshot; the generated relation is too easy — raise -rows/-cols", werr)
+		case <-finished:
+			return fmt.Errorf("run finished (%v) before writing a snapshot; the generated relation is too easy — raise -rows/-cols", cmd.ProcessState)
 		case <-time.After(2 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
@@ -113,8 +118,8 @@ func run(algo string, rows, cols int, keep bool) error {
 	// starting line. The default relation runs ~5s; a second here still
 	// kills well before the finish.
 	select {
-	case werr := <-finished:
-		return fmt.Errorf("run finished (err=%w) before the kill; raise -rows/-cols", werr)
+	case <-finished:
+		return fmt.Errorf("run finished (%v) before the kill; raise -rows/-cols", cmd.ProcessState)
 	case <-time.After(time.Second):
 	}
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {

@@ -24,7 +24,7 @@
 // miss counts show up in the -stats report. -workers N runs each parallel
 // pass over its own items on N workers: validation over a level's
 // FD-nodes, lattice joins over refinement jobs, the PLI bootstrap over
-// columns, sampling over the columns' cluster ranges, the FDEP and
+// columns, the initial sample over the columns' partitions, the FDEP and
 // FastFDs pair scan over blocks of outer rows, and post-run verification
 // over LHS groups; the output is identical at every width. -spill-dir
 // spills cold cache entries to memory-mapped temp files instead of

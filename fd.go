@@ -239,12 +239,13 @@ func WithAlgorithm(a Algorithm) Option {
 // WithWorkers sets the worker-pool width of the run's parallel passes,
 // each of which fans out over its own items: the hybrids' validation
 // over a level's FD-nodes, TANE's level joins and DHyFD's DDM refreshes
-// over refinement jobs, the PLI bootstrap over columns, the hybrids'
-// sampling over the columns' cluster ranges, the FDEP and FastFDs pair
-// scan over blocks of outer rows of about equal pair count, refinement
-// inside one lattice walk (DFD) over cluster ranges, and post-run
-// verification and top-k ranking over LHS groups. The cover is identical
-// at every width; values below 2 keep the serial behaviour.
+// over refinement jobs, the PLI bootstrap (and DFD's cache prewarm) over
+// columns, the hybrids' initial sample over the columns' partitions, the
+// FDEP and FastFDs pair scan over blocks of outer rows of about equal
+// pair count, and post-run verification and top-k ranking over LHS
+// groups. No pass cuts one partition into parts, so DFD's lattice walk
+// and HyFD's progressive sampling rounds run serially. The cover is
+// identical at every width; values below 2 keep the serial behaviour.
 func WithWorkers(n int) Option {
 	return func(c *discoverConfig) { c.workers = n }
 }

@@ -86,13 +86,14 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 	if err := ctx.Err(); err != nil {
 		return h.End(nil, err)
 	}
-	stop := rs.Phase("sample")
+	stop := rs.Phase("singles")
 	singles, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, 0, opts.Cache, opts.Budget)
+	stop()
 	rs.PartitionsBuilt += int64(built)
 	if err != nil {
-		stop()
 		return h.End(nil, err)
 	}
+	stop = rs.Phase("sample")
 	l.m = &ddm{r: r, singles: singles, epoch: 1, budget: opts.Budget, cache: opts.Cache}
 	l.v = validate.New(r)
 	l.v.MaxViolations = opts.MaxViolations
@@ -125,10 +126,7 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 		rs.RowsScanned = lf.RowsScanned
 		rs.PartitionsBuilt = lf.PartitionsBuilt
 		startLevel = int(lf.Level)
-		if err := h.WarmCache(ctx, r); err != nil {
-			stop()
-			return h.End(nil, err)
-		}
+		h.WarmCache(ctx, r)
 		stop()
 	} else {
 		l.tree = fdtree.NewWithFullRHS(n)
@@ -141,7 +139,7 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 		// from approximate validation outcomes.
 		l.nonFDs = sampling.NewNonFDSet(n)
 		if !approx {
-			_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, singles, 1, l.nonFDs, opts.ShardSize)
+			_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, singles, 1, l.nonFDs)
 			if err != nil {
 				stop()
 				return h.End(nil, err)

@@ -30,21 +30,20 @@ import (
 )
 
 // Config tunes DFD; the algorithm has no knobs beyond the shared run
-// options. Each walk materialization runs on the run's pool: above one
-// worker each refinement fans out over the parent's ShardSize-row
-// cluster ranges (byte-identical results, so the walk's decisions match
-// the serial run exactly), at one the serial kernels run. An attached
-// Cache is prewarmed with every single-attribute partition, one column
-// per pool item, and then keeps visited lattice nodes alive so a query
-// refines from X's longest cached prefix instead of restarting from
-// singles. Budget exhaustion abandons the walks of the remaining RHS
-// attributes: each attribute is decided completely or not at all, so the
-// FDs returned are sound. TopK skips a whole RHS walk when no LHS over
-// R∖{A} can beat the threshold — pruning inside a walk would be unsound,
-// since descending toward minimality increases the score. Checkpoints are
-// taken after each fully decided RHS attribute. A Resume reseeds the rng,
-// so walk order may differ, but each attribute's minimal FDs are
-// data-determined and sorted, so the final cover is byte-identical.
+// options. The walk is sequential — each step's next node depends on the
+// last verdict — and refines each node's partition serially, so Workers
+// reaches only the cache prewarm: an attached Cache is prewarmed with
+// every single-attribute partition, one column per pool item, and then
+// keeps visited lattice nodes alive so a query refines from X's longest
+// cached prefix instead of restarting from singles. Budget exhaustion
+// abandons the walks of the remaining RHS attributes: each attribute is
+// decided completely or not at all, so the FDs returned are sound. TopK
+// skips a whole RHS walk when no LHS over R∖{A} can beat the threshold —
+// pruning inside a walk would be unsound, since descending toward
+// minimality increases the score. Checkpoints are taken after each fully
+// decided RHS attribute. A Resume reseeds the rng, so walk order may
+// differ, but each attribute's minimal FDs are data-determined and
+// sorted, so the final cover is byte-identical.
 type Config = runstate.Options
 
 // Run returns the left-reduced cover (singleton RHSs) of the FDs holding on
@@ -58,17 +57,15 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 	n := r.NumCols()
 	var out []dep.FD
 	d := &dfd{
-		r:         r,
-		n:         n,
-		errs:      map[string]int{},
-		sizes:     map[string]int{},
-		rng:       rand.New(rand.NewSource(0x0dfd)),
-		budget:    cfg.Budget,
-		cache:     cfg.Cache,
-		maxViol:   cfg.MaxViolations,
-		pool:      h.Pool,
-		pctx:      context.WithoutCancel(ctx),
-		shardSize: cfg.ShardSize,
+		r:       r,
+		n:       n,
+		errs:    map[string]int{},
+		sizes:   map[string]int{},
+		rng:     rand.New(rand.NewSource(0x0dfd)),
+		budget:  cfg.Budget,
+		cache:   cfg.Cache,
+		maxViol: cfg.MaxViolations,
+		pctx:    context.WithoutCancel(ctx),
 	}
 	if cfg.MaxViolations > 0 {
 		d.g3c = partition.NewG3Counter(0)
@@ -83,9 +80,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
 		valBase, builtBase = f.Validations, f.PartitionsBuilt
-		if err := h.WarmCache(ctx, r); err != nil {
-			return h.End(nil, err)
-		}
+		h.WarmCache(ctx, r)
 	}
 	// tick snapshots the walk cursor: attributes below next are fully
 	// decided, their minimal FDs are in out, and everything else is
@@ -117,7 +112,9 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		// prefix start instead of rebuilding singles mid-walk. The cache
 		// owns the bytes (and charges its own budget); no transient
 		// materialization charge.
+		stop := rs.Phase("singles")
 		_, built, err := partition.Singles(ctx, h.Pool, r.Cols, r.Cards, 0, cfg.Cache, nil)
+		stop()
 		prewarmBuilt = int64(built)
 		if err != nil {
 			return finish(nil, err)
@@ -202,13 +199,9 @@ type dfd struct {
 	cache   *partition.Cache
 	maxViol int
 	g3c     *partition.G3Counter
-	// pool is the run's pool every materialization runs on, sharded when
-	// it is wider than one worker. It runs under a non-cancellable
-	// context — cancellation is observed at the walk boundaries — so pool
-	// failures are genuine panics, re-raised into Run's recovery.
-	pool      *engine.Pool
-	pctx      context.Context
-	shardSize int
+	// pctx is the run's context without its cancellation, which the walk
+	// observes at its own boundaries, so a materialization never fails.
+	pctx context.Context
 }
 
 // errorOf returns e(X) = ‖π_X‖ − |π_X|, cached. Each miss materializes a
@@ -239,15 +232,9 @@ func (d *dfd) sizeOf(x bitset.Set) int {
 
 // materialize builds π_X, charges it against the budget (returning the
 // bytes immediately — only the measures are kept here) and records both
-// measures under k. The build runs on the run's pool, sharded when it
-// is wider than one worker and byte-identical to the serial kernels
-// either way; a pool failure re-raises into Run's recovery (the pool
-// context cannot be cancelled, so the failure is a genuine worker panic).
+// measures under k.
 func (d *dfd) materialize(k string, x bitset.Set) *partition.Partition {
-	p, _, err := partition.ForAttrsCached(d.pctx, d.pool, d.cache, x, d.r.Cols, d.r.Cards, d.shardSize)
-	if err != nil {
-		panic(err)
-	}
+	p, _, _ := partition.ForAttrsCached(d.pctx, d.cache, x, d.r.Cols, d.r.Cards)
 	d.budget.Charge(p)
 	d.budget.Release(p)
 	d.errs[k] = p.Error()

@@ -108,10 +108,9 @@ type Pool struct {
 	attempts atomic.Int64
 	retries  atomic.Int64
 
-	// shards counts shard tasks the sharded partition and sampling
-	// kernels dispatched on this pool; shardRows counts the rows those
-	// shards scattered into merged backings. Both stay zero while no
-	// sharded kernel runs on the pool.
+	// shards and shardRows accumulate CountShards: items of merged
+	// fan-outs and the entries they carried into the merges. Both stay
+	// zero while no fan-out merges on the pool.
 	shards    atomic.Int64
 	shardRows atomic.Int64
 }
@@ -159,23 +158,25 @@ func (p *Pool) FoldRetryStats(rs *RunStats) {
 	}
 }
 
-// CountShards records one sharded-kernel invocation on the pool: shards
-// shard tasks dispatched, scattering rows rows into a merged backing.
-// The sharded partition and sampling kernels call it once per build.
+// CountShards records one merged fan-out on the pool: shards items that
+// collected into item-local results, merging rows entries into the
+// shared result. The agree-set passes of package sampling call it once
+// per fanned-out pass, with one item per sampled partition or pair-scan
+// row block and the item-local agree sets as rows.
 func (p *Pool) CountShards(shards, rows int64) {
 	p.shards.Add(shards)
 	p.shardRows.Add(rows)
 }
 
-// ShardStats reports the accumulated sharded-kernel counters: shard
-// tasks dispatched and rows scattered through shard merges.
+// ShardStats reports the accumulated CountShards counters: items merged
+// and the entries they carried into the merges.
 func (p *Pool) ShardStats() (shards, rows int64) {
 	return p.shards.Load(), p.shardRows.Load()
 }
 
-// FoldShardStats folds the pool's sharded-kernel counters into the run
-// report's ShardsBuilt / RowsScattered fields. A pool that ran no
-// sharded kernel contributes nothing.
+// FoldShardStats folds the pool's CountShards counters into the run
+// report's ShardsBuilt / RowsScattered fields. A pool that merged no
+// fan-out contributes nothing.
 func (p *Pool) FoldShardStats(rs *RunStats) {
 	shards, rows := p.ShardStats()
 	rs.ShardsBuilt += shards
@@ -342,18 +343,6 @@ func sleepBackoff(ctx context.Context, rp RetryPolicy, r int) bool {
 	}
 }
 
-// Map runs fn over items on up to workers goroutines and collects the
-// results in input order. On cancellation or panic the partial results
-// are returned alongside the error; entries for unprocessed items are the
-// zero value of R.
-func Map[T, R any](ctx context.Context, workers int, items []T, fn func(worker int, item T) R) ([]R, error) {
-	out := make([]R, len(items))
-	err := NewPool(workers).Run(ctx, len(items), func(w, i int) {
-		out[i] = fn(w, items[i])
-	})
-	return out, err
-}
-
 // PhaseStat is the accumulated wall time of one named algorithm phase.
 type PhaseStat struct {
 	Name     string
@@ -396,10 +385,12 @@ type RunStats struct {
 	// Counters holds algorithm-specific extras ("ddm_refreshes",
 	// "sampling_rounds", ...). Nil until the first Count call.
 	Counters map[string]int64
-	// ShardsBuilt counts shard tasks the sharded partition and sampling
-	// kernels dispatched; RowsScattered counts the rows those shards
-	// scattered through prefix-offset merges into shared backings. Both
-	// stay zero on fully serial runs.
+	// ShardsBuilt counts the items of the agree-set fan-outs — one per
+	// partition a sampling pass samples, one per row block of the pair
+	// scan — that collected into item-local sets and merged in item
+	// order; RowsScattered counts the agree sets those local sets carried
+	// into the merges. Both stay zero on one-worker runs, whose items add
+	// straight into the shared set.
 	ShardsBuilt   int64
 	RowsScattered int64
 	// ColumnsPaged counts encoded columns served from the relation's

@@ -87,22 +87,6 @@ func TestPoolRunRecoversPanic(t *testing.T) {
 	}
 }
 
-func TestMapKeepsOrder(t *testing.T) {
-	in := make([]int, 257)
-	for i := range in {
-		in[i] = i
-	}
-	out, err := Map(context.Background(), 8, in, func(w, x int) int { return x * x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestRunStatsPhases(t *testing.T) {
 	rs := NewRunStats("test", 0)
 	if rs.Workers != 1 {

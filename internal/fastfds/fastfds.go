@@ -34,8 +34,8 @@ import (
 // are identical), and Checkpoint snapshots the difference sets and the
 // per-RHS cover cursor after the negative cover and after each fully
 // enumerated attribute, so a killed run resumes without redoing the
-// O(r²) pair scan. FastFDs holds no partitions: ShardSize, Cache, Budget,
-// TopK and MaxViolations are ignored.
+// O(r²) pair scan. FastFDs holds no partitions: Cache, Budget, TopK and
+// MaxViolations are ignored.
 type Config = runstate.Options
 
 // Run returns the left-reduced cover (singleton RHSs) of the FDs holding on

@@ -1,7 +1,7 @@
 // Package faults is a deterministic fault-injection registry for the
 // discovery runtime's chaos tests.
 //
-// Hot paths declare named sites (partition construction, sharded merges,
+// Hot paths declare named sites (partition construction, sampling merges,
 // DDM refreshes, pool workers, sampling runs) and call Hit or Check at the
 // site. Tests arm a site with a Plan — panic, error, or delay on the Nth
 // hit — and the runtime's recovery layers must turn the injection into a
@@ -35,12 +35,6 @@ const (
 	// column) and ForAttrsCached's start partition — the constructor
 	// every algorithm's setup runs per column.
 	PartitionBuild Site = "partition.build"
-	// PartitionRefineShard fires once per shard inside the stitch step of
-	// the sharded refinement, which partition.ForAttrsCached runs on a
-	// pool of more than one worker: the scatter that lays per-shard
-	// sub-clusters into the shared compact backing. One-worker runs never
-	// reach it.
-	PartitionRefineShard Site = "partition.refineshard"
 	// DDMRefresh fires at the start of a DHyFD dynamic-data-manager
 	// refresh (Algorithm 3).
 	DDMRefresh Site = "ddm.refresh"
@@ -51,9 +45,10 @@ const (
 	// columns, once per HyFD progressive round.
 	SamplingRun Site = "sampling.run"
 	// SamplingShardMerge fires once per item while the agree-set passes
-	// (sampling.ClusterNeighborSample, sampling.NegativeCover) merge their
-	// item-local sets into the shared non-FD set, in item order, on a pool
-	// of more than one worker; a single-item pass never reaches it.
+	// merge their item-local sets into the shared non-FD set, in item
+	// order, on a pool of more than one worker: once per sampled partition
+	// of sampling.ClusterNeighborSample, once per row block of
+	// sampling.NegativeCover. A single-item pass never reaches it.
 	SamplingShardMerge Site = "sampling.shardmerge"
 	// RankingRun fires once per LHS group inside the redundancy-ranking
 	// kernels (ranking.RankCtx / TotalsCtx), usually on a pool worker.
@@ -67,7 +62,7 @@ const (
 // Sites lists the runtime's instrumented sites in a stable order, the set
 // the chaos suite iterates.
 func Sites() []Site {
-	return []Site{PartitionBuild, PartitionRefineShard, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune}
+	return []Site{PartitionBuild, DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune}
 }
 
 // Kind selects what an armed plan injects.
@@ -135,18 +130,17 @@ func (c Class) String() string {
 // DefaultClass is the per-site failure taxonomy: what a failure at the
 // site means when the plan does not override it.
 //
-// partition.build and partition.refineshard are fatal — Single and the
-// sharded refinement's stitch step are deterministic passes over an
-// immutable column or parent partition, so a genuine failure there
-// reproduces on every retry. Every other site guards a
-// re-runnable unit: worker items recompute from inputs that survive the
-// failure, DDM refreshes and sampling passes are optimizations a rerun
-// (or a skip) absorbs — the sampling shard-merge in particular folds
-// into an idempotent dedup set, so re-entering it is safe — and top-k
-// bound checks publish nothing before they fire.
+// partition.build is fatal — Single is a deterministic pass over an
+// immutable column, so a genuine failure there reproduces on every
+// retry. Every other site guards a re-runnable unit: worker items
+// recompute from inputs that survive the failure, DDM refreshes and
+// sampling passes are optimizations a rerun (or a skip) absorbs — the
+// merge of the sampling fan-outs in particular folds into an idempotent
+// dedup set, so re-entering it is safe — and top-k bound checks publish
+// nothing before they fire.
 func DefaultClass(site Site) Class {
 	switch site {
-	case PartitionBuild, PartitionRefineShard:
+	case PartitionBuild:
 		return ClassFatal
 	case DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune:
 		return ClassTransient

@@ -62,7 +62,7 @@ func (v Variant) String() string {
 // (the merged agree-set order is identical to the serial scan, so every
 // variant's induction sees the same input) and Retries supervises its
 // blocks. The single induction pass has no resumable frontier and holds
-// no partitions: ShardSize, Checkpoint, Resume, Cache, Budget, TopK and
+// no partitions: Checkpoint, Resume, Cache, Budget, TopK and
 // MaxViolations are ignored.
 type Config = runstate.Options
 

@@ -34,9 +34,10 @@ import (
 )
 
 // Config tunes HyFD; the algorithm has no knobs beyond the shared run
-// options. Workers fans validation out over FD-nodes and sampling over
-// the sampled columns' cluster ranges (merged byte-identically, so every
-// round's efficiency matches the serial pass); induction is sequential.
+// options. Workers fans validation out over FD-nodes and the initial
+// sample over the columns (merged byte-identically, so every round's
+// efficiency matches the serial pass); a progressive round samples one
+// column on the calling goroutine, and induction is sequential.
 // HyFD holds nothing but the single-attribute partitions, so Budget
 // exhaustion cannot change its behaviour and only flags the run
 // Degraded; MaxViolations > 0 disables sampling, since exact violating
@@ -87,9 +88,9 @@ func newSampler(ctx context.Context, pool *engine.Pool, r *relation.Relation, pl
 }
 
 // step executes the most promising run. It reports new non-FDs,
-// comparisons, and whether any run was executed at all. The run's column
-// fans out over its cluster ranges (byte-identical merge, so the
-// efficiency trajectory matches the serial pass at every width).
+// comparisons, and whether any run was executed at all. The run samples
+// its one column on the calling goroutine, so the efficiency trajectory
+// is the serial pass's at every width.
 func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran bool, err error) {
 	best := -1
 	for i := range s.runs {
@@ -104,7 +105,7 @@ func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran 
 		return 0, 0, false, nil
 	}
 	ru := &s.runs[best]
-	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.plis[best:best+1], int(ru.Distance), dst, s.cfg.ShardSize)
+	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.plis[best:best+1], int(ru.Distance), dst)
 	if err != nil {
 		return 0, 0, false, err
 	}

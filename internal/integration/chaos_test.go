@@ -13,11 +13,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/dataset"
 	"repro/internal/dep"
-	"repro/internal/dfd"
 	"repro/internal/faults"
-	"repro/internal/partition"
-	"repro/internal/runstate"
-	"repro/internal/topk"
 )
 
 // chaosAlgorithms covers every driver family: the DDM pipeline, the
@@ -198,37 +194,33 @@ func TestChaosDelayInjection(t *testing.T) {
 
 // TestChaosPanicKeepsPoolCounters: a panic recovered on the driver's own
 // goroutine must close the run report with the same folds as an ordinary
-// failure. The pools ran supervised partition builds before the panic, so
-// the report must carry their attempt counters (DHyFD, HyFD) or shard
-// counters (DFD, whose sampling-free walk panics at its second top-k
-// bound check, after the first walk's refinements fanned out over
-// 16-row cluster ranges — a range size only the driver's options reach).
+// failure. The pools ran supervised work before the panic — the PLI
+// bootstrap, or DFD's cache prewarm before its walk panics at its second
+// top-k bound check — so the report must carry their attempt counters.
+// HyFD panics at its first progressive sampling round, after the initial
+// sample fanned out over the columns, so its report must also carry the
+// shard counters of that fan-out.
 func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := dataset.Random(rng, 200, 6, 4)
-	discover := func(a dhyfd.Algorithm) func() (*dhyfd.RunStats, error) {
+	discover := func(a dhyfd.Algorithm, opts ...dhyfd.Option) func() (*dhyfd.RunStats, error) {
 		return func() (*dhyfd.RunStats, error) {
-			res, err := dhyfd.Discover(context.Background(), r,
+			res, err := dhyfd.Discover(context.Background(), r, append([]dhyfd.Option{
 				dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2), dhyfd.WithRetries(1),
-				dhyfd.WithPartitionCache(1<<20))
+				dhyfd.WithPartitionCache(1 << 20)}, opts...)...)
 			return &res.Stats, err
 		}
 	}
 	cases := []struct {
-		algo dhyfd.Algorithm
-		site faults.Site
-		n    int
-		run  func() (*dhyfd.RunStats, error)
+		algo   dhyfd.Algorithm
+		site   faults.Site
+		n      int
+		shards bool
+		run    func() (*dhyfd.RunStats, error)
 	}{
-		{dhyfd.DHyFD, faults.SamplingRun, 1, discover(dhyfd.DHyFD)},
-		{dhyfd.HyFD, faults.SamplingRun, 1, discover(dhyfd.HyFD)},
-		{dhyfd.DFD, faults.TopKPrune, 2, func() (*dhyfd.RunStats, error) {
-			_, rs, err := dfd.Run(context.Background(), r, runstate.Options{
-				Workers: 2, ShardSize: 16, Retries: 1,
-				Cache: partition.NewCache(1<<20, nil), TopK: topk.New(3),
-			})
-			return rs, err
-		}},
+		{dhyfd.DHyFD, faults.SamplingRun, 1, false, discover(dhyfd.DHyFD)},
+		{dhyfd.HyFD, faults.SamplingRun, 2, true, discover(dhyfd.HyFD)},
+		{dhyfd.DFD, faults.TopKPrune, 2, false, discover(dhyfd.DFD, dhyfd.WithTopK(3))},
 	}
 	for _, c := range cases {
 		t.Run(c.algo.String(), func(t *testing.T) {
@@ -239,12 +231,11 @@ func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 			if !errors.As(err, &perr) || perr.Site != string(c.site) {
 				t.Fatalf("want a *PanicError at %s, got %v", c.site, err)
 			}
-			if c.algo == dhyfd.DFD {
-				if rs.ShardsBuilt == 0 {
-					t.Errorf("panic report lost the shard counters: %+v", rs)
-				}
-			} else if rs.Counters["attempts"] == 0 {
+			if rs.Counters["attempts"] == 0 {
 				t.Errorf("panic report lost the retry counters: %v", rs.Counters)
+			}
+			if c.shards && rs.ShardsBuilt == 0 {
+				t.Errorf("panic report lost the shard counters: %+v", rs)
 			}
 		})
 	}

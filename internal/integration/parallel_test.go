@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	dhyfd "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dep"
@@ -15,67 +17,67 @@ import (
 	"repro/internal/fastfds"
 	"repro/internal/fdep"
 	"repro/internal/hyfd"
+	"repro/internal/partition"
+	"repro/internal/relation"
 	"repro/internal/runstate"
 	"repro/internal/tane"
 )
 
 // TestParallelCoversMatchSerial: the worker-pool width must never change
-// the discovered cover. DHyFD, HyFD and TANE — the three algorithms with a
-// parallel validation hot path — are run at 1, 2 and 8 workers on several
-// benchmark shapes and compared against each other and across widths.
+// the discovered cover. Every algorithm runs through Discover at widths
+// {1, 2, 3, 4, 7} — each its own cut of every fan-out: columns,
+// refinement jobs, FD-nodes, sampled partitions, pair-scan row blocks and
+// LHS groups — on three benchmark shapes and two random relations, DFD
+// with a partition cache so its prewarm fans out over the columns, and
+// each cover must equal DHyFD's serial one.
 func TestParallelCoversMatchSerial(t *testing.T) {
-	fixtures := []struct {
-		name       string
-		rows, cols int
-	}{
-		{"ncvoter", 300, 10},
-		{"bridges", 108, 9},
-		{"abalone", 400, 8},
-	}
-	widths := []int{1, 2, 8}
-	for _, fx := range fixtures {
-		b, err := dataset.ByName(fx.name)
+	shape := func(name string, rows, cols int) *relation.Relation {
+		b, err := dataset.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := b.Generate(fx.rows, fx.cols)
-		ctx := context.Background()
-
-		var want []dep.FD
-		for _, w := range widths {
-			got, _, err := core.Run(ctx, r, core.Config{Options: runstate.Options{Workers: w}})
-			if err != nil {
-				t.Fatalf("%s dhyfd workers=%d: %v", fx.name, w, err)
+		return b.Generate(rows, cols)
+	}
+	fixtures := []struct {
+		name string
+		r    *relation.Relation
+	}{
+		{"ncvoter-300x10", shape("ncvoter", 300, 10)},
+		{"bridges-108x9", shape("bridges", 108, 9)},
+		{"abalone-400x8", shape("abalone", 400, 8)},
+		{"random-240x6", dataset.Random(rand.New(rand.NewSource(41)), 240, 6, 4)},
+		{"random-300x6", dataset.Random(rand.New(rand.NewSource(17)), 300, 6, 4)},
+	}
+	ctx := context.Background()
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			want := coverOf(core.Run(ctx, fx.r, core.Config{}))
+			for _, a := range dhyfd.Algorithms() {
+				t.Run(a.String(), func(t *testing.T) {
+					for _, w := range []int{1, 2, 3, 4, 7} {
+						opts := []dhyfd.Option{dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(w)}
+						if a == dhyfd.DFD {
+							opts = append(opts, dhyfd.WithPartitionCache(16<<20))
+						}
+						res, err := dhyfd.Discover(ctx, fx.r, opts...)
+						if err != nil {
+							t.Fatalf("workers=%d: %v", w, err)
+						}
+						if !dep.Equal(res.FDs, want) {
+							t.Errorf("workers=%d: cover of %d FDs differs from serial DHyFD's %d", w, len(res.FDs), len(want))
+						}
+					}
+				})
 			}
-			if want == nil {
-				want = got
-			} else if !dep.Equal(got, want) {
-				t.Errorf("%s: dhyfd cover at workers=%d differs from workers=1", fx.name, w)
-			}
-		}
-		for _, w := range widths {
-			got, _, err := hyfd.Run(ctx, r, hyfd.Config{Workers: w})
-			if err != nil {
-				t.Fatalf("%s hyfd workers=%d: %v", fx.name, w, err)
-			}
-			if !dep.Equal(got, want) {
-				t.Errorf("%s: hyfd cover at workers=%d differs from dhyfd serial", fx.name, w)
-			}
-		}
-		for _, w := range widths {
-			got, _, err := tane.Run(ctx, r, tane.Config{Workers: w})
-			if err != nil {
-				t.Fatalf("%s tane workers=%d: %v", fx.name, w, err)
-			}
-			if !dep.Equal(got, want) {
-				t.Errorf("%s: tane cover at workers=%d differs from dhyfd serial", fx.name, w)
-			}
-		}
+		})
 	}
 }
 
 // TestRunStatsPopulated: every algorithm must emit a run report with at
-// least one phase of non-zero wall time and a consistent FD count.
+// least one phase of non-zero wall time and a consistent FD count. The
+// PLI bootstrap is timed as its own singles phase, ahead of the phase
+// that first reads it: the hybrids' initial sample, and the walk of DFD
+// with a cache, whose prewarm is the bootstrap.
 func TestRunStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := dataset.Random(rng, 200, 7, 4)
@@ -119,6 +121,23 @@ func TestRunStatsPopulated(t *testing.T) {
 		}
 		if rs.String() == "" {
 			t.Errorf("%s: empty String()", name)
+		}
+	}
+
+	runs["dfd with a cache"] = func() ([]dep.FD, *engine.RunStats, error) {
+		return dfd.Run(ctx, r, dfd.Config{Cache: partition.NewCache(16<<20, nil)})
+	}
+	for name, next := range map[string]string{"dhyfd": "sample", "hyfd": "sample", "dfd with a cache": "walk"} {
+		_, rs, err := runs[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var phases []string
+		for _, p := range rs.Phases {
+			phases = append(phases, p.Name)
+		}
+		if i, j := slices.Index(phases, "singles"), slices.Index(phases, next); i < 0 || j < i {
+			t.Errorf("%s: phases %v, want singles before %s", name, phases, next)
 		}
 	}
 }

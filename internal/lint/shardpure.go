@@ -9,12 +9,13 @@ import (
 
 // ShardPure enforces the phase-1 shard-kernel contract: functions
 // annotated `//fd:shardkernel` in their doc comment (the bodies pool
-// workers run: refineRange, stitchShard, collectItem, sampleItem,
-// coverBlock) execute concurrently over disjoint ranges, and
-// their determinism-and-retry-safety argument — "writes are
-// deterministic positions of deterministic values" — only holds if
-// every write lands in the kernel's own range slice, a local, or a
-// per-worker scratch receiver field.
+// workers run: refineRange, inside every RefineBatch item, and
+// collectItem, sampleItem and coverBlock, the items of the agree-set
+// fan-outs) execute concurrently over disjoint items, and their
+// determinism-and-retry-safety argument — "writes are deterministic
+// positions of deterministic values" — only holds if every write lands
+// in the kernel's own output slice, a local, or a per-worker scratch
+// receiver field.
 //
 // Inside an annotated function (and any function literal it contains)
 // the analyzer rejects:

@@ -85,14 +85,8 @@ func TestPooledScratchNeverReachesOutput(t *testing.T) {
 			return ForAttrs(bitset.FromAttrs(2, 0, 1), cols, cards), nil
 		}},
 		{"ForAttrsCached", func(cols [][]int32, cards []int) (*Partition, error) {
-			p, _, err := ForAttrsCached(ctx, engine.NewPool(1), NewCache(1<<20, nil), bitset.FromAttrs(2, 0, 1), cols, cards, 0)
+			p, _, err := ForAttrsCached(ctx, NewCache(1<<20, nil), bitset.FromAttrs(2, 0, 1), cols, cards)
 			return p, err
-		}},
-		{"refineSharded/1", func(cols [][]int32, cards []int) (*Partition, error) {
-			return refineSharded(ctx, engine.NewPool(1), Single(cols[0], cards[0]), cols[1], cards[1], 16)
-		}},
-		{"refineSharded/3", func(cols [][]int32, cards []int) (*Partition, error) {
-			return refineSharded(ctx, engine.NewPool(3), Single(cols[0], cards[0]), cols[1], cards[1], 16)
 		}},
 		{"RefineBatch", func(cols [][]int32, cards []int) (*Partition, error) {
 			job := RefineJob{Part: Single(cols[0], cards[0]), Attrs: []int{1}}

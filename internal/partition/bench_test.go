@@ -64,11 +64,6 @@ func TestRefineAllocsPerRun(t *testing.T) {
 		}{
 			{"Refine", func() { Refine(pa, c, card) }},
 			{"ForAttrs", func() { ForAttrs(x, cols, cards) }},
-			{"refineSharded", func() {
-				if _, err := refineSharded(ctx, pool, pa, c, card, 0); err != nil {
-					t.Fatal(err)
-				}
-			}},
 			{"RefineBatch", func() {
 				if _, err := RefineBatch(ctx, pool, cols, cards, jobs); err != nil {
 					t.Fatal(err)
@@ -84,22 +79,21 @@ func TestRefineAllocsPerRun(t *testing.T) {
 	}
 }
 
-// TestForAttrsCachedAllocsPerRun pins serial as the one-worker case of
-// the merged walk: on a one-worker pool an uncached ForAttrsCached runs
-// the serial kernels directly, cutting no shard ranges, so it allocates
-// no more than the context-free ForAttrs on the same input.
+// TestForAttrsCachedAllocsPerRun pins the uncached walk to ForAttrs: a
+// ForAttrsCached call without a cache adds a context check and nothing
+// else, so it allocates no more than the context-free ForAttrs on the
+// same input.
 func TestForAttrsCachedAllocsPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	ctx := context.Background()
-	pool := engine.NewPool(1)
 	cols := [][]int32{randomColumn(10_000, 40, 1), randomColumn(10_000, 30, 2), randomColumn(10_000, 20, 3)}
 	cards := []int{40, 30, 20}
 	x := bitset.FromAttrs(3, 0, 1, 2)
 	serial := func() { ForAttrs(x, cols, cards) }
 	merged := func() {
-		if _, _, err := ForAttrsCached(ctx, pool, nil, x, cols, cards, 0); err != nil {
+		if _, _, err := ForAttrsCached(ctx, nil, x, cols, cards); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -375,86 +375,65 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 // refinement walks down the ascending-attribute prefix chain from the
 // longest cached prefix (LongestPrefix) — or, with none cached, from the
 // first attribute's single partition — publishing every intermediate
-// prefix so later supersets start further along. With a nil cache it
-// walks uncached, from the smallest-error single partition exactly like
+// prefix so later supersets start further along. With a nil cache it is
 // ForAttrs. The returned partition may be shared: treat it as read-only.
 //
-// The start partition is Single, after a context check. Every
-// refinement runs on the pool: on a pool of more than one worker it
-// shards row-wise (shardSize rows, <= 0 selects DefaultShardSize),
-// byte-identically; on a one-worker pool it is the serial kernel, so
-// cache contents are interchangeable across widths. On cancellation or
-// a pool failure the error returns with no partition; prefixes
-// published before it stay cached.
+// ctx is checked once, after the exact-hit probe and before any
+// partition is built; a cancelled call returns the error and no
+// partition. Every step runs the serial kernel on the calling goroutine:
+// a walk is one item of its caller's pass (an LHS group of ForGroups, a
+// DFD lattice node), never cut into parts, so every partition it
+// publishes is the serial kernels' output.
 //
 //fd:hotpath
-func ForAttrsCached(ctx context.Context, pool *engine.Pool, c *Cache, x bitset.Set, cols [][]int32, cards []int, shardSize int) (*Partition, bool, error) {
+func ForAttrsCached(ctx context.Context, c *Cache, x bitset.Set, cols [][]int32, cards []int) (*Partition, bool, error) {
 	if c != nil {
 		if p := c.lookup(x); p != nil {
 			c.hits.Add(1)
 			return p, true, ctx.Err()
 		}
 	}
-	nrows := 0
-	if len(cols) > 0 {
-		nrows = len(cols[0])
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if c == nil || x.IsEmpty() {
+		return ForAttrs(x, cols, cards), false, nil
 	}
 	attrs := x.Attrs()
-	if len(attrs) == 0 {
-		return fullPartition(nrows), false, ctx.Err()
-	}
-	var p *Partition
-	var prefix bitset.Set
-	if c == nil {
-		orderForRefine(attrs, cards, nrows)
-	} else {
-		p, prefix = c.LongestPrefix(x)
-	}
+	p, prefix := c.LongestPrefix(x)
 	k := 0
 	if p != nil {
 		k = prefix.Count()
 	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
 		a := attrs[0]
 		p = Single(cols[a], cards[a])
-		if c != nil {
-			prefix = x.Clone()
-			prefix.Clear()
-			prefix.Add(a)
-			c.Put(prefix, p)
-		}
+		prefix = x.Clone()
+		prefix.Clear()
+		prefix.Add(a)
+		c.Put(prefix, p)
 		k = 1
 	}
+	rf := getRefiner()
 	for _, a := range attrs[k:] {
 		if len(p.Clusters) > 0 {
-			var err error
-			if p, err = refineSharded(ctx, pool, p, cols[a], cards[a], shardSize); err != nil {
-				return nil, false, err
-			}
-		} else if c == nil {
-			break
+			p = rf.refine(p, cols[a], cards[a])
 		}
-		if c != nil {
-			prefix.Add(a)
-			c.Put(prefix, p)
-		}
+		prefix.Add(a)
+		c.Put(prefix, p)
 	}
+	refiners.Put(rf)
 	return p, false, nil
 }
 
 // ForGroups takes π_LHS once for each LHS group of an FD list
 // (dep.GroupByLHS) and hands it to fn, with ForAttrsCached's reused
 // flag, on the worker that took the group. The groups fan out over pool
-// and each walk runs on a one-worker pool: the groups, not the walk, are
-// the parallel unit, so cache contents match the serial pass at every
-// width. A walk fails only on cancellation; its group is then skipped
-// and the returned error is Run's.
+// and each takes its walk serially: the groups, not the walk, are the
+// parallel unit. A walk fails only on cancellation; its group is then
+// skipped and the returned error is Run's.
 func ForGroups(ctx context.Context, pool *engine.Pool, c *Cache, groups []dep.Group, cols [][]int32, cards []int, fn func(w int, g dep.Group, p *Partition, reused bool)) error {
-	walk := engine.NewPool(1)
 	return pool.Run(ctx, len(groups), func(w, gi int) {
-		p, reused, err := ForAttrsCached(ctx, walk, c, groups[gi].LHS, cols, cards, 0)
+		p, reused, err := ForAttrsCached(ctx, c, groups[gi].LHS, cols, cards)
 		if err != nil {
 			return
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/engine"
 )
 
 // testPart builds a compact partition with the given clusters, for cache
@@ -198,7 +197,6 @@ func TestCacheLongestPrefix(t *testing.T) {
 
 func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 	ctx := context.Background()
-	pool := engine.NewPool(1)
 	rng := rand.New(rand.NewSource(11))
 	nrows, ncols := 200, 5
 	cols := make([][]int32, ncols)
@@ -224,7 +222,7 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 			}
 		}
 		want := ForAttrs(x, cols, cards)
-		got, _, err := ForAttrsCached(ctx, pool, cache, x, cols, cards, 0)
+		got, _, err := ForAttrsCached(ctx, cache, x, cols, cards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,6 +234,14 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 	if s.Hits == 0 {
 		t.Error("repeated random sets should produce exact-key hits")
 	}
+	// A cancelled walk builds nothing, with or without a cache.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, c := range []*Cache{nil, NewCache(1<<20, nil)} {
+		if p, _, err := ForAttrsCached(cancelled, c, bitset.FromAttrs(ncols, 0, 1), cols, cards); p != nil || err == nil {
+			t.Errorf("cancelled walk (cache %v) = %v, %v; want no partition and ctx's error", c != nil, p, err)
+		}
+	}
 	// Under a tiny bound the cache thrashes but results stay correct.
 	tiny := NewCache(64, nil)
 	for trial := 0; trial < 30; trial++ {
@@ -243,7 +249,7 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 		x.Add(rng.Intn(ncols))
 		x.Add(rng.Intn(ncols))
 		want := ForAttrs(x, cols, cards)
-		got, _, err := ForAttrsCached(ctx, pool, tiny, x, cols, cards, 0)
+		got, _, err := ForAttrsCached(ctx, tiny, x, cols, cards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,19 +17,17 @@
 //     that differ only in their last attribute is either parent refined
 //     by the other's last attribute.
 //
-// A run reaches them through one entry point per operation, which takes
-// the run's engine.Pool and fans out over the independent items the call
+// A run's parallel passes reach them through entry points that take the
+// run's engine.Pool and fan out over the independent items the call
 // already has: Singles (the PLI bootstrap) runs one Single per column,
 // RefineBatch one job per item and ForGroups one walk per LHS group of
-// an FD list (post-run verification, ranking). ForAttrsCached (the
-// prefix-chain walk) has no such items, so it alone takes a shard size:
-// on a pool of more than one worker each refinement splits its clusters
-// into row-balanced ranges, byte-identically to the serial kernel at
-// every shard size. Serial is the one-worker case, not a second API: on a
-// one-worker pool every entry point runs the serial kernels directly,
-// with no shard cut. The context-free ForAttrs and Refine stay for
-// callers that hold no run context (the public check API, ranking
-// without a cache, TANE's minimality check).
+// an FD list (post-run verification, ranking). No kernel cuts one
+// partition into parts: ForAttrsCached, the prefix-chain walk, takes no
+// pool and refines serially on its caller's goroutine, as every item of
+// a fan-out does. Serial is the one-worker case, not a second API. The
+// context-free ForAttrs and Refine stay for callers that hold no run
+// context (the public check API, ranking without a cache, TANE's
+// minimality check).
 //
 // Partitions produced by Single and Refine are in compact form: all
 // cluster rows live in one backing array and Clusters are zero-copy
@@ -232,14 +230,14 @@ func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
 	return out
 }
 
-// refineRange is Refine's cluster-range kernel: it splits each cluster
-// by the codes of col, appending surviving sub-cluster rows to backing
-// and each sub-cluster's end position to ends, and returns the grown
-// slices. Serial Refine runs it over all clusters with a leading 0
-// already in ends; the sharded kernel runs it per contiguous cluster
-// range with empty local slices, so concatenating the per-range outputs
-// in range order reproduces the serial layout bit for bit. The caller
-// owns the card-sized scratch (rf.grow).
+// refineRange is refine's kernel: it splits each cluster by the codes of
+// col, appending surviving sub-cluster rows to backing and each
+// sub-cluster's end position to ends (which starts with a leading 0), and
+// returns the grown slices. RefineBatch items run it on pool workers, one
+// Refiner each, so it writes only its parameters and receiver scratch.
+// The caller owns the card-sized scratch (rf.grow). It and
+// RefineClusterInto stay two loops: building either on the other cost
+// 17–31% in the phase that runs it (see DESIGN.md).
 //
 //fd:hotpath
 //fd:shardkernel

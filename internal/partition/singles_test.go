@@ -13,21 +13,20 @@ import (
 
 // TestBuildSinglesByteIdentical pins the bootstrap's contract: for every
 // benchmark relation, under a serial pool and pools narrower and wider
-// than the column count, the compact form — backing array and offsets —
-// of every column matches Single byte for byte.
+// than the column count, Singles builds every column, and the compact
+// form — backing array and offsets — of each matches Single byte for
+// byte.
 func TestBuildSinglesByteIdentical(t *testing.T) {
 	for _, b := range dataset.All() {
 		r := b.Generate(233, 0)
 		want := make([]*Partition, r.NumCols())
-		attrs := make([]int, r.NumCols())
 		for c := range want {
 			want[c] = Single(r.Cols[c], r.Cards[c])
-			attrs[c] = c
 		}
-		for _, workers := range []int{1, 3, 8} {
-			got, err := buildSingles(context.Background(), engine.NewPool(workers), attrs, r.Cols, r.Cards)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", b.Name, workers, err)
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			got, built, err := Singles(context.Background(), engine.NewPool(workers), r.Cols, r.Cards, 0, nil, nil)
+			if err != nil || built != r.NumCols() {
+				t.Fatalf("%s workers=%d: built %d of %d, err %v", b.Name, workers, built, r.NumCols(), err)
 			}
 			for c := range got {
 				assertSameCompact(t, fmt.Sprintf("%s workers=%d", b.Name, workers), c, want[c], got[c])

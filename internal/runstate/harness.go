@@ -20,15 +20,10 @@ const manifestMax = 64
 // partitions, and only the lattice algorithms fuse top-k or relax validity.
 type Options struct {
 	// Workers sets the engine.Pool width of the run's parallel passes,
-	// each fanning out over its own items (FD-nodes, refinement jobs,
-	// columns, cluster ranges, pair-scan row blocks). Values below 2 keep
-	// the published serial behaviour.
+	// each fanning out over its own items (columns, refinement jobs,
+	// FD-nodes, LHS groups, sampled partitions, pair-scan row blocks).
+	// Values below 2 keep the published serial behaviour.
 	Workers int
-	// ShardSize is the row count of one cluster range, the unit sampling
-	// and refinement inside one ForAttrsCached walk cut a partition into
-	// on more than one worker; <= 0 selects partition.DefaultShardSize.
-	// No option or flag sets it: it is a test seam and changes no output.
-	ShardSize int
 	// Budget optionally bounds partition memory. On exhaustion a run stops
 	// spending memory — DHyFD stops refreshing its DDM, TANE abandons
 	// deeper levels, DFD abandons its remaining walks — and flags the
@@ -117,25 +112,22 @@ func (h *Harness) Tick(force bool, capture func() *Snapshot) {
 
 // WarmCache rebuilds a resumed snapshot's PLI-cache manifest into the
 // run's cache, least-recent-first so the restored recency order matches
-// the captured one. Building goes through partition.ForAttrsCached on the
-// run's pool and shard size, so later manifest entries refine from
-// earlier ones where possible. It runs on context.WithoutCancel(ctx): a
-// cancellation lands at the run's first search boundary instead, and an
-// error is a genuine pool failure. No-op without a cache or a resumed
+// the captured one. Each entry is one partition.ForAttrsCached walk, so
+// later manifest entries refine from earlier ones where possible. It
+// runs to the end whatever ctx says: a cancellation lands at the run's
+// first search boundary instead. No-op without a cache or a resumed
 // snapshot.
-func (h *Harness) WarmCache(ctx context.Context, r *relation.Relation) error {
+func (h *Harness) WarmCache(ctx context.Context, r *relation.Relation) {
 	c, s := h.opts.Cache, h.opts.Resume
 	if c == nil || s == nil {
-		return nil
+		return
 	}
 	ctx = context.WithoutCancel(ctx)
 	keys := s.Manifest.Keys
 	for i := len(keys) - 1; i >= 0; i-- {
-		if _, _, err := partition.ForAttrsCached(ctx, h.Pool, c, keys[i], r.Cols, r.Cards, h.opts.ShardSize); err != nil {
-			return err
-		}
+		// A walk fails only on cancellation, which ctx rules out.
+		_, _, _ = partition.ForAttrsCached(ctx, c, keys[i], r.Cols, r.Cards)
 	}
-	return nil
 }
 
 // End closes the run: the pool's retry and shard counters, the cache

@@ -36,7 +36,7 @@ func BenchmarkClusterNeighborSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst := NewNonFDSet(r.NumCols())
-		if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst, 0); err != nil {
+		if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkClusterNeighborSample(b *testing.B) {
 
 // TestClusterNeighborSampleAllocsPerRun pins serial as the one-worker
 // case of the sampling entry point: on a one-worker pool its items — the
-// partitions, cut into no ranges — run the kernel straight into dst, so
+// partitions — run the kernel straight into dst, so
 // it allocates no more than the kernel itself on one weather column.
 // Every run samples into a fresh set built beforehand, so the count is
 // the pass's own: a set built inside the measured call would add its
@@ -70,7 +70,7 @@ func TestClusterNeighborSampleAllocsPerRun(t *testing.T) {
 	}
 	kernel := func() { sampleClusters(r, p.Clusters, 1, next()) }
 	entry := func() {
-		if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, next(), 0); err != nil {
+		if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, next()); err != nil {
 			t.Fatal(err)
 		}
 	}

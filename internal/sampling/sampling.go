@@ -123,8 +123,7 @@ func (s *NonFDSet) NonRedundant() {
 // are sorted by their full code tuple and each row is compared to its
 // neighbor at the given window distance (>= 1). Agree sets accumulate
 // into dst, and the number of comparisons is returned. Each item of
-// ClusterNeighborSample runs it over a whole partition or one cluster
-// range.
+// ClusterNeighborSample runs it over one whole partition.
 func sampleClusters(r *relation.Relation, clusters [][]int32, distance int, dst *NonFDSet) (comparisons int) {
 	buf := bitset.New(r.NumCols())
 	for _, cluster := range clusters {

@@ -234,7 +234,7 @@ func TestClusterNeighborSample(t *testing.T) {
 	p := partition.Single(r.Cols[0], r.Cards[0])
 	ctx, pool := context.Background(), engine.NewPool(1)
 	s := NewNonFDSet(3)
-	newN, comps, err := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 1, s, 0)
+	newN, comps, err := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestClusterNeighborSample(t *testing.T) {
 	}
 	// Window distance larger than cluster yields nothing.
 	s2 := NewNonFDSet(3)
-	if n, _, _ := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 5, s2, 0); n != 0 {
+	if n, _, _ := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 5, s2); n != 0 {
 		t.Errorf("oversized window sampled %d", n)
 	}
 }
@@ -271,7 +271,7 @@ func TestInitialSampleCoversAllColumns(t *testing.T) {
 	for c := range singles {
 		singles[c] = partition.Single(r.Cols[c], r.Cards[c])
 	}
-	if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, singles, 1, s, 0); err != nil {
+	if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, singles, 1, s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() == 0 {

@@ -12,11 +12,11 @@ import (
 )
 
 // This file holds the entry points of the agree-set passes. Each cuts
-// its work into items listed in serial order — cluster ranges of the
-// sampled partitions, or blocks of outer rows of the pair scan — that
-// collect runs. NonFDSet.Add keeps first occurrences in insertion order,
-// so merging item-local sets in item order reproduces the serial set and
-// its order, and the induced cover cannot depend on the width or the cut.
+// its work into items listed in serial order — the sampled partitions,
+// or blocks of outer rows of the pair scan — that collect runs.
+// NonFDSet.Add keeps first occurrences in insertion order, so merging
+// item-local sets in item order reproduces the serial set and its order,
+// and the induced cover cannot depend on the width.
 
 // pairBlocksPerWorker is how many pair-scan blocks each worker of a
 // multi-worker pool gets, so workers stay busy when blocks of equal pair
@@ -29,30 +29,18 @@ const pairBlocksPerWorker = 4
 // to its neighbor at the given window distance (distance 1 compares
 // adjacent rows). Results accumulate into dst; the number of *new*
 // non-FDs and the number of comparisons are returned, identical at every
-// worker count and shard size.
+// worker count.
 //
-// On a pool of more than one worker each partition's clusters split into
-// ~shardSize-row contiguous ranges (partition.ShardClusters), and the
-// ranges of all partitions are the items that fan out; a one-worker pool
-// cuts no ranges and samples each partition whole. Either way the pass
-// fires sampling.run once per call, on the calling goroutine.
-func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, ps []*partition.Partition, distance int, dst *NonFDSet, shardSize int) (newNonFDs, comparisons int, err error) {
+// The partitions are the items that fan out, one each; a one-worker pool,
+// or a single partition, samples them in order on the calling goroutine.
+// Either way the pass fires sampling.run once per call, on the calling
+// goroutine.
+func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, ps []*partition.Partition, distance int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
 	faults.Check(faults.SamplingRun)
-	s := sample{r: r, ps: ps, distance: max(distance, 1)}
-	n := len(ps)
-	if pool.Workers() > 1 {
-		for _, p := range ps {
-			cuts := partition.ShardClusters(p.Clusters, shardSize)
-			for k := 1; k < len(cuts); k++ {
-				s.ranges = append(s.ranges, p.Clusters[cuts[k-1]:cuts[k]])
-			}
-		}
-		n = len(s.ranges)
-	}
-	return collect(ctx, pool, n, s, sampleItem, dst)
+	return collect(ctx, pool, len(ps), sample{r: r, ps: ps, distance: max(distance, 1)}, sampleItem, dst)
 }
 
 // NegativeCover computes the agree sets of all tuple pairs — the full
@@ -138,21 +126,18 @@ func collectItem[S any](ctx context.Context, s S, item func(context.Context, S, 
 }
 
 // sample is the item list of one ClusterNeighborSample call: the
-// partitions whole, or their cluster ranges when ranges is set.
+// partitions, one item each.
 type sample struct {
 	r        *relation.Relation
 	ps       []*partition.Partition
-	ranges   [][][]int32
 	distance int
 }
 
-// sampleItem samples item i of s into dst and returns its comparisons.
+// sampleItem samples partition i of s into dst and returns its
+// comparisons.
 //
 //fd:shardkernel
 func sampleItem(_ context.Context, s sample, i int, dst *NonFDSet) int {
-	if s.ranges != nil {
-		return sampleClusters(s.r, s.ranges[i], s.distance, dst)
-	}
 	return sampleClusters(s.r, s.ps[i].Clusters, s.distance, dst)
 }
 

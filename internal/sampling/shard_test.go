@@ -30,35 +30,41 @@ func assertSameNonFDs(t *testing.T, cell string, want, got *NonFDSet) {
 }
 
 // TestClusterNeighborSampleShardedMatches pins serial as the one-worker
-// case for the sampler: one ClusterNeighborSample call takes the initial
-// sample of every benchmark relation (its first eight columns, one
-// distance-1 pass over all of them into one set) at workers {1, 2, 4} ×
-// shard sizes spanning degenerate (1 row per range), prime-unaligned (7),
-// typical (64) and past the whole relation (nrows+13), and the set, its
-// insertion order and the newNonFDs/comparisons counters must equal those
-// of serial calls, one per partition, on a one-worker pool.
+// case for the sampler: one ClusterNeighborSample call samples a list of
+// 1, 2 or 8 partitions of every benchmark relation — singles of its
+// columns, with an all-unique partition second, which has no clusters —
+// at workers {1, 2, 4, 7}, and the set, its insertion order and the
+// newNonFDs/comparisons counters must equal those of serial calls, one
+// per partition, on a one-worker pool.
 func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 	ctx := context.Background()
 	serial := engine.NewPool(1)
 	for _, b := range dataset.All() {
 		r := b.Generate(521, 8)
 		singles := make([]*partition.Partition, r.NumCols())
-		wantDst := NewNonFDSet(r.NumCols())
-		wantComps := 0
 		for c := range singles {
 			singles[c] = partition.Single(r.Cols[c], r.Cards[c])
-			_, comps, err := ClusterNeighborSample(ctx, serial, r, singles[c:c+1], 1, wantDst, 0)
-			if err != nil {
-				t.Fatalf("%s col %d: %v", b.Name, c, err)
-			}
-			wantComps += comps
 		}
-		for _, workers := range []int{1, 2, 4} {
-			pool := engine.NewPool(workers)
-			for _, shardSize := range []int{1, 7, 64, r.NumRows() + 13} {
-				cell := fmt.Sprintf("%s workers=%d shard=%d", b.Name, workers, shardSize)
+		unique := &partition.Partition{NRows: r.NumRows()}
+		eight := []*partition.Partition{singles[0], unique}
+		for c := 1; len(eight) < 8; c++ {
+			eight = append(eight, singles[c%len(singles)])
+		}
+		lists := [][]*partition.Partition{singles[:1], eight[:2], eight}
+		for _, ps := range lists {
+			wantDst := NewNonFDSet(r.NumCols())
+			wantComps := 0
+			for c := range ps {
+				_, comps, err := ClusterNeighborSample(ctx, serial, r, ps[c:c+1], 1, wantDst)
+				if err != nil {
+					t.Fatalf("%s partition %d: %v", b.Name, c, err)
+				}
+				wantComps += comps
+			}
+			for _, workers := range []int{1, 2, 4, 7} {
+				cell := fmt.Sprintf("%s partitions=%d workers=%d", b.Name, len(ps), workers)
 				dst := NewNonFDSet(r.NumCols())
-				gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, singles, 1, dst, shardSize)
+				gotNew, gotComps, err := ClusterNeighborSample(ctx, engine.NewPool(workers), r, ps, 1, dst)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
@@ -131,7 +137,7 @@ func TestPairBlockStart(t *testing.T) {
 func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(3)), 400, 5, 3)
-	p := partition.Single(r.Cols[1], r.Cards[1])
+	ps := []*partition.Partition{partition.Single(r.Cols[1], r.Cards[1]), partition.Single(r.Cols[2], r.Cards[2])}
 	pool := engine.NewPool(3)
 
 	seed := NewNonFDSet(r.NumCols())
@@ -141,21 +147,24 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	for _, x := range seed.Sets() {
 		want.Add(x)
 	}
-	wantComps := sampleClusters(r, p.Clusters, 2, want)
+	wantComps := 0
+	for _, p := range ps {
+		wantComps += sampleClusters(r, p.Clusters, 2, want)
+	}
 	wantNew := want.Len() - seed.Len()
 
 	got := NewNonFDSet(r.NumCols())
 	for _, x := range seed.Sets() {
 		got.Add(x)
 	}
-	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 2, got, 16)
+	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, ps, 2, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotNew != wantNew || gotComps != wantComps {
 		t.Fatalf("new/comps = %d/%d, want %d/%d", gotNew, gotComps, wantNew, wantComps)
 	}
-	assertSameNonFDs(t, "prefilled shard=16", want, got)
+	assertSameNonFDs(t, "prefilled", want, got)
 }
 
 // TestSamplingShardMergeFault pins the sampling.shardmerge site: an
@@ -165,12 +174,12 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 func TestSamplingShardMergeFault(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(5)), 300, 4, 2)
-	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0])}
+	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0]), partition.Single(r.Cols[1], r.Cards[1])}
 	pool := engine.NewPool(2)
 
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic, N: 2})()
 	dst := NewNonFDSet(r.NumCols())
-	_, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst, 8)
+	_, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst)
 	if err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -180,7 +189,7 @@ func TestSamplingShardMergeFault(t *testing.T) {
 
 	// The serial pass never touches the site: an armed plan stays armed.
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic})()
-	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, ps, 1, NewNonFDSet(r.NumCols()), 8); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, ps, 1, NewNonFDSet(r.NumCols())); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NegativeCover(ctx, engine.NewPool(1), r); err != nil {
@@ -197,15 +206,17 @@ func TestSamplingShardMergeFault(t *testing.T) {
 func TestSamplingShardStats(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(17)), 400, 4, 2)
-	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0])}
+	ps := make([]*partition.Partition, r.NumCols())
+	for c := range ps {
+		ps[c] = partition.Single(r.Cols[c], r.Cards[c])
+	}
 	pool := engine.NewPool(2)
 	dst := NewNonFDSet(r.NumCols())
-	if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst, 16); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst); err != nil {
 		t.Fatal(err)
 	}
-	shards, _ := pool.ShardStats()
-	if shards < 2 {
-		t.Fatalf("sample shards = %d, want >= 2", shards)
+	if shards, _ := pool.ShardStats(); shards != int64(len(ps)) {
+		t.Fatalf("sample shards = %d, want %d (one per partition)", shards, len(ps))
 	}
 	pool = engine.NewPool(2)
 	if _, err := NegativeCover(ctx, pool, r); err != nil {

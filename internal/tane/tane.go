@@ -73,7 +73,6 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 	if n == 0 {
 		return h.End(nil, nil)
 	}
-	nrows := r.NumRows()
 
 	var g3c *partition.G3Counter
 	if cfg.MaxViolations > 0 {
@@ -83,23 +82,15 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 	full := bitset.Full(n)
 
 	// Level 0 is the empty set: one cluster of all rows.
-	emptyPart := &partition.Partition{NRows: nrows}
-	if nrows >= 2 {
-		all := make([]int32, nrows)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		emptyPart.Clusters = [][]int32{all}
-	}
+	emptyPart := partition.ForAttrs(bitset.New(n), r.Cols, r.Cards)
 
 	// partitionForSet rebuilds π_X for a checkpointed attribute set through
-	// the cache — sharded across the run's pool, byte-identical to the
-	// serial walk — charging the budget as the cached path does.
+	// the cache, charging the budget as the cached path does.
 	partitionForSet := func(x bitset.Set) (*partition.Partition, error) {
 		if x.IsEmpty() {
 			return emptyPart, nil
 		}
-		p, _, err := partition.ForAttrsCached(ctx, pool, cfg.Cache, x, r.Cols, r.Cards, cfg.ShardSize)
+		p, _, err := partition.ForAttrsCached(ctx, cfg.Cache, x, r.Cols, r.Cards)
 		if err != nil {
 			return nil, err
 		}
@@ -125,10 +116,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		rs.CandidatesValidated = f.CandidatesValidated
 		rs.Invalidated = f.Invalidated
 		out = append(out, f.Out...)
-		if err := h.WarmCache(ctx, r); err != nil {
-			stop()
-			return h.End(nil, err)
-		}
+		h.WarmCache(ctx, r)
 		prev = make([]*candidate, 0, len(f.Prev))
 		index := make(map[string]*candidate, len(f.Prev))
 		for _, rec := range f.Prev {

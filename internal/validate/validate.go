@@ -184,12 +184,8 @@ func (v *Validator) EmptyLHS(rhs bitset.Set, nonFDs *sampling.NonFDSet) bitset.S
 		v.LastSize = 0
 		return rhs.Clone()
 	}
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	start := &partition.Partition{NRows: n, Clusters: [][]int32{all}}
-	return v.FD(bitset.New(v.r.NumCols()), rhs, start, bitset.New(v.r.NumCols()), nonFDs)
+	none := bitset.New(v.r.NumCols())
+	return v.FD(none, rhs, partition.ForAttrs(none, v.r.Cols, v.r.Cards), none, nonFDs)
 }
 
 // InvalidCount tracks Invalidated/Validations deltas around a scope.
