@@ -41,7 +41,7 @@ race:
 # sync.Pool drop a random share of its puts, so they run once more
 # without it.
 allocs:
-	$(GO) test -run AllocsPerRun ./internal/partition/ ./internal/sampling/
+	$(GO) test -run AllocsPerRun ./internal/partition/ ./internal/sampling/ ./internal/validate/
 
 # cmd/fdperf is a module of its own, so the root ./... patterns skip it:
 # vet and short-test it directly, so a break in the internal APIs it
@@ -59,6 +59,7 @@ bench:
 # of a full measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Refine100k|BenchmarkSingles$$' -benchtime 1x ./internal/partition/
+	$(GO) test -run '^$$' -bench 'BenchmarkRowOrder|BenchmarkClusterNeighborSample' -benchtime 1x ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCover' -benchtime 1x ./internal/check/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached|TANELattice' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/

@@ -214,7 +214,7 @@ type refresh struct {
 	peakDynCount int // max number of dynamic partitions held at once
 }
 
-func (s *refresh) Start(_ context.Context, h *runstate.Harness, _ []*partition.Partition, resume *runstate.LevelFrontier) {
+func (s *refresh) Start(_ context.Context, h *runstate.Harness, _ []*partition.Partition, _ *sampling.RowOrder, resume *runstate.LevelFrontier) {
 	if budget := s.l.opts.Budget; budget.Exhausted() {
 		h.Stats.Degrade(budget.Reason() + "; DDM refreshes disabled")
 	}

@@ -20,10 +20,11 @@ import (
 // efficiency–inefficiency ratio says so; HyFD's switches into its
 // progressive sampler when a level invalidated too much.
 type Step interface {
-	// Start runs once the single-attribute partitions are built, before
-	// a cold run samples; resume is the frontier a resumed run restarts
-	// from, nil on a cold run.
-	Start(ctx context.Context, h *runstate.Harness, singles []*partition.Partition, resume *runstate.LevelFrontier)
+	// Start runs once the single-attribute partitions and the run's row
+	// order are built, before a cold run samples; order is nil on an
+	// approximate run, which never samples, and resume is the frontier a
+	// resumed run restarts from, nil on a cold run.
+	Start(ctx context.Context, h *runstate.Harness, singles []*partition.Partition, order *sampling.RowOrder, resume *runstate.LevelFrontier)
 	// AfterLevel runs after a level is validated and its non-FDs are
 	// inducted; validations and invalidated count the level's checked and
 	// failed (FD-node, RHS attribute) pairs. Non-FDs it adds to nonFDs
@@ -100,7 +101,13 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 	approx := opts.MaxViolations > 0
 	full := bitset.Full(n)
 	lf := resumeLevel(opts.Resume)
-	step.Start(ctx, h, singles, lf)
+	// The sorted-neighborhood order every sample of the run uses, built
+	// once; a resumed run rebuilds it, since snapshots do not carry it.
+	var order *sampling.RowOrder
+	if !approx {
+		order = sampling.NewRowOrder(r)
+	}
+	step.Start(ctx, h, singles, order, lf)
 
 	startLevel := 1
 	if lf != nil {
@@ -139,7 +146,7 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 		// from approximate validation outcomes.
 		l.nonFDs = sampling.NewNonFDSet(n)
 		if !approx {
-			_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, singles, 1, l.nonFDs)
+			_, comps, err := sampling.ClusterNeighborSample(ctx, pool, r, order, singles, 1, l.nonFDs)
 			if err != nil {
 				stop()
 				return h.End(nil, err)

@@ -65,16 +65,17 @@ type stats struct {
 // (optimistically 1 until measured) and whether the run is exhausted. The
 // records are the sampler's checkpoint state as they stand.
 type sampler struct {
-	ctx  context.Context
-	pool *engine.Pool
-	r    *relation.Relation
-	plis []*partition.Partition
-	runs []runstate.SamplerRec
-	cfg  Config
+	ctx   context.Context
+	pool  *engine.Pool
+	r     *relation.Relation
+	order *sampling.RowOrder // the run's row order, shared by every round
+	plis  []*partition.Partition
+	runs  []runstate.SamplerRec
+	cfg   Config
 }
 
-func newSampler(ctx context.Context, pool *engine.Pool, r *relation.Relation, plis []*partition.Partition, cfg Config) *sampler {
-	s := &sampler{ctx: ctx, pool: pool, r: r, plis: plis, cfg: cfg}
+func newSampler(ctx context.Context, pool *engine.Pool, r *relation.Relation, order *sampling.RowOrder, plis []*partition.Partition, cfg Config) *sampler {
+	s := &sampler{ctx: ctx, pool: pool, r: r, order: order, plis: plis, cfg: cfg}
 	for c := range plis {
 		maxCluster := 0
 		for _, cl := range plis[c].Clusters {
@@ -105,7 +106,7 @@ func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran 
 		return 0, 0, false, nil
 	}
 	ru := &s.runs[best]
-	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.plis[best:best+1], int(ru.Distance), dst)
+	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.order, s.plis[best:best+1], int(ru.Distance), dst)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -175,12 +176,12 @@ type switcher struct {
 	st  stats
 }
 
-func (s *switcher) Start(ctx context.Context, h *runstate.Harness, singles []*partition.Partition, resume *runstate.LevelFrontier) {
+func (s *switcher) Start(ctx context.Context, h *runstate.Harness, singles []*partition.Partition, order *sampling.RowOrder, resume *runstate.LevelFrontier) {
 	if s.cfg.Budget.Exhausted() {
 		h.Stats.Degrade(s.cfg.Budget.Reason())
 	}
 	s.rs = h.Stats
-	s.smp = newSampler(ctx, h.Pool, s.r, singles, s.cfg)
+	s.smp = newSampler(ctx, h.Pool, s.r, order, singles, s.cfg)
 	switch {
 	case resume != nil:
 		s.st.samplingRounds = int(resume.SamplingRounds)

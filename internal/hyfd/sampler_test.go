@@ -17,7 +17,7 @@ func samplerFor(t *testing.T, cols [][]int32) (*sampler, *relation.Relation) {
 	for c := range plis {
 		plis[c] = partition.Single(r.Cols[c], r.Cards[c])
 	}
-	return newSampler(context.Background(), engine.NewPool(1), r, plis, Config{}), r
+	return newSampler(context.Background(), engine.NewPool(1), r, sampling.NewRowOrder(r), plis, Config{}), r
 }
 
 func TestSamplerMarksUniqueColumnsExhausted(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // Two checks:
 //
 //  1. for every slice of per-worker scratch structs indexed by the worker
-//     id inside a Pool.Run / engine.Map function literal, every integer
+//     id inside a Pool.Run function literal, every integer
 //     counter field of the scratch type that is incremented anywhere in
 //     the module must be read by the enclosing package outside the
 //     worker literal — the merge path;
@@ -95,8 +95,8 @@ func fieldReferences(m *Module) map[*Package]map[*types.Var][]token.Pos {
 	return out
 }
 
-// workerFanout is one Pool.Run / engine.Map call with a worker-indexed
-// function literal.
+// workerFanout is one Pool.Run call with a worker-indexed function
+// literal.
 type workerFanout struct {
 	pkg  *Package
 	call *ast.CallExpr
@@ -156,7 +156,7 @@ func checkWorkerScratch(pass *Pass, incremented map[*types.Var]bool, fieldRefs m
 	}
 }
 
-// collectFanouts finds Run/Map calls taking a worker function literal and
+// collectFanouts finds Run calls taking a worker function literal and
 // the per-worker struct slices indexed inside it.
 func collectFanouts(m *Module) []*workerFanout {
 	var out []*workerFanout
@@ -165,11 +165,7 @@ func collectFanouts(m *Module) []*workerFanout {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name := calleeName(call)
-				if name != "Run" && name != "Map" {
+				if !ok || calleeName(call) != "Run" {
 					return true
 				}
 				var lit *ast.FuncLit

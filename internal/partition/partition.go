@@ -11,11 +11,12 @@
 // algorithms need, each as a serial kernel:
 //
 //   - Single: build π_A for one attribute from dictionary codes,
-//   - Refine / RefineClusterInto: dynamic refinement π_X ⇒ π_XA
-//     one cluster at a time (Algorithm 5), used by the DDM, by FD
-//     validation and by TANE's level joins: the product of two parents
-//     that differ only in their last attribute is either parent refined
-//     by the other's last attribute.
+//   - Refine: dynamic refinement π_X ⇒ π_XA one cluster at a time
+//     (Algorithm 5), used by the DDM and by TANE's level joins: the
+//     product of two parents that differ only in their last attribute
+//     is either parent refined by the other's last attribute. Its
+//     per-cluster kernel, Refiner.Split, is also what FD validation
+//     refines with, cluster by cluster, into buffers it owns.
 //
 // A run's parallel passes reach them through entry points that take the
 // run's engine.Pool and fan out over the independent items the call
@@ -162,15 +163,15 @@ func Single(col []int32, card int) *Partition {
 // Refiner refines partitions one cluster at a time (Algorithm 5 of the
 // paper). It keeps the sets-array, touched-id list and offsets scratch
 // between calls so that refining many clusters allocates nothing after
-// warm-up.
+// warm-up; only clusters above smallCluster rows touch the sets-array.
 type Refiner struct {
 	buckets [][]int32 // indexed by dictionary code
 	touched []int32   // codes used by the current cluster
 	offsets []int32   // scratch for Refine's output offsets, copied out exact-size
 }
 
-// NewRefiner returns a refiner able to handle columns with cardinality up
-// to maxCard.
+// NewRefiner returns a refiner whose sets-array is sized for columns with
+// cardinality up to maxCard; Split grows it for larger ones.
 func NewRefiner(maxCard int) *Refiner {
 	return &Refiner{buckets: make([][]int32, maxCard)}
 }
@@ -183,16 +184,74 @@ func (rf *Refiner) grow(card int) {
 	}
 }
 
-// RefineClusterInto splits one cluster by the codes of column col with
-// caller-owned backing storage: the rows of each sub-cluster of size >= 2
-// are appended to arena and dst receives views into it, so a warm caller
-// pays zero allocations per cluster. If arena grows mid-call, views
-// appended earlier keep pointing into the previous backing — their
-// contents are complete and never mutated, so they stay valid. Returns
-// the (possibly grown) arena and dst.
+// smallCluster is the largest cluster Split groups by comparing codes
+// pairwise instead of through the bucket table. Nearly every cluster a
+// refinement meets is this small (most have two rows), and for them a
+// card-sized table indexed per row costs more than the at most 28
+// comparisons. Bounds of 4 and 16 timed within noise of 8 on DHyFD's
+// validation, TANE's level joins and DFD's walk (see DESIGN.md).
+const smallCluster = 8
+
+// refine computes π_XA from π_X by splitting every cluster on column col.
+// The result is in compact form: sub-clusters are laid into one backing
+// array instead of being copied out one allocation each.
 //
 //fd:hotpath
-func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, arena []int32, dst [][]int32) ([]int32, [][]int32) {
+func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
+	out := &Partition{NRows: p.NRows}
+	backing := make([]int32, 0, p.Size())
+	rf.offsets = append(rf.offsets[:0], 0)
+	for _, cluster := range p.Clusters {
+		backing, rf.offsets = rf.Split(cluster, col, card, backing, rf.offsets)
+	}
+	// The offsets scratch is reused next call; the partition keeps an
+	// exact-size copy, so per-call growth amortizes away entirely.
+	out.setCompact(backing, append([]int32(nil), rf.offsets...))
+	return out
+}
+
+// Split is the refinement kernel of Algorithm 5: it splits one cluster by
+// the codes of column col, whose cardinality is card, appending the rows
+// of each sub-cluster of two or more rows to rows and the sub-cluster's
+// end position in rows to ends, and returns the grown slices.
+// Sub-clusters come in the order of their first rows in cluster, and the
+// rows of each in cluster order. A cluster of at most smallCluster rows is
+// grouped by comparing its codes pairwise in a fixed-size array; a larger
+// one goes through the bucket table, grown to card on demand. Both give
+// the same output. refine calls it once per cluster and validation once
+// per cluster and attribute; RefineBatch items run it on pool workers,
+// one Refiner each, so it writes only its parameters and receiver
+// scratch.
+//
+//fd:hotpath
+//fd:shardkernel
+func (rf *Refiner) Split(cluster, col []int32, card int, rows, ends []int32) ([]int32, []int32) {
+	if n := len(cluster); n <= smallCluster {
+		var codes [smallCluster]int32
+		for i, row := range cluster {
+			codes[i] = col[row]
+		}
+		var joined uint // bit j: row j already belongs to a sub-cluster
+		for i := 0; i < n-1; i++ {
+			if joined&(1<<i) != 0 {
+				continue
+			}
+			at := len(rows)
+			for j := i + 1; j < n; j++ {
+				if codes[j] == codes[i] {
+					if len(rows) == at {
+						rows = append(rows, cluster[i])
+					}
+					rows = append(rows, cluster[j])
+					joined |= 1 << j
+				}
+			}
+			if len(rows) > at {
+				ends = append(ends, int32(len(rows)))
+			}
+		}
+		return rows, ends
+	}
 	rf.grow(card)
 	for _, row := range cluster {
 		v := col[row]
@@ -203,63 +262,13 @@ func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, are
 	}
 	for _, v := range rf.touched {
 		if b := rf.buckets[v]; len(b) >= 2 {
-			at := len(arena)
-			arena = append(arena, b...)
-			dst = append(dst, arena[at:len(arena):len(arena)])
+			rows = append(rows, b...)
+			ends = append(ends, int32(len(rows)))
 		}
 		rf.buckets[v] = rf.buckets[v][:0]
 	}
 	rf.touched = rf.touched[:0]
-	return arena, dst
-}
-
-// refine computes π_XA from π_X by splitting every cluster on column col.
-// The result is in compact form: sub-clusters are laid into one backing
-// array instead of being copied out one allocation each.
-//
-//fd:hotpath
-func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
-	rf.grow(card)
-	out := &Partition{NRows: p.NRows}
-	backing := make([]int32, 0, p.Size())
-	rf.offsets = append(rf.offsets[:0], 0)
-	backing, rf.offsets = rf.refineRange(p.Clusters, col, backing, rf.offsets)
-	// The offsets scratch is reused next call; the partition keeps an
-	// exact-size copy, so per-call growth amortizes away entirely.
-	out.setCompact(backing, append([]int32(nil), rf.offsets...))
-	return out
-}
-
-// refineRange is refine's kernel: it splits each cluster by the codes of
-// col, appending surviving sub-cluster rows to backing and each
-// sub-cluster's end position to ends (which starts with a leading 0), and
-// returns the grown slices. RefineBatch items run it on pool workers, one
-// Refiner each, so it writes only its parameters and receiver scratch.
-// The caller owns the card-sized scratch (rf.grow). It and
-// RefineClusterInto stay two loops: building either on the other cost
-// 17–31% in the phase that runs it (see DESIGN.md).
-//
-//fd:hotpath
-//fd:shardkernel
-func (rf *Refiner) refineRange(clusters [][]int32, col []int32, backing, ends []int32) ([]int32, []int32) {
-	for _, cluster := range clusters {
-		for _, row := range cluster {
-			v := col[row]
-			if len(rf.buckets[v]) == 0 {
-				rf.touched = append(rf.touched, v)
-			}
-			rf.buckets[v] = append(rf.buckets[v], row)
-		}
-		for _, v := range rf.touched {
-			if len(rf.buckets[v]) >= 2 {
-				backing = append(backing, rf.buckets[v]...)
-				ends = append(ends, int32(len(backing)))
-			}
-			rf.buckets[v] = rf.buckets[v][:0]
-		}
-		rf.touched = rf.touched[:0]
-	}
-	return backing, ends
+	return rows, ends
 }
 
 // refiners keeps Refiner scratch warm between one-shot refine calls, so

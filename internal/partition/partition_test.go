@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,18 +64,109 @@ func TestRefineDropsNewSingletons(t *testing.T) {
 	}
 }
 
+// TestRefinerReuseAcrossCalls splits two clusters above smallCluster,
+// which take the bucket path, on one Refiner: the second call's column
+// outgrows the table NewRefiner sized, and neither call may see rows the
+// other left in a bucket.
 func TestRefinerReuseAcrossCalls(t *testing.T) {
 	rf := NewRefiner(2)
-	// Grow beyond initial capacity on second call.
-	var arena []int32
-	var dst [][]int32
-	arena, dst = rf.RefineClusterInto([]int32{0, 1, 2}, []int32{0, 0, 1}, 2, arena, dst)
-	_, dst = rf.RefineClusterInto([]int32{0, 1, 2}, []int32{5, 5, 1}, 6, arena, dst)
-	if len(dst) != 2 {
-		t.Fatalf("dst = %v", dst)
+	n := 2*smallCluster + 1
+	cluster := make([]int32, n)
+	lo, hi := make([]int32, n), make([]int32, n)
+	for i := range cluster {
+		cluster[i] = int32(i)
+		lo[i], hi[i] = 0, 5
 	}
-	if !reflect.DeepEqual(dst[0], []int32{0, 1}) || !reflect.DeepEqual(dst[1], []int32{0, 1}) {
-		t.Errorf("clusters = %v", dst)
+	lo[n-1], hi[n-1] = 1, 1 // the last row splits off alone
+	rows, ends := rf.Split(cluster, lo, 2, nil, nil)
+	rows, ends = rf.Split(cluster, hi, 6, rows, ends)
+	want := append(append([]int32(nil), cluster[:n-1]...), cluster[:n-1]...)
+	if !reflect.DeepEqual(rows, want) || !reflect.DeepEqual(ends, []int32{int32(n - 1), int32(2 * (n - 1))}) {
+		t.Errorf("rows = %v, ends = %v", rows, ends)
+	}
+	if len(rf.buckets) < 6 {
+		t.Errorf("bucket table holds %d codes, want >= 6", len(rf.buckets))
+	}
+}
+
+// referenceSplit groups cluster's rows by code the obvious way: groups in
+// the order of their first rows, rows in cluster order, groups of one row
+// dropped.
+func referenceSplit(cluster, col []int32) (rows, ends []int32) {
+	index := map[int32]int{}
+	var groups [][]int32
+	for _, row := range cluster {
+		g, ok := index[col[row]]
+		if !ok {
+			g = len(groups)
+			index[col[row]] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], row)
+	}
+	for _, g := range groups {
+		if len(g) >= 2 {
+			rows = append(rows, g...)
+			ends = append(ends, int32(len(rows)))
+		}
+	}
+	return rows, ends
+}
+
+// TestSplitMatchesReference checks the split kernel against
+// referenceSplit on cluster sizes on both sides of smallCluster, with
+// codes all equal, all distinct and random at cardinalities from 1 to
+// 20,000, on one Refiner throughout. Each call appends behind a prefix
+// left by the call before, which must stay intact.
+func TestSplitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rf := NewRefiner(1)
+	const nrows = 3000
+	col := make([]int32, nrows)
+	var rows, ends []int32
+	check := func(name string, cluster []int32, card int) {
+		t.Helper()
+		subRows, subEnds := referenceSplit(cluster, col)
+		for i := range subEnds {
+			subEnds[i] += int32(len(rows))
+		}
+		wantRows := append(slices.Clone(rows), subRows...)
+		wantEnds := append(slices.Clone(ends), subEnds...)
+		rows, ends = rf.Split(cluster, col, card, rows, ends)
+		if !slices.Equal(rows, wantRows) || !slices.Equal(ends, wantEnds) {
+			t.Fatalf("%s: rows %v ends %v, want rows %v ends %v", name, rows, ends, wantRows, wantEnds)
+		}
+	}
+	// Two rows with unequal codes split into nothing.
+	col[0], col[1] = 0, 1
+	check("two unequal", []int32{1, 0}, 2)
+	if len(rows) != 0 || len(ends) != 0 {
+		t.Fatalf("two unequal rows emitted rows %v ends %v", rows, ends)
+	}
+	for _, size := range []int{2, 3, 7, 8, 9, 16, 64, 1000} {
+		for _, card := range []int{1, 2, 50, 20000} {
+			for _, codes := range []string{"equal", "distinct", "random"} {
+				if codes == "distinct" && size > card {
+					continue
+				}
+				cluster := make([]int32, 0, size)
+				for _, row := range rng.Perm(nrows)[:size] {
+					cluster = append(cluster, int32(row))
+				}
+				distinct := rng.Perm(card)
+				for i, row := range cluster {
+					switch codes {
+					case "equal":
+						col[row] = int32(card - 1)
+					case "distinct":
+						col[row] = int32(distinct[i])
+					default:
+						col[row] = int32(rng.Intn(card))
+					}
+				}
+				check(fmt.Sprintf("size %d card %d %s", size, card, codes), cluster, card)
+			}
+		}
 	}
 }
 

@@ -6,11 +6,13 @@
 // tuple pairs; hybrid discovery samples promising pairs instead — tuples
 // from the same cluster of a stripped partition already agree on at least
 // one attribute, and the sorted-neighborhood method of Hernández and
-// Stolfo picks likely-similar neighbors inside each cluster.
+// Stolfo picks likely-similar neighbors inside each cluster. The order
+// that method sorts by ranks every row by its full code tuple; a hybrid
+// run builds it once (NewRowOrder) and orders every cluster it samples
+// from it, so no sample sorts code tuples.
 package sampling
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -119,104 +121,96 @@ func (s *NonFDSet) NonRedundant() {
 	s.seen = nil // no further Adds expected
 }
 
+// RowOrder ranks the rows of one relation by their full code tuple,
+// compared column by column, with ties broken by row: the order the
+// sorted-neighborhood method sorts every cluster in. A hybrid run builds
+// it once, before its first sample, and every sample of the run orders
+// its clusters from it.
+type RowOrder struct {
+	rank []int32 // rank[row] is row's position in the order
+	rows []int32 // rows[k] is the row at position k
+}
+
+// NewRowOrder ranks every row of r with one stable counting sort per
+// column, last column first, in O(rows × cols + Σ cards): codes lie in
+// [0, card), and starting from row order makes row the final tie-break.
+// A column of cardinality 1 ties every row and is skipped.
+func NewRowOrder(r *relation.Relation) *RowOrder {
+	n := r.NumRows()
+	rows, next := make([]int32, n), make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	var starts []int32
+	for c := r.NumCols() - 1; c >= 0; c-- {
+		card := r.Cards[c]
+		if card < 2 {
+			continue
+		}
+		if cap(starts) < card {
+			starts = make([]int32, card)
+		}
+		starts = starts[:card]
+		clear(starts)
+		col := r.Cols[c]
+		for _, v := range col {
+			starts[v]++
+		}
+		at := int32(0)
+		for v, k := range starts {
+			starts[v] = at
+			at += k
+		}
+		for _, row := range rows {
+			v := col[row]
+			next[starts[v]] = row
+			starts[v]++
+		}
+		rows, next = next, rows
+	}
+	rank := next
+	for k, row := range rows {
+		rank[row] = int32(k)
+	}
+	return &RowOrder{rank: rank, rows: rows}
+}
+
 // sampleClusters is the sorted-neighborhood kernel: rows of each cluster
-// are sorted by their full code tuple and each row is compared to its
-// neighbor at the given window distance (>= 1). Agree sets accumulate
-// into dst, and the number of comparisons is returned. Each item of
+// are put in order's order and each row is compared to its neighbor at
+// the given window distance (>= 1). Agree sets accumulate into dst, and
+// the number of comparisons is returned. Each item of
 // ClusterNeighborSample runs it over one whole partition.
-func sampleClusters(r *relation.Relation, clusters [][]int32, distance int, dst *NonFDSet) (comparisons int) {
+func sampleClusters(r *relation.Relation, order *RowOrder, clusters [][]int32, distance int, dst *NonFDSet) (comparisons int) {
+	longest := 0
+	for _, cluster := range clusters {
+		longest = max(longest, len(cluster))
+	}
+	if longest <= distance {
+		return 0
+	}
 	buf := bitset.New(r.NumCols())
+	sorted := make([]int32, longest)
 	for _, cluster := range clusters {
 		if len(cluster) <= distance {
 			continue
 		}
-		sorted := sortedCluster(r, cluster)
-		for i := 0; i+distance < len(sorted); i++ {
+		order.sort(cluster, sorted[:len(cluster)])
+		for i := 0; i+distance < len(cluster); i++ {
 			comparisons++
-			a, b := int(sorted[i]), int(sorted[i+distance])
-			dst.Add(AgreeSet(r, a, b, buf))
+			dst.Add(AgreeSet(r, int(sorted[i]), int(sorted[i+distance]), buf))
 		}
 	}
 	return comparisons
 }
 
-// sortedCluster returns the cluster rows ordered by their code tuples so
-// that similar rows become neighbors. The rows' key tuples are gathered
-// once before sorting instead of striding across every column array per
-// comparison: when the per-column code widths sum to at most 64 bits the
-// whole tuple is bit-packed into one machine word per row — gathered
-// column by column, so each column array is read once, sequentially — and
-// the sort compares single integers. Wider schemas fall back to row-major
-// gathered key tuples (two contiguous reads per comparison).
-func sortedCluster(r *relation.Relation, cluster []int32) []int32 {
-	ncols := r.NumCols()
-	totalBits := 0
-	for _, card := range r.Cards {
-		totalBits += bits.Len(uint(max(card, 1) - 1))
-	}
-	if totalBits <= 64 {
-		return sortedClusterPacked(r, cluster)
-	}
-	keys := make([]int32, len(cluster)*ncols)
+// sort writes the rows of cluster to dst, which has the cluster's length,
+// in the order's order: it sorts the rows' ranks and maps them back.
+func (o *RowOrder) sort(cluster, dst []int32) {
 	for i, row := range cluster {
-		k := keys[i*ncols : (i+1)*ncols]
-		for c := 0; c < ncols; c++ {
-			k[c] = r.Cols[c][row]
-		}
+		dst[i] = o.rank[row]
 	}
-	idx := make([]int32, len(cluster))
-	for i := range idx {
-		idx[i] = int32(i)
+	slices.Sort(dst)
+	for i, k := range dst {
+		dst[i] = o.rows[k]
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ka := keys[int(a)*ncols : (int(a)+1)*ncols]
-		kb := keys[int(b)*ncols : (int(b)+1)*ncols]
-		if c := slices.Compare(ka, kb); c != 0 {
-			return c
-		}
-		return int(cluster[a]) - int(cluster[b])
-	})
-	sorted := make([]int32, len(cluster))
-	for i, j := range idx {
-		sorted[i] = cluster[j]
-	}
-	return sorted
-}
-
-// sortedClusterPacked is the narrow-schema fast path: codes concatenated
-// at fixed per-column widths compare exactly like the lexicographic code
-// tuple, so the sort key is one uint64 per row.
-func sortedClusterPacked(r *relation.Relation, cluster []int32) []int32 {
-	type keyed struct {
-		key uint64
-		row int32
-	}
-	ks := make([]keyed, len(cluster))
-	for i, row := range cluster {
-		ks[i].row = row
-	}
-	for c := 0; c < r.NumCols(); c++ {
-		w := bits.Len(uint(max(r.Cards[c], 1) - 1))
-		if w == 0 {
-			continue // constant column: contributes nothing to the order
-		}
-		col := r.Cols[c]
-		for i := range ks {
-			ks[i].key = ks[i].key<<w | uint64(col[ks[i].row])
-		}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
-			}
-			return 1
-		}
-		return int(a.row) - int(b.row)
-	})
-	sorted := make([]int32, len(cluster))
-	for i, k := range ks {
-		sorted[i] = k.row
-	}
-	return sorted
 }

@@ -2,9 +2,11 @@ package sampling
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/bitset"
@@ -232,9 +234,10 @@ func TestClusterNeighborSample(t *testing.T) {
 		{"2", "z", "blue"},
 	})
 	p := partition.Single(r.Cols[0], r.Cards[0])
+	order := NewRowOrder(r)
 	ctx, pool := context.Background(), engine.NewPool(1)
 	s := NewNonFDSet(3)
-	newN, comps, err := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 1, s)
+	newN, comps, err := ClusterNeighborSample(ctx, pool, r, order, []*partition.Partition{p}, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestClusterNeighborSample(t *testing.T) {
 	}
 	// Window distance larger than cluster yields nothing.
 	s2 := NewNonFDSet(3)
-	if n, _, _ := ClusterNeighborSample(ctx, pool, r, []*partition.Partition{p}, 5, s2); n != 0 {
+	if n, _, _ := ClusterNeighborSample(ctx, pool, r, order, []*partition.Partition{p}, 5, s2); n != 0 {
 		t.Errorf("oversized window sampled %d", n)
 	}
 }
@@ -271,7 +274,7 @@ func TestInitialSampleCoversAllColumns(t *testing.T) {
 	for c := range singles {
 		singles[c] = partition.Single(r.Cols[c], r.Cards[c])
 	}
-	if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, singles, 1, s); err != nil {
+	if _, _, err := ClusterNeighborSample(context.Background(), engine.NewPool(1), r, NewRowOrder(r), singles, 1, s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() == 0 {
@@ -292,8 +295,9 @@ func TestInitialSampleCoversAllColumns(t *testing.T) {
 	}
 }
 
-// referenceSortedCluster is the specification sortedCluster must match: an
-// in-place comparator sort over the full code tuples, ties broken by row id.
+// referenceSortedCluster is the specification a cluster's order must
+// match: an in-place comparator sort over the full code tuples, ties
+// broken by row id.
 func referenceSortedCluster(r *relation.Relation, cluster []int32) []int32 {
 	sorted := append([]int32(nil), cluster...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -308,33 +312,93 @@ func referenceSortedCluster(r *relation.Relation, cluster []int32) []int32 {
 	return sorted
 }
 
-// TestSortedClusterMatchesReference exercises both sortedCluster paths —
-// the packed single-word fast path (narrow codes) and the gathered-tuple
-// fallback (wide codes) — against the reference comparator sort, including
-// duplicate rows (tie-break by row id) and unsorted cluster input.
-func TestSortedClusterMatchesReference(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		cols, card int
-	}{
-		{"packed", 20, 8},     // 20 × 3 bits = 60 ≤ 64
-		{"fallback", 12, 900}, // 12 × 10 bits = 120 > 64
-	} {
+// codeBits sums the per-column code widths of r: the bits one row's code
+// tuple takes packed at fixed widths.
+func codeBits(r *relation.Relation) int {
+	total := 0
+	for _, card := range r.Cards {
+		total += bits.Len(uint(max(card, 1) - 1))
+	}
+	return total
+}
+
+// TestRowOrderMatchesReference checks that ordering a cluster from the
+// run's row order gives the reference comparator sort: on every cluster
+// of every single-column partition of each benchmark shape at 300×12
+// (whose packed code tuples fit one 64-bit word on some shapes and not on
+// others), on a relation with duplicate rows, a constant column of
+// cardinality 5 and a column of cardinality 1, and on a null ≠ null
+// relation, plus each relation's rows as one cluster in reverse order.
+func TestRowOrderMatchesReference(t *testing.T) {
+	type named struct {
+		name string
+		r    *relation.Relation
+	}
+	var rels []named
+	narrow, wide := 0, 0
+	for _, b := range dataset.All() {
+		r := b.Generate(300, 12)
+		if codeBits(r) <= 64 {
+			narrow++
+		} else {
+			wide++
+		}
+		rels = append(rels, named{b.Name, r})
+	}
+	if narrow == 0 || wide == 0 {
+		t.Fatalf("%d shapes pack into 64 bits and %d do not; want both", narrow, wide)
+	}
+	rng := rand.New(rand.NewSource(91))
+	dup := make([][]int32, 4)
+	for c := range dup {
+		dup[c] = make([]int32, 200)
+	}
+	for i := range dup[0] {
+		dup[0][i] = int32(rng.Intn(6))
+		dup[1][i] = 4 // constant, but of cardinality 5
+		dup[2][i] = int32(rng.Intn(3))
+		dup[3][i] = 0 // cardinality 1
+		if i >= 100 && i < 120 {
+			for c := range dup {
+				dup[c][i] = dup[c][i-100]
+			}
+		}
+	}
+	rels = append(rels, named{"constant", relation.FromCodes(nil, dup, nil, relation.NullEqNull)})
+	rows := make([][]string, 150)
+	for i := range rows {
+		rows[i] = make([]string, 5)
+		for c := range rows[i] {
+			if rng.Intn(3) > 0 {
+				rows[i][c] = strconv.Itoa(rng.Intn(4))
+			}
+		}
+	}
+	nulls, err := relation.FromRows(nil, rows, relation.Options{Semantics: relation.NullNeqNull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels = append(rels, named{"null-neq-null", nulls})
+
+	for _, tc := range rels {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(91))
-			r := dataset.Random(rng, 400, tc.cols, tc.card)
-			// Duplicate some rows so tuple ties exist.
+			r := tc.r
+			order := NewRowOrder(r)
+			var clusters [][]int32
 			for c := range r.Cols {
-				copy(r.Cols[c][200:220], r.Cols[c][100:120])
+				clusters = append(clusters, partition.Single(r.Cols[c], r.Cards[c]).Clusters...)
 			}
-			cluster := make([]int32, 0, 300)
-			for i := 0; i < 300; i++ {
-				cluster = append(cluster, int32(rng.Intn(r.NumRows())))
+			all := make([]int32, r.NumRows())
+			for i := range all {
+				all[i] = int32(len(all) - 1 - i)
 			}
-			got := sortedCluster(r, cluster)
-			want := referenceSortedCluster(r, cluster)
-			if !slices.Equal(got, want) {
-				t.Fatalf("sortedCluster diverges from reference\ngot:  %v\nwant: %v", got, want)
+			clusters = append(clusters, all)
+			for _, cluster := range clusters {
+				got := make([]int32, len(cluster))
+				order.sort(cluster, got)
+				if want := referenceSortedCluster(r, cluster); !slices.Equal(got, want) {
+					t.Fatalf("cluster order diverges from reference\ngot:  %v\nwant: %v", got, want)
+				}
 			}
 		})
 	}

@@ -25,22 +25,23 @@ const pairBlocksPerWorker = 4
 
 // ClusterNeighborSample samples agree sets from each cluster of the
 // partitions ps, in order, using the sorted-neighborhood method: rows of
-// a cluster are sorted by their full code tuple and each row is compared
-// to its neighbor at the given window distance (distance 1 compares
-// adjacent rows). Results accumulate into dst; the number of *new*
-// non-FDs and the number of comparisons are returned, identical at every
-// worker count.
+// a cluster are put in order's order — by their full code tuple, then by
+// row — and each row is compared to its neighbor at the given window
+// distance (distance 1 compares adjacent rows). order must rank r's rows;
+// the caller builds it once per run (NewRowOrder), never per call.
+// Results accumulate into dst; the number of *new* non-FDs and the number
+// of comparisons are returned, identical at every worker count.
 //
 // The partitions are the items that fan out, one each; a one-worker pool,
 // or a single partition, samples them in order on the calling goroutine.
 // Either way the pass fires sampling.run once per call, on the calling
 // goroutine.
-func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, ps []*partition.Partition, distance int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
+func ClusterNeighborSample(ctx context.Context, pool *engine.Pool, r *relation.Relation, order *RowOrder, ps []*partition.Partition, distance int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
 	faults.Check(faults.SamplingRun)
-	return collect(ctx, pool, len(ps), sample{r: r, ps: ps, distance: max(distance, 1)}, sampleItem, dst)
+	return collect(ctx, pool, len(ps), sample{r: r, order: order, ps: ps, distance: max(distance, 1)}, sampleItem, dst)
 }
 
 // NegativeCover computes the agree sets of all tuple pairs — the full
@@ -129,6 +130,7 @@ func collectItem[S any](ctx context.Context, s S, item func(context.Context, S, 
 // partitions, one item each.
 type sample struct {
 	r        *relation.Relation
+	order    *RowOrder
 	ps       []*partition.Partition
 	distance int
 }
@@ -138,7 +140,7 @@ type sample struct {
 //
 //fd:shardkernel
 func sampleItem(_ context.Context, s sample, i int, dst *NonFDSet) int {
-	return sampleClusters(s.r, s.ps[i].Clusters, s.distance, dst)
+	return sampleClusters(s.r, s.order, s.ps[i].Clusters, s.distance, dst)
 }
 
 // pairScan is the item list of one NegativeCover call: blocks contiguous

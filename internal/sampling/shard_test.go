@@ -41,6 +41,7 @@ func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 	serial := engine.NewPool(1)
 	for _, b := range dataset.All() {
 		r := b.Generate(521, 8)
+		order := NewRowOrder(r)
 		singles := make([]*partition.Partition, r.NumCols())
 		for c := range singles {
 			singles[c] = partition.Single(r.Cols[c], r.Cards[c])
@@ -55,7 +56,7 @@ func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 			wantDst := NewNonFDSet(r.NumCols())
 			wantComps := 0
 			for c := range ps {
-				_, comps, err := ClusterNeighborSample(ctx, serial, r, ps[c:c+1], 1, wantDst)
+				_, comps, err := ClusterNeighborSample(ctx, serial, r, order, ps[c:c+1], 1, wantDst)
 				if err != nil {
 					t.Fatalf("%s partition %d: %v", b.Name, c, err)
 				}
@@ -64,7 +65,7 @@ func TestClusterNeighborSampleShardedMatches(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 7} {
 				cell := fmt.Sprintf("%s partitions=%d workers=%d", b.Name, len(ps), workers)
 				dst := NewNonFDSet(r.NumCols())
-				gotNew, gotComps, err := ClusterNeighborSample(ctx, engine.NewPool(workers), r, ps, 1, dst)
+				gotNew, gotComps, err := ClusterNeighborSample(ctx, engine.NewPool(workers), r, order, ps, 1, dst)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
@@ -137,11 +138,12 @@ func TestPairBlockStart(t *testing.T) {
 func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(3)), 400, 5, 3)
+	order := NewRowOrder(r)
 	ps := []*partition.Partition{partition.Single(r.Cols[1], r.Cards[1]), partition.Single(r.Cols[2], r.Cards[2])}
 	pool := engine.NewPool(3)
 
 	seed := NewNonFDSet(r.NumCols())
-	sampleClusters(r, partition.Single(r.Cols[0], r.Cards[0]).Clusters, 1, seed)
+	sampleClusters(r, order, partition.Single(r.Cols[0], r.Cards[0]).Clusters, 1, seed)
 
 	want := NewNonFDSet(r.NumCols())
 	for _, x := range seed.Sets() {
@@ -149,7 +151,7 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	}
 	wantComps := 0
 	for _, p := range ps {
-		wantComps += sampleClusters(r, p.Clusters, 2, want)
+		wantComps += sampleClusters(r, order, p.Clusters, 2, want)
 	}
 	wantNew := want.Len() - seed.Len()
 
@@ -157,7 +159,7 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	for _, x := range seed.Sets() {
 		got.Add(x)
 	}
-	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, ps, 2, got)
+	gotNew, gotComps, err := ClusterNeighborSample(ctx, pool, r, order, ps, 2, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +176,13 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 func TestSamplingShardMergeFault(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(5)), 300, 4, 2)
+	order := NewRowOrder(r)
 	ps := []*partition.Partition{partition.Single(r.Cols[0], r.Cards[0]), partition.Single(r.Cols[1], r.Cards[1])}
 	pool := engine.NewPool(2)
 
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic, N: 2})()
 	dst := NewNonFDSet(r.NumCols())
-	_, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst)
+	_, _, err := ClusterNeighborSample(ctx, pool, r, order, ps, 1, dst)
 	if err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -189,7 +192,7 @@ func TestSamplingShardMergeFault(t *testing.T) {
 
 	// The serial pass never touches the site: an armed plan stays armed.
 	defer faults.Arm(faults.SamplingShardMerge, faults.Plan{Kind: faults.KindPanic})()
-	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, ps, 1, NewNonFDSet(r.NumCols())); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, engine.NewPool(1), r, order, ps, 1, NewNonFDSet(r.NumCols())); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NegativeCover(ctx, engine.NewPool(1), r); err != nil {
@@ -206,13 +209,14 @@ func TestSamplingShardMergeFault(t *testing.T) {
 func TestSamplingShardStats(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(17)), 400, 4, 2)
+	order := NewRowOrder(r)
 	ps := make([]*partition.Partition, r.NumCols())
 	for c := range ps {
 		ps[c] = partition.Single(r.Cols[c], r.Cards[c])
 	}
 	pool := engine.NewPool(2)
 	dst := NewNonFDSet(r.NumCols())
-	if _, _, err := ClusterNeighborSample(ctx, pool, r, ps, 1, dst); err != nil {
+	if _, _, err := ClusterNeighborSample(ctx, pool, r, order, ps, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if shards, _ := pool.ShardStats(); shards != int64(len(ps)) {

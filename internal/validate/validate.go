@@ -23,11 +23,12 @@ type Validator struct {
 	r  *relation.Relation
 	rf *partition.Refiner
 	ag bitset.Set
-	// Refinement scratch, reused across FD calls: cluster views ping-pong
-	// between scratch and next, their rows between the two arenas.
-	scratch, next  [][]int32
-	arenaA, arenaB []int32
-	attrs          []int
+	// Refinement scratch, reused across FD calls: the sub-clusters of one
+	// start cluster, as rows and end positions in them, ping-pong between
+	// the two buffers, one refined attribute at a time.
+	rowsA, endsA []int32
+	rowsB, endsB []int32
+	attrs        []int
 	// Approximate-validation scratch: the g3 counter every refined
 	// cluster is charged through, and the per-attribute violation budgets
 	// of the current FD call.
@@ -99,31 +100,37 @@ func (v *Validator) FD(lhs, rhs bitset.Set, start *partition.Partition, startAtt
 	}
 	size := 0
 
-	scratch, next := v.scratch, v.next
-	arena, spare := v.arenaA, v.arenaB
+	rows, ends := v.rowsA, v.endsA
+	spare, spareEnds := v.rowsB, v.endsB
 	defer func() {
-		v.scratch, v.next = scratch[:0], next[:0]
-		v.arenaA, v.arenaB = arena, spare
+		v.rowsA, v.endsA = rows[:0], ends[:0]
+		v.rowsB, v.endsB = spare[:0], spareEnds[:0]
 	}()
 	for _, cluster := range start.Clusters {
 		v.RowsScanned += len(cluster)
-		scratch = scratch[:0]
-		scratch = append(scratch, cluster)
+		// The sub-clusters refined so far: cur[lo:hi] for consecutive
+		// ends hi, at first the start cluster itself.
+		whole := [1]int32{int32(len(cluster))}
+		cur, curEnds := cluster, whole[:]
 		for _, a := range remaining {
-			next = next[:0]
-			spare = spare[:0]
-			for _, s := range scratch {
+			spare, spareEnds = spare[:0], spareEnds[:0]
+			lo := int32(0)
+			for _, hi := range curEnds {
 				v.ClustersRefined++
-				v.RowsScanned += len(s)
-				spare, next = v.rf.RefineClusterInto(s, cols[a], v.r.Cards[a], spare, next)
+				v.RowsScanned += int(hi - lo)
+				spare, spareEnds = v.rf.Split(cur[lo:hi], cols[a], v.r.Cards[a], spare, spareEnds)
+				lo = hi
 			}
-			scratch, next = next, scratch
-			arena, spare = spare, arena
-			if len(scratch) == 0 {
+			rows, ends, spare, spareEnds = spare, spareEnds, rows, ends
+			cur, curEnds = rows, ends
+			if len(curEnds) == 0 {
 				break
 			}
 		}
-		for _, s := range scratch {
+		lo := int32(0)
+		for _, hi := range curEnds {
+			s := cur[lo:hi]
+			lo = hi
 			size += len(s)
 			if approx {
 				if v.scanApprox(s, valid) {

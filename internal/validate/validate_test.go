@@ -2,6 +2,7 @@ package validate
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/bitset"
@@ -122,5 +123,44 @@ func TestSnapshotSince(t *testing.T) {
 	vals, inv := v.Since(snap)
 	if vals != 1 || inv != 1 {
 		t.Errorf("Since = %d/%d, want 1/1", vals, inv)
+	}
+}
+
+// TestValidatorFDAllocsPerRun pins validation's scratch reuse: once warm,
+// FD allocates exactly the RHS set it returns, at every LHS depth, so
+// the refinement buffers, the split kernel and witness recording (whose
+// witnesses the warm-up call already added) allocate nothing. The LHS
+// takes weather's lowest-cardinality columns first, so its clusters
+// survive several refinements before they split into singletons.
+func TestValidatorFDAllocsPerRun(t *testing.T) {
+	b, err := dataset.ByName("weather")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := b.Generate(4000, 12)
+	n := r.NumCols()
+	byCard := make([]int, n)
+	for a := range byCard {
+		byCard[a] = a
+	}
+	sort.SliceStable(byCard, func(i, j int) bool { return r.Cards[byCard[i]] < r.Cards[byCard[j]] })
+	v := New(r)
+	nonFDs := sampling.NewNonFDSet(n)
+	for depth := 1; depth <= 6; depth++ {
+		lhs := bitset.New(n)
+		for _, a := range byCard[:depth] {
+			lhs.Add(a)
+		}
+		rhs := bitset.Full(n)
+		rhs.DifferenceWith(lhs)
+		p, attrs := single(r, byCard[0])
+		fd := func() { v.FD(lhs, rhs, p, attrs, nonFDs) }
+		fd()
+		if got := testing.AllocsPerRun(10, fd); got != 1 {
+			t.Errorf("depth %d: FD allocs/run = %.0f, want 1 (the returned set)", depth, got)
+		}
+	}
+	if v.ClustersRefined == 0 {
+		t.Fatal("no cluster was refined")
 	}
 }
