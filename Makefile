@@ -58,7 +58,7 @@ bench:
 # One iteration of the key benchmarks — catches bit-rot without the cost
 # of a full measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Refine100k|BenchmarkSingles$$' -benchtime 1x ./internal/partition/
+	$(GO) test -run '^$$' -bench 'Single100k|Refine100k|BenchmarkSingles$$' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowOrder|BenchmarkClusterNeighborSample' -benchtime 1x ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCover' -benchtime 1x ./internal/check/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached|TANELattice' -benchtime 1x ./

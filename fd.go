@@ -310,11 +310,11 @@ func WithPartitionCache(bytes int64) Option {
 
 // WithSpillDir attaches an out-of-core tier to the run's PLI cache:
 // entries the cache bound or the memory budget's headroom would evict (or
-// reject) write their compact backing to temp files under dir instead of
-// being discarded, and fault back in — memory-mapped where the platform
-// supports it — on their next hit. dir of "" selects the system temp
-// directory; the run owns a private subdirectory under it and removes it
-// when done. Combined with WithCache the tier attaches to the caller's
+// reject) write their rows and cluster offsets to temp files under dir
+// instead of being discarded, and fault back in — memory-mapped where
+// the platform supports it — on their next hit. dir of "" selects the
+// system temp directory; the run owns a private subdirectory under it
+// and removes it when done. Combined with WithCache the tier attaches to the caller's
 // cache, which then holds spill files until PLICache.Close. Without any
 // cache configured, a default-capacity run-private cache is created to
 // spill through. Spill traffic is reported in Stats under cache_spills /

@@ -29,14 +29,15 @@ type Violation struct {
 // FD returns up to limit violations of f on r (0 = all). An empty result
 // means the FD holds.
 func FD(r *relation.Relation, f dep.FD, limit int) []Violation {
-	return witnesses(r, f, partition.ForAttrs(f.LHS, r.Cols, r.Cards).Clusters, limit)
+	return witnesses(r, f, partition.ForAttrs(f.LHS, r.Cols, r.Cards), limit)
 }
 
 // witnesses lists up to limit violations of f (0 = all) found in the
-// clusters of π_LHS.
-func witnesses(r *relation.Relation, f dep.FD, clusters [][]int32, limit int) []Violation {
+// clusters of p = π_LHS.
+func witnesses(r *relation.Relation, f dep.FD, p *partition.Partition, limit int) []Violation {
 	var out []Violation
-	for _, cluster := range clusters {
+	for i := range p.Card() {
+		cluster := p.Cluster(i)
 		// Within a cluster all rows agree on the LHS; group by each RHS
 		// attribute and report one witness per differing row.
 		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
@@ -148,7 +149,7 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 				if g3Violations(r, fds[i], p, counters[w], opts.MaxViolations) > opts.MaxViolations {
 					v = violated
 				}
-			} else if len(witnesses(r, fds[i], p.Clusters, 1)) > 0 {
+			} else if len(witnesses(r, fds[i], p, 1)) > 0 {
 				v = violated
 			}
 			verdicts[i] = v
@@ -182,10 +183,9 @@ func g3Violations(r *relation.Relation, f dep.FD, p *partition.Partition, g *par
 // duplicate row pair if not.
 func Keys(r *relation.Relation, key bitset.Set) (int, int, bool) {
 	p := partition.ForAttrs(key, r.Cols, r.Cards)
-	for _, cluster := range p.Clusters {
-		if len(cluster) >= 2 {
-			return int(cluster[0]), int(cluster[1]), false
-		}
+	if p.IsUnique() {
+		return 0, 0, true
 	}
-	return 0, 0, true
+	cluster := p.Cluster(0)
+	return int(cluster[0]), int(cluster[1]), false
 }

@@ -20,10 +20,12 @@ import (
 // efficiency–inefficiency ratio says so; HyFD's switches into its
 // progressive sampler when a level invalidated too much.
 type Step interface {
-	// Start runs once the single-attribute partitions and the run's row
-	// order are built, before a cold run samples; order is nil on an
-	// approximate run, which never samples, and resume is the frontier a
-	// resumed run restarts from, nil on a cold run.
+	// Start runs once the single-attribute partitions are built, before
+	// a cold run samples. order is the row order of the initial sample:
+	// nil on an approximate run, which never samples, and on a resumed
+	// run, which skips the initial sample, so a step that samples again
+	// builds its own. resume is the frontier a resumed run restarts from,
+	// nil on a cold run.
 	Start(ctx context.Context, h *runstate.Harness, singles []*partition.Partition, order *sampling.RowOrder, resume *runstate.LevelFrontier)
 	// AfterLevel runs after a level is validated and its non-FDs are
 	// inducted; validations and invalidated count the level's checked and
@@ -101,10 +103,11 @@ func (l *hybrid) run(ctx context.Context, r *relation.Relation, algorithm string
 	approx := opts.MaxViolations > 0
 	full := bitset.Full(n)
 	lf := resumeLevel(opts.Resume)
-	// The sorted-neighborhood order every sample of the run uses, built
-	// once; a resumed run rebuilds it, since snapshots do not carry it.
+	// The sorted-neighborhood order of the initial sample, built once
+	// and handed to the step. Snapshots do not carry it, and a resumed
+	// run skips the initial sample, so only a cold exact run builds it.
 	var order *sampling.RowOrder
-	if !approx {
+	if !approx && lf == nil {
 		order = sampling.NewRowOrder(r)
 	}
 	step.Start(ctx, h, singles, order, lf)

@@ -68,7 +68,7 @@ type sampler struct {
 	ctx   context.Context
 	pool  *engine.Pool
 	r     *relation.Relation
-	order *sampling.RowOrder // the run's row order, shared by every round
+	order *sampling.RowOrder // shared by every round; a resumed run's first round builds it
 	plis  []*partition.Partition
 	runs  []runstate.SamplerRec
 	cfg   Config
@@ -76,14 +76,8 @@ type sampler struct {
 
 func newSampler(ctx context.Context, pool *engine.Pool, r *relation.Relation, order *sampling.RowOrder, plis []*partition.Partition, cfg Config) *sampler {
 	s := &sampler{ctx: ctx, pool: pool, r: r, order: order, plis: plis, cfg: cfg}
-	for c := range plis {
-		maxCluster := 0
-		for _, cl := range plis[c].Clusters {
-			if len(cl) > maxCluster {
-				maxCluster = len(cl)
-			}
-		}
-		s.runs = append(s.runs, runstate.SamplerRec{Distance: 1, Efficiency: 1, Exhausted: maxCluster < 2})
+	for _, p := range plis {
+		s.runs = append(s.runs, runstate.SamplerRec{Distance: 1, Efficiency: 1, Exhausted: p.IsUnique()})
 	}
 	return s
 }
@@ -106,6 +100,10 @@ func (s *sampler) step(dst *sampling.NonFDSet) (newNonFDs, comparisons int, ran 
 		return 0, 0, false, nil
 	}
 	ru := &s.runs[best]
+	if s.order == nil {
+		// A resumed run starts without the cold run's order.
+		s.order = sampling.NewRowOrder(s.r)
+	}
 	newN, comps, err := sampling.ClusterNeighborSample(s.ctx, s.pool, s.r, s.order, s.plis[best:best+1], int(ru.Distance), dst)
 	if err != nil {
 		return 0, 0, false, err

@@ -30,7 +30,7 @@ func RefineBatch(ctx context.Context, pool *engine.Pool, cols [][]int32, cards [
 		rf := getRefiner()
 		p := jobs[i].Part
 		for _, a := range jobs[i].Attrs {
-			if len(p.Clusters) == 0 {
+			if p.IsUnique() {
 				break
 			}
 			p = rf.refine(p, cols[a], cards[a])

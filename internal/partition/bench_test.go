@@ -42,9 +42,10 @@ func BenchmarkRefine100k(b *testing.B) {
 }
 
 // TestRefineAllocsPerRun pins the pooled refine scratch: after one warm
-// call, each one-shot refine entry point pays for its output and a few
-// headers, never for a card-sized bucket table or buckets grown from nil,
-// at low and high cardinality alike.
+// call, each one-shot refine entry point pays for its outputs (three
+// allocations per refined partition, plus ForAttrs' Single and
+// RefineBatch's result list and fan-out), never for a card-sized bucket
+// table or buckets grown from nil, at low and high cardinality alike.
 func TestRefineAllocsPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -75,6 +76,32 @@ func TestRefineAllocsPerRun(t *testing.T) {
 			if got := testing.AllocsPerRun(10, tc.call); got > 16 {
 				t.Errorf("card %d: %s allocs/run = %.0f, want <= 16", card, tc.name, got)
 			}
+		}
+	}
+}
+
+// TestLayoutAllocsPerRun pins the partition layout exactly: a warm
+// Refiner.refine allocates the partition, its rows and its offsets, and
+// Single its three scratch arrays besides those three, whatever the
+// cluster count. Both inputs keep clusters in the refined partition —
+// about 50 large ones that take the bucket path, and about 2,500 small
+// ones — so an allocation per cluster list shows up as a fourth and a
+// seventh.
+func TestLayoutAllocsPerRun(t *testing.T) {
+	for _, cards := range [][2]int{{50, 50}, {5000, 2}} {
+		a := randomColumn(20_000, cards[0], 1)
+		c := randomColumn(20_000, cards[1], 2)
+		pa := Single(a, cards[0])
+		rf := NewRefiner(cards[1])
+		rf.refine(pa, c, cards[1]) // warm the bucket table and offsets scratch
+		if p := rf.refine(pa, c, cards[1]); p.Card() < 40 {
+			t.Fatalf("cards %v: the refined partition has %d clusters", cards, p.Card())
+		}
+		if got := testing.AllocsPerRun(10, func() { rf.refine(pa, c, cards[1]) }); got != 3 {
+			t.Errorf("cards %v: Refiner.refine allocs/run = %.0f, want 3", cards, got)
+		}
+		if got := testing.AllocsPerRun(10, func() { Single(a, cards[0]) }); got != 6 {
+			t.Errorf("cards %v: Single allocs/run = %.0f, want 6", cards, got)
 		}
 	}
 }

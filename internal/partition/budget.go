@@ -6,18 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// sliceHeaderBytes approximates the fixed overhead of one cluster: the
-// slice header plus allocator slack.
-const sliceHeaderBytes = 24
+// clusterCharge is what Cost charges per cluster. It is an accounting
+// unit, not a measured size: a partition holds one 4-byte offset per
+// cluster, and the charge stays at 24 bytes so that every cache bound,
+// spill decision and budget trip point keeps the value it had.
+const clusterCharge = 24
 
-// Cost approximates the resident bytes of a stripped partition: one slice
-// header per cluster plus four bytes per row inside clusters — the
-// clusters × rows accounting the memory-budget machinery charges.
+// Cost is the accounting size of a stripped partition that the cache
+// bound and the memory budget charge: clusterCharge per cluster plus four
+// bytes per row inside clusters.
 func Cost(p *Partition) int64 {
 	if p == nil {
 		return 0
 	}
-	return int64(len(p.Clusters))*sliceHeaderBytes + int64(p.Size())*4
+	return int64(p.Card())*clusterCharge + int64(p.Size())*4
 }
 
 // Budget bounds the partition memory a discovery run may hold and the

@@ -8,7 +8,7 @@ import (
 
 func budgetTestPartition() *Partition {
 	// Two clusters over six rows: cost = 2*24 + 6*4 = 72.
-	return &Partition{Clusters: [][]int32{{0, 1}, {2, 3, 4, 5}}, NRows: 6}
+	return testPart(6, []int32{0, 1}, []int32{2, 3, 4, 5})
 }
 
 func TestBudgetNilUnlimited(t *testing.T) {
@@ -30,10 +30,10 @@ func TestBudgetCost(t *testing.T) {
 	if got := Cost(nil); got != 0 {
 		t.Errorf("Cost(nil) = %d", got)
 	}
-	p := budgetTestPartition()
-	want := int64(len(p.Clusters))*sliceHeaderBytes + int64(p.Size())*4
-	if got := Cost(p); got != want {
-		t.Errorf("Cost = %d, want %d", got, want)
+	// The accounting charge per cluster and per row is fixed: every
+	// cache bound and budget trip point is stated in it.
+	if got := Cost(budgetTestPartition()); got != 2*clusterCharge+6*4 || clusterCharge != 24 {
+		t.Errorf("Cost = %d with clusterCharge %d, want 72 with 24", got, clusterCharge)
 	}
 }
 

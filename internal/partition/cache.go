@@ -415,7 +415,7 @@ func ForAttrsCached(ctx context.Context, c *Cache, x bitset.Set, cols [][]int32,
 	}
 	rf := getRefiner()
 	for _, a := range attrs[k:] {
-		if len(p.Clusters) > 0 {
+		if !p.IsUnique() {
 			p = rf.refine(p, cols[a], cards[a])
 		}
 		prefix.Add(a)

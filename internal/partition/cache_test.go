@@ -8,13 +8,6 @@ import (
 	"repro/internal/bitset"
 )
 
-// testPart builds a compact partition with the given clusters, for cache
-// tests that need precise Cost and Error values.
-func testPart(nrows int, clusters ...[]int32) *Partition {
-	p := &Partition{NRows: nrows, Clusters: clusters}
-	return p.Clone()
-}
-
 func TestCacheNilSafety(t *testing.T) {
 	if NewCache(0, nil) != nil || NewCache(-1, nil) != nil {
 		t.Fatal("non-positive capacity must return the nil always-miss cache")

@@ -31,37 +31,35 @@ func (g *G3Counter) grow(card int) {
 // the total exceeds limit — callers only need to compare against limit,
 // so any return > limit means "too many".
 func (g *G3Counter) Violations(p *Partition, col []int32, card int, limit int) int {
-	return g.ViolationsClusters(p.Clusters, col, card, limit)
-}
-
-// ViolationsClusters is Violations over an explicit cluster list — the
-// validator counts one cluster at a time with it. Clusters violate
-// independently, so summing per-list counts (each early-exited past
-// limit) decides "total > limit" exactly as the whole-partition scan
-// does.
-func (g *G3Counter) ViolationsClusters(clusters [][]int32, col []int32, card int, limit int) int {
-	g.grow(card)
 	total := 0
-	for _, cluster := range clusters {
-		var max int32
-		for _, row := range cluster {
-			code := col[row]
-			g.counts[code]++
-			if g.counts[code] == 1 {
-				g.touched = append(g.touched, code)
-			}
-			if g.counts[code] > max {
-				max = g.counts[code]
-			}
-		}
-		for _, code := range g.touched {
-			g.counts[code] = 0
-		}
-		g.touched = g.touched[:0]
-		total += len(cluster) - int(max)
+	for i := range p.Card() {
+		total += g.ClusterViolations(p.Cluster(i), col, card)
 		if total > limit {
 			return total
 		}
 	}
 	return total
+}
+
+// ClusterViolations returns the g3 violation count of one cluster
+// against col: its rows outside the largest col-agreeing group. Clusters
+// violate independently, so the validator, which refines one cluster at
+// a time, sums these counts and compares the total against its bound as
+// Violations does.
+func (g *G3Counter) ClusterViolations(cluster, col []int32, card int) int {
+	g.grow(card)
+	var most int32
+	for _, row := range cluster {
+		code := col[row]
+		g.counts[code]++
+		if g.counts[code] == 1 {
+			g.touched = append(g.touched, code)
+		}
+		most = max(most, g.counts[code])
+	}
+	for _, code := range g.touched {
+		g.counts[code] = 0
+	}
+	g.touched = g.touched[:0]
+	return len(cluster) - int(most)
 }

@@ -11,7 +11,8 @@ import (
 // per LHS cluster, the rows outside the largest RHS-agreeing group.
 func g3Brute(p *Partition, col []int32) int {
 	total := 0
-	for _, cluster := range p.Clusters {
+	for i := range p.Card() {
+		cluster := p.Cluster(i)
 		freq := map[int32]int{}
 		max := 0
 		for _, row := range cluster {

@@ -30,16 +30,18 @@
 // context (the public check API, ranking without a cache, TANE's
 // minimality check).
 //
-// Partitions produced by Single and Refine are in compact form: all
-// cluster rows live in one backing array and Clusters are zero-copy
-// views into it, so a partition costs three allocations regardless of
-// its cluster count. The one-shot refine entry points borrow their
-// Refiner from a package pool, so its bucket table outlives the call.
-// Cache (cache.go) keeps refined partitions alive across candidate
-// evaluations under an LRU byte bound.
+// A partition has one layout: every clustered row in one flat array and
+// the cluster boundaries beside it, read through Card and Cluster. A
+// refined partition therefore costs three allocations (the struct and
+// its two arrays) whatever its cluster count, and the spill tier writes
+// and maps the two arrays as they are. The one-shot refine entry points
+// borrow their Refiner from a package pool, so its bucket table
+// outlives the call. Cache (cache.go) keeps refined partitions alive
+// across candidate evaluations under an LRU byte bound.
 package partition
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,48 +52,28 @@ import (
 // Partition is a stripped partition: clusters of row indexes, each of size
 // at least two. The zero value is the empty partition.
 type Partition struct {
-	// Clusters holds row-index clusters, each with len >= 2. In compact
-	// form every cluster is a zero-copy view into one backing array.
-	Clusters [][]int32
 	// NRows is the number of rows of the underlying relation.
 	NRows int
 
-	// backing and offsets are the compact form: cluster i is
-	// backing[offsets[i]:offsets[i+1]] and Clusters aliases those ranges.
-	// Nil for partitions assembled cluster by cluster.
+	// Cluster i is backing[offsets[i]:offsets[i+1]]: backing holds every
+	// clustered row and offsets the cluster boundaries with a leading 0.
+	// Both are nil in the zero value.
 	backing []int32
 	offsets []int32
 }
 
-// IsCompact reports whether the partition is in compact form: one backing
-// array holding every cluster row, Clusters aliasing it.
-func (p *Partition) IsCompact() bool { return p.offsets != nil }
-
-// setCompact installs backing/offsets and builds the zero-copy cluster
-// views. offsets must have one more entry than there are clusters, with
-// offsets[0] == 0 and offsets[len-1] == len(backing).
-func (p *Partition) setCompact(backing, offsets []int32) {
-	p.backing, p.offsets = backing, offsets
-	p.Clusters = make([][]int32, len(offsets)-1)
-	for i := range p.Clusters {
-		p.Clusters[i] = backing[offsets[i]:offsets[i+1]:offsets[i+1]]
-	}
-}
-
 // Card returns |π|, the number of clusters.
-func (p *Partition) Card() int { return len(p.Clusters) }
+func (p *Partition) Card() int { return max(len(p.offsets)-1, 0) }
+
+// Cluster returns the rows of cluster i, 0 <= i < Card(). The slice
+// aliases the partition, which callers must not modify.
+func (p *Partition) Cluster(i int) []int32 {
+	lo, hi := p.offsets[i], p.offsets[i+1]
+	return p.backing[lo:hi:hi]
+}
 
 // Size returns ‖π‖, the total number of rows inside clusters.
-func (p *Partition) Size() int {
-	if p.backing != nil {
-		return len(p.backing)
-	}
-	n := 0
-	for _, c := range p.Clusters {
-		n += len(c)
-	}
-	return n
-}
+func (p *Partition) Size() int { return len(p.backing) }
 
 // Error returns e(π) = ‖π‖ − |π|, the minimum number of rows to remove so
 // that the partitioning attributes form a key.
@@ -99,24 +81,11 @@ func (p *Partition) Error() int { return p.Size() - p.Card() }
 
 // IsUnique reports whether the partition has no cluster, i.e. the
 // partitioning attribute set is a key (all classes are singletons).
-func (p *Partition) IsUnique() bool { return len(p.Clusters) == 0 }
-
-// Clone returns a deep copy (in compact form).
-func (p *Partition) Clone() *Partition {
-	c := &Partition{NRows: p.NRows}
-	backing := make([]int32, 0, p.Size())
-	offsets := make([]int32, 1, len(p.Clusters)+1)
-	for _, cl := range p.Clusters {
-		backing = append(backing, cl...)
-		offsets = append(offsets, int32(len(backing)))
-	}
-	c.setCompact(backing, offsets)
-	return c
-}
+func (p *Partition) IsUnique() bool { return p.Card() == 0 }
 
 // Single builds the stripped partition of one dictionary-encoded column.
 // card must be at least 1 + max(col); rows with unique codes are stripped.
-// The result is in compact form.
+// Clusters come in code order, and the rows of each in row order.
 //
 //fd:hotpath
 func Single(col []int32, card int) *Partition {
@@ -155,9 +124,7 @@ func Single(col []int32, card int) *Partition {
 			offsets = append(offsets, off+counts[v])
 		}
 	}
-	p := &Partition{NRows: len(col)}
-	p.setCompact(backing, offsets)
-	return p
+	return &Partition{NRows: len(col), backing: backing, offsets: offsets}
 }
 
 // Refiner refines partitions one cluster at a time (Algorithm 5 of the
@@ -193,21 +160,19 @@ func (rf *Refiner) grow(card int) {
 const smallCluster = 8
 
 // refine computes π_XA from π_X by splitting every cluster on column col.
-// The result is in compact form: sub-clusters are laid into one backing
-// array instead of being copied out one allocation each.
+// Sub-clusters are laid into one row array sized for ‖π_X‖, so the result
+// costs three allocations: the struct, its rows and its offsets.
 //
 //fd:hotpath
 func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
-	out := &Partition{NRows: p.NRows}
 	backing := make([]int32, 0, p.Size())
 	rf.offsets = append(rf.offsets[:0], 0)
-	for _, cluster := range p.Clusters {
-		backing, rf.offsets = rf.Split(cluster, col, card, backing, rf.offsets)
+	for i := range p.Card() {
+		backing, rf.offsets = rf.Split(p.Cluster(i), col, card, backing, rf.offsets)
 	}
 	// The offsets scratch is reused next call; the partition keeps an
 	// exact-size copy, so per-call growth amortizes away entirely.
-	out.setCompact(backing, append([]int32(nil), rf.offsets...))
-	return out
+	return &Partition{NRows: p.NRows, backing: backing, offsets: append([]int32(nil), rf.offsets...)}
 }
 
 // Split is the refinement kernel of Algorithm 5: it splits one cluster by
@@ -309,16 +274,8 @@ func (p *Partition) Members(dst bitset.Bitmap) bitset.Bitmap {
 		dst = dst[:words]
 		dst.Clear()
 	}
-	if p.backing != nil {
-		for _, row := range p.backing {
-			dst.Set(int(row))
-		}
-		return dst
-	}
-	for _, cluster := range p.Clusters {
-		for _, row := range cluster {
-			dst.Set(int(row))
-		}
+	for _, row := range p.backing {
+		dst.Set(int(row))
 	}
 	return dst
 }
@@ -359,7 +316,7 @@ func ForAttrs(x bitset.Set, cols [][]int32, cards []int) *Partition {
 	p := Single(cols[attrs[0]], cards[attrs[0]])
 	rf := getRefiner()
 	for _, a := range attrs[1:] {
-		if len(p.Clusters) == 0 {
+		if p.IsUnique() {
 			break
 		}
 		p = rf.refine(p, cols[a], cards[a])
@@ -377,49 +334,33 @@ func fullPartition(nrows int) *Partition {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	p := &Partition{NRows: nrows}
-	p.setCompact(all, []int32{0, int32(nrows)})
-	return p
-}
-
-// SortClusters orders clusters by ascending first row, and rows within each
-// cluster ascending. Useful for deterministic comparisons in tests. It
-// copies compact clusters out of their shared backing first, so sorting
-// never mutates a partition aliased elsewhere (a cache, another view).
-func (p *Partition) SortClusters() {
-	if p.backing != nil {
-		clusters := make([][]int32, len(p.Clusters))
-		for i, c := range p.Clusters {
-			clusters[i] = append([]int32(nil), c...)
-		}
-		p.Clusters, p.backing, p.offsets = clusters, nil, nil
-	}
-	for _, c := range p.Clusters {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	}
-	sort.Slice(p.Clusters, func(i, j int) bool {
-		return p.Clusters[i][0] < p.Clusters[j][0]
-	})
+	return &Partition{NRows: nrows, backing: all, offsets: []int32{0, int32(nrows)}}
 }
 
 // Equal reports whether two partitions contain the same clusters,
-// disregarding order. Both partitions are sorted as a side effect.
+// disregarding the order of clusters and of rows within them. Neither
+// operand changes: each row is mapped to the smallest row of its
+// cluster, and the two maps must agree.
 func (p *Partition) Equal(o *Partition) bool {
-	if p.NRows != o.NRows || len(p.Clusters) != len(o.Clusters) {
+	if p.NRows != o.NRows || p.Card() != o.Card() || p.Size() != o.Size() {
 		return false
 	}
-	p.SortClusters()
-	o.SortClusters()
-	for i := range p.Clusters {
-		a, b := p.Clusters[i], o.Clusters[i]
-		if len(a) != len(b) {
-			return false
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return false
-			}
+	return slices.Equal(p.leaders(), o.leaders())
+}
+
+// leaders maps every row to the smallest row of its cluster, and stripped
+// rows to -1.
+func (p *Partition) leaders() []int32 {
+	lead := make([]int32, p.NRows)
+	for i := range lead {
+		lead[i] = -1
+	}
+	for i := range p.Card() {
+		cluster := p.Cluster(i)
+		first := slices.Min(cluster)
+		for _, row := range cluster {
+			lead[row] = first
 		}
 	}
-	return true
+	return lead
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,13 +12,31 @@ import (
 	"repro/internal/bitset"
 )
 
+// testPart lays the given clusters, in order, into a partition's row
+// array and offsets, for tests that need exact clusters.
+func testPart(nrows int, clusters ...[]int32) *Partition {
+	p := &Partition{NRows: nrows, offsets: []int32{0}}
+	for _, c := range clusters {
+		p.backing = append(p.backing, c...)
+		p.offsets = append(p.offsets, int32(len(p.backing)))
+	}
+	return p
+}
+
+// clustersOf copies p's clusters out in order, for test messages.
+func clustersOf(p *Partition) [][]int32 {
+	out := make([][]int32, p.Card())
+	for i := range out {
+		out[i] = slices.Clone(p.Cluster(i))
+	}
+	return out
+}
+
 func TestSingleStripsSingletons(t *testing.T) {
 	// codes: 0,1,0,2,1,3 -> clusters {0,2} and {1,4}; 2 and 3 stripped.
 	p := Single([]int32{0, 1, 0, 2, 1, 3}, 4)
-	p.SortClusters()
-	want := [][]int32{{0, 2}, {1, 4}}
-	if !reflect.DeepEqual(p.Clusters, want) {
-		t.Errorf("clusters = %v, want %v", p.Clusters, want)
+	if want := testPart(6, []int32{0, 2}, []int32{1, 4}); !p.Equal(want) {
+		t.Errorf("clusters = %v, want %v", clustersOf(p), clustersOf(want))
 	}
 	if p.Card() != 2 || p.Size() != 4 || p.Error() != 2 {
 		t.Errorf("card/size/error = %d/%d/%d", p.Card(), p.Size(), p.Error())
@@ -47,10 +66,8 @@ func TestRefineSplitsClusters(t *testing.T) {
 	b := []int32{0, 1, 0, 1, 2, 2}
 	pa := Single(a, 1)
 	pab := Refine(pa, b, 3)
-	pab.SortClusters()
-	want := [][]int32{{0, 2}, {1, 3}, {4, 5}}
-	if !reflect.DeepEqual(pab.Clusters, want) {
-		t.Errorf("refined = %v, want %v", pab.Clusters, want)
+	if want := testPart(6, []int32{0, 2}, []int32{1, 3}, []int32{4, 5}); !pab.Equal(want) {
+		t.Errorf("refined = %v, want %v", clustersOf(pab), clustersOf(want))
 	}
 }
 
@@ -58,9 +75,8 @@ func TestRefineDropsNewSingletons(t *testing.T) {
 	a := []int32{0, 0, 0}
 	b := []int32{0, 0, 1}
 	pab := Refine(Single(a, 1), b, 2)
-	pab.SortClusters()
-	if !reflect.DeepEqual(pab.Clusters, [][]int32{{0, 1}}) {
-		t.Errorf("refined = %v", pab.Clusters)
+	if !pab.Equal(testPart(3, []int32{0, 1})) {
+		t.Errorf("refined = %v", clustersOf(pab))
 	}
 }
 
@@ -179,7 +195,7 @@ func TestForAttrsEmptySet(t *testing.T) {
 	// A 1-row relation has no pair, so π_∅ is empty.
 	p1 := ForAttrs(bitset.New(1), [][]int32{{0}}, []int{1})
 	if p1.Card() != 0 {
-		t.Errorf("π_∅ on single row: %v", p1.Clusters)
+		t.Errorf("π_∅ on single row: %v", clustersOf(p1))
 	}
 }
 
@@ -187,18 +203,55 @@ func TestForAttrsMultiAttr(t *testing.T) {
 	// Rows: (0,0) (0,1) (0,0) (1,0) -> π_{a,b} = {{0,2}}.
 	cols := [][]int32{{0, 0, 0, 1}, {0, 1, 0, 0}}
 	p := ForAttrs(bitset.FromAttrs(2, 0, 1), cols, []int{2, 2})
-	p.SortClusters()
-	if !reflect.DeepEqual(p.Clusters, [][]int32{{0, 2}}) {
-		t.Errorf("π_ab = %v", p.Clusters)
+	if !p.Equal(testPart(4, []int32{0, 2})) {
+		t.Errorf("π_ab = %v", clustersOf(p))
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := Single([]int32{0, 0, 1, 1}, 2)
-	c := p.Clone()
-	c.Clusters[0][0] = 99
-	if p.Clusters[0][0] == 99 {
-		t.Error("Clone shares backing array")
+// TestEqualLeavesOperandsUnchanged compares a partition served from a
+// cache with the same clusters built in another order: they are Equal,
+// and neither operand's clusters nor rows move.
+func TestEqualLeavesOperandsUnchanged(t *testing.T) {
+	// The columns swap the codes of the same two clusters, and Single
+	// orders clusters by code: column 0 lists {2, 3, 5} first, column 1
+	// lists {0, 1, 4} first.
+	cols := [][]int32{{1, 1, 0, 0, 1, 0}, {0, 0, 1, 1, 0, 1}}
+	cards := []int{2, 2}
+	x := bitset.FromAttrs(2, 0)
+	c := NewCache(1<<20, nil)
+	if _, _, err := ForAttrsCached(context.Background(), c, x, cols, cards); err != nil {
+		t.Fatal(err)
+	}
+	cached := c.Get(x)
+	other := Single(cols[1], cards[1])
+	if !slices.Equal(cached.backing, []int32{2, 3, 5, 0, 1, 4}) || !slices.Equal(other.backing, []int32{0, 1, 4, 2, 3, 5}) {
+		t.Fatalf("fixture: cached %v, other %v", clustersOf(cached), clustersOf(other))
+	}
+	wantCached, wantOther := clustersOf(cached), clustersOf(other)
+	if !cached.Equal(other) || !other.Equal(cached) {
+		t.Fatalf("%v and %v should be Equal", wantCached, wantOther)
+	}
+	if got := clustersOf(cached); !reflect.DeepEqual(got, wantCached) {
+		t.Errorf("Equal changed the cached operand: %v, was %v", got, wantCached)
+	}
+	if got := clustersOf(other); !reflect.DeepEqual(got, wantOther) {
+		t.Errorf("Equal changed the other operand: %v, was %v", got, wantOther)
+	}
+	if again := c.Get(x); again != cached || !reflect.DeepEqual(clustersOf(again), wantCached) {
+		t.Errorf("cache serves %v after Equal, want %v", clustersOf(again), wantCached)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *Partition
+	}{
+		{"rows", testPart(4, []int32{0, 1}, []int32{2, 3}), testPart(4, []int32{0, 2}, []int32{1, 3})},
+		{"nrows", testPart(4, []int32{0, 1}), testPart(5, []int32{0, 1})},
+		{"card", testPart(4, []int32{0, 1, 2, 3}), testPart(4, []int32{0, 1}, []int32{2, 3})},
+		{"zero value", testPart(4, []int32{0, 1}), &Partition{NRows: 4}},
+	} {
+		if tc.a.Equal(tc.b) || tc.b.Equal(tc.a) {
+			t.Errorf("%s: %v and %v should differ", tc.name, clustersOf(tc.a), clustersOf(tc.b))
+		}
 	}
 }
 
@@ -258,34 +311,57 @@ func TestQuickRefineOrderIrrelevant(t *testing.T) {
 	}
 }
 
-// TestQuickClusterInvariants checks structural invariants: every cluster has
-// >= 2 rows, rows are unique, all rows within a cluster share codes.
+// TestQuickClusterInvariants checks the layout's invariants on every
+// producer — Single, Refine, ForAttrs, and a spill reload of each —
+// and on the zero value: every cluster has at least 2 rows, no row
+// appears twice, the clusters tile Size() in order, and all rows of a
+// cluster share their codes on the partitioning columns. For Single,
+// Size plus the stripped singletons is the row count.
 func TestQuickClusterInvariants(t *testing.T) {
+	dir := t.TempDir()
 	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		col := make([]int32, len(raw))
+		cols := [][]int32{make([]int32, len(raw)), make([]int32, len(raw)), make([]int32, len(raw))}
 		for i, v := range raw {
-			col[i] = int32(v % 8)
+			cols[0][i], cols[1][i], cols[2][i] = int32(v%8), int32(v/8%4), int32(v/32%3)
 		}
-		p := Single(col, 8)
-		seen := map[int32]bool{}
-		for _, cluster := range p.Clusters {
-			if len(cluster) < 2 {
+		cards := []int{8, 4, 3}
+		single := Single(cols[0], cards[0])
+		type built struct {
+			p     *Partition
+			attrs []int // the columns its clusters agree on
+		}
+		parts := []built{
+			{single, []int{0}},
+			{Refine(single, cols[1], cards[1]), []int{0, 1}},
+			{ForAttrs(bitset.FromAttrs(3, 0, 1, 2), cols, cards), []int{0, 1, 2}},
+			{&Partition{NRows: len(raw)}, nil},
+		}
+		// Spill each partition and read it back through the cache.
+		c := NewCache(1<<30, nil)
+		if err := c.EnableSpill(dir); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var reloads []built
+		for k, b := range parts {
+			key := bitset.FromAttrs(4, k)
+			c.Put(key, b.p)
+			c.mu.Lock()
+			c.evict(c.entries[key.Key()])
+			c.mu.Unlock()
+			reloaded := c.Get(key)
+			if reloaded == nil || reloaded == b.p || !reloaded.Equal(b.p) {
 				return false
 			}
-			v := col[cluster[0]]
-			for _, row := range cluster {
-				if col[row] != v || seen[row] {
-					return false
-				}
-				seen[row] = true
+			reloads = append(reloads, built{reloaded, b.attrs})
+		}
+		for _, b := range append(parts, reloads...) {
+			if !clusterInvariantsHold(b.p, cols, b.attrs) {
+				return false
 			}
 		}
-		// Size + stripped singletons == rows.
 		counts := map[int32]int{}
-		for _, v := range col {
+		for _, v := range cols[0] {
 			counts[v]++
 		}
 		singletons := 0
@@ -294,9 +370,36 @@ func TestQuickClusterInvariants(t *testing.T) {
 				singletons++
 			}
 		}
-		return p.Size()+singletons == len(col)
+		return single.Size()+singletons == len(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// clusterInvariantsHold reports whether p's clusters have at least 2
+// rows each, hold no row twice, tile Size() in order, and agree on the
+// columns attrs.
+func clusterInvariantsHold(p *Partition, cols [][]int32, attrs []int) bool {
+	seen := map[int32]bool{}
+	at := 0
+	for i := range p.Card() {
+		cluster := p.Cluster(i)
+		if len(cluster) < 2 || !slices.Equal(cluster, p.backing[at:at+len(cluster)]) {
+			return false
+		}
+		at += len(cluster)
+		for _, row := range cluster {
+			if seen[row] {
+				return false
+			}
+			seen[row] = true
+			for _, a := range attrs {
+				if cols[a][row] != cols[a][cluster[0]] {
+					return false
+				}
+			}
+		}
+	}
+	return at == p.Size()
 }

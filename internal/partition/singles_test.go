@@ -13,9 +13,8 @@ import (
 
 // TestBuildSinglesByteIdentical pins the bootstrap's contract: for every
 // benchmark relation, under a serial pool and pools narrower and wider
-// than the column count, Singles builds every column, and the compact
-// form — backing array and offsets — of each matches Single byte for
-// byte.
+// than the column count, Singles builds every column, and the two arrays
+// of each — rows and offsets — match Single byte for byte.
 func TestBuildSinglesByteIdentical(t *testing.T) {
 	for _, b := range dataset.All() {
 		r := b.Generate(233, 0)
@@ -29,20 +28,19 @@ func TestBuildSinglesByteIdentical(t *testing.T) {
 				t.Fatalf("%s workers=%d: built %d of %d, err %v", b.Name, workers, built, r.NumCols(), err)
 			}
 			for c := range got {
-				assertSameCompact(t, fmt.Sprintf("%s workers=%d", b.Name, workers), c, want[c], got[c])
+				assertSameArrays(t, fmt.Sprintf("%s workers=%d", b.Name, workers), c, want[c], got[c])
 			}
 		}
 	}
 }
 
-func assertSameCompact(t *testing.T, name string, col int, want, got *Partition) {
+func assertSameArrays(t *testing.T, name string, col int, want, got *Partition) {
 	t.Helper()
 	if got == nil {
 		t.Fatalf("%s col %d: nil partition", name, col)
 	}
-	if got.NRows != want.NRows || !got.IsCompact() {
-		t.Fatalf("%s col %d: NRows=%d compact=%v, want NRows=%d compact",
-			name, col, got.NRows, got.IsCompact(), want.NRows)
+	if got.NRows != want.NRows {
+		t.Fatalf("%s col %d: NRows=%d, want %d", name, col, got.NRows, want.NRows)
 	}
 	if len(got.backing) != len(want.backing) || len(got.offsets) != len(want.offsets) {
 		t.Fatalf("%s col %d: backing/offsets len %d/%d, want %d/%d",
@@ -69,12 +67,12 @@ func TestBuildSinglesEdgeCases(t *testing.T) {
 		t.Fatalf("empty attrs: %v, %v", out, err)
 	}
 	// Empty column with the cardinality clamp (card 0): same empty
-	// compact partition as Single.
+	// partition as Single.
 	out, err := buildSingles(ctx, pool, []int{0}, [][]int32{{}}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameCompact(t, "empty", 0, Single(nil, 0), out[0])
+	assertSameArrays(t, "empty", 0, Single(nil, 0), out[0])
 	// Constant column, all-singleton column.
 	cols := [][]int32{{0, 0, 0, 0, 0}, {0, 1, 2, 3, 4}}
 	cards := []int{1, 5}
@@ -82,8 +80,8 @@ func TestBuildSinglesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameCompact(t, "constant", 0, Single(cols[0], cards[0]), out[0])
-	assertSameCompact(t, "allunique", 1, Single(cols[1], cards[1]), out[1])
+	assertSameArrays(t, "constant", 0, Single(cols[0], cards[0]), out[0])
+	assertSameArrays(t, "allunique", 1, Single(cols[1], cards[1]), out[1])
 }
 
 func TestBuildSinglesCancellation(t *testing.T) {
@@ -138,7 +136,7 @@ func TestSinglesCacheAndBudget(t *testing.T) {
 		t.Fatalf("cold Singles: built=%d err=%v", built, err)
 	}
 	for c, p := range parts {
-		assertSameCompact(t, "singles", c, Single(cols[c], cards[c]), p)
+		assertSameArrays(t, "singles", c, Single(cols[c], cards[c]), p)
 	}
 	if budget.Partitions() != 2 {
 		t.Fatalf("budget partitions = %d, want 2", budget.Partitions())

@@ -8,21 +8,20 @@ import (
 	"repro/internal/spillfile"
 )
 
-// The spill tier turns the cache into two levels: resident compact
-// partitions under the byte bound (and the budget's headroom), plus cold
-// entries whose flat backing lives in temp files under the spill
-// directory. Eviction pressure spills before it discards — a cold entry
-// costs a file instead of a rebuild — and a lookup hit on a spilled
-// entry faults the partition back in transparently (memory-mapped on
-// platforms that support it, so clean pages stay reclaimable by the OS
-// and resident set stays bounded even when callers retain the
-// partition).
+// The spill tier turns the cache into two levels: resident partitions
+// under the byte bound (and the budget's headroom), plus cold entries
+// whose two arrays live in temp files under the spill directory.
+// Eviction pressure spills before it discards — a cold entry costs a
+// file instead of a rebuild — and a lookup hit on a spilled entry faults
+// the partition back in transparently (memory-mapped on platforms that
+// support it, so clean pages stay reclaimable by the OS and resident set
+// stays bounded even when callers retain the partition).
 //
 // Spill files are private to one cache and one process: they are written
-// and read in native byte order and removed by Close. Only compact
-// partitions spill — their whole cluster set is two flat arrays — and
-// re-spilling a reloaded entry reuses its file, since partition content
-// is immutable.
+// and read in native byte order and removed by Close. A file holds a
+// partition's two flat arrays, offsets then rows, exactly as they lie in
+// memory, and re-spilling a reloaded entry reuses its file, since
+// partition content is immutable.
 
 // The container format (magic, header layout, int32 views, the mmap
 // helpers and the mapping cap) lives in internal/spillfile, shared with
@@ -45,7 +44,7 @@ type spillState struct {
 
 // EnableSpill attaches an out-of-core tier to the cache: entries the
 // byte bound or the budget's headroom would evict (or reject) write
-// their compact backing to temp files under dir ("" selects the system
+// their rows and offsets to temp files under dir ("" selects the system
 // temp directory) and fault back in on their next hit. The cache owns a
 // private subdirectory; Close removes it. Enabling twice is an error,
 // as is enabling on a nil cache (there is nothing to spill through).
@@ -113,9 +112,8 @@ func (c *Cache) Close() error {
 }
 
 // evict relieves pressure from the LRU end: with a spill tier the victim
-// goes to disk and stays retrievable, without one (or when the victim
-// cannot spill) it is discarded and counted as an eviction. Callers
-// hold mu.
+// goes to disk and stays retrievable, without one (or when the write
+// fails) it is discarded and counted as an eviction. Callers hold mu.
 func (c *Cache) evict(e *cacheEntry) {
 	if c.spill != nil && c.spillEntry(e) {
 		return
@@ -127,12 +125,8 @@ func (c *Cache) evict(e *cacheEntry) {
 // spillEntry writes e's partition out (reusing its file when it already
 // has one) and drops its residency: off the recency list, bytes back to
 // the bound and the budget. Callers hold mu. Returns false when the
-// partition cannot spill (non-compact, or the write failed), leaving e
-// untouched.
+// write failed, leaving e untouched.
 func (c *Cache) spillEntry(e *cacheEntry) bool {
-	if !e.part.IsCompact() {
-		return false
-	}
 	if e.spillPath == "" {
 		path, err := c.writeSpill(e.part)
 		if err != nil {
@@ -153,9 +147,6 @@ func (c *Cache) spillEntry(e *cacheEntry) bool {
 // directly into the cold tier: evict-to-disk instead of rejecting the
 // insert. Callers hold mu.
 func (c *Cache) insertSpilled(key string, e *cacheEntry) bool {
-	if !e.part.IsCompact() {
-		return false
-	}
 	path, err := c.writeSpill(e.part)
 	if err != nil {
 		return false
@@ -203,8 +194,8 @@ func (c *Cache) reload(e *cacheEntry) *Partition {
 	return p
 }
 
-// writeSpill encodes p's compact form into a fresh spill file. Callers
-// hold mu.
+// writeSpill writes p's offsets and rows into a fresh spill file.
+// Callers hold mu.
 func (c *Cache) writeSpill(p *Partition) (string, error) {
 	c.spill.seq++
 	path := filepath.Join(c.spill.dir, fmt.Sprintf("p%06d.pli", c.spill.seq))
@@ -230,7 +221,7 @@ func (c *Cache) writeSpill(p *Partition) (string, error) {
 	return path, nil
 }
 
-// readSpill decodes a spill file back into a compact partition. On
+// readSpill decodes a spill file back into a partition. On
 // platforms with mmap the returned partition aliases the returned
 // mapping (nil otherwise), which stays valid until Close unmaps it.
 // Once maxSpillMappings mappings are live the read lands on the heap
@@ -254,12 +245,11 @@ func (c *Cache) readSpill(path string) (*Partition, []byte, error) {
 		return fail("bad header")
 	}
 	nrows, noffs, nback := spillfile.DecodeHeader(buf)
-	if len(buf) != spillHeaderBytes+4*(noffs+nback) || noffs < 1 {
+	// Offsets are empty only in the zero value, which holds no rows.
+	if len(buf) != spillHeaderBytes+4*(noffs+nback) || noffs == 0 && nback > 0 {
 		return fail("truncated")
 	}
 	offsets := spillfile.BytesInt32(buf[spillHeaderBytes : spillHeaderBytes+4*noffs])
 	backing := spillfile.BytesInt32(buf[spillHeaderBytes+4*noffs:])
-	p := &Partition{NRows: nrows}
-	p.setCompact(backing, offsets)
-	return p, m, nil
+	return &Partition{NRows: nrows, backing: backing, offsets: offsets}, m, nil
 }

@@ -61,7 +61,7 @@ func TestSpillEvictAndReload(t *testing.T) {
 	if got == nil {
 		t.Fatal("spilled entry missed")
 	}
-	if !got.Equal(p0.Clone()) {
+	if !got.Equal(p0) {
 		t.Fatal("reloaded partition differs from the original")
 	}
 	s = c.Stats()
@@ -122,7 +122,7 @@ func TestSpillRespectsBudgetHeadroom(t *testing.T) {
 		t.Fatal("cache traffic latched the budget")
 	}
 	// The cold entry still serves; with no headroom it stays cold.
-	if got := c.Get(bitset.FromAttrs(4, 0)); got == nil || !got.Equal(p.Clone()) {
+	if got := c.Get(bitset.FromAttrs(4, 0)); got == nil || !got.Equal(p) {
 		t.Fatal("cold entry did not serve")
 	}
 	if s := c.Stats(); s.Bytes != 0 {
@@ -169,14 +169,13 @@ func TestSpillMappingCap(t *testing.T) {
 	c := spillFixture(t, Cost(p)/2, nil) // never admittable: every hit cold-serves
 	k := bitset.FromAttrs(2, 0)
 	c.Put(k, p)
-	want := p.Clone()
 	hits := maxSpillMappings + 50
 	for i := 0; i < hits; i++ {
 		got := c.Get(k)
 		if got == nil {
 			t.Fatalf("cold hit %d missed", i)
 		}
-		if i%256 == 0 && !got.Equal(want) {
+		if i%256 == 0 && !got.Equal(p) {
 			t.Fatalf("cold hit %d returned wrong content", i)
 		}
 	}
@@ -222,23 +221,6 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 	}
 	if err := (*Cache)(nil).Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSpillNonCompactFallsBackToEviction(t *testing.T) {
-	// A partition assembled cluster by cluster has no flat backing to
-	// spill; pressure discards it like the spill-less cache would.
-	loose := &Partition{NRows: 8, Clusters: [][]int32{{0, 1, 2, 3}, {4, 5, 6, 7}}}
-	compact := spillPart(0, 8)
-	c := spillFixture(t, Cost(compact)+1, nil)
-	c.Put(bitset.FromAttrs(3, 0), loose)
-	c.Put(bitset.FromAttrs(3, 1), compact)
-	s := c.Stats()
-	if s.Evictions != 1 || s.Spills != 0 {
-		t.Fatalf("stats = %+v, want 1 eviction (non-compact cannot spill)", s)
-	}
-	if c.Get(bitset.FromAttrs(3, 0)) != nil {
-		t.Fatal("non-compact entry should be gone")
 	}
 }
 

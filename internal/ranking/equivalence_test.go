@@ -49,7 +49,8 @@ func (rk *seedRanker) fd(f dep.FD) Counts {
 	lhsAttrs := f.LHS.Attrs()
 	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 		mask := rk.r.Nulls[a]
-		for _, cluster := range p.Clusters {
+		for i := range p.Card() {
+			cluster := p.Cluster(i)
 			c.WithNulls += len(cluster)
 			if mask == nil {
 				c.NoNullRHS += len(cluster)
@@ -75,7 +76,8 @@ func (rk *seedRanker) fd(f dep.FD) Counts {
 	}
 	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 		mask := rk.r.Nulls[a]
-		for _, cluster := range p.Clusters {
+		for i := range p.Card() {
+			cluster := p.Cluster(i)
 			survivors := 0
 			nonNullA := 0
 			for _, row := range cluster {
@@ -131,8 +133,8 @@ func seedTotals(r *relation.Relation, fds []dep.FD) DatasetTotals {
 		p := rk.partitionFor(f.LHS)
 		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 			base := a * rows
-			for _, cluster := range p.Clusters {
-				for _, row := range cluster {
+			for i := range p.Card() {
+				for _, row := range p.Cluster(i) {
 					marked[base+int(row)] = true
 				}
 			}

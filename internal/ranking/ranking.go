@@ -205,7 +205,8 @@ func countsFor(r *relation.Relation, f dep.FD, p *partition.Partition, sc *scrat
 	// incomplete; each row costs two bitmap tests.
 	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 		nb := r.NullBitmap(a)
-		for _, cluster := range p.Clusters {
+		for i := range p.Card() {
+			cluster := p.Cluster(i)
 			survivors := 0
 			nonNullA := 0
 			for _, row := range cluster {

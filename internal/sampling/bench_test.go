@@ -87,7 +87,7 @@ func TestClusterNeighborSampleAllocsPerRun(t *testing.T) {
 		dsts = dsts[1:]
 		return d
 	}
-	kernel := func() { sampleClusters(r, order, p.Clusters, 1, next()) }
+	kernel := func() { sampleClusters(r, order, p, 1, next()) }
 	entry := func() {
 		if _, _, err := ClusterNeighborSample(ctx, pool, r, order, ps, 1, next()); err != nil {
 			t.Fatal(err)

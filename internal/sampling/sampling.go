@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -176,21 +177,22 @@ func NewRowOrder(r *relation.Relation) *RowOrder {
 }
 
 // sampleClusters is the sorted-neighborhood kernel: rows of each cluster
-// are put in order's order and each row is compared to its neighbor at
-// the given window distance (>= 1). Agree sets accumulate into dst, and
-// the number of comparisons is returned. Each item of
+// of p are put in order's order and each row is compared to its neighbor
+// at the given window distance (>= 1). Agree sets accumulate into dst,
+// and the number of comparisons is returned. Each item of
 // ClusterNeighborSample runs it over one whole partition.
-func sampleClusters(r *relation.Relation, order *RowOrder, clusters [][]int32, distance int, dst *NonFDSet) (comparisons int) {
+func sampleClusters(r *relation.Relation, order *RowOrder, p *partition.Partition, distance int, dst *NonFDSet) (comparisons int) {
 	longest := 0
-	for _, cluster := range clusters {
-		longest = max(longest, len(cluster))
+	for i := range p.Card() {
+		longest = max(longest, len(p.Cluster(i)))
 	}
 	if longest <= distance {
 		return 0
 	}
 	buf := bitset.New(r.NumCols())
 	sorted := make([]int32, longest)
-	for _, cluster := range clusters {
+	for i := range p.Card() {
+		cluster := p.Cluster(i)
 		if len(cluster) <= distance {
 			continue
 		}

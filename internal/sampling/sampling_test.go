@@ -386,7 +386,10 @@ func TestRowOrderMatchesReference(t *testing.T) {
 			order := NewRowOrder(r)
 			var clusters [][]int32
 			for c := range r.Cols {
-				clusters = append(clusters, partition.Single(r.Cols[c], r.Cards[c]).Clusters...)
+				p := partition.Single(r.Cols[c], r.Cards[c])
+				for i := range p.Card() {
+					clusters = append(clusters, p.Cluster(i))
+				}
 			}
 			all := make([]int32, r.NumRows())
 			for i := range all {

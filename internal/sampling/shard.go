@@ -140,7 +140,7 @@ type sample struct {
 //
 //fd:shardkernel
 func sampleItem(_ context.Context, s sample, i int, dst *NonFDSet) int {
-	return sampleClusters(s.r, s.order, s.ps[i].Clusters, s.distance, dst)
+	return sampleClusters(s.r, s.order, s.ps[i], s.distance, dst)
 }
 
 // pairScan is the item list of one NegativeCover call: blocks contiguous

@@ -143,7 +143,7 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	pool := engine.NewPool(3)
 
 	seed := NewNonFDSet(r.NumCols())
-	sampleClusters(r, order, partition.Single(r.Cols[0], r.Cards[0]).Clusters, 1, seed)
+	sampleClusters(r, order, partition.Single(r.Cols[0], r.Cards[0]), 1, seed)
 
 	want := NewNonFDSet(r.NumCols())
 	for _, x := range seed.Sets() {
@@ -151,7 +151,7 @@ func TestClusterNeighborSampleShardedPrefilled(t *testing.T) {
 	}
 	wantComps := 0
 	for _, p := range ps {
-		wantComps += sampleClusters(r, order, p.Clusters, 2, want)
+		wantComps += sampleClusters(r, order, p, 2, want)
 	}
 	wantNew := want.Len() - seed.Len()
 

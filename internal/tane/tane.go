@@ -359,7 +359,7 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, rs *engine.RunStats
 			return false
 		}
 		refined := partition.Refine(rest.part, r.Cols[a], r.Cards[a])
-		rs.PartitionsRefined += int64(len(rest.part.Clusters))
+		rs.PartitionsRefined += int64(rest.part.Card())
 		rs.RowsScanned += int64(rest.part.Size())
 		if refined.Error() == rest.err {
 			return false // X∖{B} → A already valid

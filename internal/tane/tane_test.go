@@ -187,7 +187,7 @@ func TestLevelPartitionsMatchForAttrs(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", b.Name, workers, err)
 			}
 			for _, x := range cache.Keys(0) {
-				got := cache.Get(x).Clone()
+				got := cache.Get(x)
 				if !got.Equal(partition.ForAttrs(x, r.Cols, r.Cards)) {
 					t.Errorf("%s workers=%d: cached π_%v differs from ForAttrs", b.Name, workers, x.Attrs())
 				}

@@ -106,7 +106,8 @@ func (v *Validator) FD(lhs, rhs bitset.Set, start *partition.Partition, startAtt
 		v.rowsA, v.endsA = rows[:0], ends[:0]
 		v.rowsB, v.endsB = spare[:0], spareEnds[:0]
 	}()
-	for _, cluster := range start.Clusters {
+	for i := range start.Card() {
+		cluster := start.Cluster(i)
 		v.RowsScanned += len(cluster)
 		// The sub-clusters refined so far: cur[lo:hi] for consecutive
 		// ends hi, at first the start cluster itself.
@@ -168,9 +169,8 @@ func (v *Validator) FD(lhs, rhs bitset.Set, start *partition.Partition, startAtt
 // attr-agreeing group must be deleted for lhs → attr to hold on this
 // cluster. Returns true when every RHS attribute has been invalidated.
 func (v *Validator) scanApprox(s []int32, valid bitset.Set) (done bool) {
-	cluster := [][]int32{s}
 	for a := valid.Next(0); a >= 0; a = valid.Next(a + 1) {
-		v.viol[a] += v.g3.ViolationsClusters(cluster, v.r.Cols[a], v.r.Cards[a], v.MaxViolations)
+		v.viol[a] += v.g3.ClusterViolations(s, v.r.Cols[a], v.r.Cards[a])
 		if v.viol[a] > v.MaxViolations {
 			valid.Remove(a)
 			v.Invalidated++
