@@ -34,8 +34,9 @@ import (
 // last verdict — and refines each node's partition serially, so Workers
 // reaches only the cache prewarm: an attached Cache is prewarmed with
 // every single-attribute partition, one column per pool item, and then
-// keeps visited lattice nodes alive so a query refines from X's longest
-// cached prefix instead of restarting from singles. Budget exhaustion
+// keeps visited lattice nodes alive: the walk adds or drops one attribute
+// per step, so a query usually finds a co-atom X∖{b} cached and refines
+// the smallest such one by b, once, instead of restarting from singles. Budget exhaustion
 // abandons the walks of the remaining RHS attributes: each attribute is
 // decided completely or not at all, so the FDs returned are sound. TopK
 // skips a whole RHS walk when no LHS over R∖{A} can beat the threshold —

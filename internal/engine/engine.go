@@ -409,8 +409,8 @@ type RunStats struct {
 	// can differ between identical runs while CacheHits + CacheMisses
 	// stays fixed: top-k's ranking pass and the post-run soundness gate
 	// walk LHS groups concurrently over the run's cache, each walk counts
-	// one hit or one miss, and whether it finds a prefix another group
-	// published depends on scheduling.
+	// one hit or one miss, and whether it finds a co-atom or prefix
+	// another group published depends on scheduling.
 	CacheHits, CacheMisses, CacheEvictions int64
 	// Cancelled reports that the run stopped early on context
 	// cancellation; the other fields then describe the partial run.

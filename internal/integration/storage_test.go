@@ -34,9 +34,11 @@ func twoWorkerOpts(a dhyfd.Algorithm) []dhyfd.Option {
 // too small to keep anything resident and asserts it is purely a storage
 // strategy: the cover matches the resident run's, spills and reloads
 // actually happen, neither run degrades, the resident cache bytes never
-// exceed the bound, the lattice walkers (TANE, DFD) spill more than the
-// bound — their working set really left memory — and the run-private
-// cache removes its temp files when the run ends.
+// exceed the bound, DFD's walk spills more than the bound — its working
+// set really left memory — and the run-private cache removes its temp
+// files when the run ends. TANE caches only π of the LHSs it emits FDs
+// for, which here stays under the bound, so it is held to spilling at
+// all.
 func TestSpillCoverMatchesResident(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	r := dataset.Random(rng, 300, 6, 4)
@@ -70,7 +72,7 @@ func TestSpillCoverMatchesResident(t *testing.T) {
 			if peak := res.Stats.Counters["cache_peak_bytes"]; peak > bound {
 				t.Errorf("cache_peak_bytes = %d, above the %d-byte bound", peak, bound)
 			}
-			if a == dhyfd.TANE || a == dhyfd.DFD {
+			if a == dhyfd.DFD {
 				if spilled := res.Stats.Counters["cache_spilled_bytes"]; spilled <= bound {
 					t.Errorf("cache_spilled_bytes = %d, want above the %d-byte bound", spilled, bound)
 				}

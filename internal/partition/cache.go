@@ -50,6 +50,7 @@ type cacheEntry struct {
 	attrs      bitset.Set
 	part       *Partition // nil while spilled to disk
 	cost       int64
+	size       int         // ‖π‖, recorded at insert so spilled entries compare too
 	spillPath  string      // spill file, "" while never spilled
 	prev, next *cacheEntry // prev = more recent; detached while spilled
 }
@@ -170,21 +171,67 @@ func (c *Cache) lookup(x bitset.Set) *Partition {
 	if !ok {
 		return nil
 	}
+	return c.serve(e)
+}
+
+// servable reports whether e is resident or can be reloaded from its
+// spill file. Callers hold mu.
+func (c *Cache) servable(e *cacheEntry) bool {
+	return e.part != nil || c.spill != nil && e.spillPath != ""
+}
+
+// serve returns a found entry's partition: a resident entry has its
+// recency refreshed, a spilled one is faulted back in. It returns nil for
+// an entry that is not servable. Callers hold mu.
+func (c *Cache) serve(e *cacheEntry) *Partition {
+	if !c.servable(e) {
+		return nil
+	}
 	if e.part == nil {
-		if c.spill == nil || e.spillPath == "" {
-			return nil
-		}
 		return c.reload(e)
 	}
 	c.moveToFront(e)
 	return e.part
 }
 
+// smallestCoatom returns the cached co-atom X∖{b} of x with the fewest
+// rows in clusters (‖π‖), and b; a nil partition when no co-atom is
+// cached or the chosen one's spill file cannot be read. The probe runs
+// under one lock and compares the ‖π‖ each entry recorded at insert, so
+// spilled entries compare without being faulted in and no probed entry's
+// recency moves; ties go to the lowest b. Only the chosen entry is served
+// (refreshed or reloaded). The counters are the caller's.
+func (c *Cache) smallestCoatom(x bitset.Set) (*Partition, int) {
+	co := x.Clone()
+	var key []byte
+	var best *cacheEntry
+	b := -1
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for a := x.Next(0); a >= 0; a = x.Next(a + 1) {
+		co.Remove(a)
+		key = co.AppendKey(key[:0])
+		co.Add(a)
+		e := c.entries[string(key)]
+		if e == nil || !c.servable(e) {
+			continue
+		}
+		if best == nil || e.size < best.size {
+			best, b = e, a
+		}
+	}
+	if best == nil {
+		return nil, -1
+	}
+	return c.serve(best), b
+}
+
 // LongestPrefix returns the cached partition over the longest
 // ascending-attribute prefix of x (x itself included), plus that prefix's
-// attribute set, which the caller owns. Every subsystem publishes
-// partitions along the same ascending chain — π_{A}, π_{AB}, π_{ABC} —
-// so a prefix walk of O(|x|) keyed probes finds the furthest-along parent
+// attribute set, which the caller owns. ForAttrsCached's fallback walk
+// publishes partitions along the ascending chain — π_{A}, π_{AB},
+// π_{ABC} — and DHyFD's DDM refresh starts its FD-tree paths here, so a
+// prefix walk of O(|x|) keyed probes finds the furthest-along parent
 // without scanning the whole cache. It returns (nil, nil) when not even
 // x's first attribute is cached. Finding a usable prefix counts as one
 // hit (the cache saved most of a build), finding none as one miss; the
@@ -242,11 +289,12 @@ func (c *Cache) Put(x bitset.Set, p *Partition) {
 	if old, ok := c.entries[key]; ok {
 		c.remove(old)
 	}
+	e := &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost, size: p.Size()}
 	if cost > c.max {
 		// Too large to ever be resident; with a spill tier it can still
 		// live on disk and serve future hits.
 		if c.spill != nil {
-			c.insertSpilled(key, &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost})
+			c.insertSpilled(key, e)
 		}
 		return
 	}
@@ -262,11 +310,10 @@ func (c *Cache) Put(x bitset.Set, p *Partition) {
 	}
 	if cost > c.budget.Headroom() {
 		if c.spill != nil {
-			c.insertSpilled(key, &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost})
+			c.insertSpilled(key, e)
 		}
 		return
 	}
-	e := &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost}
 	c.entries[key] = e
 	c.addBytes(cost)
 	c.budget.ChargeBytes(cost)
@@ -371,12 +418,18 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 // the full relation; X empty yields the full-relation partition and
 // touches no counter.
 //
-// With a cache, an exact hit returns the cached partition; otherwise
+// With a cache, an exact hit returns the cached partition. Otherwise the
+// build starts from the cached co-atom X∖{b} with the smallest ‖π‖ and
+// refines it by b, once (not at all when it is unique), then publishes
+// π_X: a lattice walk that adds or drops one attribute per step, as
+// DFD's does, finds its neighbour cached there. With no co-atom cached,
 // refinement walks down the ascending-attribute prefix chain from the
 // longest cached prefix (LongestPrefix) — or, with none cached, from the
 // first attribute's single partition — publishing every intermediate
-// prefix so later supersets start further along. With a nil cache it is
-// ForAttrs. The returned partition may be shared: treat it as read-only.
+// prefix, so a cold cache fed sorted LHSs (ranking, the post-run gate)
+// shares their common prefixes. Either start counts one hit, a walk from
+// a single one miss. With a nil cache it is ForAttrs. The returned
+// partition may be shared: treat it as read-only.
 //
 // ctx is checked once, after the exact-hit probe and before any
 // partition is built; a cancelled call returns the error and no
@@ -398,6 +451,14 @@ func ForAttrsCached(ctx context.Context, c *Cache, x bitset.Set, cols [][]int32,
 	}
 	if c == nil || x.IsEmpty() {
 		return ForAttrs(x, cols, cards), false, nil
+	}
+	if p, b := c.smallestCoatom(x); p != nil {
+		c.hits.Add(1)
+		if !p.IsUnique() {
+			p = Refine(p, cols[b], cards[b])
+		}
+		c.Put(x, p)
+		return p, false, nil
 	}
 	attrs := x.Attrs()
 	p, prefix := c.LongestPrefix(x)

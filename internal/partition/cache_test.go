@@ -3,6 +3,8 @@ package partition
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -249,6 +251,181 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("tiny cache trial %d: π_%v differs", trial, x.Attrs())
 		}
+	}
+}
+
+// coatomCols is a 12-row relation whose co-atoms of {0,1,2} differ in
+// ‖π‖: π_{1,2} holds 8 rows, π_{0,1} and π_{0,2} 12 each.
+func coatomCols() ([][]int32, []int) {
+	cols := [][]int32{
+		{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1},
+		{0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1},
+		{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5},
+	}
+	return cols, []int{2, 2, 6}
+}
+
+// putAttrs caches π of each attribute set in turn, built by ForAttrs.
+func putAttrs(c *Cache, cols [][]int32, cards []int, sets ...bitset.Set) {
+	for _, x := range sets {
+		c.Put(x, ForAttrs(x, cols, cards))
+	}
+}
+
+// TestForAttrsCachedCoatomStart pins the co-atom start: of X's cached
+// co-atoms the one with the smallest ‖π‖ is refined, only it has its
+// recency refreshed, the build counts one hit and no miss, and π_X is
+// published as it is not an exact hit.
+func TestForAttrsCachedCoatomStart(t *testing.T) {
+	cols, cards := coatomCols()
+	x := bitset.FromAttrs(3, 0, 1, 2)
+	s12, s01, s02 := bitset.FromAttrs(3, 1, 2), bitset.FromAttrs(3, 0, 1), bitset.FromAttrs(3, 0, 2)
+	c := NewCache(1<<20, nil)
+	putAttrs(c, cols, cards, s12, s01, s02)
+	if got := c.Keys(0); !slices.EqualFunc(got, []bitset.Set{s02, s01, s12}, bitset.Set.Equal) {
+		t.Fatalf("recency before the build = %v", got)
+	}
+	p, reused, err := ForAttrsCached(context.Background(), c, x, cols, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused {
+		t.Error("a co-atom start is not an exact hit")
+	}
+	if !p.Equal(ForAttrs(x, cols, cards)) {
+		t.Error("π_X from the co-atom start differs from ForAttrs")
+	}
+	// π_{1,2} (8 rows) beats the two 12-row co-atoms; a probe that
+	// refreshed every co-atom would also swap {0,2} and {0,1}.
+	if got, want := c.Keys(0), []bitset.Set{x, s12, s02, s01}; !slices.EqualFunc(got, want, bitset.Set.Equal) {
+		t.Errorf("recency after the build = %v, want %v", got, want)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 0 {
+		t.Errorf("co-atom start counted %d hits, %d misses, want 1 and 0", s.Hits, s.Misses)
+	}
+	// A tie goes to the lowest b: {0,2} (b = 1) before {0,1} (b = 2).
+	tie := NewCache(1<<20, nil)
+	putAttrs(tie, cols, cards, s02, s01)
+	if _, _, err := ForAttrsCached(context.Background(), tie, x, cols, cards); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tie.Keys(0), []bitset.Set{x, s02, s01}; !slices.EqualFunc(got, want, bitset.Set.Equal) {
+		t.Errorf("tied co-atoms: recency = %v, want %v", got, want)
+	}
+}
+
+// TestForAttrsCachedCoatomSpilled: the probe compares a spilled
+// co-atom's ‖π‖ without faulting it in, so it is reloaded only when it
+// is the one chosen.
+func TestForAttrsCachedCoatomSpilled(t *testing.T) {
+	cols, cards := coatomCols()
+	x := bitset.FromAttrs(3, 0, 1, 2)
+	small, large := bitset.FromAttrs(3, 1, 2), bitset.FromAttrs(3, 0, 1)
+	want := ForAttrs(x, cols, cards)
+	for _, tc := range []struct {
+		name        string
+		first, then bitset.Set // the second Put spills the first
+		reloads     int64
+	}{
+		{"chosen spilled", small, large, 1},
+		{"other spilled", large, small, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := spillFixture(t, 200, nil) // room for one co-atom
+			putAttrs(c, cols, cards, tc.first, tc.then)
+			if s := c.Stats(); s.Spills != 1 || s.Entries != 2 {
+				t.Fatalf("setup: %+v, want one of two co-atoms spilled", s)
+			}
+			p, _, err := ForAttrsCached(context.Background(), c, x, cols, cards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.Equal(want) {
+				t.Error("π_X differs from ForAttrs")
+			}
+			if s := c.Stats(); s.Reloads != tc.reloads || s.Hits != 1 || s.Misses != 0 {
+				t.Errorf("%d reloads, %d hits, %d misses, want %d, 1 and 0", s.Reloads, s.Hits, s.Misses, tc.reloads)
+			}
+		})
+	}
+}
+
+// TestForAttrsCachedColdPrefixShared guards the prefix fallback: a cold
+// cache walked over the sorted LHS groups {0,1,2}, {0,1,3}, {0,1,4}
+// publishes π_{0,1} on the first walk, and the next two groups start
+// from it as their cached co-atom. Publishing π_X alone would leave them
+// no co-atom, and each would miss.
+func TestForAttrsCachedColdPrefixShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cols := make([][]int32, 5)
+	cards := make([]int, 5)
+	for a := range cols {
+		cards[a] = 6
+		cols[a] = randColumn(rng, 200, cards[a])
+	}
+	c := NewCache(1<<20, nil)
+	for i, last := range []int{2, 3, 4} {
+		x := bitset.FromAttrs(5, 0, 1, last)
+		p, _, err := ForAttrsCached(context.Background(), c, x, cols, cards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Equal(ForAttrs(x, cols, cards)) {
+			t.Fatalf("group %d: π_%v differs from ForAttrs", i, x.Attrs())
+		}
+		if i == 0 && c.Get(bitset.FromAttrs(5, 0, 1)) == nil {
+			t.Fatal("the first walk did not publish π_{0,1}")
+		}
+	}
+	// The probe of π_{0,1} above counts one hit of its own.
+	if s := c.Stats(); s.Hits != 3 || s.Misses != 1 {
+		t.Errorf("%d hits, %d misses, want 3 and 1 (two co-atom starts from π_{0,1})", s.Hits, s.Misses)
+	}
+}
+
+// TestForAttrsCachedConcurrent builds overlapping attribute sets from
+// four goroutines through one evicting cache, so co-atom probes, prefix
+// walks, evictions and publishes interleave; every π_X must still equal
+// ForAttrs. Run it under -race.
+func TestForAttrsCachedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const ncols = 6
+	cols := make([][]int32, ncols)
+	cards := make([]int, ncols)
+	for a := range cols {
+		cards[a] = 4 + a
+		cols[a] = randColumn(rng, 300, cards[a])
+	}
+	sets := make([]bitset.Set, 40)
+	want := make([]*Partition, len(sets))
+	for i := range sets {
+		sets[i] = bitset.New(ncols)
+		for a := range ncols {
+			if rng.Intn(2) == 0 {
+				sets[i].Add(a)
+			}
+		}
+		want[i] = ForAttrs(sets[i], cols, cards)
+	}
+	c := NewCache(8<<10, nil)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 3 * len(sets) {
+				i := (k*(g+1) + g) % len(sets)
+				p, _, err := ForAttrsCached(context.Background(), c, sets[i], cols, cards)
+				if err != nil || !p.Equal(want[i]) {
+					t.Errorf("goroutine %d: π_%v differs from ForAttrs (err %v)", g, sets[i].Attrs(), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := c.Stats(); s.Evictions == 0 {
+		t.Errorf("stats %+v: the bound never evicted", s)
 	}
 }
 

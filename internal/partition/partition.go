@@ -23,9 +23,10 @@
 // already has: Singles (the PLI bootstrap) runs one Single per column,
 // RefineBatch one job per item and ForGroups one walk per LHS group of
 // an FD list (post-run verification, ranking). No kernel cuts one
-// partition into parts: ForAttrsCached, the prefix-chain walk, takes no
-// pool and refines serially on its caller's goroutine, as every item of
-// a fan-out does. Serial is the one-worker case, not a second API. The
+// partition into parts: ForAttrsCached, the cached build (the smallest
+// cached co-atom refined once, else a walk down the prefix chain), takes
+// no pool and refines serially on its caller's goroutine, as every item
+// of a fan-out does. Serial is the one-worker case, not a second API. The
 // context-free ForAttrs and Refine stay for callers that hold no run
 // context (the public check API, ranking without a cache, TANE's
 // minimality check).

@@ -25,9 +25,10 @@
 //
 //   - π_X comes from partition.ForAttrsCached, through the shared
 //     partition.Cache of the discovery run when one is supplied or a
-//     private bounded cache otherwise: a miss refines from the LHS's
-//     longest cached prefix, so related LHSs never rebuild from single
-//     columns.
+//     private bounded cache otherwise: a miss refines the LHS's smallest
+//     cached co-atom once, or else walks from its longest cached prefix
+//     and publishes the prefixes it passes, so related LHSs never
+//     rebuild from single columns.
 //   - Null counting is word-parallel: each partition's cluster rows are
 //     marked once into a membership bitmap, and #red per RHS attribute is
 //     one AndNot/popcount against the relation's packed null masks.
@@ -82,8 +83,8 @@ type Config struct {
 	Workers int
 	// Cache is a shared PLI cache, typically the one the discovery run
 	// filled, so partitions computed during discovery are reused and
-	// misses refine from the longest cached prefix. Nil gives the run a
-	// private cache of DefaultCacheBytes.
+	// misses refine from a cached co-atom or the longest cached prefix.
+	// Nil gives the run a private cache of DefaultCacheBytes.
 	Cache *partition.Cache
 }
 
@@ -110,8 +111,8 @@ type Stats struct {
 	// marking plus the per-row null-LHS recluster fallback.
 	RowsScanned int64
 	// CacheHits / CacheMisses / CacheEvictions are the PLI cache's counter
-	// movement during the run (a group refined from a cached prefix counts
-	// as a hit, an empty LHS as neither).
+	// movement during the run (a group refined from a cached co-atom or
+	// prefix counts as a hit, an empty LHS as neither).
 	CacheHits, CacheMisses, CacheEvictions int64
 	// Elapsed is the run's wall time.
 	Elapsed time.Duration

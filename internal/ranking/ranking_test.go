@@ -152,9 +152,10 @@ func TestRedundancyOracle(t *testing.T) {
 	}
 }
 
-// TestRankCacheAccounting pins the counters of the cached walk: an LHS
-// refined from a cached prefix counts one hit and publishes its own
-// partition, and an empty LHS touches the cache not at all.
+// TestRankCacheAccounting pins the counters of the cached build: an LHS
+// refined from a cached co-atom (π_{last_name} refined by zip_code for
+// {last_name, zip_code}) counts one hit and publishes its own partition,
+// and an empty LHS touches the cache not at all.
 func TestRankCacheAccounting(t *testing.T) {
 	r := dataset.NCVoterSnippet(relation.NullEqNull)
 	n := r.NumCols()
@@ -167,7 +168,7 @@ func TestRankCacheAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.CacheHits != 1 || stats.CacheMisses != 0 {
-		t.Errorf("prefix reuse: %d hits, %d misses, want 1 and 0", stats.CacheHits, stats.CacheMisses)
+		t.Errorf("co-atom start: %d hits, %d misses, want 1 and 0", stats.CacheHits, stats.CacheMisses)
 	}
 	if cache.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2", cache.Len())

@@ -112,11 +112,11 @@ func (h *Harness) Tick(force bool, capture func() *Snapshot) {
 
 // WarmCache rebuilds a resumed snapshot's PLI-cache manifest into the
 // run's cache, least-recent-first so the restored recency order matches
-// the captured one. Each entry is one partition.ForAttrsCached walk, so
-// later manifest entries refine from earlier ones where possible. It
-// runs to the end whatever ctx says: a cancellation lands at the run's
-// first search boundary instead. No-op without a cache or a resumed
-// snapshot.
+// the captured one. Each entry is one partition.ForAttrsCached build, so
+// later manifest entries refine from earlier ones where possible: from a
+// cached co-atom, else from the longest cached prefix. It runs to the
+// end whatever ctx says: a cancellation lands at the run's first search
+// boundary instead. No-op without a cache or a resumed snapshot.
 func (h *Harness) WarmCache(ctx context.Context, r *relation.Relation) {
 	c, s := h.opts.Cache, h.opts.Resume
 	if c == nil || s == nil {

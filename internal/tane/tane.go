@@ -40,6 +40,8 @@ type candidate struct {
 	err   int
 	cplus bitset.Set
 	dead  bool // pruned: joins no further
+	// published: part went into the run's cache as an emitted FD's LHS.
+	published bool
 	// parents[i] is the co-atom X∖{attrs[i]} on the level below. Links are
 	// cleared once the level above exists, so at most two levels stay
 	// reachable.
@@ -52,11 +54,14 @@ type candidate struct {
 // deeper levels, since whole lattice levels of resident partitions are
 // TANE's characteristic cost; the FDs certified so far are each valid, so
 // the partial cover is sound. Cache serves singles and level partitions
-// before they are built. TopK additionally kills candidates in the PRUNE
-// phase whose largest co-atom partition cannot beat the threshold.
-// MaxViolations > 0 keeps only the C+ removals monotonicity justifies (the
-// R∖X rule needs exact-FD transitivity), trading extra validations for
-// soundness.
+// before they are built, and receives π of each emitted FD's LHS, once
+// per LHS. Its readers after the run (Rank, the post-run gate, top-k's
+// ranking) ask for π of a cover's LHSs, and every canonical-cover LHS is
+// one of TANE's left-reduced ones; the other level products are not
+// cached. TopK additionally kills candidates in the PRUNE phase whose
+// largest co-atom partition cannot beat the threshold. MaxViolations > 0
+// keeps only the C+ removals monotonicity justifies (the R∖X rule needs
+// exact-FD transitivity), trading extra validations for soundness.
 type Config = runstate.Options
 
 // Run returns the left-reduced cover (singleton RHSs, minimal LHSs) of the
@@ -96,6 +101,15 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		}
 		cfg.Budget.ChargeBytes(partition.Cost(p))
 		return p, nil
+	}
+
+	// publish puts π of an emitted FD's LHS into the cache, once per LHS.
+	// ∅ stays out, so an empty LHS touches no cache counter downstream.
+	publish := func(c *candidate) {
+		if !c.published && !c.set.IsEmpty() {
+			cfg.Cache.Put(c.set, c.part)
+			c.published = true
+		}
 	}
 
 	// level is the lattice level being validated and prev the level below
@@ -242,6 +256,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 					valid = rest.err == c.err
 				}
 				if valid {
+					publish(rest)
 					rhs := bitset.New(n)
 					rhs.Add(a)
 					if cfg.TopK != nil {
@@ -279,6 +294,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 				outside := c.cplus.Difference(c.set)
 				for a := outside.Next(0); a >= 0; a = outside.Next(a + 1) {
 					if keyFDMinimal(r, c, a, rs) {
+						publish(c)
 						rhs := bitset.New(n)
 						rhs.Add(a)
 						if cfg.TopK != nil {
@@ -379,8 +395,9 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, rs *engine.RunStats
 // worker pool, each refining the parent with fewer rows in clusters by the
 // other's last attribute, so a product reads and allocates no more than
 // the smaller parent. Candidates whose π_X the shared cache already holds
-// skip the product entirely; fresh products are published to the cache
-// for later levels, verification and other runs.
+// (a caller-owned cache an earlier run filled) skip the product
+// entirely. Fresh products are not cached: Run publishes π of the LHSs
+// it emits FDs for, the only partitions the cache's readers ask for.
 func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, level []*candidate, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
 	alive := level[:0:0]
 	for _, c := range level {
@@ -470,7 +487,6 @@ func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, lev
 		c.err = p.Error()
 		rs.RowsScanned += int64(jobs[k].Part.Size())
 		cfg.Budget.Charge(p)
-		cfg.Cache.Put(c.set, p)
 	}
 	rs.PartitionsBuilt += int64(len(jobs))
 	return next, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/brute"
 	"repro/internal/dataset"
 	"repro/internal/dep"
@@ -173,9 +174,9 @@ func TestDiscoverWideLattice(t *testing.T) {
 }
 
 // TestLevelPartitionsMatchForAttrs: every partition TANE publishes to the
-// cache, the singles and each level's products (the smaller parent
-// refined by the other's last attribute), equals π_X built directly by
-// ForAttrs.
+// cache, the singles and π of each emitted FD's LHS (a level product:
+// the smaller parent refined by the other's last attribute), equals π_X
+// built directly by ForAttrs, and the cache holds nothing else.
 func TestLevelPartitionsMatchForAttrs(t *testing.T) {
 	ctx := context.Background()
 	checked := 0
@@ -183,10 +184,27 @@ func TestLevelPartitionsMatchForAttrs(t *testing.T) {
 		r := b.Generate(200, 10)
 		for _, workers := range []int{1, 4} {
 			cache := partition.NewCache(1<<30, nil)
-			if _, _, err := Run(ctx, r, Config{Workers: workers, Cache: cache}); err != nil {
+			fds, _, err := Run(ctx, r, Config{Workers: workers, Cache: cache})
+			if err != nil {
 				t.Fatalf("%s workers=%d: %v", b.Name, workers, err)
 			}
+			want := map[string]bool{}
+			for a := range r.NumCols() {
+				want[bitset.FromAttrs(r.NumCols(), a).Key()] = true
+			}
+			for _, fd := range fds {
+				if !fd.LHS.IsEmpty() {
+					want[fd.LHS.Key()] = true
+				}
+			}
+			if cache.Len() != len(want) {
+				t.Errorf("%s workers=%d: cache holds %d partitions, want the %d singles and emitted LHSs",
+					b.Name, workers, cache.Len(), len(want))
+			}
 			for _, x := range cache.Keys(0) {
+				if !want[x.Key()] {
+					t.Errorf("%s workers=%d: cached π_%v is neither a single nor an emitted LHS", b.Name, workers, x.Attrs())
+				}
 				got := cache.Get(x)
 				if !got.Equal(partition.ForAttrs(x, r.Cols, r.Cards)) {
 					t.Errorf("%s workers=%d: cached π_%v differs from ForAttrs", b.Name, workers, x.Attrs())
