@@ -6,10 +6,16 @@
 // covers contain many redundant FDs; a canonical cover — left-reduced,
 // non-redundant, unique LHSs — is on average half the size on the paper's
 // benchmarks. Closure computation is the hot path when shrinking covers of
-// hundreds of thousands of FDs, so Engine implements the linear-time
+// hundreds of thousands of FDs. Engine implements the linear-time
 // Beeri–Bernstein closure with per-query version stamps instead of
-// reallocation, and supports masking FDs out so sequential redundancy
-// elimination never rebuilds the index.
+// reallocation, for one-off queries and the IsLeftReduced, IsNonRedundant
+// and Equivalent checks. LeftReduce, RemoveRedundant and Canonical answer
+// theirs from a flat FD-tree (trie.go) whose walks visit only FDs with
+// LHSs inside the closure. A discovered cover is left-reduced already, so
+// left-reduction asks about the sets X∖{a} of its LHSs X and is told "no"
+// every time; it closes those sets ahead, 64 at a time, over windows of
+// consecutive FDs. Redundancy elimination drops and restores RHS bits of
+// the same tree in place.
 package cover
 
 import (
@@ -200,26 +206,45 @@ func Equivalent(numAttrs int, a, b []dep.FD) bool {
 // still implies the reduced FD. The input is first split into singleton
 // RHSs; the result keeps singleton RHSs and drops duplicates.
 func LeftReduce(numAttrs int, fds []dep.FD) []dep.FD {
+	out, _, _ := leftReduce(numAttrs, fds, windowSets)
+	return out
+}
+
+// leftReduce is LeftReduce with windows of at most limit sets. It tries
+// each FD's LHS attributes in ascending order, and a discovered cover is
+// usually left-reduced already, so its queries are exactly the X∖{a} of
+// its LHSs X, which the window closes ahead, 64 at a time. It also
+// returns its index of the input, which indexes the result as well
+// unless reduced reports that an LHS shrank.
+func leftReduce(numAttrs int, fds []dep.FD, limit int) (out []dep.FD, ix *index, reduced bool) {
 	split := dep.SplitRHS(fds)
-	t := newTrieImplier(numAttrs, split)
+	ix = newIndex(numAttrs, split)
+	win := newWindow(ix, limit)
 	seen := make(map[string]bool, len(split))
-	out := make([]dep.FD, 0, len(split))
-	for _, f := range split {
-		target := f.RHS.Min()
-		lhs := f.LHS.Clone()
-		for a := lhs.Next(0); a >= 0; a = lhs.Next(a + 1) {
-			lhs.Remove(a)
-			if !t.reaches(lhs, target) {
-				lhs.Add(a)
+	out = make([]dep.FD, 0, len(split))
+	for lo := 0; lo < len(split); {
+		hi := win.fill(split, lo)
+		win.closeSets()
+		for _, f := range split[lo:hi] {
+			target := f.RHS.Min()
+			lhs := f.LHS.Clone()
+			for a := lhs.Next(0); a >= 0; a = lhs.Next(a + 1) {
+				lhs.Remove(a)
+				if win.reaches(lhs, target) {
+					reduced = true
+				} else {
+					lhs.Add(a)
+				}
+			}
+			g := dep.FD{LHS: lhs, RHS: f.RHS}
+			if k := g.Key(); !seen[k] {
+				seen[k] = true
+				out = append(out, g)
 			}
 		}
-		g := dep.FD{LHS: lhs, RHS: f.RHS}
-		if k := g.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, g)
-		}
+		lo = hi
 	}
-	return out
+	return out, ix, reduced
 }
 
 // RemoveRedundant performs sequential redundancy elimination: each FD in
@@ -236,15 +261,23 @@ func RemoveRedundant(numAttrs int, fds []dep.FD) []dep.FD {
 			uniq = append(uniq, f)
 		}
 	}
-	t := newTrieImplier(numAttrs, uniq)
-	out := make([]dep.FD, 0, len(uniq))
-	for _, f := range uniq {
+	return removeRedundant(newIndex(numAttrs, uniq), uniq)
+}
+
+// removeRedundant is RemoveRedundant on fds that are singleton-RHS and
+// unique already, with ix an index of exactly them. It leaves ix holding
+// the FDs it keeps.
+func removeRedundant(ix *index, fds []dep.FD) []dep.FD {
+	out := make([]dep.FD, 0, len(fds))
+	for _, f := range fds {
 		target := f.RHS.Min()
-		t.remove(f.LHS, target) // tentatively drop
-		if t.reaches(f.LHS, target) {
+		rhs := ix.rhs(f.LHS)
+		w, bit := target>>6, uint64(1)<<(target&63)
+		rhs[w] &^= bit // tentatively drop
+		if ix.reaches(f.LHS, target) {
 			continue // implied by the rest: stays dropped
 		}
-		t.restore(f.LHS, target)
+		rhs[w] |= bit
 		out = append(out, f)
 	}
 	return out
@@ -252,11 +285,15 @@ func RemoveRedundant(numAttrs int, fds []dep.FD) []dep.FD {
 
 // Canonical computes a canonical cover — left-reduced, non-redundant,
 // unique LHSs — from any FD set (Maier's construction, the transformation
-// Table III measures).
+// Table III measures). The left-reduced cover is singleton-RHS and unique
+// already, and unless an LHS shrank it is the input's FD set, which
+// LeftReduce's index still holds.
 func Canonical(numAttrs int, fds []dep.FD) []dep.FD {
-	reduced := LeftReduce(numAttrs, fds)
-	nonRedundant := RemoveRedundant(numAttrs, reduced)
-	return dep.MergeByLHS(nonRedundant)
+	reduced, ix, shrank := leftReduce(numAttrs, fds, windowSets)
+	if shrank {
+		ix = newIndex(numAttrs, reduced)
+	}
+	return dep.MergeByLHS(removeRedundant(ix, reduced))
 }
 
 // IsLeftReduced reports whether no FD's LHS can lose an attribute.

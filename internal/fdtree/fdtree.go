@@ -81,14 +81,6 @@ func (n *Node) RHSCount() int {
 // SubtreeFDs returns the number of FDs at or below this node.
 func (n *Node) SubtreeFDs() int { return n.subtree }
 
-// RHSBelowWithin reports whether s holds every RHS attribute of the
-// FD-nodes at or below n, so a walk that only ever adds those attributes
-// to s learns nothing from n's subtree. It may answer false when the
-// attributes all lie in s, never true when one does not.
-func (n *Node) RHSBelowWithin(s bitset.Set) bool {
-	return n.subtree == 0 || n.below.IsSubsetOf(s)
-}
-
 // HasLiveChildren reports whether any child subtree still contains FDs.
 // A validated node with live children is "reusable" in the paper's sense:
 // its stripped partition can seed the partitions of deeper levels.
@@ -291,9 +283,9 @@ func (t *Tree) addPath(lhs bitset.Set) *Node {
 	return cur
 }
 
-// RemoveRHS clears one RHS attribute at the given node, maintaining the
+// removeRHS clears one RHS attribute at the given node, maintaining the
 // subtree counters. No-op when the node is nil or lacks the attribute.
-func (t *Tree) RemoveRHS(n *Node, a int) {
+func (t *Tree) removeRHS(n *Node, a int) {
 	if n == nil || n.RHS == nil || !n.RHS.Contains(a) {
 		return
 	}
@@ -301,9 +293,9 @@ func (t *Tree) RemoveRHS(n *Node, a int) {
 	t.bump(n, -1, nil)
 }
 
-// AddRHS sets one RHS attribute at the given node, maintaining the subtree
+// addRHS sets one RHS attribute at the given node, maintaining the subtree
 // counters. No-op when the node is nil or already has the attribute.
-func (t *Tree) AddRHS(n *Node, a int) {
+func (t *Tree) addRHS(n *Node, a int) {
 	if n == nil {
 		return
 	}

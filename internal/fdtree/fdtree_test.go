@@ -594,8 +594,7 @@ func liveNodes(tr *Tree) []*Node {
 	return out
 }
 
-// tentativeRemoval drops one RHS attribute and puts it back, the step
-// cover.RemoveRedundant takes for each FD it tests.
+// tentativeRemoval drops one RHS attribute and puts it back.
 func tentativeRemoval(t *testing.T, rng *rand.Rand, tr *Tree) {
 	t.Helper()
 	pairs := pairsBelow(tr.root)
@@ -603,9 +602,9 @@ func tentativeRemoval(t *testing.T, rng *rand.Rand, tr *Tree) {
 		return
 	}
 	p := pairs[rng.Intn(len(pairs))]
-	tr.RemoveRHS(p.node, p.attr)
+	tr.removeRHS(p.node, p.attr)
 	checkSummaries(t, tr)
-	tr.AddRHS(p.node, p.attr)
+	tr.addRHS(p.node, p.attr)
 	checkSummaries(t, tr)
 }
 
@@ -625,7 +624,7 @@ func killAndRepopulate(t *testing.T, rng *rand.Rand, tr *Tree) {
 	before := dep.SplitRHS(tr.FDs())
 	pairs := pairsBelow(d)
 	for _, p := range pairs {
-		tr.RemoveRHS(p.node, p.attr)
+		tr.removeRHS(p.node, p.attr)
 	}
 	if d.subtree != 0 {
 		t.Fatalf("subtree of %v still holds %d FDs", d.Path(tr.numAttrs), d.subtree)
@@ -639,7 +638,7 @@ func killAndRepopulate(t *testing.T, rng *rand.Rand, tr *Tree) {
 	checkSummaries(t, tr)
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	for _, p := range pairs {
-		tr.AddRHS(p.node, p.attr)
+		tr.addRHS(p.node, p.attr)
 		checkSummaries(t, tr)
 	}
 	if after := dep.SplitRHS(tr.FDs()); !dep.Equal(before, after) {

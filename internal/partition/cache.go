@@ -43,6 +43,7 @@ type Cache struct {
 	peak     int64 // high-water mark of bytes
 	nrows    int   // pinned by the first Put; -1 until then
 	spill    *spillState
+	key      []byte // the probes' map key, reused under mu
 }
 
 type cacheEntry struct {
@@ -167,7 +168,8 @@ func (c *Cache) Get(x bitset.Set) *Partition {
 func (c *Cache) lookup(x bitset.Set) *Partition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[x.Key()]
+	c.key = x.AppendKey(c.key[:0])
+	e, ok := c.entries[string(c.key)]
 	if !ok {
 		return nil
 	}
@@ -203,16 +205,15 @@ func (c *Cache) serve(e *cacheEntry) *Partition {
 // (refreshed or reloaded). The counters are the caller's.
 func (c *Cache) smallestCoatom(x bitset.Set) (*Partition, int) {
 	co := x.Clone()
-	var key []byte
 	var best *cacheEntry
 	b := -1
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for a := x.Next(0); a >= 0; a = x.Next(a + 1) {
 		co.Remove(a)
-		key = co.AppendKey(key[:0])
+		c.key = co.AppendKey(c.key[:0])
 		co.Add(a)
-		e := c.entries[string(key)]
+		e := c.entries[string(c.key)]
 		if e == nil || !c.servable(e) {
 			continue
 		}

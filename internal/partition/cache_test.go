@@ -92,6 +92,25 @@ func TestCacheRePutReplaces(t *testing.T) {
 	}
 }
 
+// TestCacheGetAllocsPerRun pins a probe, hit or miss, at zero
+// allocations: the key is built in the cache's own buffer. TANE probes
+// every level product, and on a fresh cache none of them hits.
+func TestCacheGetAllocsPerRun(t *testing.T) {
+	c := NewCache(1<<10, nil)
+	hit, miss := bitset.FromAttrs(100, 0), bitset.FromAttrs(100, 1, 70)
+	c.Put(hit, testPart(10, []int32{0, 1}))
+	c.Get(miss) // size the key buffer
+	if a := testing.AllocsPerRun(100, func() { c.Get(miss) }); a != 0 {
+		t.Errorf("a missing Get allocates %.1f times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.Get(hit) }); a != 0 {
+		t.Errorf("a hitting Get allocates %.1f times", a)
+	}
+	if s := c.Stats(); s.Hits != 101 || s.Misses != 102 {
+		t.Errorf("hits/misses = %d/%d, want 101/102", s.Hits, s.Misses)
+	}
+}
+
 func TestCachePinsRowCount(t *testing.T) {
 	c := NewCache(1<<10, nil)
 	c.Put(bitset.FromAttrs(4, 0), testPart(6, []int32{0, 1}))
