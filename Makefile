@@ -41,7 +41,7 @@ race:
 # sync.Pool drop a random share of its puts, so they run once more
 # without it.
 allocs:
-	$(GO) test -run AllocsPerRun ./internal/partition/ ./internal/sampling/ ./internal/validate/ ./internal/cover/
+	$(GO) test -run AllocsPerRun ./internal/partition/ ./internal/sampling/ ./internal/validate/ ./internal/cover/ ./internal/relation/
 
 # cmd/fdperf is a module of its own, so the root ./... patterns skip it:
 # vet and short-test it directly, so a break in the internal APIs it
@@ -63,6 +63,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCover' -benchtime 1x ./internal/check/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached|TANELattice|BenchmarkCanonicalCover' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
+	$(GO) test -run '^$$' -bench 'BenchmarkReadCSV' -benchtime 1x ./internal/relation/
 
 # The fault-injection matrix — every site × every plan × every algorithm —
 # under the race detector.
@@ -83,12 +84,15 @@ crash:
 	$(GO) run ./cmd/crashcheck -algo tane
 	$(GO) run ./cmd/crashcheck -algo dfd -rows 6000 -cols 14 -pli-cache 16777216
 
-# A ~15s native-fuzzing smoke pass over the CSV reader, the discovery
-# pipeline and the snapshot decoder. Longer runs: go test
-# -fuzz=FuzzReadCSV ./internal/relation/. The fuzzer prints 0 execs/sec
-# while it minimizes a new input; that is not a hang.
+# A ~20s native-fuzzing smoke pass over the CSV reader (its relations
+# against a map-based reference encoder, its records and parse errors
+# against encoding/csv), the discovery pipeline and the snapshot decoder.
+# Longer runs: go test -fuzz='^FuzzReadCSV$' ./internal/relation/ (-fuzz
+# takes a regexp and refuses one that matches two targets). The fuzzer
+# prints 0 execs/sec while it minimizes a new input; that is not a hang.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzReadCSV -fuzztime 5s -run '^$$' ./internal/relation/
+	$(GO) test -fuzz='^FuzzReadCSV$$' -fuzztime 5s -run '^$$' ./internal/relation/
+	$(GO) test -fuzz='^FuzzScanCSV$$' -fuzztime 5s -run '^$$' ./internal/relation/
 	$(GO) test -fuzz=FuzzDiscoverSmall -fuzztime 5s -run '^$$' ./internal/integration/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime 5s -run '^$$' ./internal/runstate/
 

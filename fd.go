@@ -90,7 +90,9 @@ const (
 // Options configures data ingestion.
 type Options = relation.Options
 
-// ReadCSV parses CSV data with a header row into a Relation.
+// ReadCSV parses CSV data with a header row into a Relation. It reads
+// what encoding/csv's Reader reads with its defaults and fails with the
+// same *csv.ParseError.
 func ReadCSV(r io.Reader, opts Options) (*Relation, error) {
 	return relation.ReadCSV(r, opts)
 }

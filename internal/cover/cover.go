@@ -221,6 +221,7 @@ func leftReduce(numAttrs int, fds []dep.FD, limit int) (out []dep.FD, ix *index,
 	ix = newIndex(numAttrs, split)
 	win := newWindow(ix, limit)
 	seen := make(map[string]bool, len(split))
+	var key []byte
 	out = make([]dep.FD, 0, len(split))
 	for lo := 0; lo < len(split); {
 		hi := win.fill(split, lo)
@@ -236,10 +237,9 @@ func leftReduce(numAttrs int, fds []dep.FD, limit int) (out []dep.FD, ix *index,
 					lhs.Add(a)
 				}
 			}
-			g := dep.FD{LHS: lhs, RHS: f.RHS}
-			if k := g.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, g)
+			if key = appendKey(key[:0], lhs, f.RHS); !seen[string(key)] {
+				seen[string(key)] = true
+				out = append(out, dep.FD{LHS: lhs, RHS: f.RHS})
 			}
 		}
 		lo = hi
@@ -254,14 +254,22 @@ func leftReduce(numAttrs int, fds []dep.FD, limit int) (out []dep.FD, ix *index,
 func RemoveRedundant(numAttrs int, fds []dep.FD) []dep.FD {
 	split := dep.SplitRHS(fds)
 	seen := make(map[string]bool, len(split))
+	var key []byte
 	uniq := split[:0:0]
 	for _, f := range split {
-		if k := f.Key(); !seen[k] {
-			seen[k] = true
+		if key = appendKey(key[:0], f.LHS, f.RHS); !seen[string(key)] {
+			seen[string(key)] = true
 			uniq = append(uniq, f)
 		}
 	}
 	return removeRedundant(newIndex(numAttrs, uniq), uniq)
+}
+
+// appendKey appends dep.FD{LHS: lhs, RHS: rhs}.Key()'s bytes to dst, so
+// a dedupe probes its map with string(dst) and allocates a key only for
+// a new FD.
+func appendKey(dst []byte, lhs, rhs bitset.Set) []byte {
+	return rhs.AppendKey(append(lhs.AppendKey(dst), '|'))
 }
 
 // removeRedundant is RemoveRedundant on fds that are singleton-RHS and

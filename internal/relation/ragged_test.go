@@ -121,9 +121,11 @@ func TestReadCSVMatchesFromRows(t *testing.T) {
 	}
 }
 
-// FuzzReadCSV asserts ReadCSV never panics and that every accepted
-// relation is internally consistent: column lengths match the row count,
-// codes stay inside the cards, and null masks align.
+// FuzzReadCSV asserts ReadCSV never panics, returns what the reference
+// encoder (refReadCSV: encoding/csv records and Go maps) returns, error
+// or relation, and that every accepted relation is internally
+// consistent: column lengths match the row count, codes stay inside the
+// cards, and null masks align.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("a,b\n1,2\n3,4\n")
 	f.Add("a\n\n")
@@ -133,12 +135,18 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(",\n1,2\n")
 	f.Add("a,a\n1,2\n")
 	f.Add("a,b\r\n1,\"2\r\n3\",x\n")
+	f.Add("a,b\n\"q\r\nr\r\ns\",?\n\"q\nr\ns\",\n?,x\n\"?\",\"\"\n")
+	f.Add("a,b\n1,x\"y\n")
+	f.Add("a\n" + strings.Repeat("w", scanBufSize+10) + "\n\"" + strings.Repeat("w", scanBufSize+10) + "\"\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, opts := range []Options{
 			{},
 			{Semantics: NullNeqNull, PadRagged: true, KeepDicts: true},
 			{MaxRows: 8, MaxCols: 4},
 		} {
+			if msg := diffReadCSV(data, opts); msg != "" {
+				t.Fatalf("%+v: %s", opts, msg)
+			}
 			r, err := ReadCSV(strings.NewReader(data), opts)
 			if err != nil {
 				continue

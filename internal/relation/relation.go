@@ -15,12 +15,22 @@
 //
 // Either way a per-column null mask records which occurrences were missing,
 // which the ranking of FDs needs to exclude null-caused redundancy.
+//
+// Ingest streams. ReadCSV's scanner (scan.go) reads the dialect of
+// encoding/csv's Reader with its defaults, byte for byte and error for
+// error, and hands each record's fields to the encoder as byte slices,
+// most of them cut straight from the read buffer. The encoder files each
+// cell in its column's open-addressing dictionary (dict.go), which keeps
+// the distinct values back to back in one byte arena. Codes follow first
+// occurrence, nulls included, so a relation depends only on its input:
+// never on the hash seed or the table's slot order. FromRows feeds the
+// same encoder.
 package relation
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"strings"
 
@@ -173,16 +183,21 @@ type Options struct {
 	PageDir string
 }
 
-func (o *Options) nullSet() map[string]bool {
+// nullTokens returns the null tokens as a set, and a mask with bit
+// min(len(t), 63) set for every token t: a cell whose length has no bit
+// is not a token, so most cells skip the set probe.
+func (o *Options) nullTokens() (map[string]bool, uint64) {
 	tokens := o.NullTokens
 	if tokens == nil {
 		tokens = []string{"", "?"}
 	}
 	set := make(map[string]bool, len(tokens))
+	var lens uint64
 	for _, t := range tokens {
 		set[t] = true
+		lens |= 1 << min(len(t), 63)
 	}
-	return set
+	return set, lens
 }
 
 // FromRows dictionary-encodes raw string rows. names may be nil, in which
@@ -203,8 +218,21 @@ func FromRows(names []string, rows [][]string, opts Options) (*Relation, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Each row's strings are copied into one reused buffer and handed to
+	// the encoder as the byte fields ReadCSV's scanner hands it.
+	var buf []byte
+	var fields [][]byte
 	for _, row := range rows {
-		if err := e.addRow(row); err != nil {
+		buf, fields = buf[:0], fields[:0]
+		for _, v := range row {
+			buf = append(buf, v...)
+		}
+		start := 0
+		for _, v := range row {
+			fields = append(fields, buf[start:start+len(v)])
+			start += len(v)
+		}
+		if err := e.addRow(fields); err != nil {
 			e.abort()
 			return nil, err
 		}
@@ -213,15 +241,16 @@ func FromRows(names []string, rows [][]string, opts Options) (*Relation, error) 
 }
 
 // encoder dictionary-encodes rows one at a time, so large inputs stream
-// through without a second in-memory copy of the raw strings. FromRows
+// through without a second in-memory copy of the raw values. FromRows
 // and ReadCSV share it.
 type encoder struct {
-	opts  Options
-	nulls map[string]bool
-	ncols int
-	rows  int
-	cols  []colEncoder
-	pager *pagerState // non-nil under Options.PageColumns
+	opts     Options
+	nulls    map[string]bool // the null tokens
+	nullLens uint64          // bit min(len(t), 63) of every null token t
+	ncols    int
+	rows     int
+	cols     []colEncoder
+	pager    *pagerState // non-nil under Options.PageColumns
 }
 
 // ingestBlockRows is the row capacity of one ingest block. Columns
@@ -237,11 +266,9 @@ type colEncoder struct {
 	full     [][]int32 // sealed ingest blocks, ingestBlockRows codes each
 	cur      []int32   // currently filling block
 	page     *colPage  // non-nil when sealed blocks stream to a page file
-	dict     map[string]int32
-	values   []string // decoded dictionary, only under KeepDicts
-	mask     []bool   // nil until the first null
-	next     int32    // next free code
-	nullCode int32    // shared null code under NullEqNull, -1 until used
+	dict     dict
+	mask     []bool // nil until the first null
+	nullCode int32  // shared null code under NullEqNull, -1 until used
 }
 
 // pushCode appends one row's code. The first block append-grows so tiny
@@ -274,7 +301,9 @@ func (ce *colEncoder) rowsIn() int {
 }
 
 func newEncoder(ncols int, opts Options) (*encoder, error) {
-	e := &encoder{opts: opts, nulls: opts.nullSet(), ncols: ncols, cols: make([]colEncoder, ncols)}
+	e := &encoder{opts: opts, ncols: ncols, cols: make([]colEncoder, ncols)}
+	e.nulls, e.nullLens = opts.nullTokens()
+	seed := maphash.MakeSeed()
 	if opts.PageColumns {
 		pg, err := newPager(opts.PageDir)
 		if err != nil {
@@ -283,7 +312,7 @@ func newEncoder(ncols int, opts Options) (*encoder, error) {
 		e.pager = pg
 	}
 	for c := range e.cols {
-		e.cols[c].dict = map[string]int32{}
+		e.cols[c].dict.seed = seed
 		e.cols[c].nullCode = -1
 		if e.pager != nil {
 			e.cols[c].page = newColPage(e.pager, c)
@@ -301,30 +330,30 @@ func (e *encoder) abort() {
 	}
 }
 
+// isNull reports whether v is a null token.
+func (e *encoder) isNull(v []byte) bool {
+	return e.nullLens&(1<<min(len(v), 63)) != 0 && e.nulls[string(v)]
+}
+
 // addRow encodes one row. Rows wider than the relation are rejected; rows
 // narrower are rejected too unless PadRagged fills the missing tail with
-// nulls.
-func (e *encoder) addRow(row []string) error {
+// nulls. The encoder copies what it keeps of row.
+func (e *encoder) addRow(row [][]byte) error {
 	if len(row) != e.ncols && (len(row) > e.ncols || !e.opts.PadRagged) {
 		return fmt.Errorf("relation: row %d has %d fields, want %d", e.rows, len(row), e.ncols)
 	}
 	for c := 0; c < e.ncols; c++ {
 		ce := &e.cols[c]
 		if c >= len(row) {
-			ce.addNull("", e.opts) // padded cell
+			ce.addNull(nil, e.opts.Semantics) // padded cell
 			continue
 		}
 		v := row[c]
-		if e.nulls[v] {
-			ce.addNull(v, e.opts)
+		if e.isNull(v) {
+			ce.addNull(v, e.opts.Semantics)
 			continue
 		}
-		code, ok := ce.dict[v]
-		if !ok {
-			code = ce.alloc(v, e.opts)
-			ce.dict[v] = code
-		}
-		ce.pushCode(code)
+		ce.pushCode(ce.dict.code(v))
 		if ce.mask != nil {
 			ce.mask = append(ce.mask, false)
 		}
@@ -344,26 +373,19 @@ func (e *encoder) addRow(row []string) error {
 	return nil
 }
 
-func (ce *colEncoder) alloc(v string, opts Options) int32 {
-	code := ce.next
-	ce.next++
-	if opts.KeepDicts {
-		ce.values = append(ce.values, v)
-	}
-	return code
-}
-
-func (ce *colEncoder) addNull(v string, opts Options) {
+// addNull encodes a missing value; v is its token, the value Dicts
+// decodes its code to.
+func (ce *colEncoder) addNull(v []byte, sem NullSemantics) {
 	if ce.mask == nil {
 		ce.mask = make([]bool, ce.rowsIn())
 	}
 	ce.mask = append(ce.mask, true)
-	if opts.Semantics == NullNeqNull {
-		ce.pushCode(ce.alloc(v, opts)) // fresh code per occurrence
+	if sem == NullNeqNull {
+		ce.pushCode(ce.dict.add(v)) // fresh code per occurrence
 		return
 	}
 	if ce.nullCode < 0 {
-		ce.nullCode = ce.alloc(v, opts)
+		ce.nullCode = ce.dict.add(v)
 	}
 	ce.pushCode(ce.nullCode)
 }
@@ -413,11 +435,12 @@ func (e *encoder) finish(names []string) (*Relation, error) {
 			ce.full, ce.cur = nil, nil
 		}
 		rel.Cols[c] = col
-		rel.Cards[c] = int(ce.next)
+		rel.Cards[c] = ce.dict.card()
 		rel.Nulls[c] = ce.mask
 		if e.opts.KeepDicts {
-			rel.Dicts[c] = ce.values
+			rel.Dicts[c] = ce.dict.strings()
 		}
+		ce.dict = dict{} // a collection during the next columns can take it
 	}
 	rel.pager = e.pager
 	rel.packNulls()
@@ -466,16 +489,16 @@ func FromCodes(names []string, cols [][]int32, nulls [][]bool, sem NullSemantics
 	return rel
 }
 
-// ReadCSV parses CSV data with a header row and encodes it. Records
-// stream through the encoder one at a time, so the raw file is never
-// materialized in memory alongside the relation. Header names must be
-// non-empty and unique; Options.MaxRows/MaxCols bound the accepted input
-// and Options.PadRagged selects the ragged-row policy.
+// ReadCSV parses CSV data with a header row and encodes it. It reads
+// the dialect of encoding/csv's Reader with its defaults (see scanner)
+// and fails with the same *csv.ParseError. Records stream through the
+// encoder one at a time, so the raw file is never materialized in memory
+// alongside the relation. Header names must be non-empty and unique;
+// Options.MaxRows/MaxCols bound the accepted input and Options.PadRagged
+// selects the ragged-row policy.
 func ReadCSV(r io.Reader, opts Options) (*Relation, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true // addRow copies nothing row-shaped; field strings are fresh
-	header, err := cr.Read()
+	sc := newScanner(r, scanBufSize)
+	header, err := sc.next()
 	if errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("relation: empty csv")
 	}
@@ -487,7 +510,8 @@ func ReadCSV(r io.Reader, opts Options) (*Relation, error) {
 	}
 	names := make([]string, len(header))
 	seen := make(map[string]int, len(header))
-	for i, name := range header {
+	for i, field := range header {
+		name := string(field)
 		if name == "" {
 			return nil, fmt.Errorf("relation: column %d has an empty name", i)
 		}
@@ -502,7 +526,7 @@ func ReadCSV(r io.Reader, opts Options) (*Relation, error) {
 		return nil, err
 	}
 	for {
-		rec, err := cr.Read()
+		rec, err := sc.next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
