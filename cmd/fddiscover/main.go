@@ -27,8 +27,9 @@
 // columns, the initial sample over the columns' partitions, the FDEP and
 // FastFDs pair scan over blocks of outer rows, and post-run verification
 // over LHS groups; the output is identical at every width. -spill-dir
-// spills cold cache entries to memory-mapped temp files instead of
-// discarding them so the resident footprint stays within the budget.
+// spills cold cache entries to one temp file, read back into the heap on
+// a hit, instead of discarding them so the resident footprint stays
+// within the budget.
 // -page-columns pages the encoded columns themselves to memory-mapped
 // temp files during ingest, so the relation's code storage stays
 // off-heap.
@@ -71,7 +72,7 @@ func main() {
 	memBudget := flag.Int64("mem-budget", -1, "approximate partition-memory budget in bytes; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	maxParts := flag.Int("max-partitions", -1, "cap on partitions materialized; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes (0 = disabled)")
-	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
+	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to one temp file under this directory, read back on a hit, instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
 	topK := flag.Int("topk", 0, "discover only the N most relevant FDs, pre-ranked by redundancy (0 = full cover)")
 	maxError := flag.Float64("max-error", 0, "accept approximate FDs with g3 error up to this fraction of rows, in [0,1) (0 = exact)")

@@ -45,7 +45,7 @@ func main() {
 	column := flag.String("column", "", "fix a column and list its minimal LHSs")
 	nullSem := flag.String("null", "eq", "null semantics: eq or neq")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes, spanning discovery and ranking (0 = ranking-private cache only)")
-	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
+	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to one temp file under this directory, read back on a hit, instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
 	workers := flag.Int("workers", 1, "worker-pool width of discovery's parallel passes (validation, lattice joins, PLI bootstrap, sampling, pair scan) and of ranking over LHS groups (output identical at any width)")
 	stats := flag.Bool("stats", false, "print the ranking run report to stderr")
@@ -103,9 +103,9 @@ func main() {
 	shared := []dhyfd.Option{dhyfd.WithWorkers(*workers)}
 	if *pliCache > 0 {
 		cache := dhyfd.NewPLICache(*pliCache)
-		// Close releases the spill tier's temp files and mappings when
-		// -spill-dir attached one to the shared cache; without spill it
-		// is a cheap no-op.
+		// Close removes the spill tier's temp file when -spill-dir
+		// attached one to the shared cache; without spill it is a cheap
+		// no-op.
 		defer cache.Close()
 		shared = append(shared, dhyfd.WithCache(cache))
 	}

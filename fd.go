@@ -312,15 +312,15 @@ func WithPartitionCache(bytes int64) Option {
 
 // WithSpillDir attaches an out-of-core tier to the run's PLI cache:
 // entries the cache bound or the memory budget's headroom would evict (or
-// reject) write their rows and cluster offsets to temp files under dir
-// instead of being discarded, and fault back in — memory-mapped where
-// the platform supports it — on their next hit. dir of "" selects the
-// system temp directory; the run owns a private subdirectory under it
-// and removes it when done. Combined with WithCache the tier attaches to the caller's
-// cache, which then holds spill files until PLICache.Close. Without any
-// cache configured, a default-capacity run-private cache is created to
-// spill through. Spill traffic is reported in Stats under cache_spills /
-// cache_reloads / cache_peak_bytes / cache_spilled_bytes.
+// reject) append their rows and cluster offsets to one temp file under
+// dir instead of being discarded, and are read back into the heap on
+// their next hit. dir of "" selects the system temp directory; the run
+// removes its file when done. Combined with WithCache the tier attaches
+// to the caller's cache, which then holds its spill file until
+// PLICache.Close. Without any cache configured, a default-capacity
+// run-private cache is created to spill through. Spill traffic is
+// reported in Stats under cache_spills / cache_reloads / cache_peak_bytes
+// / cache_spilled_bytes.
 func WithSpillDir(dir string) Option {
 	return func(c *discoverConfig) {
 		c.spill = true
@@ -372,11 +372,10 @@ func (pc *PLICache) Bytes() int64 {
 }
 
 // Close releases the cache: entries are purged and, when a WithSpillDir
-// run attached an out-of-core tier, its spill files and mappings are
-// removed. Call it once no Discover or ranking call is using the cache —
-// memory-mapped partitions served from the spill tier are invalidated.
-// Idempotent and safe on nil; a cache without a spill tier only sheds its
-// entries.
+// run attached an out-of-core tier, its spill file is removed. Call it
+// once no Discover or ranking call is using the cache; results already
+// returned stay valid. Idempotent and safe on nil; a cache without a
+// spill tier only sheds its entries.
 func (pc *PLICache) Close() error {
 	if pc == nil {
 		return nil
@@ -615,20 +614,17 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		// run-private cache.
 		cache = partition.NewCache(ranking.DefaultCacheBytes, budget)
 	}
-	// Run-private caches (not caller-owned via WithCache) own spill files
-	// and mappings that must not outlive the run. The close is registered
-	// before EnableSpill so an enable failure below still tears the cache
-	// down instead of leaking it through the early return.
+	// Run-private caches (not caller-owned via WithCache) own a spill
+	// file that must not outlive the run. The close is registered before
+	// EnableSpill so an enable failure below still tears the cache down
+	// instead of leaking it through the early return.
 	spillPrivate := cfg.spill && cfg.cache == nil
 	defer func() {
 		if spillPrivate {
-			// After the run no partition from the cache is referenced
-			// (Result carries FDs and counts, never partitions), so the
-			// mappings and spill files can go.
 			_ = cache.Close()
 		}
 	}()
-	if cfg.spill && cache.SpillDir() == "" {
+	if cfg.spill && cache.SpillFile() == "" {
 		if serr := cache.EnableSpill(cfg.spillDir); serr != nil {
 			return &Result{Algorithm: cfg.algorithm}, serr
 		}

@@ -5,8 +5,11 @@
 //
 // The pool deliberately has no queues or channels on the hot path. Work
 // is an index range [0, n); workers claim indexes through an atomic
-// cursor, so distribution costs one atomic add per item and the pool
-// allocates nothing but the goroutines themselves. Cancellation is
+// cursor, so distribution costs one atomic add per item, and a Run
+// allocates only that cursor's shared state and its goroutines. Every
+// worker, the calling goroutine of a one-worker Run included, runs the
+// same claim loop, and every item runs under the same recovery (and,
+// with a RetryPolicy, the same retries). Cancellation is
 // cooperative: workers poll the context every checkEvery items, which
 // bounds the reaction latency to one small batch of validations.
 package engine
@@ -79,8 +82,8 @@ func NewPanicError(site string, value any) *PanicError {
 }
 
 // RetryPolicy bounds the supervised re-execution of transiently failed
-// work items. The zero value disables retries, which keeps Pool.Run's
-// hot path identical to the pre-retry engine.
+// work items. The zero value disables retries: every item runs once, and
+// its failure ends the Run.
 type RetryPolicy struct {
 	// Max is the number of re-executions allowed per item after its first
 	// failure. 0 disables the retry layer entirely.
@@ -194,99 +197,63 @@ func (p *Pool) Workers() int { return p.workers }
 // Run returns early with ctx.Err() when the context is cancelled — within
 // one batch of checkEvery items per worker — and with a *PanicError when
 // fn panics. Items are claimed in order but complete in any order; fn
-// must not assume i monotonicity across workers.
+// must not assume i monotonicity across workers. A one-worker pool (or a
+// single item) runs the items on the calling goroutine.
 func (p *Pool) Run(ctx context.Context, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return p.runSerial(ctx, n, fn)
-	}
-
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool
 		panicked atomic.Pointer[PanicError]
-		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					panicked.CompareAndSwap(nil, NewPanicError(string(faults.EngineWorker), rec))
-					stop.Store(true)
-				}
-			}()
-			for polled := 0; ; polled++ {
-				if stop.Load() {
-					return
-				}
-				if polled%checkEvery == 0 && ctx.Err() != nil {
-					stop.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if p.retry.Max > 0 {
-					if pe := p.runItem(ctx, w, i, fn); pe != nil {
-						panicked.CompareAndSwap(nil, pe)
-						stop.Store(true)
-						return
-					}
-					continue
-				}
-				faults.Check(faults.EngineWorker)
-				fn(w, i)
+	work := func(w int) {
+		for polled := 0; !stop.Load(); polled++ {
+			if polled%checkEvery == 0 && ctx.Err() != nil {
+				stop.Store(true)
+				return
 			}
-		}(w)
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if pe := p.runItem(ctx, w, i, fn); pe != nil {
+				panicked.CompareAndSwap(nil, pe)
+				stop.Store(true)
+				return
+			}
+		}
 	}
-	wg.Wait()
+	if workers := min(p.workers, n); workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	if pe := panicked.Load(); pe != nil {
 		return pe
 	}
 	return ctx.Err()
 }
 
-func (p *Pool) runSerial(ctx context.Context, n int, fn func(worker, i int)) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = NewPanicError(string(faults.EngineWorker), rec)
-		}
-	}()
-	for i := 0; i < n; i++ {
-		if i%checkEvery == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		if p.retry.Max > 0 {
-			if pe := p.runItem(ctx, 0, i, fn); pe != nil {
-				return pe
-			}
-			continue
-		}
-		faults.Check(faults.EngineWorker)
-		fn(0, i)
-	}
-	return ctx.Err()
-}
-
-// runItem executes one work item under supervision: a failed attempt is
-// re-run while its class stays transient and the policy has budget,
-// sleeping a jittered backoff between attempts. The final failure (fatal,
-// exhausted, or interrupted by cancellation) is returned for the caller
-// to publish; a drained backoff wait returns the original failure so
-// shutdown never blocks on sleeps.
+// runItem executes one work item. Without a retry policy it runs once;
+// under one, a failed attempt is re-run while its class stays transient
+// and the policy has budget, sleeping a jittered backoff between
+// attempts. The final failure (fatal, exhausted, or interrupted by
+// cancellation) is returned for the caller to publish; a drained backoff
+// wait returns the original failure so shutdown never blocks on sleeps.
 func (p *Pool) runItem(ctx context.Context, w, i int, fn func(worker, i int)) *PanicError {
-	p.attempts.Add(1)
+	if p.retry.Max > 0 {
+		p.attempts.Add(1)
+	}
 	pe := p.execItem(w, i, fn)
 	for r := 0; pe != nil && pe.Class == faults.ClassTransient && r < p.retry.Max; r++ {
 		if !sleepBackoff(ctx, p.retry, r) {

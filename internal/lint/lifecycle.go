@@ -18,8 +18,7 @@ import (
 // including the early `return err` branches the happy-path test suite
 // never takes. The targets are exactly the handles the out-of-core tier
 // introduced: paged relations (relation.Options.PageColumns mappings),
-// partition.Cache spill directories, runstate.Checkpointer state and
-// spillfile handles.
+// partition.Cache spill files and runstate.Checkpointer state.
 //
 // Tracking is deliberately narrow so `make lint` stays quiet on correct
 // code:

@@ -52,7 +52,8 @@ type cacheEntry struct {
 	part       *Partition // nil while spilled to disk
 	cost       int64
 	size       int         // ‖π‖, recorded at insert so spilled entries compare too
-	spillPath  string      // spill file, "" while never spilled
+	spillAt    int64       // offset of its record in the spill file, -1 while never spilled
+	spillOffs  int         // length of the spilled partition's offsets array
 	prev, next *cacheEntry // prev = more recent; detached while spilled
 }
 
@@ -60,7 +61,7 @@ type cacheEntry struct {
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	// Spills counts entries written to the spill tier, Reloads the
-	// spilled entries faulted back in on a hit. Zero without EnableSpill.
+	// spilled entries read back in on a hit. Zero without EnableSpill.
 	Spills, Reloads int64
 	Entries         int
 	Bytes           int64
@@ -163,8 +164,8 @@ func (c *Cache) Get(x bitset.Set) *Partition {
 
 // lookup is Get without the hit/miss accounting, for probe paths that
 // count the consultation as a whole. A found entry still has its recency
-// refreshed, and a hit on a spilled entry faults the partition back in
-// from its spill file.
+// refreshed, and a hit on a spilled entry reads the partition back in
+// from the spill file.
 func (c *Cache) lookup(x bitset.Set) *Partition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -176,14 +177,14 @@ func (c *Cache) lookup(x bitset.Set) *Partition {
 	return c.serve(e)
 }
 
-// servable reports whether e is resident or can be reloaded from its
+// servable reports whether e is resident or can be reloaded from the
 // spill file. Callers hold mu.
 func (c *Cache) servable(e *cacheEntry) bool {
-	return e.part != nil || c.spill != nil && e.spillPath != ""
+	return e.part != nil || c.spill != nil && e.spillAt >= 0
 }
 
 // serve returns a found entry's partition: a resident entry has its
-// recency refreshed, a spilled one is faulted back in. It returns nil for
+// recency refreshed, a spilled one is read back in. It returns nil for
 // an entry that is not servable. Callers hold mu.
 func (c *Cache) serve(e *cacheEntry) *Partition {
 	if !c.servable(e) {
@@ -198,9 +199,9 @@ func (c *Cache) serve(e *cacheEntry) *Partition {
 
 // smallestCoatom returns the cached co-atom X∖{b} of x with the fewest
 // rows in clusters (‖π‖), and b; a nil partition when no co-atom is
-// cached or the chosen one's spill file cannot be read. The probe runs
+// cached or the chosen one's spill record cannot be read. The probe runs
 // under one lock and compares the ‖π‖ each entry recorded at insert, so
-// spilled entries compare without being faulted in and no probed entry's
+// spilled entries compare without being read in and no probed entry's
 // recency moves; ties go to the lowest b. Only the chosen entry is served
 // (refreshed or reloaded). The counters are the caller's.
 func (c *Cache) smallestCoatom(x bitset.Set) (*Partition, int) {
@@ -290,7 +291,7 @@ func (c *Cache) Put(x bitset.Set, p *Partition) {
 	if old, ok := c.entries[key]; ok {
 		c.remove(old)
 	}
-	e := &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost, size: p.Size()}
+	e := &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost, size: p.Size(), spillAt: -1}
 	if cost > c.max {
 		// Too large to ever be resident; with a spill tier it can still
 		// live on disk and serve future hits.
@@ -351,8 +352,8 @@ func (c *Cache) Bytes() int64 {
 }
 
 // remove drops e entirely — resident bytes back to the bound and the
-// budget, cold bytes out of the spill accounting (its spill file, if
-// any, lives until Close). Callers hold mu.
+// budget, cold bytes out of the spill accounting (its spill record, if
+// any, stays in the file until Close). Callers hold mu.
 func (c *Cache) remove(e *cacheEntry) {
 	delete(c.entries, e.key)
 	if e.part != nil {

@@ -403,8 +403,9 @@ func TestForAttrsCachedColdPrefixShared(t *testing.T) {
 }
 
 // TestForAttrsCachedConcurrent builds overlapping attribute sets from
-// four goroutines through one evicting cache, so co-atom probes, prefix
-// walks, evictions and publishes interleave; every π_X must still equal
+// four goroutines through one evicting cache, and through one that
+// spills instead, so co-atom probes, prefix walks, evictions or spills
+// and reloads, and publishes interleave; every π_X must still equal
 // ForAttrs. Run it under -race.
 func TestForAttrsCachedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -426,25 +427,30 @@ func TestForAttrsCachedConcurrent(t *testing.T) {
 		}
 		want[i] = ForAttrs(sets[i], cols, cards)
 	}
-	c := NewCache(8<<10, nil)
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range 3 * len(sets) {
-				i := (k*(g+1) + g) % len(sets)
-				p, _, err := ForAttrsCached(context.Background(), c, sets[i], cols, cards)
-				if err != nil || !p.Equal(want[i]) {
-					t.Errorf("goroutine %d: π_%v differs from ForAttrs (err %v)", g, sets[i].Attrs(), err)
-					return
+	for _, spill := range []bool{false, true} {
+		c := NewCache(8<<10, nil)
+		if spill {
+			c = spillFixture(t, 8<<10, nil)
+		}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range 3 * len(sets) {
+					i := (k*(g+1) + g) % len(sets)
+					p, _, err := ForAttrsCached(context.Background(), c, sets[i], cols, cards)
+					if err != nil || !p.Equal(want[i]) {
+						t.Errorf("spill=%v goroutine %d: π_%v differs from ForAttrs (err %v)", spill, g, sets[i].Attrs(), err)
+						return
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	if s := c.Stats(); s.Evictions == 0 {
-		t.Errorf("stats %+v: the bound never evicted", s)
+			}()
+		}
+		wg.Wait()
+		if s := c.Stats(); !spill && s.Evictions == 0 || spill && (s.Spills == 0 || s.Reloads == 0) {
+			t.Errorf("spill=%v stats %+v: the bound never evicted, or spilled and reloaded", spill, s)
+		}
 	}
 }
 

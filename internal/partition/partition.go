@@ -35,9 +35,9 @@
 // the cluster boundaries beside it, read through Card and Cluster. A
 // refined partition therefore costs three allocations (the struct and
 // its two arrays) whatever its cluster count, and the spill tier writes
-// and maps the two arrays as they are. The one-shot refine entry points
-// borrow their Refiner from a package pool, so its bucket table
-// outlives the call. Cache (cache.go) keeps refined partitions alive
+// the two arrays as they are and reads them back into one. The one-shot
+// refine entry points borrow their Refiner from a package pool, so its
+// bucket table outlives the call. Cache (cache.go) keeps refined partitions alive
 // across candidate evaluations under an LRU byte bound.
 package partition
 

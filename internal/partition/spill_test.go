@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -159,34 +160,78 @@ func TestSpillTooLargeForBound(t *testing.T) {
 	}
 }
 
-// TestSpillMappingCap pins the VMA bound: once maxSpillMappings reload
-// mappings are live, further reloads read from the heap instead of
-// mapping another file, so a thrashing run (one cold serve per lookup)
-// cannot exhaust the kernel's per-process map limit and starve the
-// runtime allocator.
-func TestSpillMappingCap(t *testing.T) {
+// TestSpillReloadAllocsPerRun pins a cold serve at exactly two
+// allocations, the partition struct and the one array its offsets and
+// rows are read back into.
+func TestSpillReloadAllocsPerRun(t *testing.T) {
 	p := spillPart(0, 512)
 	c := spillFixture(t, Cost(p)/2, nil) // never admittable: every hit cold-serves
 	k := bitset.FromAttrs(2, 0)
 	c.Put(k, p)
-	hits := maxSpillMappings + 50
-	for i := 0; i < hits; i++ {
-		got := c.Get(k)
-		if got == nil {
-			t.Fatalf("cold hit %d missed", i)
-		}
-		if i%256 == 0 && !got.Equal(p) {
-			t.Fatalf("cold hit %d returned wrong content", i)
-		}
+	c.Get(k) // size the key buffer
+	if a := testing.AllocsPerRun(100, func() { c.Get(k) }); a != 2 {
+		t.Errorf("a cold serve allocates %.1f times, want 2", a)
 	}
-	c.mu.Lock()
-	live := len(c.spill.maps)
-	c.mu.Unlock()
-	if live > maxSpillMappings {
-		t.Fatalf("live mappings = %d, want <= %d", live, maxSpillMappings)
+	if s := c.Stats(); s.Reloads != 102 || s.Spills != 1 {
+		t.Errorf("reloads/spills = %d/%d, want 102/1", s.Reloads, s.Spills)
 	}
-	if s := c.Stats(); int(s.Reloads) != hits {
-		t.Fatalf("reloads = %d, want %d", s.Reloads, hits)
+}
+
+// TestSpillServedPartitionOutlivesClose: a partition the spill tier
+// served is the caller's, so closing the cache (which removes the spill
+// file) leaves it readable.
+func TestSpillServedPartitionOutlivesClose(t *testing.T) {
+	p := spillPart(0, 512)
+	c := NewCache(Cost(p)/2, nil) // never admittable: the hit cold-serves
+	if err := c.EnableSpill(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	k := bitset.FromAttrs(2, 0)
+	c.Put(k, p)
+	got := c.Get(k)
+	if got == nil {
+		t.Fatal("cold hit missed")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(p) {
+		t.Fatal("served partition changed after Close")
+	}
+}
+
+// TestSpillDamagedFileDropsEntry: a record the spill file no longer
+// holds in full drops its entry, and the cached build recomputes the
+// partition.
+func TestSpillDamagedFileDropsEntry(t *testing.T) {
+	cols := [][]int32{make([]int32, 256), make([]int32, 256)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i] = int32(i%16), int32(i%5)
+	}
+	cards := []int{16, 5}
+	x := bitset.FromAttrs(2, 0, 1)
+	want := ForAttrs(x, cols, cards)
+	cost := Cost(want)
+	c := spillFixture(t, cost/2, nil) // never admittable: Put goes cold
+	c.Put(x, want)
+	if s := c.Stats(); s.Spills != 1 || s.SpilledBytes != cost || s.Entries != 1 {
+		t.Fatalf("setup stats = %+v, want one cold entry of %d bytes", s, cost)
+	}
+	if err := os.Truncate(c.SpillFile(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Get(x); got != nil {
+		t.Fatal("a truncated record served a partition")
+	}
+	if s := c.Stats(); s.SpilledBytes != 0 || s.Entries != 0 || s.Reloads != 0 {
+		t.Fatalf("stats after the failed reload = %+v, want the entry dropped", s)
+	}
+	got, reused, err := ForAttrsCached(context.Background(), c, x, cols, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused || !got.Equal(want) {
+		t.Fatalf("rebuild after the dropped entry: reused=%v, equal=%v", reused, got.Equal(want))
 	}
 }
 
@@ -196,24 +241,23 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 	if err := c.EnableSpill(dir); err != nil {
 		t.Fatal(err)
 	}
-	private := c.SpillDir()
-	if private == "" || filepath.Dir(private) != dir {
-		t.Fatalf("SpillDir = %q, want a subdir of %q", private, dir)
+	path := c.SpillFile()
+	if path == "" || filepath.Dir(path) != dir {
+		t.Fatalf("SpillFile = %q, want a file in %q", path, dir)
 	}
 	p := spillPart(0, 256)
 	c.Put(bitset.FromAttrs(2, 0), p) // oversized: spills directly
-	files, _ := os.ReadDir(private)
-	if len(files) != 1 {
-		t.Fatalf("spill dir holds %d files, want 1", len(files))
+	if st, err := os.Stat(path); err != nil || st.Size() != int64(4*(len(p.offsets)+len(p.backing))) {
+		t.Fatalf("spill file after one spill: %v, %v", st, err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(private); !os.IsNotExist(err) {
-		t.Fatalf("spill dir survived Close: %v", err)
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("spill dir holds %d files after Close, want 0", len(files))
 	}
-	if c.Len() != 0 {
-		t.Fatal("entries survived Close")
+	if c.Len() != 0 || c.SpillFile() != "" {
+		t.Fatal("entries or the spill tier survived Close")
 	}
 	// Idempotent, and safe on nil.
 	if err := c.Close(); err != nil {

@@ -1,11 +1,11 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/spillfile"
+	"unsafe"
 )
 
 // The column pager moves a relation's encoded codes off-heap: with
@@ -17,14 +17,29 @@ import (
 // reclaim clean column pages under pressure — the discovery kernels
 // keep indexing Cols[c][row] unchanged.
 //
-// Page files reuse the spill-tier container (internal/spillfile): a
-// paged column is a valid spill file with header {nrows, 1, nrows},
-// a single offsets entry 0, and the codes as backing — so the payload
-// starts at the 4-aligned offset HeaderBytes+4. Files are private to
-// one process, written in native byte order and removed by Close.
-// Past spillfile.MaxMappings live mappings (or on platforms without
-// mmap) a column loads on the heap instead; those fallbacks count as
-// page faults in the pager stats.
+// A page file is an 8-byte magic, the row count as a little-endian
+// uint64, then the codes. Files are private to one process, written in
+// native byte order and removed by Close; seal reopens each by name to
+// map it, so the magic and the length check guard against a file that is
+// not the one the pager wrote. Past maxMappings live mappings (or on
+// platforms without mmap) a column loads on the heap instead; those
+// fallbacks count as page faults in the pager stats.
+
+// pageMagic identifies a page file; the version byte guards the decode
+// against a file of another layout.
+var pageMagic = [8]byte{'C', 'O', 'L', 'P', 'A', 'G', 'E', '1'}
+
+// pageHeaderBytes is the header size: the magic and the row count. It is
+// a multiple of 4, so the codes after it are 4-aligned in a mapping.
+const pageHeaderBytes = 8 + 8
+
+// maxMappings bounds the live mappings one pager holds. Cols alias the
+// mappings until Close, so a wide relation would otherwise hold one VMA
+// per column against the kernel's per-process map limit
+// (vm.max_map_count, ~65k by default) and starve the runtime's own
+// allocator. Past the cap a column loads on the heap: same bytes,
+// GC-managed lifetime, no new mapping.
+const maxMappings = 1024
 
 // pagerState is a paged relation's handle on its mappings and files.
 type pagerState struct {
@@ -64,10 +79,9 @@ func newColPage(pg *pagerState, c int) *colPage {
 }
 
 // write appends one block of codes to the column's page file, opening
-// it on first use with a zeroed header placeholder and the single
-// offsets entry (0 — already the placeholder's value, so only the
-// header needs patching at seal time). Errors stick: the first failure
-// wins and every later call is a no-op returning it.
+// it on first use with a zeroed header placeholder that seal patches.
+// Errors stick: the first failure wins and every later call is a no-op
+// returning it.
 func (cp *colPage) write(codes []int32) error {
 	if cp.err != nil {
 		return cp.err
@@ -75,14 +89,14 @@ func (cp *colPage) write(codes []int32) error {
 	if cp.f == nil {
 		cp.f, cp.err = os.OpenFile(cp.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if cp.err == nil {
-			var zero [spillfile.HeaderBytes + 4]byte
+			var zero [pageHeaderBytes]byte
 			_, cp.err = cp.f.Write(zero[:])
 		}
 		if cp.err != nil {
 			return cp.err
 		}
 	}
-	if _, err := cp.f.Write(spillfile.Int32Bytes(codes)); err != nil {
+	if _, err := cp.f.Write(int32Bytes(codes)); err != nil {
 		cp.err = err
 		return err
 	}
@@ -104,7 +118,9 @@ func (cp *colPage) seal(pg *pagerState, c int, tail []int32) ([]int32, error) {
 	if cp.f == nil {
 		return []int32{}, nil
 	}
-	hdr := spillfile.EncodeHeader(cp.rows, 1, cp.rows)
+	var hdr [pageHeaderBytes]byte
+	copy(hdr[:], pageMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(cp.rows))
 	_, err := cp.f.WriteAt(hdr[:], 0)
 	if cerr := cp.f.Close(); err == nil {
 		err = cerr
@@ -115,17 +131,16 @@ func (cp *colPage) seal(pg *pagerState, c int, tail []int32) ([]int32, error) {
 	}
 
 	var buf, m []byte
-	if len(pg.maps) < spillfile.MaxMappings {
-		buf, m, err = spillfile.Map(cp.path)
+	if len(pg.maps) < maxMappings {
+		buf, m, err = mapFile(cp.path)
 	} else {
 		buf, err = os.ReadFile(cp.path)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("relation: paging column %d: %w", c, err)
 	}
-	const payload = spillfile.HeaderBytes + 4 // header + the offsets entry
-	if !spillfile.HasMagic(buf) || len(buf) != payload+4*cp.rows {
-		spillfile.Unmap(m)
+	if len(buf) != pageHeaderBytes+4*cp.rows || [8]byte(buf[:8]) != pageMagic {
+		unmap(m)
 		return nil, fmt.Errorf("relation: page file %s: truncated", cp.path)
 	}
 	pg.paged++
@@ -134,13 +149,13 @@ func (cp *colPage) seal(pg *pagerState, c int, tail []int32) ([]int32, error) {
 	} else {
 		pg.faults++
 	}
-	return spillfile.BytesInt32(buf[payload:]), nil
+	return bytesInt32(buf[pageHeaderBytes:]), nil
 }
 
 // close releases every mapping and removes the page directory.
 func (pg *pagerState) close() error {
 	for _, m := range pg.maps {
-		spillfile.Unmap(m)
+		unmap(m)
 	}
 	pg.maps = nil
 	return os.RemoveAll(pg.dir)
@@ -170,7 +185,7 @@ func (r *Relation) PageOut() {
 		return
 	}
 	for _, m := range r.pager.maps {
-		spillfile.PageOut(m)
+		pageOut(m)
 	}
 }
 
@@ -186,4 +201,23 @@ func (r *Relation) Close() error {
 	r.pager = nil
 	r.Cols = nil
 	return err
+}
+
+// int32Bytes views an int32 slice as raw native-order bytes, so page
+// writes stream the codes without a copy.
+func int32Bytes(s []int32) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
+}
+
+// bytesInt32 is the inverse view. b must be 4-aligned: mappings are
+// page-aligned, heap reads are allocated aligned, and the header is a
+// multiple of 4 bytes.
+func bytesInt32(b []byte) []int32 {
+	if len(b) == 0 {
+		return []int32{}
+	}
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }

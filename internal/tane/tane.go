@@ -116,6 +116,12 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 	// it, which its candidates link to.
 	var level, prev []*candidate
 
+	// Only a cache that held entries before the run can hold a level
+	// product: TANE itself caches singles and emitted LHSs, and those lie
+	// below the level being generated. Taken before the bootstrap and
+	// before a resume warms the cache.
+	probe := cfg.Cache.Len() > 0
+
 	stop := rs.Phase("build")
 	cfg.Budget.Charge(emptyPart)
 	if f := resumeFrontier(cfg.Resume); f != nil {
@@ -335,7 +341,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (fds []dep.FD, r
 		}
 
 		stop = rs.Phase("generate")
-		next, err := nextLevel(ctx, pool, r, level, rs, &cfg)
+		next, err := nextLevel(ctx, pool, r, level, rs, &cfg, probe)
 		stop()
 		if err != nil {
 			return h.End(nil, err)
@@ -394,11 +400,12 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, rs *engine.RunStats
 // — the level's hot path — run as one partition.RefineBatch over the
 // worker pool, each refining the parent with fewer rows in clusters by the
 // other's last attribute, so a product reads and allocates no more than
-// the smaller parent. Candidates whose π_X the shared cache already holds
-// (a caller-owned cache an earlier run filled) skip the product
-// entirely. Fresh products are not cached: Run publishes π of the LHSs
-// it emits FDs for, the only partitions the cache's readers ask for.
-func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, level []*candidate, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+// the smaller parent. With probe set (the cache held entries before the
+// run: a caller-owned cache an earlier run filled), candidates whose π_X
+// the cache holds skip the product entirely. Fresh products are not
+// cached: Run publishes π of the LHSs it emits FDs for, the only
+// partitions the cache's readers ask for.
+func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, level []*candidate, rs *engine.RunStats, cfg *Config, probe bool) ([]*candidate, error) {
 	alive := level[:0:0]
 	for _, c := range level {
 		if !c.dead {
@@ -462,10 +469,12 @@ func nextLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, lev
 				cplus:   cplus.Clone(),
 				parents: append([]*candidate(nil), links...),
 			}
-			if p := cfg.Cache.Get(union); p != nil {
-				c.part = p
-				c.err = p.Error()
-				cfg.Budget.ChargeBytes(partition.Cost(p))
+			if probe {
+				c.part = cfg.Cache.Get(union)
+			}
+			if c.part != nil {
+				c.err = c.part.Error()
+				cfg.Budget.ChargeBytes(partition.Cost(c.part))
 			} else {
 				base, other := a, b
 				if b.part.Size() < a.part.Size() {

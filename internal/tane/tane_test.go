@@ -328,3 +328,33 @@ func TestResumeKeepsCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestProbesOnlyPrefilledCache: a run over a cache that started empty
+// looks up only the singles, since no level product can be cached before
+// TANE builds it, and a second run over the cache the first one filled
+// takes the products it holds and returns the same cover.
+func TestProbesOnlyPrefilledCache(t *testing.T) {
+	r := flight(t)
+	ctx := context.Background()
+	cache := partition.NewCache(64<<20, nil)
+	fds, rs, err := Run(ctx, r, Config{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(r.NumCols()); rs.CacheMisses != n || rs.CacheHits != 0 {
+		t.Errorf("first run: %d hits, %d misses, want 0 and one per column (%d)", rs.CacheHits, rs.CacheMisses, n)
+	}
+	again, rs2, err := Run(ctx, r, Config{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs2.CacheHits <= int64(r.NumCols()) {
+		t.Errorf("second run: %d hits, want the singles and some level products", rs2.CacheHits)
+	}
+	if rs2.PartitionsBuilt >= rs.PartitionsBuilt {
+		t.Errorf("second run built %d partitions, the first %d: no product came from the cache", rs2.PartitionsBuilt, rs.PartitionsBuilt)
+	}
+	if !dep.Equal(again, fds) {
+		t.Errorf("second run's cover differs: %d vs %d FDs", len(again), len(fds))
+	}
+}
