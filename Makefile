@@ -97,7 +97,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime 5s -run '^$$' ./internal/runstate/
 
 # The default verify path: build, vet, formatting and the invariant
-# analyzers, then the full suite under the race detector (which includes
-# the chaos matrix), the allocation pins without it, the fdperf module,
-# the kill-and-resume gate, then the fuzz and benchmark smoke passes.
-check: build vet fmt lint race allocs fdperf crash fuzz-smoke bench-smoke
+# analyzers, then the full suite twice: plainly, which runs the shape
+# matrices the race pass trims to three shapes, and under the race
+# detector (which includes the chaos matrix); then the allocation pins
+# without it, the fdperf module, the kill-and-resume gate, then the fuzz
+# and benchmark smoke passes.
+check: build vet fmt lint test race allocs fdperf crash fuzz-smoke bench-smoke

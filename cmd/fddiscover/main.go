@@ -39,8 +39,7 @@
 // is flushed when the run is interrupted or times out. Re-running the same
 // command with -resume added continues from the snapshot and prints a
 // cover byte-identical to an uninterrupted run; a SIGKILLed run loses at
-// most one interval of work. -retries N re-runs transiently failed pool
-// work items up to N times with jittered exponential backoff.
+// most one interval of work.
 //
 // Exit codes: 0 success (including degraded-with-warning), 1 runtime
 // failure or interrupted/partial run, 2 usage error (including -resume
@@ -79,7 +78,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot the run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partitions, sampling and pair-scan items) up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fddiscover [flags] file.csv\n")
 		flag.PrintDefaults()
@@ -105,10 +103,6 @@ func main() {
 	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "fddiscover: -resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "fddiscover: -retries %d: must be >= 0\n", *retries)
 		os.Exit(2)
 	}
 	opts := dhyfd.Options{}
@@ -168,9 +162,6 @@ func main() {
 	}
 	if *resume {
 		discoverOpts = append(discoverOpts, dhyfd.WithResume(*checkpoint))
-	}
-	if *retries > 0 {
-		discoverOpts = append(discoverOpts, dhyfd.WithRetries(*retries))
 	}
 
 	res, err := dhyfd.Discover(ctx, rel, discoverOpts...)

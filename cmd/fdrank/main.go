@@ -20,9 +20,9 @@
 // reuses the partitions discovery built. -stats prints the ranking run
 // report to stderr.
 //
-// -checkpoint DIR / -interval / -resume / -retries make the discovery
-// stage durable exactly as in fddiscover: an interrupted run flushes a
-// final snapshot, and re-running with -resume continues it.
+// -checkpoint DIR / -interval / -resume make the discovery stage durable
+// exactly as in fddiscover: an interrupted run flushes a final snapshot,
+// and re-running with -resume continues it.
 package main
 
 import (
@@ -52,7 +52,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot the discovery run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue discovery from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed pool work items (validation batches, partitions, sampling and pair-scan items) up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fdrank [flags] file.csv\n")
 		flag.PrintDefaults()
@@ -68,10 +67,6 @@ func main() {
 	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "fdrank: -resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "fdrank: -retries %d: must be >= 0\n", *retries)
 		os.Exit(2)
 	}
 
@@ -121,9 +116,6 @@ func main() {
 	}
 	if *resume {
 		durable = append(durable, dhyfd.WithResume(*checkpoint))
-	}
-	if *retries > 0 {
-		durable = append(durable, dhyfd.WithRetries(*retries))
 	}
 	discoverOpts := func(extra ...dhyfd.Option) []dhyfd.Option {
 		opts := append([]dhyfd.Option{}, shared...)

@@ -229,7 +229,6 @@ type discoverConfig struct {
 	ckptDir    string  // checkpoint directory; "" = durability off
 	ckptEvery  time.Duration
 	resumeDir  string // resume directory; "" = cold start
-	retries    int    // transient-failure retries per work item
 	optErr     error  // first invalid option, reported by Discover
 }
 
@@ -493,24 +492,6 @@ func WithResume(dir string) Option {
 	}
 }
 
-// WithRetries lets every algorithm re-run a failed pool work item — a
-// validation batch, a column's partition, a sampling or pair-scan item, a
-// lattice join — up to n times when the failure is classified transient,
-// sleeping a capped, fully-jittered exponential backoff between attempts.
-// Fatal failures (and organic panics) still surface immediately as
-// *PanicError. Attempts and retries are reported in Stats under
-// "attempts" / "retries". n of 0 disables retrying (the default);
-// negative n is an error.
-func WithRetries(n int) Option {
-	return func(c *discoverConfig) {
-		if n < 0 {
-			c.optErr = fmt.Errorf("dhyfd: WithRetries(%d): n must be >= 0", n)
-			return
-		}
-		c.retries = n
-	}
-}
-
 // Discover computes the left-reduced cover of the FDs holding on r. With
 // no options it runs DHyFD with the paper's tuning. The context cancels
 // the run cooperatively: on cancellation Discover returns ctx's error and
@@ -541,6 +522,7 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		lattice = true
 	case FDEP, FDEP1, FDEP2, FastFDs:
 	default:
+		return &Result{Algorithm: cfg.algorithm}, fmt.Errorf("dhyfd: unknown algorithm %v", cfg.algorithm)
 	}
 	maxViol := 0
 	if cfg.maxErr > 0 {
@@ -649,7 +631,7 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 	shared := runstate.Options{
 		Workers: cfg.workers, Budget: budget, Cache: cache,
 		TopK: collector, MaxViolations: maxViol,
-		Checkpoint: cp, Resume: snap, Retries: cfg.retries,
+		Checkpoint: cp, Resume: snap,
 	}
 	switch cfg.algorithm {
 	case DHyFD:
@@ -668,8 +650,6 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		fds, rs, err = fastfds.Run(ctx, r, shared)
 	case DFD:
 		fds, rs, err = dfd.Run(ctx, r, shared)
-	default:
-		return nil, fmt.Errorf("dhyfd: unknown algorithm %v", cfg.algorithm)
 	}
 
 	res.FDs = fds

@@ -164,6 +164,30 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
+// TestDiscoverUnknownAlgorithm: an Algorithm outside the eight constants
+// is rejected before any set-up, with a Result that names it, whatever
+// other options the call carries.
+func TestDiscoverUnknownAlgorithm(t *testing.T) {
+	rel := loadVoters(t)
+	bad := dhyfd.Algorithm(99)
+	for _, c := range []struct {
+		name string
+		opts []dhyfd.Option
+	}{
+		{"alone", nil},
+		{"max-error", []dhyfd.Option{dhyfd.WithMaxError(0.01)}},
+		{"spill-dir", []dhyfd.Option{dhyfd.WithSpillDir(t.TempDir())}},
+	} {
+		res, err := dhyfd.Discover(context.Background(), rel, append([]dhyfd.Option{dhyfd.WithAlgorithm(bad)}, c.opts...)...)
+		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("%s: err = %v, want an unknown-algorithm error", c.name, err)
+		}
+		if res == nil || res.Algorithm != bad {
+			t.Errorf("%s: Result = %+v, want one carrying %v", c.name, res, bad)
+		}
+	}
+}
+
 func TestDiscoverResultAndOptions(t *testing.T) {
 	rel := loadVoters(t)
 	want := brute.MinimalFDs(rel)

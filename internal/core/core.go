@@ -121,10 +121,9 @@ func (m *ddm) partitionFor(node *fdtree.Node, lhs bitset.Set) (*partition.Partit
 // from its consistent dynamic partition (or its own singleton) and is
 // refined by the missing path attributes — refinements run as one
 // partition.RefineBatch on the caller's worker pool, since the jobs
-// are independent (and the pool's retry policy supervises them); the node
-// then receives the new slot id and propagates it to its descendants. On
-// cancellation the DDM is left untouched (the old epoch stays consistent)
-// and ctx's error is returned.
+// are independent; the node then receives the new slot id and
+// propagates it to its descendants. On cancellation the DDM is left
+// untouched (the old epoch stays consistent) and ctx's error is returned.
 func (m *ddm) update(ctx context.Context, pool *engine.Pool, reusables []*fdtree.Node) error {
 	if err := faults.Hit(faults.DDMRefresh); err != nil {
 		return err

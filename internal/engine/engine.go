@@ -8,8 +8,8 @@
 // cursor, so distribution costs one atomic add per item, and a Run
 // allocates only that cursor's shared state and its goroutines. Every
 // worker, the calling goroutine of a one-worker Run included, runs the
-// same claim loop, and every item runs under the same recovery (and,
-// with a RetryPolicy, the same retries). Cancellation is
+// same claim loop, and every item runs once under the same recovery: a
+// panicking item ends the Run as a *PanicError. Cancellation is
 // cooperative: workers poll the context every checkEvery items, which
 // bounds the reaction latency to one small batch of validations.
 package engine
@@ -17,7 +17,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -40,12 +39,7 @@ type PanicError struct {
 	// Site attributes the panic: a faults.Site name for injected
 	// failures, or the recovery point ("engine.worker", "discover") for
 	// organic ones.
-	Site string
-	// Class is the failure's retry classification. Injected failures carry
-	// the class their plan resolved (faults.ClassOf); organic panics are
-	// ClassFatal — re-running an unclassified failure risks repeating side
-	// effects, so only explicitly transient failures reach the retry path.
-	Class faults.Class
+	Site  string
 	Value any    // the recovered panic value
 	Stack []byte // stack of the panicking goroutine
 }
@@ -74,42 +68,14 @@ func NewPanicError(site string, value any) *PanicError {
 	if s := faults.SiteOf(value); s != "" {
 		site = string(s)
 	}
-	class := faults.ClassOf(value)
-	if class == faults.ClassUnknown {
-		class = faults.ClassFatal
-	}
-	return &PanicError{Site: site, Class: class, Value: value, Stack: debug.Stack()}
-}
-
-// RetryPolicy bounds the supervised re-execution of transiently failed
-// work items. The zero value disables retries: every item runs once, and
-// its failure ends the Run.
-type RetryPolicy struct {
-	// Max is the number of re-executions allowed per item after its first
-	// failure. 0 disables the retry layer entirely.
-	Max int
-	// BaseDelay seeds the exponential backoff between attempts
-	// (default 1ms). Attempt r waits a uniformly random duration in
-	// [0, min(BaseDelay<<r, MaxDelay)] — capped exponential backoff with
-	// full jitter, so a burst of failed items does not retry in lockstep.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 250ms).
-	MaxDelay time.Duration
+	return &PanicError{Site: site, Value: value, Stack: debug.Stack()}
 }
 
 // Pool is a bounded worker pool. The zero value is not usable; use
 // NewPool. A pool carries no per-Run state and may be reused and shared;
-// its attempt/retry counters accumulate across Run calls for the run
-// report.
+// its shard counters accumulate across Run calls for the run report.
 type Pool struct {
 	workers int
-	retry   RetryPolicy
-
-	// attempts counts item executions supervised by the retry layer
-	// (first tries and retries); retries counts re-executions after a
-	// transient failure. Both stay zero while the retry layer is off.
-	attempts atomic.Int64
-	retries  atomic.Int64
 
 	// shards and shardRows accumulate CountShards: items of merged
 	// fan-outs and the entries they carried into the merges. Both stay
@@ -127,38 +93,6 @@ func NewPool(workers int) *Pool {
 		workers = 1
 	}
 	return &Pool{workers: workers}
-}
-
-// NewPoolRetry returns a pool that re-runs transiently failed items per
-// the policy. Failures are retried only when their class is
-// faults.ClassTransient — injected failures fire before the item
-// publishes side effects, so a re-execution starts clean; organic panics
-// and fatal classes surface immediately.
-func NewPoolRetry(workers int, retry RetryPolicy) *Pool {
-	p := NewPool(workers)
-	if retry.Max < 0 {
-		retry.Max = 0
-	}
-	p.retry = retry
-	return p
-}
-
-// RetryStats reports the supervised execution counters: total item
-// attempts under the retry layer and how many of those were retries.
-// Both are zero when the pool was built without a retry policy.
-func (p *Pool) RetryStats() (attempts, retries int64) {
-	return p.attempts.Load(), p.retries.Load()
-}
-
-// FoldRetryStats folds the pool's supervision counters into the run
-// report as the "attempts" and "retries" counters. A pool with the retry
-// layer off contributes nothing.
-func (p *Pool) FoldRetryStats(rs *RunStats) {
-	attempts, retries := p.RetryStats()
-	if attempts > 0 {
-		rs.Count("attempts", attempts)
-		rs.Count("retries", retries)
-	}
 }
 
 // CountShards records one merged fan-out on the pool: shards items that
@@ -218,7 +152,7 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(worker, i int)) error {
 			if i >= n {
 				return
 			}
-			if pe := p.runItem(ctx, w, i, fn); pe != nil {
+			if pe := p.execItem(w, i, fn); pe != nil {
 				panicked.CompareAndSwap(nil, pe)
 				stop.Store(true)
 				return
@@ -244,30 +178,8 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(worker, i int)) error {
 	return ctx.Err()
 }
 
-// runItem executes one work item. Without a retry policy it runs once;
-// under one, a failed attempt is re-run while its class stays transient
-// and the policy has budget, sleeping a jittered backoff between
-// attempts. The final failure (fatal, exhausted, or interrupted by
-// cancellation) is returned for the caller to publish; a drained backoff
-// wait returns the original failure so shutdown never blocks on sleeps.
-func (p *Pool) runItem(ctx context.Context, w, i int, fn func(worker, i int)) *PanicError {
-	if p.retry.Max > 0 {
-		p.attempts.Add(1)
-	}
-	pe := p.execItem(w, i, fn)
-	for r := 0; pe != nil && pe.Class == faults.ClassTransient && r < p.retry.Max; r++ {
-		if !sleepBackoff(ctx, p.retry, r) {
-			return pe
-		}
-		p.retries.Add(1)
-		p.attempts.Add(1)
-		pe = p.execItem(w, i, fn)
-	}
-	return pe
-}
-
-// execItem runs one attempt of one item, converting a panic into the
-// typed *PanicError the retry loop classifies.
+// execItem runs one item, converting a panic into the typed *PanicError
+// that ends the Run.
 func (p *Pool) execItem(w, i int, fn func(worker, i int)) (pe *PanicError) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -277,37 +189,6 @@ func (p *Pool) execItem(w, i int, fn func(worker, i int)) (pe *PanicError) {
 	faults.Check(faults.EngineWorker)
 	fn(w, i)
 	return nil
-}
-
-// sleepBackoff waits the capped, full-jitter exponential backoff for
-// retry attempt r (0-based), returning false when the context is
-// cancelled before the wait completes.
-func sleepBackoff(ctx context.Context, rp RetryPolicy, r int) bool {
-	base := rp.BaseDelay
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	max := rp.MaxDelay
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	d := max
-	if r < 30 && base<<uint(r) < max {
-		d = base << uint(r)
-	}
-	// Full jitter: a uniform draw over [0, d] decorrelates retry storms.
-	d = time.Duration(rand.Int63n(int64(d) + 1))
-	if d == 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // PhaseStat is the accumulated wall time of one named algorithm phase.

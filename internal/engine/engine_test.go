@@ -87,6 +87,41 @@ func TestPoolRunRecoversPanic(t *testing.T) {
 	}
 }
 
+// TestRetryOrganicPanicNotRetried: a panicking item runs once and ends the
+// Run; the pool never re-runs it. On one worker the items run in order, so
+// every item before the failing one ran exactly once and none after it
+// started.
+func TestRetryOrganicPanicNotRetried(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		calls := make([]atomic.Int32, 100)
+		err := NewPool(workers).Run(context.Background(), 100, func(w, i int) {
+			calls[i].Add(1)
+			if i == 42 {
+				panic("organic bug")
+			}
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+		}
+		if got := calls[42].Load(); got != 1 {
+			t.Errorf("workers=%d: failing item ran %d times, want 1", workers, got)
+		}
+		if workers > 1 {
+			continue
+		}
+		for i := range calls {
+			want := int32(0)
+			if i <= 42 {
+				want = 1
+			}
+			if got := calls[i].Load(); got != want {
+				t.Errorf("workers=1: item %d ran %d times, want %d", i, got, want)
+			}
+		}
+	}
+}
+
 func TestRunStatsPhases(t *testing.T) {
 	rs := NewRunStats("test", 0)
 	if rs.Workers != 1 {

@@ -49,9 +49,14 @@ func TestNewPanicErrorPrefersInjectionSite(t *testing.T) {
 	}
 }
 
+// TestPoolPanicBecomesTypedError: the panic wins over a cancellation the
+// failing item caused, so the caller sees the failure, not ctx's error.
 func TestPoolPanicBecomesTypedError(t *testing.T) {
-	err := NewPool(4).Run(context.Background(), 100, func(w, i int) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := NewPool(4).Run(ctx, 100, func(w, i int) {
 		if i == 37 {
+			cancel()
 			panic("worker 37 exploded")
 		}
 	})

@@ -92,63 +92,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Class says whether a failure is worth re-running. The retry layer in
-// engine.Pool re-executes transient failures; fatal ones surface
-// immediately. Injections carry their class so chaos plans steer the
-// retry path deterministically.
-type Class int
-
-const (
-	// ClassUnknown marks a failure with no classification — an organic
-	// panic, or an error from outside the fault registry. The retry layer
-	// treats it as fatal: re-running unclassified failures risks repeating
-	// side effects.
-	ClassUnknown Class = iota
-	// ClassTransient marks a failure safe and worthwhile to re-run: the
-	// failed operation had not yet published side effects, so a retry
-	// starts clean (a flaky worker, a DDM refresh, a sampling pass).
-	ClassTransient
-	// ClassFatal marks a failure that will recur on retry: a deterministic
-	// computation over immutable input failed, so re-running it burns time
-	// to reach the same state.
-	ClassFatal
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassUnknown:
-		return "unknown"
-	case ClassTransient:
-		return "transient"
-	case ClassFatal:
-		return "fatal"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
-// DefaultClass is the per-site failure taxonomy: what a failure at the
-// site means when the plan does not override it.
-//
-// partition.build is fatal — Single is a deterministic pass over an
-// immutable column, so a genuine failure there reproduces on every
-// retry. Every other site guards a re-runnable unit: worker items
-// recompute from inputs that survive the failure, DDM refreshes and
-// sampling passes are optimizations a rerun (or a skip) absorbs — the
-// merge of the sampling fan-outs in particular folds into an idempotent
-// dedup set, so re-entering it is safe — and top-k bound checks publish
-// nothing before they fire.
-func DefaultClass(site Site) Class {
-	switch site {
-	case PartitionBuild:
-		return ClassFatal
-	case DDMRefresh, EngineWorker, SamplingRun, SamplingShardMerge, RankingRun, TopKPrune:
-		return ClassTransient
-	default:
-		return ClassUnknown
-	}
-}
-
 // ErrInjected is the sentinel all injected errors and panics wrap;
 // errors.Is(err, faults.ErrInjected) identifies an injection anywhere in
 // a wrapped chain, including through engine.PanicError.
@@ -160,9 +103,6 @@ var ErrInjected = errors.New("faults: injected failure")
 type Injection struct {
 	Site Site
 	Kind Kind
-	// Class is the failure's transient/fatal classification, resolved when
-	// the plan fires: the plan's explicit Class, or DefaultClass(Site).
-	Class Class
 }
 
 func (i Injection) Error() string {
@@ -181,10 +121,6 @@ type Plan struct {
 	N int
 	// Delay is how long a KindDelay hit sleeps.
 	Delay time.Duration
-	// Class overrides the site's default transient/fatal classification.
-	// ClassUnknown (the zero value) means DefaultClass(site) applies when
-	// the plan fires.
-	Class Class
 }
 
 // registry holds the armed plans. A nil registry pointer — the steady
@@ -299,11 +235,7 @@ func (r *registry) hit(site Site) error {
 	plan := ap.plan
 	r.mu.Unlock()
 
-	class := plan.Class
-	if class == ClassUnknown {
-		class = DefaultClass(site)
-	}
-	inj := Injection{Site: site, Kind: plan.Kind, Class: class}
+	inj := Injection{Site: site, Kind: plan.Kind}
 	switch plan.Kind {
 	case KindError:
 		return inj
@@ -328,20 +260,4 @@ func SiteOf(v any) Site {
 		}
 	}
 	return ""
-}
-
-// ClassOf extracts the failure class from a recovered panic value or
-// error chain. Values that did not originate from an injection are
-// ClassUnknown — the retry layer treats those as fatal.
-func ClassOf(v any) Class {
-	switch x := v.(type) {
-	case Injection:
-		return x.Class
-	case error:
-		var inj Injection
-		if errors.As(x, &inj) {
-			return inj.Class
-		}
-	}
-	return ClassUnknown
 }

@@ -60,10 +60,9 @@ func (v Variant) String() string {
 // sequential and has no knobs. Of the shared run options, Workers fans
 // the pair scan out over blocks of outer rows of about equal pair count
 // (the merged agree-set order is identical to the serial scan, so every
-// variant's induction sees the same input) and Retries supervises its
-// blocks. The single induction pass has no resumable frontier and holds
-// no partitions: Checkpoint, Resume, Cache, Budget, TopK and
-// MaxViolations are ignored.
+// variant's induction sees the same input). The single induction pass
+// has no resumable frontier and holds no partitions: Checkpoint, Resume,
+// Cache, Budget, TopK and MaxViolations are ignored.
 type Config = runstate.Options
 
 // Run returns the left-reduced cover (singleton RHSs) of the FDs that hold
@@ -72,9 +71,7 @@ type Config = runstate.Options
 // honour ctx; on cancellation the partial report (with Cancelled set) is
 // returned alongside ctx's error.
 func Run(ctx context.Context, r *relation.Relation, variant Variant, cfg Config) (fds []dep.FD, rs *engine.RunStats, err error) {
-	h := runstate.Start(strings.ToLower(variant.String()), runstate.Options{
-		Workers: cfg.Workers, Retries: cfg.Retries,
-	})
+	h := runstate.Start(strings.ToLower(variant.String()), runstate.Options{Workers: cfg.Workers})
 	defer h.Recover(&fds, &rs, &err)
 	rs = h.Stats
 	n := r.NumCols()

@@ -194,19 +194,19 @@ func TestChaosDelayInjection(t *testing.T) {
 
 // TestChaosPanicKeepsPoolCounters: a panic recovered on the driver's own
 // goroutine must close the run report with the same folds as an ordinary
-// failure. The pools ran supervised work before the panic — the PLI
-// bootstrap, or DFD's cache prewarm before its walk panics at its second
-// top-k bound check — so the report must carry their attempt counters.
-// HyFD panics at its first progressive sampling round, after the initial
-// sample fanned out over the columns, so its report must also carry the
-// shard counters of that fan-out.
+// failure. Every case runs over a 1 MiB PLI cache that missed before the
+// panic — in the PLI bootstrap, or DFD's cache prewarm before its walk
+// panics at its second top-k bound check — so the report must carry the
+// cache counters. HyFD panics at its first progressive sampling round,
+// after the initial sample fanned out over the columns, so its report
+// must also carry the shard counters of that fan-out.
 func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := dataset.Random(rng, 200, 6, 4)
 	discover := func(a dhyfd.Algorithm, opts ...dhyfd.Option) func() (*dhyfd.RunStats, error) {
 		return func() (*dhyfd.RunStats, error) {
 			res, err := dhyfd.Discover(context.Background(), r, append([]dhyfd.Option{
-				dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2), dhyfd.WithRetries(1),
+				dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(2),
 				dhyfd.WithPartitionCache(1 << 20)}, opts...)...)
 			return &res.Stats, err
 		}
@@ -231,8 +231,8 @@ func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 			if !errors.As(err, &perr) || perr.Site != string(c.site) {
 				t.Fatalf("want a *PanicError at %s, got %v", c.site, err)
 			}
-			if rs.Counters["attempts"] == 0 {
-				t.Errorf("panic report lost the retry counters: %v", rs.Counters)
+			if rs.CacheMisses == 0 {
+				t.Errorf("panic report lost the cache counters: %+v", rs)
 			}
 			if c.shards && rs.ShardsBuilt == 0 {
 				t.Errorf("panic report lost the shard counters: %+v", rs)

@@ -6,8 +6,12 @@ import (
 	"reflect"
 	"testing"
 
+	dhyfd "repro"
+	"repro/internal/armstrong"
 	"repro/internal/bitset"
+	"repro/internal/brute"
 	"repro/internal/core"
+	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
 	"repro/internal/dfd"
@@ -257,6 +261,41 @@ func TestErrorBoundMonotone(t *testing.T) {
 						}
 					}
 					tighter = cover
+				}
+			}
+		})
+	}
+}
+
+// TestArmstrongRoundTripShapes: an Armstrong relation for an FD set Σ
+// satisfies exactly the FDs Σ implies, so on it every algorithm must
+// return a cover equivalent to Σ. Σ is the brute-force oracle's cover of
+// each shape at metaRows×metaCols, so no algorithm grades itself. Under
+// the race detector only three shapes run, as in cache_test.go; the full
+// set runs without it.
+func TestArmstrongRoundTripShapes(t *testing.T) {
+	ctx := context.Background()
+	for _, b := range dataset.All() {
+		if raceEnabled && b.Name != "ncvoter" && b.Name != "bridges" && b.Name != "flight" {
+			continue
+		}
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			r := b.Generate(metaRows, metaCols)
+			n := r.NumCols()
+			sigma := cover.Canonical(n, brute.MinimalFDs(r))
+			arm, err := armstrong.Relation(n, sigma, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range dhyfd.Algorithms() {
+				res, err := dhyfd.Discover(ctx, arm, dhyfd.WithAlgorithm(a))
+				if err != nil {
+					t.Fatalf("%v: %v", a, err)
+				}
+				if !cover.Equivalent(n, res.FDs, sigma) {
+					t.Errorf("%v: %d FDs on the %d-row Armstrong relation are not equivalent to Σ's %d",
+						a, len(res.FDs), arm.NumRows(), len(sigma))
 				}
 			}
 		})

@@ -303,60 +303,3 @@ func TestCheckpointUnsupportedAlgorithm(t *testing.T) {
 		}
 	}
 }
-
-// TestRetryAbsorbsTransientFault: with WithRetries, a transient injected
-// worker failure is re-run instead of surfacing, the cover matches the
-// fault-free baseline, and the supervision counters land in the report.
-// An explicitly fatal plan must still surface immediately.
-func TestRetryAbsorbsTransientFault(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	r := dataset.Random(rng, 300, 7, 4)
-	ctx := context.Background()
-
-	for _, a := range []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD, dhyfd.TANE} {
-		t.Run(a.String(), func(t *testing.T) {
-			base, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(4))
-			if err != nil {
-				t.Fatalf("fault-free run: %v", err)
-			}
-			defer faults.Reset()
-			faults.Arm(faults.EngineWorker, faults.Plan{Kind: faults.KindPanic, N: 3})
-			res, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(4),
-				dhyfd.WithRetries(2))
-			fired := !faults.Armed(faults.EngineWorker)
-			if err != nil {
-				t.Fatalf("retry did not absorb the transient fault: %v", err)
-			}
-			if !dep.Equal(res.FDs, base.FDs) {
-				t.Fatal("retried run changed the cover")
-			}
-			if fired {
-				if res.Stats.Counters["retries"] == 0 {
-					t.Error("fault fired but no retries reported")
-				}
-				if res.Stats.Counters["attempts"] == 0 {
-					t.Error("retry layer active but no attempts reported")
-				}
-			}
-		})
-	}
-
-	t.Run("fatal-class-not-retried", func(t *testing.T) {
-		defer faults.Reset()
-		faults.Arm(faults.EngineWorker, faults.Plan{
-			Kind: faults.KindPanic, N: 3, Class: faults.ClassFatal,
-		})
-		_, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(dhyfd.TANE), dhyfd.WithWorkers(4),
-			dhyfd.WithRetries(5))
-		if !faults.Armed(faults.EngineWorker) {
-			// Fired: a fatal failure must surface despite the retry budget.
-			var perr *dhyfd.PanicError
-			if !errors.As(err, &perr) {
-				t.Fatalf("fatal fault surfaced as %v, want *PanicError", err)
-			}
-			if perr.Class != faults.ClassFatal {
-				t.Fatalf("PanicError class = %v, want fatal", perr.Class)
-			}
-		}
-	})
-}

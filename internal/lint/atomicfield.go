@@ -8,8 +8,8 @@ import (
 
 // AtomicField enforces atomic-access discipline on the counters the
 // concurrent subsystems lean on — the faults registry pointer, the pool
-// attempt/retry/shard counters, the cache hit/miss/eviction counters
-// and the RunStats fold sites:
+// shard counters, the cache hit/miss/eviction counters and the RunStats
+// fold sites:
 //
 //   - a field of one of the sync/atomic types (atomic.Int64,
 //     atomic.Bool, atomic.Pointer[T], ...) must only be used as a

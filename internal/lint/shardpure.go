@@ -12,10 +12,10 @@ import (
 // workers run: Refiner.Split, the refinement kernel inside every
 // RefineBatch item, and collectItem, sampleItem and coverBlock, the items
 // of the agree-set fan-outs) execute concurrently over disjoint items,
-// and their determinism-and-retry-safety argument — "writes are
-// deterministic positions of deterministic values" — only holds if every
-// write lands in the kernel's own output slice, a local, or a per-worker
-// scratch receiver field.
+// and their determinism argument — "writes are deterministic positions
+// of deterministic values" — only holds if every write lands in the
+// kernel's own output slice, a local, or a per-worker scratch receiver
+// field.
 //
 // Inside an annotated function (and any function literal it contains)
 // the analyzer rejects:

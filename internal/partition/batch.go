@@ -20,10 +20,9 @@ type RefineJob struct {
 // the jobs' attributes index. Each item borrows pooled Refiner scratch,
 // so refinement reuses buckets without locking, and returns it only once
 // its refinements completed, so a panicking item drops its half-filled
-// scratch with it. Items restart cleanly under the pool's retry policy:
-// each attempt re-reads jobs[i].Part and only publishes out[i] at the
-// end. On cancellation the partial results are returned with ctx's
-// error; unprocessed entries are nil.
+// scratch with it. Each item reads only jobs[i] and publishes only out[i],
+// at its end. On cancellation the partial results are returned with
+// ctx's error; unprocessed entries are nil.
 func RefineBatch(ctx context.Context, pool *engine.Pool, cols [][]int32, cards []int, jobs []RefineJob) ([]*Partition, error) {
 	out := make([]*Partition, len(jobs))
 	err := pool.Run(ctx, len(jobs), func(_, i int) {

@@ -51,19 +51,16 @@ type Options struct {
 	// Resume, when non-nil, seeds the run from a snapshot the caller has
 	// already fingerprint-matched.
 	Resume *Snapshot
-	// Retries bounds supervised re-runs of transiently failed pool items
-	// (capped exponential backoff with full jitter). 0 disables retries.
-	Retries int
 }
 
 // Harness is the wiring one driver execution shares with every other
-// driver: the run report, the retry-supervised pool, the resumed report
+// driver: the run report, the worker pool, the resumed report
 // base, the cache-traffic baseline, checkpoint capture and the epilogue
 // folds. A driver owns only its search frontier and its own counters.
 type Harness struct {
 	// Stats is the run report the driver fills with its own counters.
 	Stats *engine.RunStats
-	// Pool is the run's worker pool, supervised by the Retries policy.
+	// Pool is the run's worker pool, Workers wide.
 	Pool *engine.Pool
 
 	opts   Options
@@ -73,11 +70,11 @@ type Harness struct {
 
 // Start begins a run of the named algorithm: a fresh report seeded with
 // the resumed snapshot's phases, elapsed time and cache bases, the
-// retry-supervised pool, and the cache baseline End folds the delta of.
+// worker pool, and the cache baseline End folds the delta of.
 func Start(algorithm string, opts Options) *Harness {
 	h := &Harness{
 		Stats:  engine.NewRunStats(algorithm, opts.Workers),
-		Pool:   engine.NewPoolRetry(opts.Workers, engine.RetryPolicy{Max: opts.Retries}),
+		Pool:   engine.NewPool(opts.Workers),
 		opts:   opts,
 		cache0: opts.Cache.Stats(),
 	}
@@ -130,9 +127,9 @@ func (h *Harness) WarmCache(ctx context.Context, r *relation.Relation) {
 	}
 }
 
-// End closes the run: the pool's retry and shard counters, the cache
-// delta and the top-k traffic fold into the report exactly once, and the
-// report is finished with err. Under a fused top-k the collector's FDs
+// End closes the run: the pool's shard counters, the cache delta and the
+// top-k traffic fold into the report exactly once, and the report is
+// finished with err. Under a fused top-k the collector's FDs
 // replace fds — each was individually validated, so they stand as a sound
 // top-k in ranking order even when err is set; otherwise a failed run
 // returns no cover.
@@ -140,7 +137,6 @@ func (h *Harness) End(fds []dep.FD, err error) ([]dep.FD, *engine.RunStats, erro
 	rs := h.Stats
 	if !h.ended {
 		h.ended = true
-		h.Pool.FoldRetryStats(rs)
 		h.Pool.FoldShardStats(rs)
 		d := h.opts.Cache.Stats().Delta(h.cache0)
 		rs.CacheHits += d.Hits

@@ -70,11 +70,10 @@ func NegativeCover(ctx context.Context, pool *engine.Pool, r *relation.Relation)
 // items add straight into dst. Otherwise each collects into an item-local
 // set on a pool worker, and the locals merge into dst in item order as
 // one pool item hitting sampling.shardmerge once per local, so a fault
-// surfaces typed (Add is idempotent, so a retried merge is safe); the
-// pool counts items as shards and merged local sets as rows. ctx is
-// polled between items, and a cancelled pass returns its error. s travels
-// beside item rather than inside a closure so that a one-worker pass
-// allocates nothing its items do not.
+// surfaces typed; the pool counts items as shards and merged local sets
+// as rows. ctx is polled between items, and a cancelled pass returns its
+// error. s travels beside item rather than inside a closure so that a
+// one-worker pass allocates nothing its items do not.
 func collect[S any](ctx context.Context, pool *engine.Pool, n int, s S, item func(context.Context, S, int, *NonFDSet) int, dst *NonFDSet) (newNonFDs, comparisons int, err error) {
 	before := dst.Len()
 	if pool.Workers() == 1 || n <= 1 {
@@ -117,7 +116,7 @@ func collect[S any](ctx context.Context, pool *engine.Pool, n int, s S, item fun
 
 // collectItem is collect's phase-1 kernel: item i collects into a fresh
 // set, and its only writes land in its disjoint locals[i] / comps[i]
-// slots, which makes re-running it after a transient failure safe.
+// slots, so items on different workers never share a write.
 //
 //fd:shardkernel
 func collectItem[S any](ctx context.Context, s S, item func(context.Context, S, int, *NonFDSet) int, i, ncols int, locals []*NonFDSet, comps []int) {
