@@ -72,17 +72,20 @@ chaos:
 
 # The durability acceptance gate: SIGKILL a checkpointing fddiscover
 # mid-run, resume it, and require a cover byte-identical to an
-# uninterrupted run, once for each hybrid driver, once for TANE, so a
-# non-hybrid frontier crosses a real kill too, and once for DFD with a
-# PLI cache, so the resumed run rebuilds the snapshot's cache manifest
-# and continues its walk over it. Exercises the real binary and a real
-# process kill, complementing the in-process resume matrix in
-# internal/integration, which covers all five durable algorithms.
+# uninterrupted run, once for each of the five durable algorithms: each
+# hybrid driver; TANE, so a non-hybrid frontier crosses a real kill too;
+# DFD with a PLI cache, so the resumed run rebuilds the snapshot's cache
+# manifest and continues its walk over it; and FastFDs, whose first
+# snapshot follows its pair scan, at a size where its cover enumeration
+# still runs for seconds after that snapshot. Exercises the real binary
+# and a real process kill, complementing the in-process resume matrix in
+# internal/integration.
 crash:
 	$(GO) run ./cmd/crashcheck -algo dhyfd
 	$(GO) run ./cmd/crashcheck -algo hyfd
 	$(GO) run ./cmd/crashcheck -algo tane
 	$(GO) run ./cmd/crashcheck -algo dfd -rows 6000 -cols 14 -pli-cache 16777216
+	$(GO) run ./cmd/crashcheck -algo fastfds -rows 6000 -cols 17
 
 # A ~20s native-fuzzing smoke pass over the CSV reader (its relations
 # against a map-based reference encoder, its records and parse errors

@@ -145,22 +145,18 @@ func BenchmarkDiscoverDiabetic(b *testing.B) { discoveryBench(b, "diabetic", 800
 // lattice/hybrid algorithms the cache mainly serves cross-subsystem reuse.
 // Bridges' DFD run is mostly hitting-set enumeration; ncvoter 10000×10
 // at a 1 MiB cache is ooc-walk's shape, where the walk's cached builds
-// (co-atom starts, evictions and rebuilds) are most of the run. That case
-// also runs as cache=spill, the same bound with a spill tier, so the
-// evicted entries go to the spill file and are read back instead of
-// rebuilt.
+// (co-atom starts, evictions and rebuilds) are most of the run.
 func BenchmarkDiscoverCached(b *testing.B) {
 	cases := []struct {
 		dataset    string
 		rows, cols int
 		algo       dhyfd.Algorithm
 		cacheBytes int64
-		spill      bool
 	}{
-		{"weather", 2000, 18, dhyfd.TANE, 64 << 20, false},
-		{"weather", 2000, 18, dhyfd.DHyFD, 64 << 20, false},
-		{"bridges", 108, 13, dhyfd.DFD, 64 << 20, false},
-		{"ncvoter", 10000, 10, dhyfd.DFD, 1 << 20, true},
+		{"weather", 2000, 18, dhyfd.TANE, 64 << 20},
+		{"weather", 2000, 18, dhyfd.DHyFD, 64 << 20},
+		{"bridges", 108, 13, dhyfd.DFD, 64 << 20},
+		{"ncvoter", 10000, 10, dhyfd.DFD, 1 << 20},
 	}
 	for _, c := range cases {
 		bm, err := dataset.ByName(c.dataset)
@@ -168,18 +164,11 @@ func BenchmarkDiscoverCached(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := bm.Generate(c.rows, c.cols)
-		states := []string{"off", "on"}
-		if c.spill {
-			states = append(states, "spill")
-		}
-		for _, state := range states {
+		for _, state := range []string{"off", "on"} {
 			b.Run(fmt.Sprintf("%s-%v/cache=%s", c.dataset, c.algo, state), func(b *testing.B) {
 				opts := []dhyfd.Option{dhyfd.WithAlgorithm(c.algo)}
-				if state != "off" {
+				if state == "on" {
 					opts = append(opts, dhyfd.WithPartitionCache(c.cacheBytes))
-				}
-				if state == "spill" {
-					opts = append(opts, dhyfd.WithSpillDir(b.TempDir()))
 				}
 				var hits, lookups int64
 				for i := 0; i < b.N; i++ {

@@ -221,8 +221,6 @@ type discoverConfig struct {
 	maxParts   int64 // partitions; < 0 = unlimited
 	cacheBytes int64 // PLI cache capacity; <= 0 = disabled
 	cache      *PLICache
-	spillDir   string // spill-tier root; meaningful only when spill is set
-	spill      bool   // attach an out-of-core tier to the PLI cache
 	noVerify   bool
 	topK       int     // > 0 enables the fused top-k search
 	maxErr     float64 // g3 error bound in [0, 1); 0 = exact
@@ -309,24 +307,6 @@ func WithPartitionCache(bytes int64) Option {
 	return func(c *discoverConfig) { c.cacheBytes = bytes }
 }
 
-// WithSpillDir attaches an out-of-core tier to the run's PLI cache:
-// entries the cache bound or the memory budget's headroom would evict (or
-// reject) append their rows and cluster offsets to one temp file under
-// dir instead of being discarded, and are read back into the heap on
-// their next hit. dir of "" selects the system temp directory; the run
-// removes its file when done. Combined with WithCache the tier attaches
-// to the caller's cache, which then holds its spill file until
-// PLICache.Close. Without any cache configured, a default-capacity
-// run-private cache is created to spill through. Spill traffic is
-// reported in Stats under cache_spills / cache_reloads / cache_peak_bytes
-// / cache_spilled_bytes.
-func WithSpillDir(dir string) Option {
-	return func(c *discoverConfig) {
-		c.spill = true
-		c.spillDir = dir
-	}
-}
-
 // withoutPostVerify disables the post-run soundness verifier, for tests
 // that inspect raw degraded output.
 func withoutPostVerify() Option {
@@ -370,11 +350,9 @@ func (pc *PLICache) Bytes() int64 {
 	return pc.c.Bytes()
 }
 
-// Close releases the cache: entries are purged and, when a WithSpillDir
-// run attached an out-of-core tier, its spill file is removed. Call it
-// once no Discover or ranking call is using the cache; results already
-// returned stay valid. Idempotent and safe on nil; a cache without a
-// spill tier only sheds its entries.
+// Close releases the cache by purging its entries, and returns nil.
+// Call it once no Discover or ranking call is using the cache; results
+// already returned stay valid. Idempotent and safe on nil.
 func (pc *PLICache) Close() error {
 	if pc == nil {
 		return nil
@@ -590,28 +568,6 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 	if cfg.cache != nil {
 		cache = cfg.cache.c
 	}
-	if cfg.spill && cache == nil {
-		// No cache configured: the spill tier needs one to route
-		// partition traffic through, so create a default-capacity
-		// run-private cache.
-		cache = partition.NewCache(ranking.DefaultCacheBytes, budget)
-	}
-	// Run-private caches (not caller-owned via WithCache) own a spill
-	// file that must not outlive the run. The close is registered before
-	// EnableSpill so an enable failure below still tears the cache down
-	// instead of leaking it through the early return.
-	spillPrivate := cfg.spill && cfg.cache == nil
-	defer func() {
-		if spillPrivate {
-			_ = cache.Close()
-		}
-	}()
-	if cfg.spill && cache.SpillFile() == "" {
-		if serr := cache.EnableSpill(cfg.spillDir); serr != nil {
-			return &Result{Algorithm: cfg.algorithm}, serr
-		}
-	}
-	spill0 := cache.Stats()
 
 	res = &Result{Algorithm: cfg.algorithm}
 	// Backstop: the drivers recover their own panics into typed errors
@@ -685,16 +641,6 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		if rerr := attachTopK(ctx, r, res, &cfg, cache); err == nil {
 			err = rerr
 		}
-	}
-	if cfg.spill {
-		// The spill tier's traffic, including the post-run verify/rank
-		// passes above: entries written out, entries faulted back in, and
-		// the resident/spilled byte gauges.
-		d := cache.Stats().Delta(spill0)
-		res.Stats.Count("cache_spills", d.Spills)
-		res.Stats.Count("cache_reloads", d.Reloads)
-		res.Stats.Count("cache_peak_bytes", d.PeakBytes)
-		res.Stats.Count("cache_spilled_bytes", d.SpilledBytes)
 	}
 	return res, err
 }

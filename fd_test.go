@@ -176,7 +176,6 @@ func TestDiscoverUnknownAlgorithm(t *testing.T) {
 	}{
 		{"alone", nil},
 		{"max-error", []dhyfd.Option{dhyfd.WithMaxError(0.01)}},
-		{"spill-dir", []dhyfd.Option{dhyfd.WithSpillDir(t.TempDir())}},
 	} {
 		res, err := dhyfd.Discover(context.Background(), rel, append([]dhyfd.Option{dhyfd.WithAlgorithm(bad)}, c.opts...)...)
 		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {

@@ -16,6 +16,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -363,10 +364,12 @@ func (s *RunStats) SinceStart() time.Duration {
 }
 
 // Finish stamps the total elapsed time and records whether err was a
-// cancellation. Call it exactly once, on every return path.
+// cancellation: context.Canceled or context.DeadlineExceeded, wrapped or
+// not. Any other error, a *PanicError included, leaves Cancelled unset.
+// Call it exactly once, on every return path.
 func (s *RunStats) Finish(err error) {
 	s.Elapsed = s.elapsedBase + time.Since(s.start)
-	if err != nil {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		s.Cancelled = true
 	}
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,5 +156,31 @@ func TestRunStatsPhases(t *testing.T) {
 	}
 	if s := rs.String(); s == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestRunStatsFinishCancelled: only a cancellation, wrapped or not,
+// marks a run cancelled; a failure or a panic does not, and neither
+// prints the CANCELLED banner.
+func TestRunStatsFinishCancelled(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"plain", errors.New("snapshot write failed"), false},
+		{"panic", NewPanicError("test", "boom"), false},
+		{"canceled", fmt.Errorf("level 3: %w", context.Canceled), true},
+		{"deadline", fmt.Errorf("level 3: %w", context.DeadlineExceeded), true},
+	} {
+		rs := NewRunStats("test", 1)
+		rs.Finish(c.err)
+		if rs.Cancelled != c.want {
+			t.Errorf("%s: Cancelled = %v, want %v", c.name, rs.Cancelled, c.want)
+		}
+		if got := strings.Contains(rs.String(), "CANCELLED"); got != c.want {
+			t.Errorf("%s: CANCELLED in String() = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -141,21 +140,16 @@ func TestPLICacheWithFaultInjection(t *testing.T) {
 	}
 }
 
-// cacheCell is one cache configuration of the identity checks below.
-type cacheCell struct {
-	name string
-	opts func(spillDir string) []dhyfd.Option
-}
-
-// cachedDFDCells evict (256 KiB), keep everything (64 MiB) and spill
-// (64 KiB plus a spill tier), so DFD's builds start from cached
-// co-atoms, reloaded co-atoms, prefixes and singles.
-var cachedDFDCells = []cacheCell{
-	{"256KiB", func(string) []dhyfd.Option { return []dhyfd.Option{dhyfd.WithPartitionCache(256 << 10)} }},
-	{"64MiB", func(string) []dhyfd.Option { return []dhyfd.Option{dhyfd.WithPartitionCache(64 << 20)} }},
-	{"64KiB+spill", func(dir string) []dhyfd.Option {
-		return []dhyfd.Option{dhyfd.WithPartitionCache(64 << 10), dhyfd.WithSpillDir(dir)}
-	}},
+// cachedDFDCells evict (256 KiB), keep everything (64 MiB) and evict
+// heavily (64 KiB), so DFD's builds start from cached co-atoms,
+// prefixes and singles, and rebuild what the bound dropped.
+var cachedDFDCells = []struct {
+	name  string
+	bytes int64
+}{
+	{"256KiB", 256 << 10},
+	{"64MiB", 64 << 20},
+	{"64KiB", 64 << 10},
 }
 
 // walkFixture is one relation of the cached-walk identity checks.
@@ -184,30 +178,26 @@ func cachedWalkFixtures(t *testing.T) []walkFixture {
 }
 
 // TestCachedDFDMatchesUncached: what the cache holds decides where each
-// of DFD's builds starts — the smallest cached co-atom, a reloaded one,
-// the longest cached prefix or a single — and never the cover. Through
-// an evicting, a roomy and a spilling cache, at one and two workers, DFD
+// of DFD's builds starts — the smallest cached co-atom, the longest
+// cached prefix or a single — and never the cover. Through an evicting,
+// a roomy and a heavily evicting cache, at one and two workers, DFD
 // returns uncached DFD's cover byte for byte on every shape. The shapes
-// run in parallel, so one's spill-file syscalls overlap another's walk.
+// run in parallel.
 func TestCachedDFDMatchesUncached(t *testing.T) {
 	ctx := context.Background()
-	spill := t.TempDir()
 	t.Run("shapes", func(t *testing.T) {
 		for _, fx := range cachedWalkFixtures(t) {
 			t.Run(fx.name, func(t *testing.T) {
 				t.Parallel()
-				cachedDFDMatchesUncached(ctx, t, fx, spill)
+				cachedDFDMatchesUncached(ctx, t, fx)
 			})
 		}
 	})
-	if left, _ := filepath.Glob(filepath.Join(spill, "*")); len(left) != 0 {
-		t.Errorf("spill files left behind: %v", left)
-	}
 }
 
 // cachedDFDMatchesUncached runs one fixture's cells against its uncached
 // DFD cover.
-func cachedDFDMatchesUncached(ctx context.Context, t *testing.T, fx walkFixture, spill string) {
+func cachedDFDMatchesUncached(ctx context.Context, t *testing.T, fx walkFixture) {
 	plain, err := dhyfd.Discover(ctx, fx.r, dhyfd.WithAlgorithm(dhyfd.DFD))
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +205,7 @@ func cachedDFDMatchesUncached(ctx context.Context, t *testing.T, fx walkFixture,
 	want := dhyfd.FormatFDs(plain.FDs, fx.r.Names)
 	for _, c := range cachedDFDCells {
 		for _, w := range []int{1, 2} {
-			opts := append([]dhyfd.Option{dhyfd.WithAlgorithm(dhyfd.DFD), dhyfd.WithWorkers(w)}, c.opts(spill)...)
-			res, err := dhyfd.Discover(ctx, fx.r, opts...)
+			res, err := dhyfd.Discover(ctx, fx.r, dhyfd.WithAlgorithm(dhyfd.DFD), dhyfd.WithWorkers(w), dhyfd.WithPartitionCache(c.bytes))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, w, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,7 +200,8 @@ func TestChaosDelayInjection(t *testing.T) {
 // panics at its second top-k bound check — so the report must carry the
 // cache counters. HyFD panics at its first progressive sampling round,
 // after the initial sample fanned out over the columns, so its report
-// must also carry the shard counters of that fan-out.
+// must also carry the shard counters of that fan-out. A panic is a
+// failure, not a cancellation: no report may say it was cancelled.
 func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := dataset.Random(rng, 200, 6, 4)
@@ -236,6 +238,9 @@ func TestChaosPanicKeepsPoolCounters(t *testing.T) {
 			}
 			if c.shards && rs.ShardsBuilt == 0 {
 				t.Errorf("panic report lost the shard counters: %+v", rs)
+			}
+			if rs.Cancelled || strings.Contains(rs.String(), "CANCELLED") {
+				t.Errorf("panic report claims a cancellation: %s", rs)
 			}
 		})
 	}

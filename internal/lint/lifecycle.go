@@ -16,9 +16,10 @@ import (
 // close in the same package) must reach a release — or an explicit
 // ownership transfer — on every exit path of the acquiring function,
 // including the early `return err` branches the happy-path test suite
-// never takes. The targets are exactly the handles the out-of-core tier
-// introduced: paged relations (relation.Options.PageColumns mappings),
-// partition.Cache spill files and runstate.Checkpointer state.
+// never takes. The targets are the handles the out-of-core work
+// introduced: paged relations (relation.Options.PageColumns mappings)
+// and runstate.Checkpointer state. partition.Cache keeps a Close that
+// purges its entries, so a cache a function creates is tracked too.
 //
 // Tracking is deliberately narrow so `make lint` stays quiet on correct
 // code:

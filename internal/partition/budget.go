@@ -9,7 +9,7 @@ import (
 // clusterCharge is what Cost charges per cluster. It is an accounting
 // unit, not a measured size: a partition holds one 4-byte offset per
 // cluster, and the charge stays at 24 bytes so that every cache bound,
-// spill decision and budget trip point keeps the value it had.
+// eviction and budget trip point keeps the value it had.
 const clusterCharge = 24
 
 // Cost is the accounting size of a stripped partition that the cache

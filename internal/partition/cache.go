@@ -40,49 +40,34 @@ type Cache struct {
 	entries  map[string]*cacheEntry
 	mru, lru *cacheEntry // doubly-linked recency list
 	bytes    int64
-	peak     int64 // high-water mark of bytes
-	nrows    int   // pinned by the first Put; -1 until then
-	spill    *spillState
+	nrows    int    // pinned by the first Put; -1 until then
 	key      []byte // the probes' map key, reused under mu
 }
 
 type cacheEntry struct {
 	key        string
 	attrs      bitset.Set
-	part       *Partition // nil while spilled to disk
+	part       *Partition
 	cost       int64
-	size       int         // ‖π‖, recorded at insert so spilled entries compare too
-	spillAt    int64       // offset of its record in the spill file, -1 while never spilled
-	spillOffs  int         // length of the spilled partition's offsets array
-	prev, next *cacheEntry // prev = more recent; detached while spilled
+	prev, next *cacheEntry // prev = more recent
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
-	// Spills counts entries written to the spill tier, Reloads the
-	// spilled entries read back in on a hit. Zero without EnableSpill.
-	Spills, Reloads int64
-	Entries         int
-	Bytes           int64
-	// PeakBytes is the high-water mark of resident partition bytes;
-	// SpilledBytes the cost of currently non-resident spilled entries.
-	PeakBytes, SpilledBytes int64
+	Entries                 int
+	Bytes                   int64
 }
 
 // Delta returns the counter movement since an earlier snapshot (gauges
-// Entries, Bytes, PeakBytes and SpilledBytes keep their current values).
+// Entries and Bytes keep their current values).
 func (s CacheStats) Delta(prev CacheStats) CacheStats {
 	return CacheStats{
-		Hits:         s.Hits - prev.Hits,
-		Misses:       s.Misses - prev.Misses,
-		Evictions:    s.Evictions - prev.Evictions,
-		Spills:       s.Spills - prev.Spills,
-		Reloads:      s.Reloads - prev.Reloads,
-		Entries:      s.Entries,
-		Bytes:        s.Bytes,
-		PeakBytes:    s.PeakBytes,
-		SpilledBytes: s.SpilledBytes,
+		Hits:      s.Hits - prev.Hits,
+		Misses:    s.Misses - prev.Misses,
+		Evictions: s.Evictions - prev.Evictions,
+		Entries:   s.Entries,
+		Bytes:     s.Bytes,
 	}
 }
 
@@ -108,14 +93,7 @@ func (c *Cache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	c.mu.Lock()
-	s := CacheStats{
-		Entries:   len(c.entries),
-		Bytes:     c.bytes,
-		PeakBytes: c.peak,
-	}
-	if c.spill != nil {
-		s.Spills, s.Reloads, s.SpilledBytes = c.spill.spills, c.spill.reloads, c.spill.cold
-	}
+	s := CacheStats{Entries: len(c.entries), Bytes: c.bytes}
 	c.mu.Unlock()
 	s.Hits = c.hits.Load()
 	s.Misses = c.misses.Load()
@@ -123,7 +101,7 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// Keys returns the attribute sets of up to max resident entries in
+// Keys returns the attribute sets of up to max entries in
 // most-recently-used-first order (max <= 0 means all), cloned so callers
 // own them. Checkpoint snapshots persist this as the PLI-cache manifest:
 // the partitions themselves are recomputable, so a resumed run rebuilds
@@ -164,8 +142,7 @@ func (c *Cache) Get(x bitset.Set) *Partition {
 
 // lookup is Get without the hit/miss accounting, for probe paths that
 // count the consultation as a whole. A found entry still has its recency
-// refreshed, and a hit on a spilled entry reads the partition back in
-// from the spill file.
+// refreshed.
 func (c *Cache) lookup(x bitset.Set) *Partition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,36 +151,15 @@ func (c *Cache) lookup(x bitset.Set) *Partition {
 	if !ok {
 		return nil
 	}
-	return c.serve(e)
-}
-
-// servable reports whether e is resident or can be reloaded from the
-// spill file. Callers hold mu.
-func (c *Cache) servable(e *cacheEntry) bool {
-	return e.part != nil || c.spill != nil && e.spillAt >= 0
-}
-
-// serve returns a found entry's partition: a resident entry has its
-// recency refreshed, a spilled one is read back in. It returns nil for
-// an entry that is not servable. Callers hold mu.
-func (c *Cache) serve(e *cacheEntry) *Partition {
-	if !c.servable(e) {
-		return nil
-	}
-	if e.part == nil {
-		return c.reload(e)
-	}
 	c.moveToFront(e)
 	return e.part
 }
 
 // smallestCoatom returns the cached co-atom X∖{b} of x with the fewest
 // rows in clusters (‖π‖), and b; a nil partition when no co-atom is
-// cached or the chosen one's spill record cannot be read. The probe runs
-// under one lock and compares the ‖π‖ each entry recorded at insert, so
-// spilled entries compare without being read in and no probed entry's
-// recency moves; ties go to the lowest b. Only the chosen entry is served
-// (refreshed or reloaded). The counters are the caller's.
+// cached. The probe runs under one lock and no probed entry's recency
+// moves; ties go to the lowest b. Only the chosen entry is refreshed.
+// The counters are the caller's.
 func (c *Cache) smallestCoatom(x bitset.Set) (*Partition, int) {
 	co := x.Clone()
 	var best *cacheEntry
@@ -215,17 +171,18 @@ func (c *Cache) smallestCoatom(x bitset.Set) (*Partition, int) {
 		c.key = co.AppendKey(c.key[:0])
 		co.Add(a)
 		e := c.entries[string(c.key)]
-		if e == nil || !c.servable(e) {
+		if e == nil {
 			continue
 		}
-		if best == nil || e.size < best.size {
+		if best == nil || e.part.Size() < best.part.Size() {
 			best, b = e, a
 		}
 	}
 	if best == nil {
 		return nil, -1
 	}
-	return c.serve(best), b
+	c.moveToFront(best)
+	return best.part, b
 }
 
 // LongestPrefix returns the cached partition over the longest
@@ -291,44 +248,26 @@ func (c *Cache) Put(x bitset.Set, p *Partition) {
 	if old, ok := c.entries[key]; ok {
 		c.remove(old)
 	}
-	e := &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost, size: p.Size(), spillAt: -1}
 	if cost > c.max {
-		// Too large to ever be resident; with a spill tier it can still
-		// live on disk and serve future hits.
-		if c.spill != nil {
-			c.insertSpilled(key, e)
-		}
 		return
 	}
 	// Evict until the entry fits the byte bound; then make sure the
 	// budget's headroom covers it, evicting further if cache bytes can
-	// still be returned. With a spill tier, eviction writes to disk and
-	// a rejected insert goes cold instead of being dropped.
+	// still be returned.
 	for c.bytes+cost > c.max && c.lru != nil {
-		c.evict(c.lru)
+		c.evict()
 	}
 	for cost > c.budget.Headroom() && c.lru != nil {
-		c.evict(c.lru)
+		c.evict()
 	}
 	if cost > c.budget.Headroom() {
-		if c.spill != nil {
-			c.insertSpilled(key, e)
-		}
 		return
 	}
+	e := &cacheEntry{key: key, attrs: x.Clone(), part: p, cost: cost}
 	c.entries[key] = e
-	c.addBytes(cost)
+	c.bytes += cost
 	c.budget.ChargeBytes(cost)
 	c.pushFront(e)
-}
-
-// addBytes grows the resident accounting, tracking the high-water mark.
-// Callers hold mu.
-func (c *Cache) addBytes(n int64) {
-	c.bytes += n
-	if c.bytes > c.peak {
-		c.peak = c.bytes
-	}
 }
 
 // Len returns the number of cached partitions.
@@ -341,7 +280,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Bytes returns the resident partition bytes (Cost accounting).
+// Bytes returns the cached partition bytes (Cost accounting).
 func (c *Cache) Bytes() int64 {
 	if c == nil {
 		return 0
@@ -351,31 +290,47 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// remove drops e entirely — resident bytes back to the bound and the
-// budget, cold bytes out of the spill accounting (its spill record, if
-// any, stays in the file until Close). Callers hold mu.
+// Close purges the cache, returning its bytes to the budget. Partitions
+// it served stay valid. Safe on nil and idempotent; it always returns
+// nil.
+func (c *Cache) Close() error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		c.remove(e)
+	}
+	return nil
+}
+
+// evict drops the least recently used entry and counts an eviction.
+// Callers hold mu and have checked that the cache is not empty.
+func (c *Cache) evict() {
+	c.remove(c.lru)
+	c.evictions.Add(1)
+}
+
+// remove drops e, its bytes back to the bound and the budget. Callers
+// hold mu.
 func (c *Cache) remove(e *cacheEntry) {
 	delete(c.entries, e.key)
-	if e.part != nil {
-		c.bytes -= e.cost
-		c.budget.ReleaseBytes(e.cost)
-	} else if c.spill != nil {
-		c.spill.cold -= e.cost
-	}
+	c.bytes -= e.cost
+	c.budget.ReleaseBytes(e.cost)
 	c.unlink(e)
 }
 
-// unlink detaches e from the recency list; a no-op for entries already
-// detached (spilled). Callers hold mu.
+// unlink detaches e from the recency list. Callers hold mu.
 func (c *Cache) unlink(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
-	} else if c.mru == e {
+	} else {
 		c.mru = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
-	} else if c.lru == e {
+	} else {
 		c.lru = e.prev
 	}
 	e.prev, e.next = nil, nil
@@ -395,22 +350,10 @@ func (c *Cache) pushFront(e *cacheEntry) {
 
 // moveToFront refreshes e's recency. Callers hold mu.
 func (c *Cache) moveToFront(e *cacheEntry) {
-	if c.mru == e {
-		return
+	if c.mru != e {
+		c.unlink(e)
+		c.pushFront(e)
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.lru = e.prev
-	}
-	e.prev, e.next = nil, c.mru
-	if c.mru != nil {
-		c.mru.prev = e
-	}
-	c.mru = e
 }
 
 // ForAttrsCached computes π_X for an attribute set, through the cache

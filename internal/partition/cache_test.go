@@ -26,7 +26,7 @@ func TestCacheNilSafety(t *testing.T) {
 	if s := c.Stats(); s != (CacheStats{}) {
 		t.Errorf("nil cache stats = %+v", s)
 	}
-	if c.Len() != 0 || c.Bytes() != 0 {
+	if c.Len() != 0 || c.Bytes() != 0 || c.Close() != nil {
 		t.Error("nil cache should be empty")
 	}
 }
@@ -170,6 +170,13 @@ func TestCacheEvictionReturnsBudgetBytes(t *testing.T) {
 	}
 	if budget.LiveBytes() != c.Bytes() {
 		t.Errorf("budget live bytes %d != cache bytes %d", budget.LiveBytes(), c.Bytes())
+	}
+	// Close purges every entry and returns its bytes; a second Close is a
+	// no-op.
+	for range 2 {
+		if err := c.Close(); err != nil || c.Len() != 0 || budget.LiveBytes() != 0 {
+			t.Errorf("Close: err=%v len=%d live=%d, want nil, 0 and 0", err, c.Len(), budget.LiveBytes())
+		}
 	}
 }
 
@@ -333,42 +340,6 @@ func TestForAttrsCachedCoatomStart(t *testing.T) {
 	}
 }
 
-// TestForAttrsCachedCoatomSpilled: the probe compares a spilled
-// co-atom's ‖π‖ without faulting it in, so it is reloaded only when it
-// is the one chosen.
-func TestForAttrsCachedCoatomSpilled(t *testing.T) {
-	cols, cards := coatomCols()
-	x := bitset.FromAttrs(3, 0, 1, 2)
-	small, large := bitset.FromAttrs(3, 1, 2), bitset.FromAttrs(3, 0, 1)
-	want := ForAttrs(x, cols, cards)
-	for _, tc := range []struct {
-		name        string
-		first, then bitset.Set // the second Put spills the first
-		reloads     int64
-	}{
-		{"chosen spilled", small, large, 1},
-		{"other spilled", large, small, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := spillFixture(t, 200, nil) // room for one co-atom
-			putAttrs(c, cols, cards, tc.first, tc.then)
-			if s := c.Stats(); s.Spills != 1 || s.Entries != 2 {
-				t.Fatalf("setup: %+v, want one of two co-atoms spilled", s)
-			}
-			p, _, err := ForAttrsCached(context.Background(), c, x, cols, cards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !p.Equal(want) {
-				t.Error("π_X differs from ForAttrs")
-			}
-			if s := c.Stats(); s.Reloads != tc.reloads || s.Hits != 1 || s.Misses != 0 {
-				t.Errorf("%d reloads, %d hits, %d misses, want %d, 1 and 0", s.Reloads, s.Hits, s.Misses, tc.reloads)
-			}
-		})
-	}
-}
-
 // TestForAttrsCachedColdPrefixShared guards the prefix fallback: a cold
 // cache walked over the sorted LHS groups {0,1,2}, {0,1,3}, {0,1,4}
 // publishes π_{0,1} on the first walk, and the next two groups start
@@ -403,9 +374,8 @@ func TestForAttrsCachedColdPrefixShared(t *testing.T) {
 }
 
 // TestForAttrsCachedConcurrent builds overlapping attribute sets from
-// four goroutines through one evicting cache, and through one that
-// spills instead, so co-atom probes, prefix walks, evictions or spills
-// and reloads, and publishes interleave; every π_X must still equal
+// four goroutines through one evicting cache, so co-atom probes, prefix
+// walks, evictions and publishes interleave; every π_X must still equal
 // ForAttrs. Run it under -race.
 func TestForAttrsCachedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -427,30 +397,25 @@ func TestForAttrsCachedConcurrent(t *testing.T) {
 		}
 		want[i] = ForAttrs(sets[i], cols, cards)
 	}
-	for _, spill := range []bool{false, true} {
-		c := NewCache(8<<10, nil)
-		if spill {
-			c = spillFixture(t, 8<<10, nil)
-		}
-		var wg sync.WaitGroup
-		for g := range 4 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := range 3 * len(sets) {
-					i := (k*(g+1) + g) % len(sets)
-					p, _, err := ForAttrsCached(context.Background(), c, sets[i], cols, cards)
-					if err != nil || !p.Equal(want[i]) {
-						t.Errorf("spill=%v goroutine %d: π_%v differs from ForAttrs (err %v)", spill, g, sets[i].Attrs(), err)
-						return
-					}
+	c := NewCache(8<<10, nil)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 3 * len(sets) {
+				i := (k*(g+1) + g) % len(sets)
+				p, _, err := ForAttrsCached(context.Background(), c, sets[i], cols, cards)
+				if err != nil || !p.Equal(want[i]) {
+					t.Errorf("goroutine %d: π_%v differs from ForAttrs (err %v)", g, sets[i].Attrs(), err)
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if s := c.Stats(); !spill && s.Evictions == 0 || spill && (s.Spills == 0 || s.Reloads == 0) {
-			t.Errorf("spill=%v stats %+v: the bound never evicted, or spilled and reloaded", spill, s)
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := c.Stats(); s.Evictions == 0 {
+		t.Errorf("stats %+v: the bound never evicted", s)
 	}
 }
 

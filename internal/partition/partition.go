@@ -34,11 +34,11 @@
 // A partition has one layout: every clustered row in one flat array and
 // the cluster boundaries beside it, read through Card and Cluster. A
 // refined partition therefore costs three allocations (the struct and
-// its two arrays) whatever its cluster count, and the spill tier writes
-// the two arrays as they are and reads them back into one. The one-shot
-// refine entry points borrow their Refiner from a package pool, so its
-// bucket table outlives the call. Cache (cache.go) keeps refined partitions alive
-// across candidate evaluations under an LRU byte bound.
+// its two arrays) whatever its cluster count. The one-shot refine entry
+// points borrow their Refiner from a package pool, so its bucket table
+// outlives the call. Cache (cache.go) keeps refined partitions alive
+// across candidate evaluations under an LRU byte bound; an evicted one is
+// dropped and rebuilt on its next use.
 package partition
 
 import (
