@@ -61,6 +61,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Single100k|Refine100k|BenchmarkSingles$$' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowOrder|BenchmarkClusterNeighborSample' -benchtime 1x ./internal/sampling/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCover' -benchtime 1x ./internal/check/
+	$(GO) test -run '^$$' -bench 'BenchmarkInductAll' -benchtime 1x ./internal/fdtree/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached|TANELattice|BenchmarkCanonicalCover' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
 	$(GO) test -run '^$$' -bench 'BenchmarkReadCSV' -benchtime 1x ./internal/relation/
@@ -75,16 +76,17 @@ chaos:
 # uninterrupted run, once for each of the five durable algorithms: each
 # hybrid driver; TANE, so a non-hybrid frontier crosses a real kill too;
 # DFD with a PLI cache, so the resumed run rebuilds the snapshot's cache
-# manifest and continues its walk over it; and FastFDs, whose first
-# snapshot follows its pair scan, at a size where its cover enumeration
-# still runs for seconds after that snapshot. Exercises the real binary
-# and a real process kill, complementing the in-process resume matrix in
-# internal/integration.
+# manifest and continues its walk over it, at 6000×15, where its run
+# takes about 9 s (at 6000×14 it ends in under a second, before the
+# kill); and FastFDs, whose first snapshot follows its pair scan, at a
+# size where its cover enumeration still runs for seconds after that
+# snapshot. Exercises the real binary and a real process kill,
+# complementing the in-process resume matrix in internal/integration.
 crash:
 	$(GO) run ./cmd/crashcheck -algo dhyfd
 	$(GO) run ./cmd/crashcheck -algo hyfd
 	$(GO) run ./cmd/crashcheck -algo tane
-	$(GO) run ./cmd/crashcheck -algo dfd -rows 6000 -cols 14 -pli-cache 16777216
+	$(GO) run ./cmd/crashcheck -algo dfd -rows 6000 -cols 15 -pli-cache 16777216
 	$(GO) run ./cmd/crashcheck -algo fastfds -rows 6000 -cols 17
 
 # A ~20s native-fuzzing smoke pass over the CSV reader (its relations

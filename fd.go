@@ -196,7 +196,9 @@ type PanicError = engine.PanicError
 // context's error.
 type Result struct {
 	// FDs is the left-reduced cover: every minimal FD with a singleton RHS.
-	// Under WithTopK it holds the k best FDs in ranked order.
+	// Under WithTopK it holds the k best FDs in ranked order. It is never
+	// nil when Discover returns no error, so an empty cover encodes as
+	// [] for every algorithm.
 	FDs []FD
 	// Ranked pairs each FD with its redundancy counts, sorted most relevant
 	// first. Populated only under WithTopK; otherwise nil (rank a full
@@ -641,6 +643,9 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		if rerr := attachTopK(ctx, r, res, &cfg, cache); err == nil {
 			err = rerr
 		}
+	}
+	if err == nil && res.FDs == nil {
+		res.FDs = []FD{}
 	}
 	return res, err
 }

@@ -2,6 +2,7 @@ package dhyfd_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	dhyfd "repro"
 	"repro/internal/brute"
+	"repro/internal/dataset"
 	"repro/internal/dep"
 )
 
@@ -68,6 +70,30 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		}
 		if !dep.Equal(res.FDs, want) {
 			t.Errorf("%v disagrees with brute force", a)
+		}
+	}
+}
+
+// TestEmptyCoverIsEmptySlice: hepatitis 300×12 has an empty cover, and
+// every algorithm returns it as an empty non-nil slice, which JSON
+// encodes as [] rather than null.
+func TestEmptyCoverIsEmptySlice(t *testing.T) {
+	bm, err := dataset.ByName("hepatitis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := bm.Generate(300, 12)
+	for _, a := range dhyfd.Algorithms() {
+		res, err := dhyfd.Discover(context.Background(), rel, dhyfd.WithAlgorithm(a))
+		if err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+		if res.FDs == nil || len(res.FDs) != 0 {
+			t.Errorf("%v: FDs = %#v, want an empty non-nil slice", a, res.FDs)
+			continue
+		}
+		if b, err := json.Marshal(res.FDs); err != nil || string(b) != "[]" {
+			t.Errorf("%v: json.Marshal(FDs) = %s, %v; want []", a, b, err)
 		}
 	}
 }

@@ -1,10 +1,15 @@
 package fdtree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/partition"
+	"repro/internal/sampling"
 )
 
 func benchNonFDs(n, k int, seed int64) []bitset.Set {
@@ -57,6 +62,33 @@ func BenchmarkClassicInduction(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkInductAll times the induction layer of DHyFD on its real input:
+// the agree sets of the initial sample of diabetic 3000×19 (wide-induct's
+// shape), sampled as a hybrid run samples them, inducted into a fresh
+// tree per iteration.
+func BenchmarkInductAll(b *testing.B) {
+	bm, err := dataset.ByName("diabetic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := bm.Generate(3000, 19)
+	ctx, pool := context.Background(), engine.NewPool(1)
+	singles, _, err := partition.Singles(ctx, pool, r.Cols, r.Cards, 0, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nonFDs := sampling.NewNonFDSet(r.NumCols())
+	if _, _, err := sampling.ClusterNeighborSample(ctx, pool, r, sampling.NewRowOrder(r), singles, 1, nonFDs); err != nil {
+		b.Fatal(err)
+	}
+	sets := nonFDs.Sets()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewWithFullRHS(r.NumCols()).InductAll(sets)
 	}
 }
 

@@ -11,8 +11,9 @@
 // The trees maintain the minimality invariant discovery needs: no FD in the
 // tree has a generalization (same RHS attribute, subset LHS) elsewhere in
 // the tree. Synergized induction (Algorithm 2) preserves the invariant by
-// filtering candidate RHSs against existing generalizations and deleting
-// specializations of newly inserted FDs.
+// filtering candidate RHSs against the generalizations that contain the
+// candidate's added attribute, the only ones that can cover it; a minimal
+// tree holds no specialization of a candidate, so none is deleted.
 package fdtree
 
 import (
@@ -151,15 +152,10 @@ type Tree struct {
 	// their own attribute. FDEP-style uses of the tree leave it at 0.
 	ControlledLevel int
 
-	// maxFDDepth is a monotone upper bound on the depth of any FD-node
-	// ever inserted. Specialization removal for a new FD at depth d can be
-	// skipped entirely when d >= maxFDDepth: no strictly deeper FD exists.
-	maxFDDepth int
-
 	// Induction scratch. The tree is single-writer (induction is serial
 	// in every algorithm), so these are reused across calls: attrsBuf by
-	// CoveredRHS/RemoveSpecializations and the sets by AddMinimalFD and
-	// specialize.
+	// CoveredRHS and insertSpecialization, the sets by insertSpecialization
+	// and specialize.
 	attrsBuf                             []int
 	covBuf, candBuf                      bitset.Set
 	outsideBuf, lhsBuf, restBuf, pathBuf bitset.Set
@@ -239,7 +235,7 @@ func resummarize(n *Node) {
 }
 
 // AddFD inserts lhs → rhs without any minimality filtering, creating the
-// path as needed (Algorithm 1). Most callers want AddMinimalFD instead.
+// path as needed (Algorithm 1).
 func (t *Tree) AddFD(lhs, rhs bitset.Set) *Node {
 	node := t.addPath(lhs)
 	if node.RHS == nil {
@@ -248,15 +244,7 @@ func (t *Tree) AddFD(lhs, rhs bitset.Set) *Node {
 	before := node.RHS.Count()
 	node.RHS.UnionWith(rhs)
 	t.bump(node, node.RHS.Count()-before, node.RHS)
-	t.noteFDDepth(lhs.Count())
 	return node
-}
-
-// noteFDDepth records that an FD-node exists at the given depth.
-func (t *Tree) noteFDDepth(d int) {
-	if d > t.maxFDDepth {
-		t.maxFDDepth = d
-	}
 }
 
 // addPath walks the path for lhs, creating missing nodes with the id rule
@@ -307,42 +295,6 @@ func (t *Tree) addRHS(n *Node, a int) {
 	}
 	n.RHS.Add(a)
 	t.bump(n, 1, n.RHS)
-	t.noteFDDepth(n.Depth())
-}
-
-// AddMinimalFD inserts lhs → rhs while maintaining minimality: RHS
-// attributes already covered by a generalization in the tree are dropped,
-// and specializations of the inserted FDs are removed. It returns the
-// number of FDs actually inserted.
-func (t *Tree) AddMinimalFD(lhs, rhs bitset.Set) int {
-	cand := t.scratchSet(&t.candBuf)
-	copy(cand, rhs)
-	cand.DifferenceWith(lhs) // non-trivial only
-	if cand.IsEmpty() {
-		return 0
-	}
-	covered := t.scratchSet(&t.covBuf)
-	covered.Clear()
-	t.coveredRHSInto(lhs, cand, covered)
-	cand.DifferenceWith(covered)
-	if cand.IsEmpty() {
-		return 0
-	}
-	if lhs.Count() < t.maxFDDepth {
-		// A specialization needs a strictly longer path; skip the walk
-		// when the tree provably has no FD-node that deep.
-		t.RemoveSpecializations(lhs, cand)
-	}
-	node := t.addPath(lhs)
-	if node.RHS == nil {
-		node.RHS = t.newRHS()
-	}
-	before := node.RHS.Count()
-	node.RHS.UnionWith(cand)
-	added := node.RHS.Count() - before
-	t.bump(node, added, node.RHS)
-	t.noteFDDepth(lhs.Count())
-	return added
 }
 
 // CoveredRHS returns the subset of cand covered by some FD Z → B in the
@@ -388,56 +340,15 @@ func (t *Tree) coveredRec(cur *Node, lhsAttrs []int, cand, acc bitset.Set) bool 
 	return false
 }
 
-// RemoveSpecializations deletes every FD W → B with lhs ⊆ W and B ∈ rhs
-// from the tree (the FD at W = lhs itself included; callers insert the new
-// FD afterwards, so clearing an equal node first is harmless).
-func (t *Tree) RemoveSpecializations(lhs, rhs bitset.Set) {
-	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
-	t.removeSpecRec(t.root, t.attrsBuf, rhs)
-}
-
-// removeSpecRec and clearSubtree only enter children whose summary
-// intersects rhs: no other subtree holds an FD they would clear.
-func (t *Tree) removeSpecRec(cur *Node, remaining []int, rhs bitset.Set) {
-	if len(remaining) == 0 {
-		// Every lhs attribute matched: clear rhs bits in this whole subtree.
-		t.clearSubtree(cur, rhs)
-		return
-	}
-	m := remaining[0]
-	for _, c := range cur.children {
-		if c.Attr > m {
-			break // m can no longer occur below later children
-		}
-		if c.subtree == 0 || !c.below.Intersects(rhs) {
-			continue
-		}
-		if c.Attr == m {
-			t.removeSpecRec(c, remaining[1:], rhs)
-		} else {
-			t.removeSpecRec(c, remaining, rhs)
-		}
-	}
-}
-
-func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set) {
-	if cur.RHS != nil && cur.RHS.Intersects(rhs) {
-		before := cur.RHS.Count()
-		cur.RHS.DifferenceWith(rhs)
-		t.bump(cur, cur.RHS.Count()-before, nil)
-	}
-	for _, c := range cur.children {
-		if c.subtree > 0 && c.below.Intersects(rhs) {
-			t.clearSubtree(c, rhs)
-		}
-	}
-	resummarize(cur)
-}
-
 // Induct applies the non-FD x ↛ y with synergized induction (Algorithm 2):
 // every FD X' → Y' in the tree with X' ⊆ x and Y' ∩ y ≠ ∅ loses the
 // intersecting RHS attributes, and all non-trivial minimal specializations
-// are inserted. It returns the number of FDs removed.
+// are inserted. It returns the number of FDs removed. It requires
+// x ∩ y = ∅ and a minimal tree, which its inserts rely on (see
+// insertSpecialization): InductAll's agree sets, FDEP1 and FDEP2's
+// negative cover, the approximate Induct(lhs, invalid) and
+// Induct(∅, invalid), and a tree restored from a snapshot all satisfy
+// both.
 func (t *Tree) Induct(x, y bitset.Set) int {
 	removedTotal := 0
 	path := t.scratchSet(&t.pathBuf)
@@ -491,7 +402,9 @@ func (t *Tree) InductAll(sets []bitset.Set) {
 
 // specialize inserts the minimal non-trivial candidates that replace the
 // invalidated FD path → removed, per the two augmentation rules of
-// Algorithm 2.
+// Algorithm 2. It inherits Induct's precondition, x ∩ y = ∅ and a minimal
+// tree; inductRec only walks paths inside x, so path ⊆ x, and both rules
+// add an attribute outside x.
 func (t *Tree) specialize(path, x, removed bitset.Set) {
 	// Rule 1: extend the LHS with an attribute outside x ∪ removed.
 	outside := t.scratchSet(&t.outsideBuf)
@@ -501,11 +414,8 @@ func (t *Tree) specialize(path, x, removed bitset.Set) {
 	lhs := t.scratchSet(&t.lhsBuf)
 	copy(lhs, path)
 	for a := outside.Next(0); a >= 0; a = outside.Next(a + 1) {
-		if path.Contains(a) {
-			continue
-		}
 		lhs.Add(a)
-		t.AddMinimalFD(lhs, removed)
+		t.insertSpecialization(lhs, a, removed)
 		lhs.Remove(a)
 	}
 	// Rule 2: move one removed attribute onto the LHS.
@@ -515,10 +425,68 @@ func (t *Tree) specialize(path, x, removed bitset.Set) {
 			lhs.Add(a)
 			copy(rest, removed)
 			rest.Remove(a)
-			t.AddMinimalFD(lhs, rest)
+			t.insertSpecialization(lhs, a, rest)
 			lhs.Remove(a)
 		}
 	}
+}
+
+// insertSpecialization inserts the candidate lhs → rhs, lhs = path ∪ {a},
+// that specialize built from the node path, which just lost rhs, and keeps
+// the tree minimal. Under Induct's precondition it needs neither the walk
+// over every subset of lhs nor a sweep for specializations:
+//
+//   - Covering FDs. Let W → A be in the tree with W ⊆ lhs, A ∈ rhs and
+//     a ∉ W, so W ⊆ path ⊆ x. Every FD this Induct adds holds its added
+//     attribute, which lies outside x, so W → A was in the tree before the
+//     call, as was path → A. Minimality rules that out for W ⊊ path, and
+//     W = path lost A just now. So only FDs whose LHS holds a can cover
+//     the candidate, and coveredThrough walks only the paths through a.
+//   - Specializations. Let W → A be in the tree with lhs ⊆ W and A ∈ rhs.
+//     Had it been there before the call, path → A would generalize it.
+//     So this call added it as p ∪ {b} → A from a node p that lost A.
+//     Its only attribute outside x is b, so b = a and path ⊆ p; path → A
+//     and p → A were both in the tree before the call, so p = path and
+//     W = lhs. Within one node, rule 1 adds attributes outside removed
+//     and rule 2 ones inside it, each once, so the node lhs holds no A
+//     yet: there is nothing to delete.
+func (t *Tree) insertSpecialization(lhs bitset.Set, a int, rhs bitset.Set) {
+	covered := t.scratchSet(&t.covBuf)
+	covered.Clear()
+	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
+	if t.coveredThrough(t.root, t.attrsBuf, a, rhs, covered) {
+		return
+	}
+	cand := t.scratchSet(&t.candBuf)
+	copy(cand, rhs)
+	cand.DifferenceWith(covered)
+	t.AddFD(lhs, cand)
+}
+
+// coveredThrough is coveredRec restricted to the tree paths through a, one
+// of lhsAttrs: above a it reads no RHS set and stops at the first child
+// past a, and from a's node down it is coveredRec. Nothing joins acc
+// above a, so a child there is skipped when its summary misses cand.
+func (t *Tree) coveredThrough(cur *Node, lhsAttrs []int, a int, cand, acc bitset.Set) bool {
+	j := 0
+	for _, c := range cur.children {
+		if c.Attr > a {
+			return false
+		}
+		for lhsAttrs[j] < c.Attr { // a is in lhsAttrs, so j stays in range
+			j++
+		}
+		if lhsAttrs[j] != c.Attr || c.subtree == 0 || !c.below.Intersects(cand) {
+			continue
+		}
+		if c.Attr == a {
+			return t.coveredRec(c, lhsAttrs[j+1:], cand, acc)
+		}
+		if t.coveredThrough(c, lhsAttrs[j+1:], a, cand, acc) {
+			return true
+		}
+	}
+	return false
 }
 
 // NodesAtLevel returns the nodes at the given depth whose subtrees still

@@ -114,11 +114,14 @@ func TestExample3(t *testing.T) {
 	}
 }
 
+// The TestAddMinimalFD tests check the reference insert, addMinimalFD,
+// which TestInductMatchesReference holds induction's own inserts to.
+
 func TestAddMinimalFDFiltersGeneralizations(t *testing.T) {
 	tr := New(4)
 	tr.AddFD(set(4, A), set(4, B))
 	// A→B exists; adding AC→{B,D} must only add AC→D.
-	added := tr.AddMinimalFD(set(4, A, C), set(4, B, D))
+	added := tr.addMinimalFD(set(4, A, C), set(4, B, D))
 	if added != 1 {
 		t.Errorf("added = %d, want 1", added)
 	}
@@ -135,7 +138,7 @@ func TestAddMinimalFDRemovesSpecializations(t *testing.T) {
 	tr := New(4)
 	tr.AddFD(set(4, A, C), set(4, B))
 	tr.AddFD(set(4, A, C, D), set(4, B)) // artificial non-minimal state
-	added := tr.AddMinimalFD(set(4, A), set(4, B))
+	added := tr.addMinimalFD(set(4, A), set(4, B))
 	if added != 1 {
 		t.Errorf("added = %d", added)
 	}
@@ -150,11 +153,11 @@ func TestAddMinimalFDRemovesSpecializations(t *testing.T) {
 
 func TestAddMinimalFDTrivialAndCoveredNoop(t *testing.T) {
 	tr := New(4)
-	if tr.AddMinimalFD(set(4, A, B), set(4, A)) != 0 {
+	if tr.addMinimalFD(set(4, A, B), set(4, A)) != 0 {
 		t.Error("trivial FD should not be added")
 	}
 	tr.AddFD(set(4, A), set(4, B))
-	if tr.AddMinimalFD(set(4, A), set(4, B)) != 0 {
+	if tr.addMinimalFD(set(4, A), set(4, B)) != 0 {
 		t.Error("duplicate FD should not be added")
 	}
 }
@@ -193,7 +196,7 @@ func TestSubtreeCounters(t *testing.T) {
 	if nodeA.SubtreeFDs() != 3 {
 		t.Errorf("subtree(A) = %d", nodeA.SubtreeFDs())
 	}
-	tr.RemoveSpecializations(set(5, A, C), set(5, D, E))
+	tr.removeSpecializations(set(5, A, C), set(5, D, E))
 	if tr.CountFDs() != 1 || nodeA.SubtreeFDs() != 1 {
 		t.Errorf("after removal: count=%d subtree(A)=%d", tr.CountFDs(), nodeA.SubtreeFDs())
 	}
@@ -451,8 +454,8 @@ func bruteForceMinimalUncontradicted(n int, nonFDs []bitset.Set) map[string]bool
 // from its parent's summary, and then repopulate it: an insert whose
 // upward OR stopped at the dead subtree's stale summary would leave the
 // ancestors' summaries too small. At the end the tree must equal the
-// classic tree fed the same stream, and CoveredRHS and
-// RemoveSpecializations must match a brute-force scan over FDs().
+// classic tree fed the same stream, and CoveredRHS and the reference
+// removeSpecializations must match a brute-force scan over FDs().
 func TestSummaryInvariant(t *testing.T) {
 	for _, n := range []int{7, 70, 130} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -492,6 +495,100 @@ func TestSummaryInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInductMatchesReference drives random induction streams through
+// Induct and, on a second tree, through refInduct, whose inserts are the
+// general addMinimalFD, and requires after every step the same removal
+// count, the same FDs in the same order and the same nodes: attributes,
+// ids, RHS sets, subtree counters and summaries. The streams mix
+// TestSummaryInvariant's agree sets with batches of Induct(lhs, invalid)
+// calls on live FD-nodes, the root included, in the form approximate runs
+// make them after a validation level.
+func TestInductMatchesReference(t *testing.T) {
+	for _, n := range []int{7, 70, 130} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n) + 1))
+			pool := spreadAttrs(n, 9)
+			full := bitset.Full(n)
+			for trial := 0; trial < 12; trial++ {
+				got, ref := NewWithFullRHS(n), NewWithFullRHS(n)
+				for step := 0; step < 30; step++ {
+					var xs, ys []bitset.Set
+					if pairs := pairsBelow(got.root); rng.Intn(3) == 0 && len(pairs) > 0 {
+						for k := 1 + rng.Intn(3); k > 0; k-- {
+							node := pairs[rng.Intn(len(pairs))].node
+							xs = append(xs, node.Path(n))
+							ys = append(ys, randomNonEmptySubset(rng, node.RHS))
+						}
+					} else {
+						x := poolNonFD(rng, n, pool)
+						xs, ys = append(xs, x), append(ys, full.Difference(x))
+					}
+					for i, x := range xs {
+						if g, r := got.Induct(x, ys[i]), ref.refInduct(x, ys[i]); g != r {
+							t.Fatalf("trial %d step %d: Induct(%v, %v) removed %d FDs, the reference %d", trial, step, x, ys[i], g, r)
+						}
+						if err := sameTrees(got, ref); err != nil {
+							t.Fatalf("trial %d step %d: after Induct(%v, %v): %v", trial, step, x, ys[i], err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// randomNonEmptySubset keeps each attribute of s with probability 1/2,
+// and one at random when that keeps none.
+func randomNonEmptySubset(rng *rand.Rand, s bitset.Set) bitset.Set {
+	out := make(bitset.Set, len(s))
+	attrs := s.Attrs()
+	for _, a := range attrs {
+		if rng.Intn(2) == 0 {
+			out.Add(a)
+		}
+	}
+	if out.IsEmpty() {
+		out.Add(attrs[rng.Intn(len(attrs))])
+	}
+	return out
+}
+
+// sameTrees reports the first difference between got and ref: their FD
+// counts, their FDs in extraction order, or a node's attribute, id, epoch,
+// RHS set, subtree counter, summary or number of children.
+func sameTrees(got, ref *Tree) error {
+	if g, r := got.CountFDs(), ref.CountFDs(); g != r {
+		return fmt.Errorf("CountFDs %d, reference %d", g, r)
+	}
+	gf, rf := got.FDs(), ref.FDs()
+	if !slices.EqualFunc(gf, rf, func(a, b dep.FD) bool { return a.LHS.Equal(b.LHS) && a.RHS.Equal(b.RHS) }) {
+		onlyGot, onlyRef := dep.Diff(dep.SplitRHS(gf), dep.SplitRHS(rf), nil)
+		return fmt.Errorf("FDs differ: only in the tree %v, only in the reference %v", onlyGot, onlyRef)
+	}
+	var walk func(g, r *Node) error
+	walk = func(g, r *Node) error {
+		switch {
+		case g.Attr != r.Attr, g.ID != r.ID, g.Epoch != r.Epoch:
+			return fmt.Errorf("node %v (id %d, epoch %d), reference %v (id %d, epoch %d)", g.Attr, g.ID, g.Epoch, r.Attr, r.ID, r.Epoch)
+		case (g.RHS == nil) != (r.RHS == nil), g.RHS != nil && !g.RHS.Equal(r.RHS):
+			return fmt.Errorf("node %v: RHS %v, reference %v", g.Path(got.numAttrs), g.RHS, r.RHS)
+		case g.subtree != r.subtree:
+			return fmt.Errorf("node %v: subtree %d, reference %d", g.Path(got.numAttrs), g.subtree, r.subtree)
+		case !g.below.Equal(r.below):
+			return fmt.Errorf("node %v: summary %v, reference %v", g.Path(got.numAttrs), g.below, r.below)
+		case len(g.children) != len(r.children):
+			return fmt.Errorf("node %v: %d children, reference %d", g.Path(got.numAttrs), len(g.children), len(r.children))
+		}
+		for i, c := range g.children {
+			if err := walk(c, r.children[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(got.root, ref.root)
 }
 
 // spreadAttrs returns k attributes spread evenly over [0, n), so a schema
@@ -657,7 +754,7 @@ func bruteCovered(fds []dep.FD, lhs, cand bitset.Set) bitset.Set {
 	return acc
 }
 
-// removeAndReadd checks RemoveSpecializations against a brute-force scan,
+// removeAndReadd checks removeSpecializations against a brute-force scan,
 // then puts the removed FDs back with AddFD, repopulating the subtrees the
 // removals killed, and requires the original FDs again.
 func removeAndReadd(t *testing.T, rng *rand.Rand, tr *Tree, pool []int) {
@@ -674,11 +771,11 @@ func removeAndReadd(t *testing.T, rng *rand.Rand, tr *Tree, pool []int) {
 				want = append(want, f)
 			}
 		}
-		tr.RemoveSpecializations(lhs, rhs)
+		tr.removeSpecializations(lhs, rhs)
 		checkSummaries(t, tr)
 		if got := dep.SplitRHS(tr.FDs()); !dep.Equal(got, want) {
 			onlyGot, onlyWant := dep.Diff(got, want, nil)
-			t.Fatalf("RemoveSpecializations(%v, %v): only tree %v, only brute force %v", lhs, rhs, onlyGot, onlyWant)
+			t.Fatalf("removeSpecializations(%v, %v): only tree %v, only brute force %v", lhs, rhs, onlyGot, onlyWant)
 		}
 	}
 	for _, f := range removed {
